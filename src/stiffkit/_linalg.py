@@ -11,28 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def exact_rank(rows: list[tuple[int, ...]]) -> int:
-    """Rank over Q of a list of integer rows."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, len(work)):
-            f = work[r][col] * inv
-            if f:
-                work[r] = [a - f * b for a, b in zip(work[r], prow)]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
 class GreedyRank:
     """Incremental exact rank tracker for integer vectors."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -68,13 +67,11 @@ def _summary(rows: Sequence[tuple[str, object]]) -> None:
 
 
 def _emit(command: str, report, *, seed: Optional[int] = None,
-          threads: Optional[int] = None, tolerances: Optional[dict] = None) -> None:
+          tolerances: Optional[dict] = None) -> None:
     """Print a report envelope carrying version, seed, and tolerances."""
     out: dict = {"tool": "stiffkit", "version": __version__, "command": command}
     if seed is not None:
         out["seed"] = seed
-    if threads is not None:
-        out["threads"] = threads
     if tolerances:
         out["tolerances"] = tolerances
     out["report"] = report
@@ -138,7 +135,7 @@ def _parse_kernels(text: str) -> list[Kernel]:
 def _load(path: str):
     try:
         return load_code(path)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"bad code file {path}: {e}") from None
 
 
@@ -205,7 +202,7 @@ def cmd_check_design(args) -> int:
 def cmd_dual(args) -> int:
     code = _load(args.file)
     nodes = _parse_nodes(args.nodes)
-    cert = certify_stiff(code, args.m, nodes=nodes, threads=args.threads)
+    cert = certify_stiff(code, args.m, nodes=nodes)
     dual = cert.dual
     rows = [("code", code.name), ("m", args.m),
             ("design strength", cert.design_strength),
@@ -222,7 +219,7 @@ def cmd_dual(args) -> int:
                     "certificate": cert.to_json_dict()}
     if reason:
         report["reason"] = reason
-    _emit("dual", report, threads=args.threads,
+    _emit("dual", report,
           tolerances={"float_residual": 1e-9} if dual is not None
           and dual.mode == "float" else None)
     return 0 if dual is not None else 1
@@ -306,13 +303,13 @@ def cmd_glue(args) -> int:
 
 
 def cmd_rotated_cubes(args) -> int:
-    code, cert = rotated_cubes(args.n, seed=args.seed)
+    code, cert = rotated_cubes(args.n)
     _summary([("copies", args.n), ("points", code.size),
               ("design strength", cert.design_strength),
               ("stiff", cert.stiff),
               ("dual points", cert.dual.count if cert.dual else 0)])
     _write_code(code, args.out, "rotated-cubes",
-                extra={"certificate": cert.to_json_dict()}, seed=args.seed)
+                extra={"certificate": cert.to_json_dict()})
     return 0 if cert.stiff else 1
 
 
@@ -327,7 +324,7 @@ def cmd_suite(args) -> int:
     results = []
     chosen = sorted(set(numbers)) if numbers else list(range(1, 13))
     for n in chosen:
-        res = run_suite([n], threads=args.threads)[0]
+        res = run_suite([n])[0]
         results.append(res)
         mark = "PASS" if res.passed else "FAIL"
         print(f"  [{res.number:2d}] {mark}  {res.elapsed:7.1f}s  {res.name}",
@@ -336,11 +333,21 @@ def cmd_suite(args) -> int:
     n_pass = sum(r.passed for r in results)
     print(f"  {n_pass}/{len(results)} criteria passed "
           f"in {time.time() - t0:.1f}s", file=sys.stderr)
-    _emit("suite", [r.to_json_dict() for r in results], threads=args.threads)
+    _emit("suite", [r.to_json_dict() for r in results])
     return 0 if n_pass == len(results) else 1
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "stiff configurations, and potential minima.")
     parser.add_argument("--version", action="version",
                         version=f"stiffkit {__version__}")
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="parallelism for enumeration (default: cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named code")
@@ -373,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="dual configuration and stiffness certificate")
     p.add_argument("file")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_positive_int, required=True)
     p.add_argument("--nodes",
                    help="comma list: int, p/q, sqrt(p/q), -sqrt(p/q); "
                         "use --nodes=... when the first value is negative")
@@ -381,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-min", help="multistart universal-minimum check")
     p.add_argument("file")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_positive_int, required=True)
     p.add_argument("--dual", required=True, help="code file with the candidate minimizers")
     p.add_argument("--kernels", required=True,
                    help="comma list, e.g. riesz:2,gauss:1,log")
@@ -414,14 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glue", help="merge two stiff codes across a reflection")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_glue)
 
     p = sub.add_parser("rotated-cubes", help="union of n rotated cubes")
     p.add_argument("n", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_rotated_cubes)
 

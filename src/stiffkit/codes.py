@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import cos, gcd, pi, sin
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +32,31 @@ def gcd_reduce(vec: Vector) -> Vector:
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)
+
+
+def _max_norm_sq(rows: np.ndarray) -> int:
+    return max(int((rows * rows).sum(axis=1).max()), 1)
+
+
+def raw_dots(a: Sequence[Vector], b: Sequence[Vector]) -> np.ndarray:
+    """Integer dot products a_i . b_j of two non-empty sets of integer vectors.
+
+    Every exact dot product in the package goes through here.  The table
+    is computed in int64 when max|a_i|^2 * max|b_j|^2 < 2^62: by
+    Cauchy-Schwarz every product term and every partial sum is then below
+    2^31 in absolute value.  Otherwise it is computed in Python integers
+    (an object array), which cannot overflow.
+    """
+    a_obj = np.asarray(a, dtype=object)
+    b_obj = np.asarray(b, dtype=object)
+    if _max_norm_sq(a_obj) * _max_norm_sq(b_obj) < 2**62:
+        return a_obj.astype(np.int64) @ b_obj.astype(np.int64).T
+    return a_obj @ b_obj.T
+
+
+def unit_surd(raw: int, norm_sq_product: int) -> Surd:
+    """The exact unit dot raw / sqrt(norm_sq_product) of two integer vectors."""
+    return Surd(Fraction(raw, norm_sq_product), norm_sq_product)
 
 
 @dataclass(frozen=True)
@@ -59,11 +84,6 @@ class LatticePoint:
 
     def unit(self) -> np.ndarray:
         return np.asarray(self.vector, dtype=float) / float(self.norm_sq) ** 0.5
-
-    def dot_unit(self, other: "LatticePoint") -> Surd:
-        """Exact dot product of the two unit points: rational over sqrt(ns*ns')."""
-        raw = sum(a * b for a, b in zip(self.vector, other.vector))
-        return Surd(raw) / Surd.sqrt_of(self.norm_sq * other.norm_sq)
 
     def __neg__(self) -> "LatticePoint":
         return LatticePoint(tuple(-x for x in self.vector), self.norm_sq)
@@ -131,10 +151,6 @@ class LatticeCode:
     def is_antipodal(self) -> bool:
         pset = set(self.points)
         return all(tuple(-x for x in p) in pset for p in self.points)
-
-    def unit_dot(self, i: int, j: int) -> Fraction:
-        raw = sum(a * b for a, b in zip(self.points[i], self.points[j]))
-        return Fraction(raw, self.norm_sq)
 
     def to_json_dict(self) -> dict:
         return {

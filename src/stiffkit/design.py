@@ -2,8 +2,8 @@
 
 A configuration is an n-design exactly when the double sum of P_k over all
 ordered point pairs vanishes for k = 1..n.  For integer codes the Gram
-matrix is computed in int64 (with an overflow guard), collapsed to a
-multiset of dot values, and each P_k is evaluated once per distinct value
+matrix comes from codes.raw_dots (int64 with an overflow guard), collapsed
+to a multiset of dot values, and each P_k is evaluated once per distinct value
 in exact rational arithmetic.
 """
 
@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .codes import Code, FloatCode, LatticeCode, LatticePoint
+from .codes import Code, FloatCode, LatticeCode, LatticePoint, raw_dots, unit_surd
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import Polynomial, a0, gegenbauer_poly
 
@@ -84,20 +84,8 @@ class DesignReport:
 @lru_cache(maxsize=64)
 def _gram_multiset(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
     """Multiset of unit dot products over all ordered pairs, diagonal included."""
-    pts = code.int_array()
-    # |v.w| <= norm_sq, so int64 is safe whenever norm_sq fits comfortably
-    if code.norm_sq < 2**31:
-        gram = pts @ pts.T
-        vals, counts = np.unique(gram, return_counts=True)
-        pairs = [(int(v), int(c)) for v, c in zip(vals, counts)]
-    else:
-        raw: dict[int, int] = {}
-        for i, p in enumerate(code.points):
-            for q in code.points:
-                s = sum(a * b for a, b in zip(p, q))
-                raw[s] = raw.get(s, 0) + 1
-        pairs = sorted(raw.items())
-    return tuple((Fraction(v, code.norm_sq), c) for v, c in pairs)
+    vals, counts = np.unique(raw_dots(code.points, code.points), return_counts=True)
+    return tuple((Fraction(int(v), code.norm_sq), int(c)) for v, c in zip(vals, counts))
 
 
 def pair_values(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
@@ -148,13 +136,8 @@ def spectrum(probe: Union[LatticePoint, Sequence[float], np.ndarray],
     if isinstance(probe, LatticePoint) and isinstance(code, LatticeCode):
         if probe.ambient_dim != code.ambient_dim:
             raise ValueError("probe dimension does not match the code")
-        scale = Surd.sqrt_of(Fraction(1, probe.norm_sq * code.norm_sq))
-        raw: dict[int, int] = {}
-        for p in code.points:
-            s = sum(a * b for a, b in zip(probe.vector, p))
-            raw[s] = raw.get(s, 0) + 1
-        entries = tuple((Surd(v) * scale, c) for v, c in sorted(raw.items()))
-        return SpectrumReport(str(probe.vector), code.name, True, entries)
+        return SpectrumReport(str(probe.vector), code.name, True,
+                              exact_spectra([probe], code)[0])
     vec = probe.unit() if isinstance(probe, LatticePoint) else np.asarray(probe, dtype=float)
     vec = vec / np.linalg.norm(vec)
     dots = np.sort(code.unit_array() @ vec)
@@ -168,6 +151,23 @@ def spectrum(probe: Union[LatticePoint, Sequence[float], np.ndarray],
         i = j + 1
     return SpectrumReport(np.array2string(vec, precision=6), code.name, False,
                           tuple(entries))
+
+
+def exact_spectra(points: Sequence[LatticePoint], code: LatticeCode
+                  ) -> list[tuple[tuple[Surd, int], ...]]:
+    """Per point: its (unit dot, multiplicity) entries against the code, ascending.
+
+    One integer table for all points; each distinct integer dot of a point
+    becomes one Surd.
+    """
+    if not points:
+        return []
+    out = []
+    for p, row in zip(points, raw_dots([p.vector for p in points], code.points)):
+        vals, counts = np.unique(row, return_counts=True)
+        ns = p.norm_sq * code.norm_sq
+        out.append(tuple((unit_surd(int(v), ns), int(c)) for v, c in zip(vals, counts)))
+    return out
 
 
 def halfcount_3design(code: LatticeCode) -> tuple[bool, Optional[tuple[int, ...]]]:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import sqrt
 from typing import Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction, "Surd"]
 
 
@@ -200,11 +199,6 @@ class Surd:
         return f"Surd({self.coeff!r}, {self.radicand})"
 
 
-def normalize_surd(coeff: Scalar, radicand: int) -> Surd:
-    """Canonical surd for coeff*sqrt(radicand)."""
-    return Surd(coeff, radicand)
-
-
 def surd_cmp(a: Scalar, b: Scalar) -> int:
     """Exact three-way comparison: -1, 0, or 1 as a < b, a == b, a > b.
 
@@ -260,11 +254,3 @@ def parse_scalar(text: str) -> Surd:
 def scalar_str(x: Scalar) -> str:
     """Render an exact scalar the way parse_scalar reads it."""
     return str(x if isinstance(x, Surd) else Surd(x))
-
-
-def isqrt_exact(n: int) -> int | None:
-    """Integer square root of n if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None

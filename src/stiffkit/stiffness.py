@@ -14,19 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ._linalg import GreedyRank, adjugate_and_det, integer_nullspace
-from .codes import Code, FloatCode, LatticeCode, LatticePoint, Vector, gcd_reduce
+from .codes import Code, FloatCode, LatticeCode, LatticePoint, Vector, gcd_reduce, raw_dots
 from .config import check_size
-from .design import index_set, spectrum
-from .exact import Scalar, Surd, scalar_str
+from .design import exact_spectra, index_set, spectrum
+from .exact import Scalar, Surd, scalar_str, square_free_split
 from .gegenbauer import nodes as gegenbauer_nodes
 
 FLOAT_RESIDUAL = 1e-9
+ENUM_CHUNK = 1 << 16  # assignment rows per block: bounds the enumeration's memory
 
 
 class NotInGeneralPosition(ValueError):
@@ -119,10 +120,6 @@ def dual_to_code(points: Sequence[LatticePoint], name: str) -> LatticeCode:
     """
     if not points:
         raise ValueError("no points to convert")
-    from math import lcm
-
-    from .exact import square_free_split
-
     reduced = []
     splits = []
     for p in points:
@@ -205,18 +202,18 @@ def _exact_rhs(node_values: Sequence[Scalar], norm_sq: int):
     return ints, q_lcm, g
 
 
-def _digit_matrix(n_values: Sequence[int], width: int, dtype) -> np.ndarray:
-    """All len(values)^width assignment rows, base-|values| digit expansion."""
-    base = len(n_values)
+def _assignment_blocks(values: Sequence, width: int, dtype):
+    """All len(values)^width assignment rows in base-|values| digit order,
+    ENUM_CHUNK rows at a time."""
+    base = len(values)
     total = base**width
-    idx = np.arange(total, dtype=np.int64)
-    cols = []
-    for pos in range(width):
-        cols.append(idx % base)
-        idx = idx // base
-    digits = np.stack(cols, axis=1)
-    lut = np.asarray(n_values, dtype=dtype)
-    return lut[digits]
+    lut = np.asarray(values, dtype=dtype)
+    for lo in range(0, total, ENUM_CHUNK):
+        idx = np.arange(lo, min(lo + ENUM_CHUNK, total), dtype=np.int64)
+        digits = np.empty((len(idx), width), dtype=np.int64)
+        for pos in range(width):
+            idx, digits[:, pos] = np.divmod(idx, base)
+        yield lut[digits]
 
 
 def dual_search(
@@ -224,7 +221,6 @@ def dual_search(
     m: int,
     mode: str = "auto",
     nodes: Optional[Sequence] = None,
-    threads: Optional[int] = None,
 ) -> DualSearchResult:
     """Enumerate the dual configuration D_m of a code.
 
@@ -271,9 +267,9 @@ def dual_search(
         )
     if mode != "float" and rhs is not None:
         return _dual_search_exact(code, m, idx, node_values, rhs,
-                                  dual_complete, nodes_supplied, threads)
+                                  dual_complete, nodes_supplied)
     return _dual_search_float(code, m, idx, node_values,
-                              dual_complete, nodes_supplied, threads)
+                              dual_complete, nodes_supplied)
 
 
 def _subspace_dual(code: Code, nodes_supplied: bool) -> DualSearchResult:
@@ -309,7 +305,7 @@ def _subspace_dual(code: Code, nodes_supplied: bool) -> DualSearchResult:
 
 
 def _dual_search_exact(code, m, idx, node_values, rhs, dual_complete,
-                       nodes_supplied, threads) -> DualSearchResult:
+                       nodes_supplied) -> DualSearchResult:
     n_ints, q_lcm, g = rhs
     d1 = code.ambient_dim
     rows = [list(code.points[i]) for i in idx]
@@ -326,73 +322,43 @@ def _dual_search_exact(code, m, idx, node_values, rhs, dual_complete,
     max_n = max((abs(x) for x in n_ints), default=0)
     w_bound = d1 * max_adj * max_n
     safe = w_bound**2 * d1 * g < 2**62 and target < 2**62
-
-    adj_t = np.asarray(adj, dtype=np.int64).T
-    nmat = _digit_matrix(n_ints, d1, np.int64)
-    survivors = _enumerate_exact(nmat, adj_t, g, target, threads, safe)
+    survivors = _enumerate_exact(n_ints, adj, g, target, safe)
 
     # dedup by signed direction and certify each survivor's full spectrum
-    root_ns = Surd.sqrt_of(code.norm_sq)
-    node_set = {v if isinstance(v, Surd) else Surd(v) for v in node_values}
-    pts_mat = code.int_array() if code.norm_sq < 2**26 else None
-    seen: dict[Vector, LatticePoint] = {}
-    for w in survivors:
-        direction = gcd_reduce(tuple(int(x) for x in w))
-        if direction in seen:
-            continue
-        cand = LatticePoint(direction, sum(x * x for x in direction))
-        # dots of cand against every code point, exact membership in the nodes
-        if pts_mat is not None:
-            raw = pts_mat @ np.asarray(direction, dtype=np.int64)
-            uniq = np.unique(raw)
-        else:
-            uniq = sorted({sum(a * b for a, b in zip(p, direction)) for p in code.points})
-        if len(uniq) > m:
-            continue
-        scale = Surd(1) / (Surd.sqrt_of(cand.norm_sq) * root_ns)
-        vals = [Surd(int(u)) * scale for u in uniq]
-        if all(v in node_set for v in vals):
-            seen[direction] = cand
-    pts = tuple(sorted(seen.values(), key=lambda p: p.vector))
+    dirs = dict.fromkeys(gcd_reduce(tuple(int(x) for x in w)) for w in survivors)
+    cands = [LatticePoint(v, sum(x * x for x in v)) for v in dirs]
+    kept = [p for p, ok in zip(cands, _within_nodes(code, cands, m, node_values)) if ok]
+    pts = tuple(sorted(kept, key=lambda p: p.vector))
     return DualSearchResult(code.name, m, "exact", pts, None, dual_complete,
                             nodes_supplied, tuple(node_values))
 
 
-def _enumerate_exact(nmat, adj_t, g, target, threads, safe) -> list[np.ndarray]:
-    """Rows w = adj^T-free solve outputs passing the integer unit-norm identity."""
-    if not safe:
-        nmat = nmat.astype(object)
-        adj_t = adj_t.astype(object)
-    chunks = max(1, int(threads or 1))
-    bounds = np.linspace(0, len(nmat), chunks + 1, dtype=int)
+def _enumerate_exact(n_ints, adj, g, target, safe) -> list[np.ndarray]:
+    """Solutions w = adj @ n over all assignments n, kept when g*|w|^2 == target.
 
-    def work(lo: int, hi: int) -> list[np.ndarray]:
-        w = nmat[lo:hi] @ adj_t
-        norms = np.einsum("ij,ij->i", w, w)
-        keep = np.nonzero(g * norms == target)[0]
-        return [w[k] for k in keep]
-
-    if chunks == 1:
-        return work(0, len(nmat))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=chunks) as ex:
-        parts = list(ex.map(lambda b: work(b[0], b[1]), zip(bounds, bounds[1:])))
-    return [w for part in parts for w in part]
+    safe says int64 cannot overflow; otherwise Python integers are used.
+    """
+    dtype = np.int64 if safe else object
+    adj_t = np.asarray(adj, dtype=dtype).T
+    out: list[np.ndarray] = []
+    for nmat in _assignment_blocks(n_ints, len(adj), dtype):
+        w = nmat @ adj_t
+        out.extend(w[(w * w).sum(axis=1) * g == target])
+    return out
 
 
 def _dual_search_float(code, m, idx, node_values, dual_complete,
-                       nodes_supplied, threads) -> DualSearchResult:
+                       nodes_supplied) -> DualSearchResult:
     d1 = code.ambient_dim
     units = code.unit_array()
     a = units[idx]
     a_inv_t = np.linalg.inv(a).T
     node_floats = [float(v) for v in node_values]
-    nmat = _digit_matrix(node_floats, d1, np.float64)
-
-    z = nmat @ a_inv_t  # row i solves a @ z = nmat[i]
-    norms = np.linalg.norm(z, axis=1)
-    cand = z[np.abs(norms - 1.0) < 1e-7]
+    blocks = []
+    for nmat in _assignment_blocks(node_floats, d1, np.float64):
+        z = nmat @ a_inv_t  # row i solves a @ z = nmat[i]
+        blocks.append(z[np.abs(np.linalg.norm(z, axis=1) - 1.0) < 1e-7])
+    cand = np.concatenate(blocks)
     cand /= np.linalg.norm(cand, axis=1)[:, None]
 
     # spectrum certificate: every dot within residual of some node
@@ -416,8 +382,7 @@ def _dual_search_float(code, m, idx, node_values, dual_complete,
     if isinstance(code, LatticeCode) and len(pts):
         lattice = _recognize_lattice_points(pts)
         if lattice is not None:
-            exact_ok = _verify_exact_spectrum(code, lattice, m, node_values)
-            if exact_ok:
+            if all(_within_nodes(code, lattice, m, node_values)):
                 return DualSearchResult(code.name, m, "exact",
                                         tuple(sorted(lattice, key=lambda p: p.vector)),
                                         None, dual_complete, nodes_supplied,
@@ -444,24 +409,22 @@ def _recognize_lattice_points(pts: np.ndarray) -> Optional[list[LatticePoint]]:
     return out
 
 
-def _verify_exact_spectrum(code: LatticeCode, points: Sequence[LatticePoint],
-                           m: int, node_values) -> bool:
-    exact_nodes = all(isinstance(v, (int, Fraction, Surd)) for v in node_values)
-    node_set = {v if isinstance(v, Surd) else Surd(v) for v in node_values} \
-        if exact_nodes else None
-    for p in points:
-        rep = spectrum(p, code)
-        if rep.distinct_count > m:
-            return False
-        if node_set is not None:
-            if any(v not in node_set for v in rep.values()):
-                return False
-        else:
-            floats = [float(v) for v in node_values]
-            for v in rep.values():
-                if min(abs(float(v) - f) for f in floats) > FLOAT_RESIDUAL:
-                    return False
-    return True
+def _within_nodes(code: LatticeCode, points: Sequence[LatticePoint], m: int,
+                  node_values) -> list[bool]:
+    """Per point: at most m distinct exact dots against the code, each a node.
+
+    Float nodes match within FLOAT_RESIDUAL.
+    """
+    if all(isinstance(v, (int, Fraction, Surd)) for v in node_values):
+        node_set = {v if isinstance(v, Surd) else Surd(v) for v in node_values}
+        is_node = node_set.__contains__
+    else:
+        floats = [float(v) for v in node_values]
+
+        def is_node(v) -> bool:
+            return min(abs(float(v) - f) for f in floats) <= FLOAT_RESIDUAL
+    return [len(entries) <= m and all(is_node(v) for v, _ in entries)
+            for entries in exact_spectra(points, code)]
 
 
 @dataclass(frozen=True)
@@ -502,8 +465,8 @@ class StiffnessCertificate:
         return out
 
 
-def certify_stiff(code: Code, m: int, nodes: Optional[Sequence] = None,
-                  threads: Optional[int] = None) -> StiffnessCertificate:
+def certify_stiff(code: Code, m: int,
+                  nodes: Optional[Sequence] = None) -> StiffnessCertificate:
     """Full stiffness certificate: design strength, dual, frequencies, flags.
 
     Stiff means (2m-1)-design with nonempty dual.  The frequency table counts
@@ -514,7 +477,7 @@ def certify_stiff(code: Code, m: int, nodes: Optional[Sequence] = None,
     strength = rep.strength
     dual: Optional[DualSearchResult] = None
     try:
-        dual = dual_search(code, m, nodes=nodes, threads=threads)
+        dual = dual_search(code, m, nodes=nodes)
     except NodesRequired:
         if nodes is None and strength < 2 * m - 1:
             dual = None  # not a (2m-1)-design: not stiff, dual not enumerable
@@ -527,12 +490,9 @@ def certify_stiff(code: Code, m: int, nodes: Optional[Sequence] = None,
     props: dict = {}
     if dual is not None and dual.count:
         if dual.exact and isinstance(code, LatticeCode):
-            for p in dual.points:
-                s = spectrum(p, code)
-                freq_table.append(tuple((v, c) for v, c in s.entries))
+            freq_table = exact_spectra(dual.points, code)
         else:
-            units = dual.unit_points()
-            for v in units:
+            for v in dual.unit_points():
                 s = spectrum(v, code)
                 freq_table.append(tuple((round(float(val), 9), c)
                                         for val, c in s.entries))
@@ -594,11 +554,7 @@ def _dual_antipodal(dual: DualSearchResult) -> bool:
 def _double_dual_contains(code: Code, m: int, dual: DualSearchResult) -> bool:
     """Every code point forms at most m distinct dots against the dual."""
     if dual.exact and isinstance(code, LatticeCode):
-        for v in code.points:
-            vals = {LatticePoint(v, code.norm_sq).dot_unit(p) for p in dual.points}
-            if len(vals) > m:
-                return False
-        return True
+        return bool(np.all(_distinct_unit_dots(code.points, dual.points) <= m))
     dual_units = dual.unit_points()
     for v in code.unit_array():
         dots = np.sort(dual_units @ v)
@@ -606,6 +562,29 @@ def _double_dual_contains(code: Code, m: int, dual: DualSearchResult) -> bool:
         if distinct > m:
             return False
     return True
+
+
+def _distinct_unit_dots(vectors: Sequence[Vector],
+                       points: Sequence[LatticePoint]) -> np.ndarray:
+    """Per integer vector v: how many distinct unit dots it forms with the points.
+
+    Point j has norm_sq f_j^2 * s_j with s_j square-free; F = lcm(f_j).
+    Scaled by F/f_j, it gives the integer r = (v . p_j) * F/f_j, and the
+    unit dot is r / (F * sqrt(|v|^2 * s_j)).  Two unit dots in a row are
+    equal exactly when their keys (s_j, r) are, except that every r = 0 is
+    the same value 0.
+    """
+    splits = [square_free_split(p.norm_sq) for p in points]
+    big_f = lcm(*(f for f, _ in splits))
+    scaled = [tuple(x * (big_f // f) for x in p.vector)
+              for p, (f, _) in zip(points, splits)]
+    table = raw_dots(vectors, scaled)
+    classes = sorted({s for _, s in splits})
+    k = np.array([classes.index(s) for _, s in splits])
+    # key (s_j, r) as the integer r*K + k_j, which is 0 only for r = 0
+    keys = np.where(table == 0, 0, table * len(classes) + k)
+    keys.sort(axis=1)
+    return 1 + (np.diff(keys, axis=1) != 0).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def _result(number: int, name: str, started: float, passed: bool,
     return CriterionResult(number, name, passed, details, time.time() - started)
 
 
-def criterion_1(threads: Optional[int] = None) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Exact pair sums of the 2160-point code: zero for 1..7, 9, 10; not 8."""
     t0 = time.time()
     code = polytope_2_41()
@@ -74,7 +74,7 @@ def criterion_1(threads: Optional[int] = None) -> CriterionResult:
         f"runtime_limit_10s={'met' if elapsed_ok else 'exceeded'}")
 
 
-def criterion_2(threads: Optional[int] = None) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Demicubes: exact 3-designs; duals are the signed bases for d in 5..7."""
     t0 = time.time()
     problems = []
@@ -82,7 +82,7 @@ def criterion_2(threads: Optional[int] = None) -> CriterionResult:
         if index_set(demicube(d), 4).strength < 3:
             problems.append(f"demicube({d}) not a 3-design")
     for d in (5, 6, 7):
-        res = dual_search(demicube(d), 2, threads=threads)
+        res = dual_search(demicube(d), 2)
         want = set()
         for i in range(d):
             e = [0] * d
@@ -102,17 +102,15 @@ def criterion_2(threads: Optional[int] = None) -> CriterionResult:
              "exact and complete, for d=5..7")
 
 
-def criterion_3(threads: Optional[int] = None) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """The 240 root vectors are exactly the five-level dual of the big code."""
     t0 = time.time()
     code = polytope_2_41()
-    res = dual_search(code, 5, nodes=NODES_2160, threads=threads)
+    cert = certify_stiff(code, 5, nodes=NODES_2160)
+    res = cert.dual
     ok = res.exact and res.count == 240 and res.as_code().same_point_set(e8_roots())
-    spectra_ok = False
-    if ok:
-        cert = certify_stiff(code, 5, nodes=NODES_2160, threads=threads)
-        rows = set(cert.frequency_table)
-        spectra_ok = len(rows) == 1 and all(c > 0 for _, c in cert.frequency_table[0])
+    rows = set(cert.frequency_table)
+    spectra_ok = ok and len(rows) == 1 and all(c > 0 for _, c in cert.frequency_table[0])
     elapsed = time.time() - t0
     return _result(
         3, "240-root dual of the 2160-point code", t0,
@@ -121,14 +119,14 @@ def criterion_3(threads: Optional[int] = None) -> CriterionResult:
         f"all five dot values attained per point={spectra_ok}; {elapsed:.1f}s")
 
 
-def criterion_4(threads: Optional[int] = None) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Every dual point of a 2-stiff code splits the code in half per node."""
     t0 = time.time()
     corpus = [cross_polytope(3), cross_polytope(4), cube(3), cube(4),
               demicube(5), demicube(6), demicube(7)]
     problems = []
     for code in corpus:
-        cert = certify_stiff(code, 2, threads=threads)
+        cert = certify_stiff(code, 2)
         d = code.sphere_dim
         node = Surd.sqrt_of(Fraction(1, d + 1))
         if not cert.stiff:
@@ -149,7 +147,7 @@ def criterion_4(threads: Optional[int] = None) -> CriterionResult:
              "exactly N/2 times (exact arithmetic)")
 
 
-def criterion_5(threads: Optional[int] = None) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Polynomial system exactness: normalization, orthogonality, 2-point nodes."""
     t0 = time.time()
     problems = []
@@ -173,7 +171,7 @@ def criterion_5(threads: Optional[int] = None) -> CriterionResult:
              "two-point node sets are +-1/sqrt(d+1), exact")
 
 
-def criterion_6(threads: Optional[int] = None) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Multistart minima agree with the dual values for three small codes."""
     t0 = time.time()
     kernels = [Kernel.parse("riesz:1"), Kernel.parse("riesz:2"),
@@ -196,7 +194,7 @@ def criterion_6(threads: Optional[int] = None) -> CriterionResult:
                    "; ".join(lines))
 
 
-def criterion_7(threads: Optional[int] = None) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Global potential minimum of the 2160-point code sits on the 240 roots."""
     t0 = time.time()
     code = polytope_2_41()
@@ -213,7 +211,7 @@ def criterion_7(threads: Optional[int] = None) -> CriterionResult:
                    ok and elapsed < 900.0, "; ".join(lines) + f"; {elapsed:.0f}s")
 
 
-def criterion_8(threads: Optional[int] = None) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Skip-one-add-two hypotheses hold exactly for the five-node set."""
     t0 = time.time()
     code = polytope_2_41()
@@ -228,7 +226,7 @@ def criterion_8(threads: Optional[int] = None) -> CriterionResult:
         f"witness realizes only the five dot values: {rep.witness_ok}")
 
 
-def criterion_9(threads: Optional[int] = None) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Transforms: symmetrization identity, gluing, rotated cubes."""
     t0 = time.time()
     problems = []
@@ -256,7 +254,7 @@ def criterion_9(threads: Optional[int] = None) -> CriterionResult:
              "12-point glue certified 2-stiff; rotated_cubes(3) dual = {+-e3}")
 
 
-def criterion_10(threads: Optional[int] = None) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Circle codes: even n-gons give midpoint duals, odd n-gons give none."""
     t0 = time.time()
     problems = []
@@ -282,13 +280,13 @@ def criterion_10(threads: Optional[int] = None) -> CriterionResult:
              "odd n-gons: no direction within 1e-8")
 
 
-def criterion_11(threads: Optional[int] = None) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     """Structural dual properties: antipodality, size bound, double/triple dual."""
     t0 = time.time()
     problems = []
     corpus = [demicube(5)] + [cross_polytope(d) for d in range(3, 7)]
     for code in corpus:
-        cert = certify_stiff(code, 2, threads=threads)
+        cert = certify_stiff(code, 2)
         if not cert.stiff:
             problems.append(f"{code.name} not stiff")
             continue
@@ -299,8 +297,8 @@ def criterion_11(threads: Optional[int] = None) -> CriterionResult:
         if not cert.properties.get("double_dual_contains_code"):
             problems.append(f"{code.name} double-dual inclusion failed")
         d1 = cert.dual.as_code()
-        d2 = dual_search(d1, 2, threads=threads).as_code()
-        d3 = dual_search(d2, 2, threads=threads).as_code()
+        d2 = dual_search(d1, 2).as_code()
+        d3 = dual_search(d2, 2).as_code()
         if not d3.same_point_set(d1):
             problems.append(f"{code.name} triple dual differs")
     return _result(
@@ -310,7 +308,7 @@ def criterion_11(threads: Optional[int] = None) -> CriterionResult:
              "double-dual inclusion, triple-dual identity")
 
 
-def criterion_12(threads: Optional[int] = None) -> CriterionResult:
+def criterion_12() -> CriterionResult:
     """Dense-sampling oracle agrees with the linear-system dual search."""
     t0 = time.time()
     problems = []
@@ -319,7 +317,7 @@ def criterion_12(threads: Optional[int] = None) -> CriterionResult:
     for code in cases:
         for m in (1, 2):
             bf = brute_force_dual(code, m, samples=100_000)
-            ds = dual_search(code, m, threads=threads).unit_points()
+            ds = dual_search(code, m).unit_points()
             if len(bf) != len(ds):
                 problems.append(f"{code.name} m={m}: {len(bf)} vs {len(ds)}")
                 continue
@@ -332,20 +330,19 @@ def criterion_12(threads: Optional[int] = None) -> CriterionResult:
         else "4 codes x m in {1,2}: same dual sets within 1e-8")
 
 
-ALL_CRITERIA: Sequence[Callable[[Optional[int]], CriterionResult]] = (
+ALL_CRITERIA: Sequence[Callable[[], CriterionResult]] = (
     criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
     criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
     criterion_11, criterion_12,
 )
 
 
-def run_suite(numbers: Optional[Sequence[int]] = None,
-              threads: Optional[int] = None) -> list[CriterionResult]:
+def run_suite(numbers: Optional[Sequence[int]] = None) -> list[CriterionResult]:
     """Run the selected criteria (all twelve by default) in order."""
     chosen = sorted(set(numbers)) if numbers else range(1, 13)
     out = []
     for n in chosen:
         if not 1 <= n <= 12:
             raise ValueError(f"criterion number {n} out of range 1..12")
-        out.append(ALL_CRITERIA[n - 1](threads))
+        out.append(ALL_CRITERIA[n - 1]())
     return out

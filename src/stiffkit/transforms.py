@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ._linalg import integer_nullspace
-from .codes import Code, FloatCode, LatticeCode, LatticePoint, Vector, cube, gcd_reduce
-from .design import spectrum
+from .codes import Code, FloatCode, LatticeCode, LatticePoint, Vector, cube, gcd_reduce, raw_dots
 from .exact import Surd, square_free_split
 from .stiffness import StiffnessCertificate, certify_stiff
 
@@ -87,26 +86,21 @@ def facet_derive(code: Code, x, t) -> Code:
         tt = t if isinstance(t, Surd) else Surd(t)
         if tt == 1 or tt == -1:
             raise ValueError("t = ±1 slices to a single point, not a facet")
-        rep = spectrum(x, code)
-        if tt not in set(rep.values()):
-            raise ValueError(f"dot value {t} is not attained by {code.name}")
-        # selected rows: x.y == t * sqrt(ns_x * ns_c) on the integer side
+        # selected rows: x.y == t * sqrt(ns_x * ns_c), which must be an integer
         target = tt * Surd.sqrt_of(x.norm_sq * code.norm_sq)
+        raw = raw_dots([x.vector], code.points)[0]
+        rows = []
         if target.radicand == 1 and target.coeff.denominator == 1:
-            raw_t = int(target.coeff)
-            rows = [y for y in code.points
-                    if sum(a * b for a, b in zip(x.vector, y)) == raw_t]
-            basis = _orthogonal_integer_basis(x.vector)
-            if basis is not None:
-                coords = [tuple(sum(a * b for a, b in zip(y, bv)) for bv in basis)
-                          for y in rows]
-                norms = {sum(c * c for c in w) for w in coords}
-                assert len(norms) == 1, "slice points must share one norm"
-                ns = norms.pop()
-                return LatticeCode(f"facet({code.name},t={t})",
-                                   code.ambient_dim - 1, ns,
-                                   tuple(sorted(coords)))
-        # irrational slice threshold or no equal-norm basis: fall through
+            rows = [y for y, r in zip(code.points, raw) if r == int(target.coeff)]
+        if not rows:
+            raise ValueError(f"dot value {t} is not attained by {code.name}")
+        basis = _orthogonal_integer_basis(x.vector)
+        if basis is not None:
+            coords = [tuple(int(c) for c in w) for w in raw_dots(rows, basis)]
+            ns = sum(c * c for c in coords[0])  # LatticeCode checks the others
+            return LatticeCode(f"facet({code.name},t={t})",
+                               code.ambient_dim - 1, ns, tuple(sorted(coords)))
+        # no equal-norm basis of the complement: fall through
     # float path
     xv = x.unit() if isinstance(x, LatticePoint) else np.asarray(x, dtype=float)
     xv = xv / np.linalg.norm(xv)
@@ -197,7 +191,7 @@ def glue(code1: Code, code2: Code, m: int, seed: int = 0,
     raise RuntimeError(f"no generic reflection direction found in {max_retries} tries")
 
 
-def rotated_cubes(n: int, seed: int = 0) -> tuple[FloatCode, StiffnessCertificate]:
+def rotated_cubes(n: int) -> tuple[FloatCode, StiffnessCertificate]:
     """Union of n copies of the cube on S^2 rotated about the z-axis.
 
     Rotation angles pi*k/(2n) keep the two horizontal planes z = ±1/sqrt(3)

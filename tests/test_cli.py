@@ -112,6 +112,24 @@ def test_dual_without_needed_nodes_fails(tmp_path, capsys):
     assert rep["dual"] is None and "reason" in rep
 
 
+def test_dual_m_below_one_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "d5.json"
+    save_code(demicube(5), f)
+    with pytest.raises(SystemExit) as ex:
+        main(["dual", str(f), "-m", "0"])
+    assert ex.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_code_file_with_wrong_dimension_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"name": "bad", "ambient_dim": 3, "norm_sq": 2,
+                             "points": [[1, 1, 0], [1, 1]]}))
+    code, _, stderr = run(capsys, "dual", str(f), "-m", "2")
+    assert code == 2
+    assert "bad code file" in stderr and "dimension" in stderr
+
+
 def test_dual_with_supplied_nodes(tmp_path, capsys):
     f = tmp_path / "x3.json"
     save_code(cross_polytope(3), f)

@@ -17,7 +17,9 @@ from stiffkit.codes import (
     load_code,
     ngon,
     polytope_2_41,
+    raw_dots,
     save_code,
+    unit_surd,
 )
 from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
 from stiffkit.exact import Surd
@@ -128,7 +130,9 @@ def test_size_cap(monkeypatch):
 def test_lattice_point_dots_and_directions():
     p = LatticePoint((1, 0, 0), 1)
     q = LatticePoint((2, 2, 0), 8)
-    assert p.dot_unit(q) == Surd.sqrt_of(Fraction(1, 2))
+    raw = raw_dots([p.vector], [q.vector])
+    assert raw.tolist() == [[2]]
+    assert unit_surd(2, p.norm_sq * q.norm_sq) == Surd.sqrt_of(Fraction(1, 2))
     assert q.direction() == (1, 1, 0)
     assert (-q).direction() == (-1, -1, 0)
     assert gcd_reduce((0, 0, 0)) == (0, 0, 0)

@@ -11,7 +11,6 @@ import pytest
 from stiffkit.exact import (
     MixedRadicandError,
     Surd,
-    normalize_surd,
     parse_scalar,
     scalar_str,
     square_free_split,
@@ -31,13 +30,13 @@ def test_square_free_split():
 
 
 def test_normalization_pulls_out_squares():
-    s = normalize_surd(Fraction(1, 2), 8)
+    s = Surd(Fraction(1, 2), 8)
     assert s.coeff == Fraction(1) and s.radicand == 2
-    assert normalize_surd(Fraction(3), 1) == Fraction(3)
+    assert Surd(Fraction(3), 1) == Fraction(3)
     # canonical zero
-    z = normalize_surd(0, 5)
+    z = Surd(0, 5)
     assert z.coeff == 0 and z.radicand == 1
-    z2 = normalize_surd(Fraction(7), 0)
+    z2 = Surd(Fraction(7), 0)
     assert z2.coeff == 0 and z2.radicand == 1
     assert z == z2 and hash(z) == hash(z2)
 
@@ -47,8 +46,8 @@ def test_normalization_idempotent_randomized():
     for _ in range(300):
         c = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
         r = rng.randint(0, 400)
-        s = normalize_surd(c, r)
-        again = normalize_surd(s.coeff, s.radicand)
+        s = Surd(c, r)
+        again = Surd(s.coeff, s.radicand)
         assert (again.coeff, again.radicand) == (s.coeff, s.radicand)
         # canonical invariants
         _, sf = square_free_split(s.radicand)

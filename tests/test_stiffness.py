@@ -99,11 +99,6 @@ class TestDualSearchExact:
         with pytest.raises(ValueError):
             dual_search(cube(3), 2, nodes=bad, mode="exact")
 
-    def test_threads_do_not_change_result(self):
-        a = dual_search(demicube(6), 2, threads=1)
-        b = dual_search(demicube(6), 2, threads=4)
-        assert [p.vector for p in a.points] == [p.vector for p in b.points]
-
 
 class TestRankGate:
     def test_planar_code_m2_not_in_general_position(self):
