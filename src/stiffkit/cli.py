@@ -236,7 +236,7 @@ def cmd_verify_min(args) -> int:
         _summary([("kernel", r.kernel), ("passed", r.passed),
                   ("global min", f"{r.global_min_value:.12g}"),
                   ("dual value", f"{r.dual_value:.12g}"),
-                  ("gap", f"{r.gap:.3e}")])
+                  ("gap", "none" if r.gap is None else f"{r.gap:.3e}")])
         print(file=sys.stderr)
     _emit("verify-min", [r.to_json_dict() for r in reps], seed=args.seed,
           tolerances={"dual_spread_rel": 1e-9, "gap_floor": -1e-8,

@@ -1,9 +1,13 @@
 """Pairwise potentials on the sphere: evaluation, minimization, verification.
 
 Kernels are functions of the dot product t with g(x.y) = f(|x-y|^2), so
-|x-y|^2 = 2-2t.  Minimization is multistart projected gradient descent on
-the unit sphere: seeded random starts plus the code antipodes plus any
-supplied dual candidates, descended in one numpy batch, then clustered.
+|x-y|^2 = 2-2t.  Minimization is multistart descent on the unit sphere:
+seeded random starts plus the code antipodes plus any supplied dual
+candidates, descended in one numpy batch, then clustered.  Each iteration
+takes a safeguarded Riemannian Newton step where the tangent Hessian is
+positive definite and falls back to an adaptive gradient step where it is
+not; a start stops when its tangential gradient reaches the round-off
+floor of the gradient sum (see _descend).
 """
 
 from __future__ import annotations
@@ -23,6 +27,12 @@ from .gegenbauer import Polynomial
 GRAD_TOL = 1e-10
 CLUSTER_TOL = 1e-6
 MAX_ITER = 600
+# longest step, in radians, that one descent iteration may take
+TRUST_RADIUS = 0.25
+# converged when |grad| <= ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)| (or gtol)
+ROUNDOFF_FACTOR = 64
+# rows per block of every rows x code dot table, which bounds their memory
+ROW_BLOCK = 256
 
 
 class SingularEvaluation(ArithmeticError):
@@ -85,31 +95,41 @@ class Kernel:
         return self.family in ("riesz", "gauss")
 
     def g(self, t):
+        """Kernel values; callers clip t to [-1, 1], and t = 1 gives +inf
+        for the singular families, which callers treat as singular."""
         t = np.asarray(t, dtype=float)
         if self.family == "riesz":
-            # t > 1 from float drift gives nan; callers treat nan as singular
-            with np.errstate(invalid="ignore", divide="ignore"):
+            with np.errstate(divide="ignore"):
                 return (2.0 - 2.0 * t) ** (-float(self.param) / 2.0)
         if self.family == "gauss":
             return np.exp(-float(self.param) * (2.0 - 2.0 * t))
         if self.family == "log":
-            with np.errstate(invalid="ignore", divide="ignore"):
+            with np.errstate(divide="ignore"):
                 return -np.log(2.0 - 2.0 * t) + 2.0
         return self.poly.eval_float(t)
 
     def dg(self, t):
+        return self.derivatives(t)[0]
+
+    def derivatives(self, t):
+        """(g'(t), g''(t)), from one pow or exp per element."""
         t = np.asarray(t, dtype=float)
         if self.family == "riesz":
             s = float(self.param)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return s * (2.0 - 2.0 * t) ** (-s / 2.0 - 1.0)
+            r = 2.0 - 2.0 * t
+            with np.errstate(divide="ignore"):
+                p = r ** (-s / 2.0 - 1.0)
+                return s * p, s * (s + 2.0) * p / r
         if self.family == "gauss":
-            r = float(self.param)
-            return 2.0 * r * np.exp(-r * (2.0 - 2.0 * t))
+            a = float(self.param)
+            e = np.exp(-a * (2.0 - 2.0 * t))
+            return 2.0 * a * e, 4.0 * a * a * e
         if self.family == "log":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return 1.0 / (1.0 - t)
-        return self.poly.derivative().eval_float(t)
+            with np.errstate(divide="ignore"):
+                d1 = 1.0 / (1.0 - t)
+            return d1, d1 * d1
+        d1 = self.poly.derivative()
+        return d1.eval_float(t), d1.derivative().eval_float(t)
 
 
 def potential_eval(x, code: Code, kernel: Kernel) -> float:
@@ -142,8 +162,12 @@ class MinimizationReport:
     n_singular_starts: int
     gradient_tol: float
     cluster_tol: float
+    iterations: int      # descent loop passes
+    n_newton_steps: int  # accepted Newton steps, over all starts
     dual_value: Optional[float] = None
-    gap: Optional[float] = None  # best descended non-dual start minus dual value
+    # best finite descended non-dual value minus the dual value; None when
+    # no such value exists
+    gap: Optional[float] = None
     dual_match: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
@@ -159,6 +183,8 @@ class MinimizationReport:
             "n_singular_starts": self.n_singular_starts,
             "gradient_tol": self.gradient_tol,
             "cluster_tol": self.cluster_tol,
+            "iterations": self.iterations,
+            "n_newton_steps": self.n_newton_steps,
         }
         if self.dual_value is not None:
             out.update(dual_value=self.dual_value, gap=self.gap,
@@ -180,60 +206,140 @@ def _as_unit_rows(points) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
-             gtol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched projected gradient descent with Armijo backtracking.
+def _dots(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Dot table rows x code, clipped to [-1, 1] so float drift past a code
+    point reads as the singular t = 1."""
+    return np.clip(rows @ units.T, -1.0, 1.0)
 
-    Returns (points, values, converged_mask).  Stalled rows (no decrease at
-    machine-level steps) count as converged only if their tangential
-    gradient is below 1e-6.
+
+def _potentials(rows: np.ndarray, units: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Potential at each row, one block of ROW_BLOCK rows at a time."""
+    out = np.empty(len(rows))
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(rows), ROW_BLOCK):
+            block = rows[lo:lo + ROW_BLOCK]
+            out[lo:lo + ROW_BLOCK] = kernel.g(_dots(block, units)).sum(axis=1)
+    return out
+
+
+def _derivatives(rows: np.ndarray, units: np.ndarray,
+                 kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euclidean gradient, Euclidean Hessian and sum |g'| at each row.
+
+    The Hessian sum_i g''(x.u_i) u_i u_i^T is one product with the table of
+    products u_a*u_b, a <= b, of each code point.
     """
+    dim = units.shape[1]
+    upper = np.triu_indices(dim)
+    unit_pairs = units[:, upper[0]] * units[:, upper[1]]
+    grad = np.empty((len(rows), dim))
+    pair_sums = np.empty((len(rows), len(upper[0])))
+    scale = np.empty(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(rows), ROW_BLOCK):
+            d1, d2 = kernel.derivatives(_dots(rows[lo:lo + ROW_BLOCK], units))
+            grad[lo:lo + ROW_BLOCK] = d1 @ units
+            pair_sums[lo:lo + ROW_BLOCK] = d2 @ unit_pairs
+            scale[lo:lo + ROW_BLOCK] = np.abs(d1).sum(axis=1)
+    hess = np.empty((len(rows), dim, dim))
+    hess[:, upper[0], upper[1]] = pair_sums
+    hess[:, upper[1], upper[0]] = pair_sums
+    return grad, hess, scale
+
+
+def _newton_steps(x: np.ndarray, egrad: np.ndarray, ehess: np.ndarray,
+                  tang: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Riemannian Newton steps on the sphere and where they are defined.
+
+    The tangent Hessian is P H P - (x.grad) P with P = I - x x^T (Absil,
+    Mahony & Sepulchre 2008, ch. 5-6); adding a positive multiple of x x^T
+    moves its zero eigenvalue along x off zero without touching the tangent
+    ones, so the step is defined exactly where every eigenvalue is positive.
+    """
+    dim = x.shape[1]
+    proj = np.eye(dim) - x[:, :, None] * x[:, None, :]
+    radial = np.einsum("ij,ij->i", egrad, x)
+    hess = proj @ ehess @ proj - radial[:, None, None] * proj
+    shift = 1.0 + np.abs(hess).max(axis=(1, 2))
+    hess += shift[:, None, None] * x[:, :, None] * x[:, None, :]
+    lam, vec = np.linalg.eigh(hess)
+    ok = lam[:, 0] > 0
+    coef = np.einsum("kji,kj->ki", vec[ok], tang[ok]) / lam[ok]
+    step = np.zeros_like(x)
+    step[ok] = -np.einsum("kij,kj->ki", vec[ok], coef)
+    return step, ok
+
+
+def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
+             gtol: float, max_iter: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Batched safeguarded Riemannian Newton descent on the unit sphere.
+
+    Each iteration takes the Newton step on rows whose tangent Hessian is
+    positive definite and an adaptive gradient step on the others, both
+    capped at TRUST_RADIUS and backtracked until an Armijo test holds up to
+    a round-off slack of 8 eps |f|.  A row stops when its tangential
+    gradient is at most max(gtol, ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)|),
+    the round-off floor of the gradient sum; that is the converged mask.
+
+    Returns (points, values, converged_mask, iterations, newton_steps).
+    """
+    eps = np.finfo(float).eps
     x = starts.copy()
     alive = np.ones(len(x), dtype=bool)
     step = np.full(len(x), 0.1)
     grad_norm = np.full(len(x), np.inf)
-
-    def pot(rows: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore"):
-            return kernel.g(np.clip(rows @ units.T, -1.0, None)).sum(axis=1)
-
-    f = pot(x)
-    for _ in range(max_iter):
+    tol = np.full(len(x), gtol)
+    f = _potentials(x, units, kernel)
+    iterations = newton_steps = 0
+    while iterations < max_iter:
         idx = np.nonzero(alive)[0]
         if not len(idx):
             break
-        dots = x[idx] @ units.T
-        grad = kernel.dg(dots) @ units
-        tang = grad - np.einsum("ij,ij->i", grad, x[idx])[:, None] * x[idx]
+        iterations += 1
+        xs = x[idx]
+        egrad, ehess, scale = _derivatives(xs, units, kernel)
+        tang = egrad - np.einsum("ij,ij->i", egrad, xs)[:, None] * xs
         gn = np.linalg.norm(tang, axis=1)
         grad_norm[idx] = gn
-        done = gn < gtol
+        tol[idx] = np.maximum(gtol, ROUNDOFF_FACTOR * eps * scale)
+        done = gn <= tol[idx]
         alive[idx[done]] = False
         work = idx[~done]
         if not len(work):
             continue
-        direction = -tang[~done] / gn[~done][:, None]
-        work_gn = gn[~done]
+        xs, egrad, tang, gn = xs[~done], egrad[~done], tang[~done], gn[~done]
+        newton_step, newton = _newton_steps(xs, egrad, ehess[~done], tang)
+        direction = -tang / gn[:, None]
+        length = step[work]
+        newton_len = np.linalg.norm(newton_step[newton], axis=1)
+        direction[newton] = newton_step[newton] / newton_len[:, None]
+        length[newton] = newton_len
+        length = np.minimum(length, TRUST_RADIUS)
+        slope = -np.einsum("ij,ij->i", tang, direction)
         pending = np.arange(len(work))  # local ids into work rows
         for _bt in range(45):
             if not len(pending):
                 break
             rows = work[pending]
-            trial = x[rows] + step[rows][:, None] * direction[pending]
+            trial = x[rows] + length[pending][:, None] * direction[pending]
             trial /= np.linalg.norm(trial, axis=1)[:, None]
-            f_trial = pot(trial)
-            ok = f_trial <= f[rows] - 1e-4 * step[rows] * work_gn[pending]
+            f_trial = _potentials(trial, units, kernel)
+            slack = 8.0 * eps * np.abs(f[rows])
+            ok = f_trial <= f[rows] - 1e-4 * length[pending] * slope[pending] + slack
             acc = rows[ok]
             x[acc] = trial[ok]
             f[acc] = f_trial[ok]
-            step[acc] = np.minimum(step[acc] * 1.5, 1.0)
+            newton_steps += int(np.sum(newton[pending[ok]]))
+            grad_acc = pending[ok & ~newton[pending]]
+            step[work[grad_acc]] = np.minimum(length[grad_acc] * 1.5, TRUST_RADIUS)
             pending = pending[~ok]
-            step[work[pending]] *= 0.5
+            length[pending] *= 0.5
         if len(pending):
             # no decrease even at machine-level steps: numerical plateau
             alive[work[pending]] = False
-    converged = grad_norm < max(gtol, 1e-6)
-    return x, f, converged
+    converged = grad_norm <= tol
+    return x, f, converged, iterations, newton_steps
 
 
 def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
@@ -266,13 +372,12 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
         is_dual_start[-n_dual:] = True
 
     # drop starts that evaluate to +inf under singular kernels
-    with np.errstate(divide="ignore", over="ignore"):
-        vals0 = kernel.g(np.clip(x0 @ units.T, -1.0, None)).sum(axis=1)
-    finite = np.isfinite(vals0)
+    finite = np.isfinite(_potentials(x0, units, kernel))
     n_singular = int(np.sum(~finite))
     x0, is_dual_start = x0[finite], is_dual_start[finite]
 
-    pts, vals, conv = _descend(units, kernel, x0, gtol, max_iter)
+    pts, vals, conv, iterations, n_newton = _descend(units, kernel, x0,
+                                                     gtol, max_iter)
     n_conv = int(np.sum(conv))
     n_failed = int(np.sum(~conv))
 
@@ -281,9 +386,11 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     dual_match: Optional[bool] = None
     if n_dual:
         dual_value = min(potential_eval(v, code, kernel) for v in dual_units)
-        nd = conv & ~is_dual_start
-        gap = float(vals[nd].min() - dual_value) if nd.any() else 0.0
-        dual_match = gap >= -1e-8
+        # every evaluated value is evidence, converged or not
+        nd = np.isfinite(vals) & ~is_dual_start
+        if nd.any():
+            gap = float(vals[nd].min() - dual_value)
+            dual_match = gap >= -1e-8
 
     good = conv & np.isfinite(vals)
     global_min = float(vals[good].min()) if good.any() else float("inf")
@@ -298,8 +405,8 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     cluster = np.asarray(sorted(reps, key=tuple)) if reps else np.zeros((0, dim))
     return MinimizationReport(code.name, kernel.name, restarts, seed,
                               global_min, cluster, n_conv, n_failed,
-                              n_singular, gtol, cluster_tol,
-                              dual_value, gap, dual_match)
+                              n_singular, gtol, cluster_tol, iterations,
+                              n_newton, dual_value, gap, dual_match)
 
 
 @dataclass(frozen=True)
@@ -311,10 +418,12 @@ class UniversalMinimumReport:
     dual_value: float
     dual_spread_rel: float     # (max-min)/|mean| of the potential over dual points
     global_min_value: float
-    gap: float                 # best non-dual descended value minus dual value
+    gap: Optional[float]       # best finite non-dual descended value minus dual value
     equality_rel: float        # |global_min - dual_value| / |dual_value|
     argmin_max_dist: float     # worst distance from an argmin to the dual set
     n_converged: int
+    n_failed: int              # descended starts that did not converge
+    n_singular_starts: int     # starts dropped as singular
     restarts: int
     seed: int
     passed: bool
@@ -330,6 +439,8 @@ class UniversalMinimumReport:
             "equality_rel": self.equality_rel,
             "argmin_max_dist": self.argmin_max_dist,
             "n_converged": self.n_converged,
+            "n_failed": self.n_failed,
+            "n_singular_starts": self.n_singular_starts,
             "restarts": self.restarts,
             "seed": self.seed,
             "passed": self.passed,
@@ -343,9 +454,10 @@ def verify_universal_minimum(code: Code, m: int, dual,
     """Check that the dual attains the global potential minimum per kernel.
 
     Per kernel: (a) the potential is constant over the dual within 1e-9
-    relative; (b) no descended start beats the dual value by more than
-    1e-8; (c) for strictly convex families every argmin lies within
-    argmin_tol of a dual point.
+    relative; (b) some non-dual start descended to a finite value and none
+    beats the dual value by more than 1e-8, converged or not; (c) for
+    strictly convex families every argmin lies within argmin_tol of a dual
+    point.
     """
     dual_units = _as_unit_rows(dual)
     if not len(dual_units):
@@ -370,7 +482,8 @@ def verify_universal_minimum(code: Code, m: int, dual,
         out.append(UniversalMinimumReport(
             code.name, kernel.name, rep.dual_value, spread,
             rep.global_min_value, rep.gap, equality, worst,
-            rep.n_converged, restarts, seed + k,
+            rep.n_converged, rep.n_failed, rep.n_singular_starts,
+            restarts, seed + k,
             const_ok and no_beat and argmin_ok))
     return out
 

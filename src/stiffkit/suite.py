@@ -187,8 +187,10 @@ def criterion_6() -> CriterionResult:
         per_code = time.time() - tc
         good = all(r.passed for r in reps)
         ok = ok and good and per_code < 120.0
-        worst_gap = min(r.gap for r in reps)
-        lines.append(f"{code.name}: pass={good} worst_gap={worst_gap:.1e} "
+        # a None gap (no finite non-dual value) already fails r.passed
+        gaps = [r.gap for r in reps if r.gap is not None]
+        worst_gap = f"{min(gaps):.1e}" if gaps else "none"
+        lines.append(f"{code.name}: pass={good} worst_gap={worst_gap} "
                      f"{per_code:.1f}s")
     return _result(6, "universal minima of small stiff codes", t0, ok,
                    "; ".join(lines))

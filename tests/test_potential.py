@@ -21,6 +21,7 @@ from stiffkit.gegenbauer import Polynomial
 from stiffkit.potential import (
     Kernel,
     SingularEvaluation,
+    _descend,
     minimize_potential,
     potential_eval,
     skip_one_add_two_check,
@@ -78,6 +79,18 @@ class TestKernel:
             for t in np.linspace(-0.9, 0.9, 13):
                 num = (float(k.g(t + h)) - float(k.g(t - h))) / (2 * h)
                 assert math.isclose(float(k.dg(t)), num, rel_tol=1e-5, abs_tol=1e-8), k.name
+
+    def test_second_derivative_matches_finite_differences(self):
+        kernels = [Kernel.parse("riesz:1"), Kernel.parse("riesz:2"),
+                   Kernel.parse("gauss:2"), Kernel.parse("log"),
+                   Kernel("poly", poly=Polynomial([1, Fraction(1, 2), 0, 3]))]
+        h = 1e-6
+        for k in kernels:
+            for t in np.linspace(-0.9, 0.9, 13):
+                num = (float(k.dg(t + h)) - float(k.dg(t - h))) / (2 * h)
+                d1, d2 = k.derivatives(t)
+                assert float(d1) == float(k.dg(t)), k.name
+                assert math.isclose(float(d2), num, rel_tol=1e-5, abs_tol=1e-8), k.name
 
     def test_kernels_increasing_in_t(self):
         # all families reward proximity: dg > 0 on (-1, 1)
@@ -152,8 +165,58 @@ class TestMinimize:
                                  restarts=20, seed=0)
         blob = rep.to_json_dict()
         for key in ("code", "kernel", "restarts", "seed", "global_min_value",
-                    "argmin_cluster", "n_converged", "gradient_tol"):
+                    "argmin_cluster", "n_converged", "gradient_tol",
+                    "iterations", "n_newton_steps"):
             assert key in blob
+        assert 1 <= blob["iterations"] <= 600
+        assert 0 < blob["n_newton_steps"]
+        dual = dual_search(cross_polytope(3), 2).unit_points()
+        (urep,) = verify_universal_minimum(cross_polytope(3), 2, dual,
+                                           [Kernel.parse("riesz:1")],
+                                           restarts=20, seed=0)
+        ublob = urep.to_json_dict()
+        # all six code antipodes are code points, singular under riesz
+        assert ublob["n_singular_starts"] == 6
+        assert ublob["n_failed"] == 0
+
+    def test_float_drift_past_one_is_singular(self):
+        # demicube(6) is antipodal: its 32 code antipodes are code points,
+        # some of whose unit dots round to 1 + ulp
+        for spec in ("riesz:1", "riesz:2", "riesz:4"):
+            rep = minimize_potential(demicube(6), Kernel.parse(spec),
+                                     restarts=200, seed=0)
+            assert rep.n_singular_starts == 32, spec
+            assert rep.n_failed == 0, spec
+
+    def test_gap_counts_unconverged_starts(self):
+        # after one iteration only the code-antipode maxima have converged;
+        # the unconverged starts already sit below the wrong dual's value
+        wrong = np.array([[1.0, 1.0, 0.0, 0.0]]) / 2 ** 0.5
+        rep = minimize_potential(cross_polytope(4), Kernel.parse("gauss:1"),
+                                 restarts=200, seed=0, dual=wrong, max_iter=1)
+        assert rep.iterations == 1
+        assert rep.gap < -1e-8
+        assert rep.dual_match is False
+
+    def test_newton_converges_near_dual(self):
+        code, k = demicube(5), Kernel.parse("riesz:2")
+        p = dual_search(code, 2).unit_points()[0]
+        start = p + 1e-3 * np.linspace(-1.0, 1.0, 5)
+        start /= np.linalg.norm(start)
+        units = code.unit_array()
+        x, _, conv, iterations, newton = _descend(units, k, start[None, :],
+                                                  1e-10, 8)
+        assert conv[0] and iterations <= 8 and newton >= 1
+        grad = k.dg(units @ x[0]) @ units
+        tang = grad - (grad @ x[0]) * x[0]
+        assert np.linalg.norm(tang) < 1e-10
+        assert np.linalg.norm(x[0] - p) < 1e-8
+
+    def test_2160_riesz2_all_starts_converge(self):
+        rep = minimize_potential(polytope_2_41(), Kernel.parse("riesz:2"),
+                                 restarts=50, seed=0)
+        assert rep.n_failed == 0
+        assert rep.n_converged == 50
 
     def test_determinism(self):
         a = minimize_potential(cross_polytope(3), Kernel.parse("riesz:1"),
