@@ -135,16 +135,25 @@ class Kernel:
 def potential_eval(x, code: Code, kernel: Kernel) -> float:
     """Potential of the code at one sphere point, compensated summation."""
     vec = x.unit() if isinstance(x, LatticePoint) else np.asarray(x, dtype=float)
-    n = np.linalg.norm(vec)
-    if abs(n - 1.0) > 1e-9:
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         raise ValueError("probe point is not on the unit sphere")
-    vec = vec / n
-    dots = np.clip(code.unit_array() @ vec, -1.0, 1.0)
-    if kernel.singular_at_one and np.any(dots >= 1.0 - 1e-12):
-        raise SingularEvaluation(
-            f"{kernel.name} is singular: probe coincides with a code point"
-        )
-    return fsum(kernel.g(dots).tolist())
+    return _probe_values(vec[None, :], code.unit_array(), kernel)[0]
+
+
+def _probe_values(probes: np.ndarray, units: np.ndarray,
+                  kernel: Kernel) -> list[float]:
+    """Potential at each probe row, rescaled to norm 1, by compensated
+    summation over the unit code table; one probe at a time so each value
+    is the one potential_eval gives."""
+    out = []
+    for p in probes:
+        dots = np.clip(units @ (p / np.linalg.norm(p)), -1.0, 1.0)
+        if kernel.singular_at_one and np.any(dots >= 1.0 - 1e-12):
+            raise SingularEvaluation(
+                f"{kernel.name} is singular: probe coincides with a code point"
+            )
+        out.append(fsum(kernel.g(dots).tolist()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,7 +280,7 @@ def _newton_steps(x: np.ndarray, egrad: np.ndarray, ehess: np.ndarray,
 
 
 def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
-             gtol: float, max_iter: int
+             values: np.ndarray, gtol: float, max_iter: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Batched safeguarded Riemannian Newton descent on the unit sphere.
 
@@ -281,6 +290,7 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
     a round-off slack of 8 eps |f|.  A row stops when its tangential
     gradient is at most max(gtol, ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)|),
     the round-off floor of the gradient sum; that is the converged mask.
+    `values` holds the potential at each start, as _potentials gives it.
 
     Returns (points, values, converged_mask, iterations, newton_steps).
     """
@@ -290,7 +300,7 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
     step = np.full(len(x), 0.1)
     grad_norm = np.full(len(x), np.inf)
     tol = np.full(len(x), gtol)
-    f = _potentials(x, units, kernel)
+    f = values.copy()
     iterations = newton_steps = 0
     while iterations < max_iter:
         idx = np.nonzero(alive)[0]
@@ -342,6 +352,18 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
     return x, f, converged, iterations, newton_steps
 
 
+def _greedy_cluster(points: np.ndarray, tol: float) -> np.ndarray:
+    """Representatives, in input order: a point is kept when it is farther
+    than tol from every representative kept before it."""
+    reps = np.empty_like(points)
+    n = 0
+    for p in points:
+        if not n or np.linalg.norm(reps[:n] - p, axis=1).min() > tol:
+            reps[n] = p
+            n += 1
+    return reps[:n]
+
+
 def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
                        seed: int = 0, dual=None,
                        gtol: float = GRAD_TOL,
@@ -372,11 +394,12 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
         is_dual_start[-n_dual:] = True
 
     # drop starts that evaluate to +inf under singular kernels
-    finite = np.isfinite(_potentials(x0, units, kernel))
+    f0 = _potentials(x0, units, kernel)
+    finite = np.isfinite(f0)
     n_singular = int(np.sum(~finite))
-    x0, is_dual_start = x0[finite], is_dual_start[finite]
+    x0, f0, is_dual_start = x0[finite], f0[finite], is_dual_start[finite]
 
-    pts, vals, conv, iterations, n_newton = _descend(units, kernel, x0,
+    pts, vals, conv, iterations, n_newton = _descend(units, kernel, x0, f0,
                                                      gtol, max_iter)
     n_conv = int(np.sum(conv))
     n_failed = int(np.sum(~conv))
@@ -385,7 +408,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     gap: Optional[float] = None
     dual_match: Optional[bool] = None
     if n_dual:
-        dual_value = min(potential_eval(v, code, kernel) for v in dual_units)
+        dual_value = min(_probe_values(dual_units, units, kernel))
         # every evaluated value is evidence, converged or not
         nd = np.isfinite(vals) & ~is_dual_start
         if nd.any():
@@ -397,12 +420,8 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     if dual_value is not None:
         global_min = min(global_min, dual_value)
     level = global_min + 1e-8 * (1.0 + abs(global_min))
-    at_min = pts[good & (vals <= level)]
-    reps: list[np.ndarray] = []
-    for p in at_min:
-        if all(np.linalg.norm(p - r) > cluster_tol for r in reps):
-            reps.append(p)
-    cluster = np.asarray(sorted(reps, key=tuple)) if reps else np.zeros((0, dim))
+    reps = _greedy_cluster(pts[good & (vals <= level)], cluster_tol)
+    cluster = reps[np.lexsort(reps.T[::-1])]  # rows in lexicographic order
     return MinimizationReport(code.name, kernel.name, restarts, seed,
                               global_min, cluster, n_conv, n_failed,
                               n_singular, gtol, cluster_tol, iterations,
@@ -416,10 +435,12 @@ class UniversalMinimumReport:
     code_name: str
     kernel: str
     dual_value: float
-    dual_spread_rel: float     # (max-min)/|mean| of the potential over dual points
+    # (max-min)/|mean| of the potential over dual points, max-min if mean = 0
+    dual_spread_rel: float
     global_min_value: float
     gap: Optional[float]       # best finite non-dual descended value minus dual value
-    equality_rel: float        # |global_min - dual_value| / |dual_value|
+    # |global_min - dual_value| / |dual_value|, the numerator if dual_value = 0
+    equality_rel: float
     argmin_max_dist: float     # worst distance from an argmin to the dual set
     n_converged: int
     n_failed: int              # descended starts that did not converge
@@ -466,9 +487,10 @@ def verify_universal_minimum(code: Code, m: int, dual,
     for k, kernel in enumerate(kernels):
         rep = minimize_potential(code, kernel, restarts=restarts,
                                  seed=seed + k, dual=dual_units)
-        dvals = [potential_eval(v, code, kernel) for v in dual_units]
+        dvals = _probe_values(dual_units, code.unit_array(), kernel)
         mean = fsum(dvals) / len(dvals)
-        spread = (max(dvals) - min(dvals)) / abs(mean) if mean else 0.0
+        # relative to the magnitude, absolute when it is 0
+        spread = (max(dvals) - min(dvals)) / (abs(mean) or 1.0)
         if len(rep.argmin_cluster):
             dists = [float(np.linalg.norm(dual_units - p, axis=1).min())
                      for p in rep.argmin_cluster]
@@ -478,7 +500,8 @@ def verify_universal_minimum(code: Code, m: int, dual,
         const_ok = spread <= 1e-9
         no_beat = rep.gap is not None and rep.gap >= -1e-8
         argmin_ok = (not kernel.strictly_convex_family) or worst <= argmin_tol
-        equality = abs(rep.global_min_value - rep.dual_value) / abs(rep.dual_value)
+        equality = (abs(rep.global_min_value - rep.dual_value)
+                    / (abs(rep.dual_value) or 1.0))
         out.append(UniversalMinimumReport(
             code.name, kernel.name, rep.dual_value, spread,
             rep.global_min_value, rep.gap, equality, worst,

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiffkit.codes import (
     LatticePoint,
@@ -19,9 +21,13 @@ from stiffkit.codes import (
 from stiffkit.exact import Surd
 from stiffkit.gegenbauer import Polynomial
 from stiffkit.potential import (
+    CLUSTER_TOL,
     Kernel,
     SingularEvaluation,
     _descend,
+    _greedy_cluster,
+    _potentials,
+    _probe_values,
     minimize_potential,
     potential_eval,
     skip_one_add_two_check,
@@ -147,6 +153,66 @@ class TestPotentialEval:
                            Kernel.parse("gauss:1"))
 
 
+class TestProbeValues:
+    def test_matches_potential_eval(self):
+        rng = np.random.default_rng(7)
+        kernels = [Kernel.parse(spec) for spec in ("riesz:1", "riesz:2",
+                                                    "gauss:1", "log")]
+        kernels.append(Kernel("poly", poly=Polynomial([1, Fraction(1, 2), 0, 3])))
+        for code in (cross_polytope(4), demicube(5), polytope_2_41()):
+            units = code.unit_array()
+            probes = rng.normal(size=(16, code.ambient_dim))
+            probes /= np.linalg.norm(probes, axis=1)[:, None]
+            probes = np.vstack([probes, -units[:3] + 1e-3])
+            probes /= np.linalg.norm(probes, axis=1)[:, None]
+            for k in kernels:
+                vals = _probe_values(probes, units, k)
+                assert vals == [potential_eval(p, code, k) for p in probes], k.name
+
+    def test_singular_on_code_point(self):
+        probes = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(SingularEvaluation):
+            _probe_values(probes, cross_polytope(3).unit_array(),
+                          Kernel.parse("riesz:1"))
+
+
+def _cluster_loop(points: np.ndarray, tol: float) -> np.ndarray:
+    """Reference: the greedy loop, one norm per (point, representative)."""
+    reps = []
+    for p in points:
+        if all(np.linalg.norm(p - r) > tol for r in reps):
+            reps.append(p)
+    return np.asarray(reps).reshape(-1, points.shape[1])
+
+
+@st.composite
+def _planted_points(draw):
+    """Unit points plus near-duplicates, each within a factor 4 of
+    CLUSTER_TOL of an earlier point (chains included), shuffled."""
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(draw(st.integers(1, 6)), dim))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    for f in draw(st.lists(st.floats(0.25, 4.0), max_size=40)):
+        u = rng.normal(size=dim)
+        src = pts[rng.integers(len(pts))]
+        pts = np.vstack([pts, src + f * CLUSTER_TOL * u / np.linalg.norm(u)])
+    return pts[rng.permutation(len(pts))]
+
+
+class TestGreedyCluster:
+    @settings(max_examples=300, deadline=None)
+    @given(_planted_points())
+    def test_matches_pairwise_loop(self, pts):
+        got = _greedy_cluster(pts, CLUSTER_TOL)
+        want = _cluster_loop(pts, CLUSTER_TOL)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_empty(self):
+        assert _greedy_cluster(np.zeros((0, 3)), CLUSTER_TOL).shape == (0, 3)
+
+
 class TestMinimize:
     def test_demicube5_riesz2(self):
         rep = minimize_potential(demicube(5), Kernel.parse("riesz:2"),
@@ -204,8 +270,9 @@ class TestMinimize:
         start = p + 1e-3 * np.linspace(-1.0, 1.0, 5)
         start /= np.linalg.norm(start)
         units = code.unit_array()
-        x, _, conv, iterations, newton = _descend(units, k, start[None, :],
-                                                  1e-10, 8)
+        x, _, conv, iterations, newton = _descend(
+            units, k, start[None, :], _potentials(start[None, :], units, k),
+            1e-10, 8)
         assert conv[0] and iterations <= 8 and newton >= 1
         grad = k.dg(units @ x[0]) @ units
         tang = grad - (grad @ x[0]) * x[0]
@@ -239,6 +306,26 @@ class TestUniversalMinimum:
             assert rep.dual_spread_rel <= 1e-9
             assert rep.gap >= -1e-8
             assert rep.equality_rel <= 1e-9
+
+    def test_zero_dual_value(self):
+        # q(t) = t sums to 0 over an antipodal code, so every value is 0
+        dual = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]) / 3 ** 0.5
+        (rep,) = verify_universal_minimum(
+            cross_polytope(3), 2, dual,
+            [Kernel("poly", poly=Polynomial([0, 1]))], restarts=20, seed=0)
+        assert rep.dual_value == 0.0
+        assert rep.dual_spread_rel == 0.0
+        assert rep.equality_rel <= 1e-12
+        assert rep.passed
+
+    def test_spread_with_zero_mean_fails(self):
+        # t^3 on the tetrahedron is +-8/9 at the two probes: mean 0, not constant
+        dual = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]) / 3 ** 0.5
+        (rep,) = verify_universal_minimum(
+            demicube(3), 2, dual,
+            [Kernel("poly", poly=Polynomial([0, 0, 0, 1]))], restarts=20, seed=0)
+        assert math.isclose(rep.dual_spread_rel, 16 / 9, rel_tol=1e-12)
+        assert not rep.passed
 
     def test_wrong_dual_fails(self):
         wrong = np.array([[1.0, 1.0, 0.0, 0.0]]) / 2 ** 0.5
