@@ -8,7 +8,7 @@ plenty fast and keeps every intermediate value exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class GreedyRank:
@@ -123,8 +123,6 @@ def integer_nullspace(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         vec[fc] = Fraction(1)
         for prow, pc in zip(work[:rank], pivots):
             vec[pc] = -prow[fc]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        basis.append(primitive_vector(tuple(int(x * lcm) for x in vec)))
+        den = lcm(*(x.denominator for x in vec))
+        basis.append(primitive_vector(tuple(int(x * den) for x in vec)))
     return basis

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from .codes import (
 )
 from .config import SizeCapExceeded
 from .design import FLOAT_DESIGN_TOL, index_set, spectrum
-from .exact import Surd
+from .exact import Surd, parse_scalar
 from .potential import Kernel, SingularEvaluation, verify_universal_minimum
 from .stiffness import NodesRequired, NotInGeneralPosition, certify_stiff
 from .suite import run_suite
@@ -78,32 +77,18 @@ def _emit(command: str, report, *, seed: Optional[int] = None,
     print(json.dumps(out, indent=2, default=str))
 
 
-def _parse_scalar(token: str):
-    """One exact-or-float scalar: int, p/q, sqrt(p/q), -sqrt(p/q), or float."""
-    tok = token.strip()
-    neg = tok.startswith("-")
-    body = tok[1:] if neg else tok
-    if body.startswith("sqrt(") and body.endswith(")"):
-        inner = body[5:-1]
-        try:
-            val = Surd.sqrt_of(Fraction(inner))
-        except (ValueError, ZeroDivisionError) as e:
-            raise UsageError(f"bad sqrt argument {inner!r}: {e}") from None
-        return -val if neg else val
+def _scalar(token: str) -> Surd:
+    """One exact scalar in the grammar of exact.parse_scalar."""
     try:
-        return Fraction(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        raise UsageError(f"cannot parse scalar {token!r}") from None
+        return parse_scalar(token)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _parse_nodes(text: Optional[str]):
     if text is None:
         return None
-    return tuple(_parse_scalar(t) for t in text.split(","))
+    return tuple(_scalar(t) for t in text.split(","))
 
 
 def _parse_point(text: str, code):
@@ -174,7 +159,9 @@ def cmd_construct(args) -> int:
         raise UsageError("constructor parameters must be integers") from None
     try:
         code = ctor(*params)
-    except TypeError as e:
+    except SizeCapExceeded:
+        raise
+    except (TypeError, ValueError) as e:
         raise UsageError(f"bad parameters for {key}: {e}") from None
     _summary([("code", code.name), ("points", code.size),
               ("ambient dim", code.ambient_dim)])
@@ -280,7 +267,7 @@ def cmd_symmetrize(args) -> int:
 def cmd_facet(args) -> int:
     code = _load(args.file)
     x = _parse_point(args.point, code)
-    t = _parse_scalar(args.t)
+    t = _scalar(args.t)
     derived = facet_derive(code, x, t)
     _summary([("input", f"{code.name} ({code.size} points)"),
               ("derived", f"{derived.size} points in dim {derived.ambient_dim}"),
@@ -320,6 +307,9 @@ def cmd_suite(args) -> int:
             numbers = [int(t) for t in args.only.split(",")]
         except ValueError:
             raise UsageError("--only takes comma-separated criterion numbers") from None
+        bad = [n for n in numbers if not 1 <= n <= 12]
+        if bad:
+            raise UsageError(f"--only: criterion numbers run from 1 to 12, got {bad}")
     t0 = time.time()
     results = []
     chosen = sorted(set(numbers)) if numbers else list(range(1, 13))
@@ -368,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-design", help="index set and design strength")
     p.add_argument("file")
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_positive_int, required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exact", dest="arithmetic", action="store_const",
                    const="exact", default="auto")
@@ -380,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-m", type=_positive_int, required=True)
     p.add_argument("--nodes",
-                   help="comma list: int, p/q, sqrt(p/q), -sqrt(p/q); "
-                        "use --nodes=... when the first value is negative")
+                   help="comma list of exact scalars: int, p/q, decimal, sqrt(p/q), "
+                        "-sqrt(p/q), c*sqrt(p/q); use --nodes=... when the "
+                        "first value is negative")
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("verify-min", help="multistart universal-minimum check")
@@ -390,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual", required=True, help="code file with the candidate minimizers")
     p.add_argument("--kernels", required=True,
                    help="comma list, e.g. riesz:2,gauss:1,log")
-    p.add_argument("--restarts", type=int, default=200)
+    p.add_argument("--restarts", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--argmin-tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_verify_min)
@@ -412,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--point", required=True, help="comma coordinates of the pole")
     p.add_argument("--t", required=True,
-                   help="dot value of the slice: int, p/q, sqrt(p/q), or float")
+                   help="dot value of the slice: int, p/q, decimal, sqrt(p/q), "
+                        "-sqrt(p/q), or c*sqrt(p/q)")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_facet)
 
@@ -425,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_glue)
 
     p = sub.add_parser("rotated-cubes", help="union of n rotated cubes")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive_int)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_rotated_cubes)
 

@@ -12,14 +12,14 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import cos, gcd, pi, sin
+from math import cos, gcd, lcm, pi, sin
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .config import check_size
-from .exact import Surd
+from .exact import Surd, square_free_split
 
 Vector = tuple[int, ...]
 
@@ -52,6 +52,19 @@ def raw_dots(a: Sequence[Vector], b: Sequence[Vector]) -> np.ndarray:
     if _max_norm_sq(a_obj) * _max_norm_sq(b_obj) < 2**62:
         return a_obj.astype(np.int64) @ b_obj.astype(np.int64).T
     return a_obj @ b_obj.T
+
+
+def common_norm(vectors: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
+    """Rescale nonzero integer vectors to squared norms F^2 * s_j.
+
+    Vector j has squared norm f_j^2 * s_j with s_j square-free; scaled by
+    F/f_j with F = lcm(f_j), it keeps its direction.  Returns the scaled
+    vectors and the s_j: one common norm exists iff every s_j is the same.
+    """
+    splits = [square_free_split(sum(x * x for x in v)) for v in vectors]
+    big_f = lcm(*(f for f, _ in splits))
+    scaled = [tuple(x * (big_f // f) for x in v) for v, (f, _) in zip(vectors, splits)]
+    return scaled, [s for _, s in splits]
 
 
 def unit_surd(raw: int, norm_sq_product: int) -> Surd:

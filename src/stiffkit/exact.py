@@ -227,28 +227,35 @@ def surd_cmp(a: Scalar, b: Scalar) -> int:
     return sa
 
 
-_SURD_RE = re.compile(
-    r"""^\s*(?P<coeff>[+-]?\d+(?:/\d+)?)?\s*
-         (?P<star>\*)?\s*
-         (?:(?P<sign>-)?sqrt\((?P<rad>\d+)\))?\s*$""",
-    re.VERBOSE,
+# a rational: integer, p/q, or decimal with optional exponent
+_RATIONAL = r"[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+_SCALAR_RE = re.compile(
+    rf"(?P<rational>{_RATIONAL})"
+    rf"|(?:(?P<coeff>{_RATIONAL})\s*\*\s*|(?P<neg>-))?sqrt\(\s*(?P<rad>\d+(?:/\d+)?)\s*\)"
 )
 
 
 def parse_scalar(text: str) -> Surd:
-    """Parse 'p/q', 'sqrt(r)', or 'p/q*sqrt(r)' into a canonical Surd."""
-    m = _SURD_RE.match(text)
-    if not m or (m.group("coeff") is None and m.group("rad") is None):
+    """Parse one exact scalar into a canonical Surd.
+
+    Accepts a rational r (integer, p/q or decimal, kept exact), sqrt(q),
+    -sqrt(q) and r*sqrt(q) for a non-negative rational q written p/q or as
+    an integer: every form scalar_str writes.  Anything else, including
+    nan and inf, raises ValueError.
+    """
+    m = _SCALAR_RE.fullmatch(text.strip())
+    if m is None:
         raise ValueError(f"cannot parse scalar {text!r}")
-    if m.group("star") and (m.group("coeff") is None or m.group("rad") is None):
-        raise ValueError(f"cannot parse scalar {text!r}")
-    coeff = Fraction(m.group("coeff")) if m.group("coeff") is not None else Fraction(1)
-    if m.group("sign"):
-        if m.group("coeff") is not None:
-            raise ValueError(f"cannot parse scalar {text!r}")
-        coeff = -coeff
-    rad = int(m.group("rad")) if m.group("rad") is not None else 1
-    return Surd(coeff, rad)
+    try:
+        if m.group("rational") is not None:
+            return Surd(Fraction(m.group("rational")))
+        root = Surd.sqrt_of(Fraction(m.group("rad")))
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse scalar {text!r}: zero denominator") from None
+    if m.group("neg"):
+        return -root
+    coeff = m.group("coeff")
+    return root * Fraction(coeff) if coeff is not None else root
 
 
 def scalar_str(x: Scalar) -> str:

@@ -201,18 +201,11 @@ class MinimizationReport:
         return out
 
 
-def _as_unit_rows(points) -> np.ndarray:
+def _as_unit_rows(points: Optional[np.ndarray]) -> np.ndarray:
+    """Candidate dual rows rescaled to norm 1; None gives no rows."""
     if points is None:
         return np.zeros((0, 0))
-    if isinstance(points, LatticeCode):
-        return points.unit_array()
-    if hasattr(points, "unit_points"):
-        return points.unit_points()
-    rows = []
-    for p in points:
-        v = p.unit() if isinstance(p, LatticePoint) else np.asarray(p, dtype=float)
-        rows.append(v / np.linalg.norm(v))
-    return np.asarray(rows)
+    return np.asarray([p / np.linalg.norm(p) for p in np.asarray(points, dtype=float)])
 
 
 def _dots(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -365,9 +358,7 @@ def _greedy_cluster(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
-                       seed: int = 0, dual=None,
-                       gtol: float = GRAD_TOL,
-                       cluster_tol: float = CLUSTER_TOL,
+                       seed: int = 0, dual: Optional[np.ndarray] = None,
                        max_iter: int = MAX_ITER) -> MinimizationReport:
     """Multistart minimization of the code's potential over the sphere.
 
@@ -400,7 +391,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     x0, f0, is_dual_start = x0[finite], f0[finite], is_dual_start[finite]
 
     pts, vals, conv, iterations, n_newton = _descend(units, kernel, x0, f0,
-                                                     gtol, max_iter)
+                                                     GRAD_TOL, max_iter)
     n_conv = int(np.sum(conv))
     n_failed = int(np.sum(~conv))
 
@@ -420,11 +411,11 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     if dual_value is not None:
         global_min = min(global_min, dual_value)
     level = global_min + 1e-8 * (1.0 + abs(global_min))
-    reps = _greedy_cluster(pts[good & (vals <= level)], cluster_tol)
+    reps = _greedy_cluster(pts[good & (vals <= level)], CLUSTER_TOL)
     cluster = reps[np.lexsort(reps.T[::-1])]  # rows in lexicographic order
     return MinimizationReport(code.name, kernel.name, restarts, seed,
                               global_min, cluster, n_conv, n_failed,
-                              n_singular, gtol, cluster_tol, iterations,
+                              n_singular, GRAD_TOL, CLUSTER_TOL, iterations,
                               n_newton, dual_value, gap, dual_match)
 
 
@@ -468,7 +459,7 @@ class UniversalMinimumReport:
         }
 
 
-def verify_universal_minimum(code: Code, m: int, dual,
+def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
                              kernels: Sequence[Kernel],
                              restarts: int = 200, seed: int = 0,
                              argmin_tol: float = 1e-5) -> list[UniversalMinimumReport]:

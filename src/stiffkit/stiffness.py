@@ -14,19 +14,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from math import lcm
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._linalg import GreedyRank, adjugate_and_det, integer_nullspace
-from .codes import Code, FloatCode, LatticeCode, LatticePoint, Vector, gcd_reduce, raw_dots
+from .codes import (Code, LatticeCode, LatticePoint, Vector, common_norm, gcd_reduce,
+                    raw_dots)
 from .config import check_size
 from .design import exact_spectra, index_set, spectrum
-from .exact import Scalar, Surd, scalar_str, square_free_split
+from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import nodes as gegenbauer_nodes
 
 FLOAT_RESIDUAL = 1e-9
+# cluster widths accepted as one dot value by the two sampling oracles
+BRUTE_WIDTH_TOL = 1e-6
+CIRCLE_WIDTH_TOL = 1e-8
 ENUM_CHUNK = 1 << 16  # assignment rows per block: bounds the enumeration's memory
 
 
@@ -120,24 +124,12 @@ def dual_to_code(points: Sequence[LatticePoint], name: str) -> LatticeCode:
     """
     if not points:
         raise ValueError("no points to convert")
-    reduced = []
-    splits = []
-    for p in points:
-        v = p.direction()
-        ns = sum(x * x for x in v)
-        reduced.append((v, ns))
-        splits.append(square_free_split(ns))
-    parts = {s for _, s in splits}
-    if len(parts) > 1:
-        raise ValueError(f"dual norms have square-free parts {sorted(parts)}, "
+    scaled, parts = common_norm([p.direction() for p in points])
+    if len(set(parts)) > 1:
+        raise ValueError(f"dual norms have square-free parts {sorted(set(parts))}, "
                          "no common scaling exists")
-    s = parts.pop()
-    big_f = 1
-    for f, _ in splits:
-        big_f = lcm(big_f, f)
-    target = big_f * big_f * s
-    out = [tuple(x * (big_f // f) for x in v) for (v, _), (f, _) in zip(reduced, splits)]
-    return LatticeCode(name, points[0].ambient_dim, target, tuple(sorted(out)))
+    target = sum(x * x for x in scaled[0])
+    return LatticeCode(name, points[0].ambient_dim, target, tuple(sorted(scaled)))
 
 
 def _independent_rows(code: LatticeCode) -> list[int]:
@@ -195,9 +187,7 @@ def _exact_rhs(node_values: Sequence[Scalar], norm_sq: int):
     if len(rads) > 1:
         return None
     g = rads.pop() if rads else 1
-    q_lcm = 1
-    for t in terms:
-        q_lcm = q_lcm * t.coeff.denominator // gcd(q_lcm, t.coeff.denominator)
+    q_lcm = lcm(*(t.coeff.denominator for t in terms))
     ints = [int(t.coeff * q_lcm) for t in terms]
     return ints, q_lcm, g
 
@@ -243,7 +233,7 @@ def dual_search(
         idx = _independent_rows_float(code.unit_array())
     if len(idx) < d1:
         if m == 1:
-            return _subspace_dual(code, nodes_supplied=nodes is not None)
+            return _subspace_dual(code, len(idx), nodes_supplied=nodes is not None)
         raise NotInGeneralPosition(
             f"{code.name} spans only {len(idx)} of {d1} dimensions; "
             "a stiff code with m >= 2 is a 3-design and spans"
@@ -272,9 +262,11 @@ def dual_search(
                               dual_complete, nodes_supplied)
 
 
-def _subspace_dual(code: Code, nodes_supplied: bool) -> DualSearchResult:
+def _subspace_dual(code: Code, rank: int, nodes_supplied: bool) -> DualSearchResult:
     """D_1 of a rank-deficient 1-design: the unit sphere of the orthogonal
-    complement; a point pair when that complement is a line."""
+    complement; a point pair when that complement is a line.  rank is the
+    rank the gate of dual_search found, so a float code's complement has
+    the dimension that gate decided on."""
     rep = index_set(code, 1)
     if rep.strength < 1:
         raise NodesRequired(
@@ -291,8 +283,7 @@ def _subspace_dual(code: Code, nodes_supplied: bool) -> DualSearchResult:
         return DualSearchResult(code.name, 1, "subspace", (), None, True,
                                 nodes_supplied, (Surd(0),),
                                 subspace_basis=tuple(basis))
-    u, s, vt = np.linalg.svd(code.unit_array())
-    null = vt[np.sum(s > 1e-9):]
+    null = np.linalg.svd(code.unit_array())[2][rank:]
     if len(null) == 1:
         z = null[0] / np.linalg.norm(null[0])
         pts = np.vstack([z, -z])
@@ -378,52 +369,15 @@ def _dual_search_float(code, m, idx, node_values, dual_complete,
         uniq.setdefault(key, v)
     pts = np.array(sorted(uniq.values(), key=lambda q: tuple(q))) if uniq else np.zeros((0, d1))
 
-    # exactness upgrade: recognize integer directions w/sqrt(ns), ns <= 4096
-    if isinstance(code, LatticeCode) and len(pts):
-        lattice = _recognize_lattice_points(pts)
-        if lattice is not None:
-            if all(_within_nodes(code, lattice, m, node_values)):
-                return DualSearchResult(code.name, m, "exact",
-                                        tuple(sorted(lattice, key=lambda p: p.vector)),
-                                        None, dual_complete, nodes_supplied,
-                                        tuple(node_values))
     return DualSearchResult(code.name, m, "float", (), pts, dual_complete,
                             nodes_supplied, tuple(node_values), max_residual=max_res)
 
 
-def _recognize_lattice_points(pts: np.ndarray) -> Optional[list[LatticePoint]]:
-    out = []
-    for v in pts:
-        hit = None
-        for ns in range(1, 4097):
-            w = np.round(v * ns**0.5)
-            if np.max(np.abs(v * ns**0.5 - w)) < 1e-7 * ns**0.5:
-                w_int = tuple(int(x) for x in w)
-                if sum(x * x for x in w_int) == ns:
-                    hit = LatticePoint(gcd_reduce(w_int),
-                                       sum(x * x for x in gcd_reduce(w_int)))
-                    break
-        if hit is None:
-            return None
-        out.append(hit)
-    return out
-
-
 def _within_nodes(code: LatticeCode, points: Sequence[LatticePoint], m: int,
                   node_values) -> list[bool]:
-    """Per point: at most m distinct exact dots against the code, each a node.
-
-    Float nodes match within FLOAT_RESIDUAL.
-    """
-    if all(isinstance(v, (int, Fraction, Surd)) for v in node_values):
-        node_set = {v if isinstance(v, Surd) else Surd(v) for v in node_values}
-        is_node = node_set.__contains__
-    else:
-        floats = [float(v) for v in node_values]
-
-        def is_node(v) -> bool:
-            return min(abs(float(v) - f) for f in floats) <= FLOAT_RESIDUAL
-    return [len(entries) <= m and all(is_node(v) for v, _ in entries)
+    """Per point: at most m distinct exact dots against the code, each a node."""
+    node_set = {v if isinstance(v, Surd) else Surd(v) for v in node_values}
+    return [len(entries) <= m and all(v in node_set for v, _ in entries)
             for entries in exact_spectra(points, code)]
 
 
@@ -568,90 +522,19 @@ def _distinct_unit_dots(vectors: Sequence[Vector],
                        points: Sequence[LatticePoint]) -> np.ndarray:
     """Per integer vector v: how many distinct unit dots it forms with the points.
 
-    Point j has norm_sq f_j^2 * s_j with s_j square-free; F = lcm(f_j).
-    Scaled by F/f_j, it gives the integer r = (v . p_j) * F/f_j, and the
-    unit dot is r / (F * sqrt(|v|^2 * s_j)).  Two unit dots in a row are
-    equal exactly when their keys (s_j, r) are, except that every r = 0 is
-    the same value 0.
+    Point j, rescaled by common_norm to squared norm F^2 * s_j, gives the
+    integer r = v . p_j, and the unit dot is r / (F * sqrt(|v|^2 * s_j)).
+    Two unit dots in a row are equal exactly when their keys (s_j, r) are,
+    except that every r = 0 is the same value 0.
     """
-    splits = [square_free_split(p.norm_sq) for p in points]
-    big_f = lcm(*(f for f, _ in splits))
-    scaled = [tuple(x * (big_f // f) for x in p.vector)
-              for p, (f, _) in zip(points, splits)]
+    scaled, parts = common_norm([p.vector for p in points])
     table = raw_dots(vectors, scaled)
-    classes = sorted({s for _, s in splits})
-    k = np.array([classes.index(s) for _, s in splits])
+    classes = sorted(set(parts))
+    k = np.array([classes.index(s) for s in parts])
     # key (s_j, r) as the integer r*K + k_j, which is 0 only for r = 0
     keys = np.where(table == 0, 0, table * len(classes) + k)
     keys.sort(axis=1)
     return 1 + (np.diff(keys, axis=1) != 0).sum(axis=1)
-
-
-@dataclass(frozen=True)
-class Dual1Stiff:
-    """D_1 of a 1-stiff code: the unit sphere of span(code)^perp."""
-
-    basis: tuple
-    pair: Optional[tuple]
-    dual_dim: int  # dimension of the orthogonal complement
-
-    def to_json_dict(self) -> dict:
-        out = {"dual_dim": self.dual_dim,
-               "basis": [list(b) for b in self.basis]}
-        if self.pair is not None:
-            if isinstance(self.pair[0], LatticePoint):
-                out["pair"] = [{"vector": list(p.vector), "norm_sq": p.norm_sq}
-                               for p in self.pair]
-            else:
-                out["pair"] = [[float(x) for x in p] for p in self.pair]
-        return out
-
-
-def is_1stiff(code: Code) -> tuple[bool, Optional[tuple]]:
-    """1-stiffness: center of mass at the origin and rank <= sphere_dim.
-
-    Returns the verdict and, when true, a normal vector of a containing
-    hyperplane (exact integer kernel vector for integer codes).
-    """
-    if isinstance(code, LatticeCode):
-        sums = [sum(p[k] for p in code.points) for k in range(code.ambient_dim)]
-        if any(s != 0 for s in sums):
-            return False, None
-        basis = integer_nullspace(list(code.points))
-        if not basis:
-            return False, None
-        return True, basis[0]
-    pts = code.unit_array()
-    if np.linalg.norm(pts.sum(axis=0)) > 1e-12 * code.size:
-        return False, None
-    u, s, vt = np.linalg.svd(pts)
-    null = vt[np.sum(s > 1e-9):]
-    if not len(null):
-        return False, None
-    return True, tuple(float(x) for x in null[0])
-
-
-def dual_1stiff(code: Code) -> Dual1Stiff:
-    """Describe D_1 = span(code)^perp intersected with the sphere."""
-    ok, _ = is_1stiff(code)
-    if not ok:
-        raise ValueError(f"{code.name} is not 1-stiff")
-    if isinstance(code, LatticeCode):
-        basis = integer_nullspace(list(code.points))
-        pair = None
-        if len(basis) == 1:
-            b = basis[0]
-            p = LatticePoint(b, sum(x * x for x in b))
-            pair = (p, -p)
-        return Dual1Stiff(tuple(basis), pair, len(basis))
-    u, s, vt = np.linalg.svd(code.unit_array())
-    null = vt[np.sum(s > 1e-9):]
-    basis = tuple(tuple(float(x) for x in b) for b in null)
-    pair = None
-    if len(null) == 1:
-        z = null[0] / np.linalg.norm(null[0])
-        pair = (tuple(float(x) for x in z), tuple(float(-x) for x in z))
-    return Dual1Stiff(basis, pair, len(basis))
 
 
 @dataclass(frozen=True)
@@ -746,15 +629,15 @@ def _pattern_search(z: np.ndarray, units: np.ndarray, m: int,
     return z
 
 
-def brute_force_dual(code: Code, m: int, samples: int = 100_000,
-                     seed: int = 0, width_tol: float = 1e-6) -> np.ndarray:
+def brute_force_dual(code: Code, m: int, samples: int = 100_000) -> np.ndarray:
     """Dense-sampling search for all unit points with <= m distinct code dots.
 
     Independent of the linear-system route: scans quasi-random sphere
-    points (a Fibonacci spiral on S^2, seeded Gaussian directions
+    points (a Fibonacci spiral on S^2, Gaussian directions from seed 0
     otherwise), keeps candidates whose dot multiset is nearly m-clusterable
     at grid resolution, then sharpens each cluster of candidates by
-    pattern search and keeps those within width_tol of m-clusterability.
+    pattern search and keeps those within BRUTE_WIDTH_TOL of
+    m-clusterability.
     Returns deduplicated unit rows sorted lexicographically.
     """
     units = code.unit_array()
@@ -767,7 +650,7 @@ def brute_force_dual(code: Code, m: int, samples: int = 100_000,
         th = 2 * np.pi * i / phi
         pts = np.stack([r * np.cos(th), r * np.sin(th), zc], axis=1)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         pts = rng.normal(size=(samples, d1))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
     spacing = (4 * np.pi / samples) ** 0.5 if d1 == 3 else samples ** (-1.0 / max(1, d1 - 1))
@@ -805,19 +688,18 @@ def brute_force_dual(code: Code, m: int, samples: int = 100_000,
         members = np.nonzero(labels == comp)[0]
         z = kept[members[np.argmin(kcost[members])]]
         zr = _pattern_search(z, units, m, spacing)
-        if _max_cluster_width(units @ zr, m) <= width_tol:
+        if _max_cluster_width(units @ zr, m) <= BRUTE_WIDTH_TOL:
             if not any(np.linalg.norm(zr - f) < 1e-7 for f in found):
                 found.append(zr)
     return np.array(sorted(found, key=lambda q: tuple(q))) if found else np.zeros((0, d1))
 
 
-def circle_dual_scan(code: Code, m: int, resolution: int = 1_000_000,
-                     width_tol: float = 1e-8) -> np.ndarray:
+def circle_dual_scan(code: Code, m: int, resolution: int = 1_000_000) -> np.ndarray:
     """All directions on the circle with <= m distinct code dots.
 
     Scans the angle grid of the given resolution, refines each low-cost
     run by golden-section search, and keeps angles whose dot multiset
-    collapses to m clusters of width at most width_tol.
+    collapses to m clusters of width at most CIRCLE_WIDTH_TOL.
     """
     if code.ambient_dim != 2:
         raise ValueError("angular scan applies to codes on S^1 only")
@@ -860,7 +742,7 @@ def circle_dual_scan(code: Code, m: int, resolution: int = 1_000_000,
             else:
                 a = c
         th = 0.5 * (a + b)
-        if _max_cluster_width(np.cos(th - alphas), m) <= width_tol:
+        if _max_cluster_width(np.cos(th - alphas), m) <= CIRCLE_WIDTH_TOL:
             hits.append(th % (2 * np.pi))
     hits.sort()
     out = [th for i, th in enumerate(hits)

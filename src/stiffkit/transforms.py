@@ -11,15 +11,18 @@ random direction is retried on failure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, pi, sin
+from math import cos, lcm, pi, sin
 from typing import Optional
 
 import numpy as np
 
 from ._linalg import integer_nullspace
-from .codes import Code, FloatCode, LatticeCode, LatticePoint, Vector, cube, gcd_reduce, raw_dots
-from .exact import Surd, square_free_split
+from .codes import (Code, FloatCode, LatticeCode, LatticePoint, Vector, common_norm, cube,
+                    gcd_reduce, raw_dots)
+from .exact import Surd
 from .stiffness import StiffnessCertificate, certify_stiff
+
+GLUE_TRIES = 64  # random reflection directions tried by glue
 
 
 def symmetrize(code: Code) -> Code:
@@ -56,20 +59,12 @@ def _orthogonal_integer_basis(x: Vector) -> Optional[list[Vector]]:
             if coef:
                 w = [a - coef * c for a, c in zip(w, b)]
         basis.append(tuple(w))
-    ints: list[Vector] = []
+    ints = []
     for b in basis:
-        lcm = 1
-        for c in b:
-            lcm = lcm * c.denominator // np.gcd(lcm, c.denominator)
-        ints.append(gcd_reduce(tuple(int(c * lcm) for c in b)))
-    splits = [square_free_split(sum(c * c for c in v)) for v in ints]
-    parts = {s for _, s in splits}
-    if len(parts) > 1:
-        return None
-    big_f = 1
-    for f, _ in splits:
-        big_f = int(np.lcm(big_f, f))
-    return [tuple(c * (big_f // f) for c in v) for v, (f, _) in zip(ints, splits)]
+        den = lcm(*(c.denominator for c in b))
+        ints.append(gcd_reduce(tuple(int(c * den) for c in b)))
+    scaled, parts = common_norm(ints)
+    return scaled if len(set(parts)) <= 1 else None
 
 
 def facet_derive(code: Code, x, t) -> Code:
@@ -132,8 +127,8 @@ def _dual_point(cert: StiffnessCertificate) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def glue(code1: Code, code2: Code, m: int, seed: int = 0,
-         max_retries: int = 64) -> tuple[FloatCode, StiffnessCertificate]:
+def glue(code1: Code, code2: Code, m: int,
+         seed: int = 0) -> tuple[FloatCode, StiffnessCertificate]:
     """Union of two m-stiff codes after two reflections, again m-stiff.
 
     Reflect code1 so a dual point of code1 lands on a dual point z2 of
@@ -162,7 +157,7 @@ def glue(code1: Code, code2: Code, m: int, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     d1 = code1.ambient_dim
-    for _ in range(max_retries):
+    for _ in range(GLUE_TRIES):
         a = rng.normal(size=d1)
         a -= (a @ z2) * z2  # enforce a ⊥ z2
         n = np.linalg.norm(a)
@@ -188,7 +183,7 @@ def glue(code1: Code, code2: Code, m: int, seed: int = 0,
                         tolerance=1e-9)
         cert = certify_stiff(out, m)
         return out, cert
-    raise RuntimeError(f"no generic reflection direction found in {max_retries} tries")
+    raise RuntimeError(f"no generic reflection direction found in {GLUE_TRIES} tries")
 
 
 def rotated_cubes(n: int) -> tuple[FloatCode, StiffnessCertificate]:

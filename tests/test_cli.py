@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stiffkit.cli import UsageError, _parse_scalar, main
+from stiffkit.cli import main
 from stiffkit.codes import (
     LatticeCode,
     cross_polytope,
@@ -17,7 +17,7 @@ from stiffkit.codes import (
     load_code,
     save_code,
 )
-from stiffkit.exact import Surd
+from stiffkit.exact import Surd, parse_scalar
 from stiffkit.stiffness import dual_search
 
 
@@ -62,6 +62,9 @@ def test_construct_unknown_name_is_usage_error(capsys):
 def test_construct_bad_params_is_usage_error(capsys):
     assert run(capsys, "construct", "demicube", "five")[0] == 2
     assert run(capsys, "construct", "demicube", "5", "7")[0] == 2
+    # out-of-range values the constructors reject
+    assert run(capsys, "construct", "cube", "0")[0] == 2
+    assert run(capsys, "construct", "ngon", "1")[0] == 2
 
 
 def test_check_design_exact(tmp_path, capsys):
@@ -119,6 +122,14 @@ def test_dual_m_below_one_is_usage_error(tmp_path, capsys):
         main(["dual", str(f), "-m", "0"])
     assert ex.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+    for argv in (["rotated-cubes", "0"],
+                 ["check-design", str(f), "--nmax", "0"],
+                 ["verify-min", str(f), "-m", "2", "--dual", str(f),
+                  "--kernels", "riesz:1", "--restarts", "0"]):
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == 2, argv
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_code_file_with_wrong_dimension_is_usage_error(tmp_path, capsys):
@@ -253,6 +264,8 @@ def test_suite_requires_paper_flag(capsys):
 
 def test_suite_bad_only_token(capsys):
     assert run(capsys, "suite", "--paper", "--only", "2,x")[0] == 2
+    assert run(capsys, "suite", "--paper", "--only", "13")[0] == 2
+    assert run(capsys, "suite", "--paper", "--only", "0,2")[0] == 2
 
 
 def test_missing_file_is_io_error(capsys):
@@ -267,16 +280,51 @@ def test_size_cap_env(tmp_path, capsys, monkeypatch):
 
 
 def test_parse_scalar_grammar():
-    assert _parse_scalar("0") == Fraction(0)
-    assert _parse_scalar("1/3") == Fraction(1, 3)
-    assert _parse_scalar("-2/7") == Fraction(-2, 7)
-    assert _parse_scalar("sqrt(1/2)") == Surd.sqrt_of(Fraction(1, 2))
-    assert _parse_scalar("-sqrt(1/8)") == -Surd.sqrt_of(Fraction(1, 8))
-    assert _parse_scalar("0.25") == Fraction(1, 4)
-    with pytest.raises(UsageError):
-        _parse_scalar("sqrt(")
-    with pytest.raises(UsageError):
-        _parse_scalar("two")
+    assert parse_scalar("0") == Fraction(0)
+    assert parse_scalar("1/3") == Fraction(1, 3)
+    assert parse_scalar("-2/7") == Fraction(-2, 7)
+    assert parse_scalar("sqrt(1/2)") == Surd.sqrt_of(Fraction(1, 2))
+    assert parse_scalar("-sqrt(1/8)") == -Surd.sqrt_of(Fraction(1, 8))
+    assert parse_scalar("0.25") == Fraction(1, 4)
+    # the form `dual` prints for irrational nodes
+    assert parse_scalar("-1/5*sqrt(5)") == -Surd.sqrt_of(Fraction(1, 5))
+    for bad in ("sqrt(", "two", "nan", "inf", "-inf", "1/0"):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
+
+
+def test_bad_scalars_are_usage_errors(tmp_path, capsys):
+    f = tmp_path / "d5.json"
+    save_code(demicube(5), f)
+    for nodes in ("--nodes=nan,0", "--nodes=inf", "--nodes=sqrt(", "--nodes=1/0"):
+        code, stdout, stderr = run(capsys, "dual", str(f), "-m", "2", nodes)
+        assert code == 2, nodes
+        assert stdout == "" and "cannot parse scalar" in stderr
+    assert run(capsys, "facet", str(f), "--point", "1,0,0,0,0", "--t", "nan")[0] == 2
+
+
+def test_dual_nodes_round_trip(tmp_path, capsys):
+    # the nodes `dual` prints, fed back through --nodes, give the same dual
+    f = tmp_path / "d5.json"
+    save_code(demicube(5), f)
+    code, stdout, _ = run(capsys, "dual", str(f), "-m", "2")
+    assert code == 0
+    first = json.loads(stdout)["report"]["certificate"]
+    assert first["dual"]["nodes"] == ["-1/5*sqrt(5)", "1/5*sqrt(5)"]
+    nodes = "--nodes=" + ",".join(first["dual"]["nodes"])
+    code, stdout, _ = run(capsys, "dual", str(f), "-m", "2", nodes)
+    assert code == 0
+    second = json.loads(stdout)["report"]["certificate"]
+    for key in ("stiff", "design_strength", "properties", "frequency_table"):
+        assert second[key] == first[key], key
+    for key in ("mode", "count", "nodes", "points"):
+        assert second["dual"][key] == first["dual"][key], key
+    assert second["dual"]["nodes_supplied"] is True
+    # and a second pass through the printed nodes is a fixed point
+    nodes = "--nodes=" + ",".join(second["dual"]["nodes"])
+    code, stdout, _ = run(capsys, "dual", str(f), "-m", "2", nodes)
+    assert code == 0
+    assert json.loads(stdout)["report"]["certificate"] == second
 
 
 def test_reports_embed_version(tmp_path, capsys):

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from math import gcd, isqrt, lcm
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiffkit.codes import (
     FloatCode,
     LatticeCode,
     LatticePoint,
+    common_norm,
     cross_polytope,
     cube,
     demicube,
@@ -172,3 +177,26 @@ def test_load_rejects_unknown_schema(tmp_path):
     path.write_text('{"name": "x", "ambient_dim": 2}')
     with pytest.raises(ValueError):
         load_code(path)
+
+
+def _square_free(n: int) -> bool:
+    return all(n % (p * p) for p in range(2, isqrt(n) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(-30, 30)] * dim).filter(any), min_size=1, max_size=6)))
+def test_common_norm_rescales_to_lcm_squared_times_square_free_part(vectors):
+    scaled, parts = common_norm(vectors)
+    assert len(scaled) == len(parts) == len(vectors)
+    # norm_j = f_j^2 * s_j with s_j square-free, so f_j^2 = norm_j / s_j
+    f = [isqrt(sum(x * x for x in v) // s) for v, s in zip(vectors, parts)]
+    assert all(fj * fj * s == sum(x * x for x in v)
+               for fj, s, v in zip(f, parts, vectors))
+    big_f = lcm(*f)
+    for v, w, s in zip(vectors, scaled, parts):
+        assert _square_free(s)
+        assert sum(x * x for x in w) == big_f * big_f * s
+        # parallel, same orientation: w = k * v for a positive integer k
+        k = gcd(*w) // gcd(*v)
+        assert k > 0 and w == tuple(k * x for x in v)

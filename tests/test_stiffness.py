@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiffkit.codes import (
     FloatCode,
@@ -26,10 +28,8 @@ from stiffkit.stiffness import (
     certify_stiff,
     circle_dual_scan,
     classify_sharp,
-    dual_1stiff,
     dual_search,
     dual_to_code,
-    is_1stiff,
 )
 
 NODES_241 = (
@@ -114,6 +114,16 @@ class TestRankGate:
         assert res.count == 2
         assert {p.vector for p in res.points} == {(0, 0, 1), (0, 0, -1)}
 
+    def test_float_rank_is_decided_once(self):
+        # the third singular value, about 3.5e-9, is below the rank gate's
+        # cut: the dual is the pair off the plane, not an empty subspace
+        c = np.array([1.0, 1.0, 5e-9]) / np.linalg.norm([1.0, 1.0, 5e-9])
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], c])
+        res = dual_search(FloatCode("tilted_square", 3, np.vstack([rows, -rows])), 1)
+        assert res.subspace_basis is None
+        assert res.count == 2
+        assert np.allclose(np.abs(res.points_float[:, 2]), 1.0)
+
     def test_pair_code_m1_subspace_dual(self):
         pair = LatticeCode("pair", 3, 1, ((1, 0, 0), (-1, 0, 0)))
         res = dual_search(pair, 1)
@@ -193,30 +203,96 @@ class TestStructuralProperties:
 class TestOneStiff:
     def test_pair_in_ambient3(self):
         pair = LatticeCode("pair", 3, 1, ((1, 0, 0), (-1, 0, 0)))
-        ok, witness = is_1stiff(pair)
-        assert ok and witness is not None
-        dual = dual_1stiff(pair)
-        assert dual.dual_dim == 2 and dual.pair is None
-        basis = np.array(dual.basis, dtype=float)
+        cert = certify_stiff(pair, 1)
+        assert cert.stiff and cert.dual is not None
+        dual = cert.dual
+        assert len(dual.subspace_basis) == 2 and dual.count == 0
+        basis = np.array(dual.subspace_basis, dtype=float)
         assert np.allclose(basis @ np.array([1.0, 0.0, 0.0]), 0.0)
 
     def test_equatorial_square_witness(self):
         sq = LatticeCode("eq_square", 3, 1,
                          ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))
-        ok, witness = is_1stiff(sq)
-        assert ok
-        assert tuple(abs(x) for x in witness) == (0, 0, 1)
-        dual = dual_1stiff(sq)
-        assert dual.dual_dim == 1
-        assert {p.vector for p in dual.pair} == {(0, 0, 1), (0, 0, -1)}
+        cert = certify_stiff(sq, 1)
+        assert cert.stiff
+        dual = cert.dual
+        assert {tuple(abs(x) for x in p.vector) for p in dual.points} == {(0, 0, 1)}
+        assert dual.subspace_basis is None
+        assert {p.vector for p in dual.points} == {(0, 0, 1), (0, 0, -1)}
 
     def test_cube3_not_1stiff(self):
-        ok, _ = is_1stiff(cube(3))
-        assert not ok
+        assert not certify_stiff(cube(3), 1).stiff
+
+    def test_tetrahedron_not_1stiff(self):
+        # barycenter 0 but spanning: no direction is orthogonal to every point
+        assert not certify_stiff(demicube(3), 1).stiff
 
     def test_nonzero_barycenter_fails(self):
-        ok, _ = is_1stiff(demicube(3))
-        assert not ok
+        point = LatticeCode("point", 3, 1, ((1, 0, 0),))
+        cert = certify_stiff(point, 1)
+        assert cert.dual is None
+        assert not cert.stiff
+        with pytest.raises(NodesRequired):
+            dual_search(point, 1)
+
+
+def _rotation(seed: int, dim: int) -> np.ndarray:
+    """A random orthogonal matrix: Q of a Gaussian matrix, signs fixed."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def _rotated_float_copy(code: LatticeCode, rot: np.ndarray) -> FloatCode:
+    return FloatCode(f"rotated({code.name})", code.ambient_dim,
+                     code.unit_array() @ rot.T, tolerance=1e-12)
+
+
+def _span_projector(res) -> np.ndarray:
+    """Orthogonal projector onto the span of a dual: its points or its basis."""
+    rows = (res.unit_points() if res.subspace_basis is None
+            else np.array(res.subspace_basis, dtype=float))
+    _, sing, vt = np.linalg.svd(rows)
+    span = vt[:int(np.sum(sing > 1e-9))]
+    return span.T @ span
+
+
+EQ_SQUARE = LatticeCode("eq_square", 3, 1,
+                        ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))
+PAIR = LatticeCode("pair", 3, 1, ((1, 0, 0), (-1, 0, 0)))
+
+
+class TestExactAgainstRotatedFloat:
+    """The exact dual of an integer code, rotated, is the float dual of the
+    rotated float copy: pins the exact enumeration to the float one, and
+    the exact D_1 branch to the float one."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["cross_polytope", "cube", "demicube"]),
+           st.integers(0, 2**32 - 1))
+    def test_m2(self, name, seed):
+        code = {"cross_polytope": cross_polytope(3), "cube": cube(3),
+                "demicube": demicube(5)}[name]
+        rot = _rotation(seed, code.ambient_dim)
+        exact = dual_search(code, 2)
+        approx = dual_search(_rotated_float_copy(code, rot), 2)
+        assert exact.mode == "exact" and approx.mode == "float"
+        assert approx.count == exact.count > 0
+        assert approx.max_residual < 1e-9
+        want = exact.unit_points() @ rot.T
+        dist = np.linalg.norm(want[:, None, :] - approx.points_float[None, :, :], axis=2)
+        assert dist.min(axis=1).max() < 1e-9
+        assert dist.min(axis=0).max() < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([EQ_SQUARE, PAIR]), st.integers(0, 2**32 - 1))
+    def test_m1_span_projectors(self, code, seed):
+        rot = _rotation(seed, code.ambient_dim)
+        exact = dual_search(code, 1)
+        approx = dual_search(_rotated_float_copy(code, rot), 1)
+        assert (exact.subspace_basis is None) == (approx.subspace_basis is None)
+        assert approx.count == exact.count
+        assert np.allclose(rot @ _span_projector(exact) @ rot.T,
+                           _span_projector(approx), atol=1e-9)
 
 
 class TestSharpness:

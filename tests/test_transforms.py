@@ -22,8 +22,8 @@ from stiffkit.codes import (
 from stiffkit.design import index_set, spectrum
 from stiffkit.stiffness import (
     NotInGeneralPosition,
+    certify_stiff,
     dual_search,
-    is_1stiff,
 )
 from stiffkit.transforms import facet_derive, glue, rotated_cubes, symmetrize
 
@@ -182,8 +182,11 @@ class TestRotatedCubes:
         from stiffkit.codes import FloatCode
 
         dual_code = FloatCode("axis_pair", 3, cert.dual.unit_points())
-        ok, _ = is_1stiff(dual_code)
-        assert ok
+        one = certify_stiff(dual_code, 1)
+        assert one.stiff
+        basis = np.array(one.dual.subspace_basis)
+        assert basis.shape == (2, 3)
+        assert np.allclose(basis @ dual_code.unit_array().T, 0.0, atol=1e-12)
         with pytest.raises(NotInGeneralPosition):
             dual_search(dual_code, 2)
 
