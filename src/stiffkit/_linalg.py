@@ -8,7 +8,10 @@ plenty fast and keeps every intermediate value exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+from typing import Sequence
+
+from .codes import gcd_reduce
 
 
 class GreedyRank:
@@ -83,18 +86,11 @@ def _int_det(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def primitive_vector(vec: tuple[int, ...]) -> tuple[int, ...]:
-    """Divide out the gcd and normalize the sign of the leading entry."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g == 0:
-        return vec
-    out = tuple(x // g for x in vec)
-    lead = next((x for x in out if x != 0), 0)
-    if lead < 0:
-        out = tuple(-x for x in out)
-    return out
+def integer_direction(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector along a rational vector: clear the
+    denominators with their lcm, then divide out the gcd."""
+    den = lcm(*(x.denominator for x in vec))
+    return gcd_reduce(tuple(int(x * den) for x in vec))
 
 
 def integer_nullspace(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -123,6 +119,8 @@ def integer_nullspace(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         vec[fc] = Fraction(1)
         for prow, pc in zip(work[:rank], pivots):
             vec[pc] = -prow[fc]
-        den = lcm(*(x.denominator for x in vec))
-        basis.append(primitive_vector(tuple(int(x * den) for x in vec)))
+        out = integer_direction(vec)
+        if next(x for x in out if x) < 0:  # leading entry positive
+            out = tuple(-x for x in out)
+        basis.append(out)
     return basis

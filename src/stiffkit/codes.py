@@ -9,7 +9,7 @@ are FloatCodes with an explicit tolerance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import cos, gcd, lcm, pi, sin
@@ -110,12 +110,10 @@ class LatticeCode:
     ambient_dim: int
     norm_sq: int
     points: tuple[Vector, ...]
-    exact: bool = field(default=True)
 
     def __post_init__(self) -> None:
         pts = tuple(tuple(int(x) for x in p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "exact", True)
         check_size(len(pts), f"code {self.name!r}")
         if not pts:
             raise ValueError("a code needs at least one point")
@@ -182,7 +180,6 @@ class FloatCode:
     ambient_dim: int
     points: np.ndarray
     tolerance: float = 1e-12
-    exact: bool = field(default=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -195,7 +192,6 @@ class FloatCode:
         if not np.allclose(norms, 1.0, atol=1e-9):
             raise ValueError("float code points must be unit vectors (within 1e-9)")
         self.points = pts / norms[:, None]
-        self.exact = False
         if len(pts) <= 4096:  # pairwise distinctness check, skipped for huge codes
             diffs = np.linalg.norm(self.points[:, None, :] - self.points[None, :, :], axis=2)
             np.fill_diagonal(diffs, np.inf)

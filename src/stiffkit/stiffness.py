@@ -2,12 +2,15 @@
 
 The dual of a code is the set of sphere points forming at most m distinct
 dot products with it.  For a (2m-1)-design those dot values can only be
-the m roots of the degree-m Gegenbauer polynomial, so the dual is found by
-exhaustive enumeration: pick d+1 linearly independent code points, assign
-each of them one of the m candidate values, solve the square linear system,
-and keep unit solutions whose full spectrum stays within the candidate set.
-Exact integer arithmetic (adjugate over a common quadratic extension) makes
-the kept solutions certificates rather than approximations.
+the m roots of the degree-m Gegenbauer polynomial.  The dual is found by a
+level walk over d+1 linearly independent code points: level k assigns one
+of the m candidate values to the k-th point and drops every assignment
+whose first k dots no unit point can have, because the shortest point
+with those dots is longer than 1 (the Fincke-Pohst idea).  The last level
+keeps the unit solutions, and a survivor is kept when its full spectrum
+stays within the candidate set.  Exact integer arithmetic (adjugates of
+the leading Gram blocks over a common quadratic extension) makes the kept
+solutions certificates rather than approximations.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ FLOAT_RESIDUAL = 1e-9
 # cluster widths accepted as one dot value by the two sampling oracles
 BRUTE_WIDTH_TOL = 1e-6
 CIRCLE_WIDTH_TOL = 1e-8
-ENUM_CHUNK = 1 << 16  # assignment rows per block: bounds the enumeration's memory
+# the float walk keeps a prefix whose least squared norm is within this of 1
+WALK_SLACK = 1e-6
 
 
 class NotInGeneralPosition(ValueError):
@@ -192,24 +196,9 @@ def _exact_rhs(node_values: Sequence[Scalar], norm_sq: int):
     return ints, q_lcm, g
 
 
-def _assignment_blocks(values: Sequence, width: int, dtype):
-    """All len(values)^width assignment rows in base-|values| digit order,
-    ENUM_CHUNK rows at a time."""
-    base = len(values)
-    total = base**width
-    lut = np.asarray(values, dtype=dtype)
-    for lo in range(0, total, ENUM_CHUNK):
-        idx = np.arange(lo, min(lo + ENUM_CHUNK, total), dtype=np.int64)
-        digits = np.empty((len(idx), width), dtype=np.int64)
-        for pos in range(width):
-            idx, digits[:, pos] = np.divmod(idx, base)
-        yield lut[digits]
-
-
 def dual_search(
     code: Code,
     m: int,
-    mode: str = "auto",
     nodes: Optional[Sequence] = None,
 ) -> DualSearchResult:
     """Enumerate the dual configuration D_m of a code.
@@ -217,13 +206,12 @@ def dual_search(
     Without explicit nodes the code must be a verified (2m-1)-design; the
     candidate dot values are then the m Gegenbauer roots and the result is
     provably all of D_m.  Supplied nodes restrict the search to points
-    whose dots lie in that set.  mode picks the arithmetic: exact needs an
-    integer code and surd nodes in a single quadratic extension.
+    whose dots lie in that set.  The arithmetic follows the input: exact
+    for an integer code with surd nodes in a single quadratic extension,
+    float otherwise.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
     d1 = code.ambient_dim
 
     # rank gate: the enumeration needs d+1 independent points
@@ -243,19 +231,13 @@ def dual_search(
     node_values = list(nodes) if nodes_supplied else _default_nodes(code, m)
     if len(node_values) > m:
         raise ValueError(f"{len(node_values)} nodes supplied for m = {m}")
-    check_size(len(node_values) ** d1, f"dual enumeration for {code.name}")
     dual_complete = not nodes_supplied
 
-    exact_nodes = all(isinstance(v, (int, Fraction, Surd)) for v in node_values)
-    want_exact = isinstance(code, LatticeCode) and exact_nodes
     rhs = None
-    if want_exact:
+    if isinstance(code, LatticeCode) and all(isinstance(v, (int, Fraction, Surd))
+                                             for v in node_values):
         rhs = _exact_rhs(node_values, code.norm_sq)
-    if mode == "exact" and rhs is None:
-        raise ValueError(
-            "exact mode needs an integer code and surd nodes in one quadratic extension"
-        )
-    if mode != "float" and rhs is not None:
+    if rhs is not None:
         return _dual_search_exact(code, m, idx, node_values, rhs,
                                   dual_complete, nodes_supplied)
     return _dual_search_float(code, m, idx, node_values,
@@ -295,28 +277,56 @@ def _subspace_dual(code: Code, rank: int, nodes_supplied: bool) -> DualSearchRes
                             subspace_basis=tuple(tuple(float(x) for x in b) for b in null))
 
 
+def _walk(values: np.ndarray, forms: Sequence[np.ndarray], inside,
+          what: str) -> np.ndarray:
+    """Assignments of values to the d+1 chosen rows that survive every level.
+
+    Level k extends each surviving assignment of rows 1..k-1 by each value
+    for row k and keeps the rows n with inside(k, n^T forms[k-1] n).  The
+    form at level k measures the least squared norm of a point whose
+    first k dots are the assigned values, so inside drops the prefixes no
+    unit point can complete.  No dual point is lost: a unit point whose
+    dots all lie at the values satisfies every prefix of its own system.
+    check_size bounds each new frontier.
+    """
+    frontier = np.zeros((1, 0), dtype=values.dtype)
+    for k, form in enumerate(forms, 1):
+        check_size(len(frontier) * len(values), f"{what} at level {k}")
+        frontier = np.hstack([np.repeat(frontier, len(values), axis=0),
+                              np.tile(values, len(frontier))[:, None]])
+        frontier = frontier[inside(k, ((frontier @ form) * frontier).sum(axis=1))]
+    return frontier
+
+
 def _dual_search_exact(code, m, idx, node_values, rhs, dual_complete,
                        nodes_supplied) -> DualSearchResult:
+    """Exact walk.  A dual point x has a . x = n * sqrt(g) / Q on each chosen
+    row a, and given its first k dots its squared norm is at least
+    g * n^T adj(G_k) n / (Q^2 det G_k), G_k the Gram matrix of those rows.
+    The unit solutions point along n^T adj(G) A."""
     n_ints, q_lcm, g = rhs
-    d1 = code.ambient_dim
-    rows = [list(code.points[i]) for i in idx]
-    adj, det = adjugate_and_det(rows)
-    assert det != 0
-    if det < 0:
-        adj = [[-x for x in row] for row in adj]
-        det = -det
-    # unit solutions satisfy g * |w|^2 == (Q * det)^2 with w = adj @ n
-    target = q_lcm * q_lcm * det * det
+    rows = [code.points[i] for i in idx]
+    gram = raw_dots(rows, rows).tolist()
+    blocks = [adjugate_and_det([r[:k] for r in gram[:k]]) for k in range(1, len(idx) + 1)]
+    bounds = [q_lcm * q_lcm * det for _, det in blocks]
+    # int64 overflow guard: |n^T (g adj) n| <= k^2 * g * max|adj| * max|n|^2
+    max_n = max([1] + [abs(x) for x in n_ints])
+    safe = all(k * k * g * max(abs(x) for row in adj for x in row) * max_n**2 < 2**62
+               and bound < 2**62
+               for k, ((adj, _), bound) in enumerate(zip(blocks, bounds), 1))
+    dtype = np.int64 if safe else object
+    forms = [np.array(adj, dtype=dtype) * g for adj, _ in blocks]
 
-    # int64 overflow guard: max |w_j| <= d1 * max|adj| * max|n|
-    max_adj = max(abs(x) for row in adj for x in row)
-    max_n = max((abs(x) for x in n_ints), default=0)
-    w_bound = d1 * max_adj * max_n
-    safe = w_bound**2 * d1 * g < 2**62 and target < 2**62
-    survivors = _enumerate_exact(n_ints, adj, g, target, safe)
+    def inside(k, q):  # the last level keeps the unit solutions only
+        return q == bounds[-1] if k == len(bounds) else q <= bounds[k - 1]
+
+    survivors = _walk(np.array(n_ints, dtype=dtype), forms, inside,
+                      f"dual search for {code.name}")
+    w = survivors.astype(object) @ np.array(blocks[-1][0], dtype=object) \
+        @ np.array(rows, dtype=object)
 
     # dedup by signed direction and certify each survivor's full spectrum
-    dirs = dict.fromkeys(gcd_reduce(tuple(int(x) for x in w)) for w in survivors)
+    dirs = dict.fromkeys(gcd_reduce(tuple(int(x) for x in v)) for v in w)
     cands = [LatticePoint(v, sum(x * x for x in v)) for v in dirs]
     kept = [p for p, ok in zip(cands, _within_nodes(code, cands, m, node_values)) if ok]
     pts = tuple(sorted(kept, key=lambda p: p.vector))
@@ -324,32 +334,20 @@ def _dual_search_exact(code, m, idx, node_values, rhs, dual_complete,
                             nodes_supplied, tuple(node_values))
 
 
-def _enumerate_exact(n_ints, adj, g, target, safe) -> list[np.ndarray]:
-    """Solutions w = adj @ n over all assignments n, kept when g*|w|^2 == target.
-
-    safe says int64 cannot overflow; otherwise Python integers are used.
-    """
-    dtype = np.int64 if safe else object
-    adj_t = np.asarray(adj, dtype=dtype).T
-    out: list[np.ndarray] = []
-    for nmat in _assignment_blocks(n_ints, len(adj), dtype):
-        w = nmat @ adj_t
-        out.extend(w[(w * w).sum(axis=1) * g == target])
-    return out
-
-
 def _dual_search_float(code, m, idx, node_values, dual_complete,
                        nodes_supplied) -> DualSearchResult:
+    """Float walk: the least squared norm of a point with its first k unit
+    dots fixed to n is n^T inv(G_k) n; survivors are solved through inv(a)."""
     d1 = code.ambient_dim
     units = code.unit_array()
     a = units[idx]
-    a_inv_t = np.linalg.inv(a).T
+    gram = a @ a.T
+    forms = [np.linalg.inv(gram[:k, :k]) for k in range(1, d1 + 1)]
     node_floats = [float(v) for v in node_values]
-    blocks = []
-    for nmat in _assignment_blocks(node_floats, d1, np.float64):
-        z = nmat @ a_inv_t  # row i solves a @ z = nmat[i]
-        blocks.append(z[np.abs(np.linalg.norm(z, axis=1) - 1.0) < 1e-7])
-    cand = np.concatenate(blocks)
+    nmat = _walk(np.asarray(node_floats), forms,
+                 lambda _, q: q <= 1.0 + WALK_SLACK, f"dual search for {code.name}")
+    z = nmat @ np.linalg.inv(a).T  # row i solves a @ z = nmat[i]
+    cand = z[np.abs(np.linalg.norm(z, axis=1) - 1.0) < 1e-7]
     cand /= np.linalg.norm(cand, axis=1)[:, None]
 
     # spectrum certificate: every dot within residual of some node

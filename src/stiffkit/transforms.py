@@ -11,14 +11,14 @@ random direction is retried on failure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, lcm, pi, sin
+from math import cos, pi, sin
 from typing import Optional
 
 import numpy as np
 
-from ._linalg import integer_nullspace
+from ._linalg import integer_direction, integer_nullspace
 from .codes import (Code, FloatCode, LatticeCode, LatticePoint, Vector, common_norm, cube,
-                    gcd_reduce, raw_dots)
+                    raw_dots)
 from .exact import Surd
 from .stiffness import StiffnessCertificate, certify_stiff
 
@@ -59,11 +59,7 @@ def _orthogonal_integer_basis(x: Vector) -> Optional[list[Vector]]:
             if coef:
                 w = [a - coef * c for a, c in zip(w, b)]
         basis.append(tuple(w))
-    ints = []
-    for b in basis:
-        den = lcm(*(c.denominator for c in b))
-        ints.append(gcd_reduce(tuple(int(c * den) for c in b)))
-    scaled, parts = common_norm(ints)
+    scaled, parts = common_norm([integer_direction(b) for b in basis])
     return scaled if len(set(parts)) <= 1 else None
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stiffkit.codes import (
@@ -20,6 +22,7 @@ from stiffkit.codes import (
     ngon,
     polytope_2_41,
 )
+from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
 from stiffkit.exact import Surd
 from stiffkit.stiffness import (
     NodesRequired,
@@ -93,11 +96,117 @@ class TestDualSearchExact:
         with pytest.raises(ValueError):
             dual_search(cube(3), 2, nodes=[Fraction(0), Fraction(1, 2), Fraction(-1, 2)])
 
-    def test_exact_mode_rejected_for_mixed_extensions(self):
+    def test_mixed_extensions_search_in_float(self):
         # sqrt(2) and sqrt(3) cannot share one quadratic extension
-        bad = [Surd.sqrt_of(Fraction(1, 2)), -Surd.sqrt_of(Fraction(1, 3))]
-        with pytest.raises(ValueError):
-            dual_search(cube(3), 2, nodes=bad, mode="exact")
+        mixed = [Surd.sqrt_of(Fraction(1, 2)), -Surd.sqrt_of(Fraction(1, 3))]
+        res = dual_search(cube(3), 2, nodes=mixed)
+        assert res.mode == "float"
+        assert res.count == 0
+
+
+def _solve(rows, rhs):
+    """x with rows @ x = rhs, by Gauss-Jordan over the rationals."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return [row[-1] for row in aug]
+
+
+def _reference_dual(code: LatticeCode, probe_sq: int, raws: list) -> set:
+    """Directions of the unit points x whose dots with the code all lie at
+    the nodes r / sqrt(norm_sq * probe_sq), r in raws: every assignment
+    of raws to d independent code points, none pruned.
+
+    With u = x * sqrt(probe_sq), each chosen row a has a . u = r, and x is
+    a unit point when |u|^2 = probe_sq.
+    """
+    rows: list = []
+    for p in code.points:
+        if np.linalg.matrix_rank(np.array(rows + [p], dtype=float)) > len(rows):
+            rows.append(p)
+    out = set()
+    for assign in itertools.product(raws, repeat=len(rows)):
+        u = _solve(rows, assign)
+        if sum(x * x for x in u) != probe_sq:
+            continue
+        if not all(sum(a * b for a, b in zip(p, u)) in raws for p in code.points):
+            continue
+        den = math.lcm(*(x.denominator for x in u))
+        ints = [int(x * den) for x in u]
+        g = math.gcd(*ints)
+        out.add(tuple(x // g for x in ints))
+    return out
+
+
+@st.composite
+def _code_and_nodes(draw):
+    """A spanning integer code with coordinates in [-2, 2], and the node set
+    of an integer probe: the distinct unit dots of the probe with the code,
+    sometimes with one more value, so the probe's direction is in the dual."""
+    d = draw(st.integers(2, 4))
+    norm_sq = draw(st.sampled_from([1, 2, 3, 5]))
+    pool = [v for v in itertools.product(range(-2, 3), repeat=d)
+            if sum(x * x for x in v) == norm_sq]
+    assume(len(pool) >= d)
+    pts = draw(st.lists(st.sampled_from(pool), min_size=d, max_size=7, unique=True))
+    assume(np.linalg.matrix_rank(np.array(pts, dtype=float)) == d)
+    probe = draw(st.tuples(*[st.integers(-1, 1)] * d))
+    assume(any(probe))
+    raws = sorted({sum(a * b for a, b in zip(p, probe)) for p in pts})
+    extra = draw(st.integers(-2, 2))
+    if draw(st.booleans()) and extra not in raws:
+        raws.append(extra)
+    assume(len(raws) <= 4)
+    return LatticeCode("drawn", d, norm_sq, tuple(pts)), sum(x * x for x in probe), raws
+
+
+class TestWalkAgainstFullEnumeration:
+    """The pruned walk returns what the unpruned enumeration of every node
+    assignment returns, in exact and in float arithmetic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_code_and_nodes())
+    def test_exact_and_float_nodes(self, drawn):
+        code, probe_sq, raws = drawn
+        ns = code.norm_sq * probe_sq
+        want = _reference_dual(code, probe_sq, raws)
+        assert want  # the probe's own direction
+
+        nodes = [Surd(Fraction(r, ns), ns) for r in raws]
+        exact = dual_search(code, len(nodes), nodes=nodes)
+        assert exact.mode == "exact"
+        assert {p.vector for p in exact.points} == want
+
+        approx = dual_search(code, len(nodes), nodes=[float(v) for v in nodes])
+        assert approx.mode == "float"
+        units = np.array([np.array(v, dtype=float) / np.linalg.norm(v) for v in want])
+        assert approx.count == len(units)
+        dist = np.linalg.norm(units[:, None, :] - approx.points_float[None, :, :], axis=2)
+        assert dist.min(axis=1).max() < 1e-9
+
+
+class TestFrontierCap:
+    NODES_7 = [-Surd.sqrt_of(Fraction(1, 7)), Surd(0), Surd.sqrt_of(Fraction(1, 7))]
+
+    def test_cap_bounds_the_frontier_not_all_assignments(self, monkeypatch):
+        # 3^7 = 2187 assignments exceed the cap; no pruned frontier does
+        code = demicube(7)
+        monkeypatch.setenv(ENV_SIZE_CAP, "2000")
+        res = dual_search(code, 3, nodes=self.NODES_7)
+        assert res.exact
+        assert {p.vector for p in res.points} == signed_basis(7)
+
+    def test_frontier_over_the_cap_raises(self, monkeypatch):
+        code = demicube(7)
+        monkeypatch.setenv(ENV_SIZE_CAP, "20")
+        with pytest.raises(SizeCapExceeded):
+            dual_search(code, 3, nodes=self.NODES_7)
 
 
 class TestRankGate:
