@@ -367,15 +367,6 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     per restart), every code antipode, and the supplied dual candidates.
     Starts where a singular kernel blows up are dropped and counted.
     """
-    dual_units = _as_unit_rows(dual)
-    return _minimize(code, kernel, restarts, seed, dual_units,
-                     _probe_values(dual_units, code.unit_array(), kernel), max_iter)
-
-
-def _minimize(code: Code, kernel: Kernel, restarts: int, seed: int,
-              dual_units: np.ndarray, dual_values: list[float],
-              max_iter: int = MAX_ITER) -> MinimizationReport:
-    """minimize_potential with the unit dual rows and their potentials given."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     units = code.unit_array()
@@ -385,6 +376,7 @@ def _minimize(code: Code, kernel: Kernel, restarts: int, seed: int,
     rand = np.array([np.random.default_rng(s).normal(size=dim) for s in streams])
     rand /= np.linalg.norm(rand, axis=1)[:, None]
     starts = [rand, -units]
+    dual_units = _as_unit_rows(dual)
     n_dual = len(dual_units)
     if n_dual:
         starts.append(dual_units)
@@ -408,7 +400,7 @@ def _minimize(code: Code, kernel: Kernel, restarts: int, seed: int,
     gap: Optional[float] = None
     dual_match: Optional[bool] = None
     if n_dual:
-        dual_value = min(dual_values)
+        dual_value = min(_probe_values(dual_units, units, kernel))
         # every evaluated value is evidence, converged or not
         nd = np.isfinite(vals) & ~is_dual_start
         if nd.any():
@@ -485,8 +477,9 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
         raise ValueError("dual candidate set is empty")
     out = []
     for k, kernel in enumerate(kernels):
+        rep = minimize_potential(code, kernel, restarts=restarts,
+                                 seed=seed + k, dual=dual_units)
         dvals = _probe_values(dual_units, code.unit_array(), kernel)
-        rep = _minimize(code, kernel, restarts, seed + k, dual_units, dvals)
         mean = fsum(dvals) / len(dvals)
         # relative to the magnitude, absolute when it is 0
         spread = (max(dvals) - min(dvals)) / (abs(mean) or 1.0)

@@ -277,24 +277,23 @@ def _subspace_dual(code: Code, rank: int, nodes_supplied: bool) -> DualSearchRes
                             subspace_basis=tuple(tuple(float(x) for x in b) for b in null))
 
 
-def _walk(values: np.ndarray, forms: Sequence[np.ndarray], inside,
-          what: str) -> np.ndarray:
+def _walk(values: np.ndarray, levels: int, keep, what: str) -> np.ndarray:
     """Assignments of values to the d+1 chosen rows that survive every level.
 
     Level k extends each surviving assignment of rows 1..k-1 by each value
-    for row k and keeps the rows n with inside(k, n^T forms[k-1] n).  The
-    form at level k measures the least squared norm of a point whose
-    first k dots are the assigned values, so inside drops the prefixes no
-    unit point can complete.  No dual point is lost: a unit point whose
-    dots all lie at the values satisfies every prefix of its own system.
-    check_size bounds each new frontier.
+    for row k and keeps the rows n for which keep(k, frontier) holds.  keep
+    compares the least squared norm of a point whose first k dots are the
+    assigned values with 1, so it drops the prefixes no unit point can
+    complete.  No dual point is lost: a unit point whose dots all lie at
+    the values satisfies every prefix of its own system.  check_size
+    bounds each new frontier.
     """
     frontier = np.zeros((1, 0), dtype=values.dtype)
-    for k, form in enumerate(forms, 1):
+    for k in range(1, levels + 1):
         check_size(len(frontier) * len(values), f"{what} at level {k}")
         frontier = np.hstack([np.repeat(frontier, len(values), axis=0),
                               np.tile(values, len(frontier))[:, None]])
-        frontier = frontier[inside(k, ((frontier @ form) * frontier).sum(axis=1))]
+        frontier = frontier[keep(k, frontier)]
     return frontier
 
 
@@ -317,10 +316,11 @@ def _dual_search_exact(code, m, idx, node_values, rhs, dual_complete,
     dtype = np.int64 if safe else object
     forms = [np.array(adj, dtype=dtype) * g for adj, _ in blocks]
 
-    def inside(k, q):  # the last level keeps the unit solutions only
+    def keep(k, f):  # the last level keeps the unit solutions only
+        q = ((f @ forms[k - 1]) * f).sum(axis=1)
         return q == bounds[-1] if k == len(bounds) else q <= bounds[k - 1]
 
-    survivors = _walk(np.array(n_ints, dtype=dtype), forms, inside,
+    survivors = _walk(np.array(n_ints, dtype=dtype), len(idx), keep,
                       f"dual search for {code.name}")
     w = survivors.astype(object) @ np.array(blocks[-1][0], dtype=object) \
         @ np.array(rows, dtype=object)
@@ -336,16 +336,22 @@ def _dual_search_exact(code, m, idx, node_values, rhs, dual_complete,
 
 def _dual_search_float(code, m, idx, node_values, dual_complete,
                        nodes_supplied) -> DualSearchResult:
-    """Float walk: the least squared norm of a point with its first k unit
-    dots fixed to n is n^T inv(G_k) n; survivors are solved through inv(a)."""
+    """Float walk.  With a = R^T Q^T, the least-norm point with its first k
+    unit dots fixed to n is Q_k y for R_k^T y = n, so its squared norm is
+    |y|^2.  Solving the triangular system keeps the rounding error in step
+    with cond(a); the Gram form n^T inv(G_k) n would square it.  Survivors
+    are solved through inv(a)."""
     d1 = code.ambient_dim
     units = code.unit_array()
     a = units[idx]
-    gram = a @ a.T
-    forms = [np.linalg.inv(gram[:k, :k]) for k in range(1, d1 + 1)]
+    r = np.linalg.qr(a.T)[1]
+
+    def keep(k, f):
+        y = np.linalg.solve(r[:k, :k].T, f.T)
+        return (y * y).sum(axis=0) <= 1.0 + WALK_SLACK
+
     node_floats = [float(v) for v in node_values]
-    nmat = _walk(np.asarray(node_floats), forms,
-                 lambda _, q: q <= 1.0 + WALK_SLACK, f"dual search for {code.name}")
+    nmat = _walk(np.asarray(node_floats), d1, keep, f"dual search for {code.name}")
     z = nmat @ np.linalg.inv(a).T  # row i solves a @ z = nmat[i]
     cand = z[np.abs(np.linalg.norm(z, axis=1) - 1.0) < 1e-7]
     cand /= np.linalg.norm(cand, axis=1)[:, None]

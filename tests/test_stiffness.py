@@ -190,6 +190,28 @@ class TestWalkAgainstFullEnumeration:
         dist = np.linalg.norm(units[:, None, :] - approx.points_float[None, :, :], axis=2)
         assert dist.min(axis=1).max() < 1e-9
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-7, 2e-8])
+    def test_float_nodes_on_a_nearly_flat_code(self, eps):
+        # a square lifted by eps off its plane spans R^3 with cond ~ 1/eps;
+        # the prune must keep the normals (0, 0, +-1), whose dots are all +-c
+        pts = np.array([[1, 0, eps], [-1, 0, eps], [0, 1, eps], [0, -1, eps]])
+        code = FloatCode("lifted square", 3, pts / np.linalg.norm(pts, axis=1)[:, None])
+        c = eps / math.hypot(1.0, eps)
+        nodes = [c, -c]
+        units = code.unit_array()
+        a = units[:3]
+        assert np.linalg.matrix_rank(a) == 3
+        nmat = np.array(list(itertools.product(nodes, repeat=3)))
+        z = nmat @ np.linalg.inv(a).T
+        z = z[np.abs(np.linalg.norm(z, axis=1) - 1.0) < 1e-7]
+        want = [v for v in z if np.abs(units @ v - np.array(nodes)[:, None]).min(axis=0).max() < 1e-9]
+        assert len(want) == 2
+
+        res = dual_search(code, 2, nodes=nodes)
+        assert res.count == len(want)
+        dist = np.linalg.norm(np.array(want)[:, None, :] - res.points_float[None, :, :], axis=2)
+        assert dist.min(axis=1).max() < 1e-9
+
 
 class TestFrontierCap:
     NODES_7 = [-Surd.sqrt_of(Fraction(1, 7)), Surd(0), Surd.sqrt_of(Fraction(1, 7))]
