@@ -15,11 +15,18 @@ from .codes import gcd_reduce
 
 
 class GreedyRank:
-    """Incremental exact rank tracker for integer vectors."""
+    """Incremental exact rank tracker for integer vectors.
+
+    Rows are reduced fraction-free: eliminating the pivot column c of a
+    stored row b from a row r takes b[c]*r - r[c]*b, then divides out the
+    gcd.  Every row stays a nonzero rational multiple of its Fraction
+    reduction, so the zero pattern, and with it every accept/reject, is
+    the same.
+    """
 
     def __init__(self, ncols: int) -> None:
         self.ncols = ncols
-        self._rows: list[list[Fraction]] = []  # row-echelon basis
+        self._rows: list[tuple[int, ...]] = []  # row-echelon basis
         self._pivots: list[int] = []
 
     @property
@@ -28,11 +35,12 @@ class GreedyRank:
 
     def try_add(self, vec: tuple[int, ...]) -> bool:
         """Add vec if it enlarges the span; return whether it did."""
-        row = [Fraction(x) for x in vec]
+        row = tuple(int(x) for x in vec)
         for prow, pcol in zip(self._rows, self._pivots):
-            if row[pcol]:
-                f = row[pcol] / prow[pcol]
-                row = [a - f * b for a, b in zip(row, prow)]
+            f = row[pcol]
+            if f:
+                p = prow[pcol]
+                row = gcd_reduce(tuple(p * a - f * b for a, b in zip(row, prow)))
         pcol = next((i for i, x in enumerate(row) if x), None)
         if pcol is None:
             return False

@@ -8,11 +8,12 @@ values can live in sets and dict keys.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Union
+from typing import Callable, Union
 
 Scalar = Union[int, Fraction, "Surd"]
 
@@ -155,16 +156,16 @@ class Surd:
 
     # --- total order ---
 
-    def _cmp(self, other: Scalar) -> int:
+    def _order(self, other: object, op: Callable[[int, int], bool]) -> bool:
+        # NotImplemented for floats and other types, so Python raises its
+        # own TypeError naming both types
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented  # type: ignore[return-value]
-        return surd_cmp(self, o)
+            return NotImplemented
+        return op(surd_cmp(self, o), 0)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Surd)):
-            return self._cmp(other) == 0
-        return NotImplemented
+        return self._order(other, operator.eq)
 
     def __hash__(self) -> int:
         # rationals hash like their Fraction value so 'Surd(2) in {2}' holds
@@ -173,16 +174,16 @@ class Surd:
         return hash((self.coeff, self.radicand))
 
     def __lt__(self, other: Scalar) -> bool:
-        return self._cmp(other) < 0
+        return self._order(other, operator.lt)
 
     def __le__(self, other: Scalar) -> bool:
-        return self._cmp(other) <= 0
+        return self._order(other, operator.le)
 
     def __gt__(self, other: Scalar) -> bool:
-        return self._cmp(other) > 0
+        return self._order(other, operator.gt)
 
     def __ge__(self, other: Scalar) -> bool:
-        return self._cmp(other) >= 0
+        return self._order(other, operator.ge)
 
     # --- rendering ---
 

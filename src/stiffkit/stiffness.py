@@ -698,59 +698,35 @@ def brute_force_dual(code: Code, m: int, samples: int = 100_000) -> np.ndarray:
     return np.array(sorted(found, key=lambda q: tuple(q))) if found else np.zeros((0, d1))
 
 
-def circle_dual_scan(code: Code, m: int, resolution: int = 1_000_000) -> np.ndarray:
+def circle_dual_scan(code: Code, m: int) -> np.ndarray:
     """All directions on the circle with <= m distinct code dots.
 
-    Scans the angle grid of the given resolution, refines each low-cost
-    run by golden-section search, and keeps angles whose dot multiset
-    collapses to m clusters of width at most CIRCLE_WIDTH_TOL.
+    Take the n > m distinct points at angles a_i.  A direction t with at
+    most m distinct dots has, by pigeonhole, two points i != j with
+    cos(t - a_i) = cos(t - a_j), which forces 2t = a_i + a_j (mod 2 pi).  So
+    the n(n-1) pair midpoints (a_i + a_j)/2 and (a_i + a_j)/2 + pi are the
+    only candidates.  Float points rarely tie exactly, so each candidate is
+    tested where it lies: its dots must split into m clusters of width at
+    most CIRCLE_WIDTH_TOL.  Returns unit rows in increasing angle from 0,
+    candidates within 1e-9 rad of each other (across 2 pi too) taken once.
+    With m >= n every direction qualifies, which is a ValueError.
     """
     if code.ambient_dim != 2:
         raise ValueError("angular scan applies to codes on S^1 only")
     units = code.unit_array()
-    alphas = np.arctan2(units[:, 1], units[:, 0])
     n = len(units)
-
-    def cost(th: float) -> float:
-        return float(_cluster_cost(np.cos(th - alphas), m)[0])
-
-    step = 2 * np.pi / resolution
-    thetas = np.arange(resolution) * step
-    costs = np.empty(resolution)
-    chunk = 1 << 16
-    for lo in range(0, resolution, chunk):
-        hi = min(resolution, lo + chunk)
-        costs[lo:hi] = _cluster_cost(np.cos(thetas[lo:hi, None] - alphas[None, :]), m)
-    keep_thresh = 4.0 * n * step
-    low = costs < keep_thresh
-    if not low.any():
-        return np.zeros((0, 2))
-
-    # group contiguous low-cost runs, remembering the wrap at 2*pi
-    idx = np.nonzero(low)[0]
-    breaks = np.nonzero(np.diff(idx) > 1)[0]
-    runs = np.split(idx, breaks + 1)
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == resolution - 1:
-        runs[0] = np.concatenate([runs[-1] - resolution, runs[0]])
-        runs.pop()
-
-    gold = (5**0.5 - 1) / 2
-    hits: list[float] = []
-    for run in runs:
-        a = (run[0] - 1) * step
-        b = (run[-1] + 1) * step
-        while b - a > 1e-14:
-            c, d = b - gold * (b - a), a + gold * (b - a)
-            if cost(c) < cost(d):
-                b = d
-            else:
-                a = c
-        th = 0.5 * (a + b)
-        if _max_cluster_width(np.cos(th - alphas), m) <= CIRCLE_WIDTH_TOL:
-            hits.append(th % (2 * np.pi))
-    hits.sort()
-    out = [th for i, th in enumerate(hits)
-           if not i or (th - hits[i - 1]) > 1e-9]
+    if not 1 <= m < n:
+        raise ValueError(f"m must be in 1..{n - 1} for {n} points on the circle, "
+                         f"got {m}; with m >= n every direction qualifies")
+    check_size(n * (n - 1), f"circle scan of {n} points")
+    alphas = np.arctan2(units[:, 1], units[:, 0])
+    i, j = np.triu_indices(n, 1)
+    mids = 0.5 * (alphas[i] + alphas[j])
+    thetas = np.sort(np.concatenate([mids, mids + np.pi]) % (2 * np.pi))
+    hits = [th for th in thetas
+            if _max_cluster_width(np.cos(th - alphas), m) <= CIRCLE_WIDTH_TOL]
+    out = [th for k, th in enumerate(hits)
+           if not k or (th - hits[k - 1]) > 1e-9]
     if len(out) > 1 and (out[0] + 2 * np.pi - out[-1]) <= 1e-9:
         out.pop()
-    return np.array([[np.cos(th), np.sin(th)] for th in out])
+    return np.array([[np.cos(th), np.sin(th)] for th in out]).reshape(-1, 2)

@@ -264,7 +264,7 @@ def criterion_10() -> CriterionResult:
         even = ngon(2 * m)
         if index_set(even, 2 * m - 1).strength < 2 * m - 1:
             problems.append(f"ngon({2 * m}) design check failed")
-        hits = circle_dual_scan(even, m, resolution=1_000_000)
+        hits = circle_dual_scan(even, m)
         mid = np.array([[np.cos((2 * k + 1) * np.pi / (2 * m)),
                          np.sin((2 * k + 1) * np.pi / (2 * m))]
                         for k in range(2 * m)])
@@ -272,7 +272,7 @@ def criterion_10() -> CriterionResult:
                 np.linalg.norm(mid - h, axis=1).min() > 1e-8 for h in hits):
             problems.append(f"ngon({2 * m}) midpoint directions mismatch")
         odd = ngon(2 * m + 1)
-        if len(circle_dual_scan(odd, m, resolution=1_000_000)):
+        if len(circle_dual_scan(odd, m)):
             problems.append(f"ngon({2 * m + 1}) unexpectedly m-stiff")
     return _result(
         10, "circle scan duals of n-gons", t0, not problems,

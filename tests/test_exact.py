@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from math import sqrt
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiffkit.exact import (
     MixedRadicandError,
@@ -87,6 +91,43 @@ def test_total_order_operators():
     assert Surd(1, 2) > 1
     assert Surd(1, 2) < Fraction(3, 2)
     assert Surd(Fraction(2, 3)) == Fraction(2, 3)
+
+
+ORDER_OPS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+_fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+_surds = st.builds(Surd, st.one_of(st.integers(-20, 20), _fractions),
+                   st.integers(0, 200))
+_scalars = st.one_of(st.integers(-20, 20), _fractions, _surds)
+
+
+def _mp_value(x) -> mpmath.mpf:
+    s = x if isinstance(x, Surd) else Surd(x)
+    return (mpmath.mpf(s.coeff.numerator) / s.coeff.denominator
+            * mpmath.sqrt(s.radicand))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_surds, _scalars)
+def test_order_agrees_with_mpmath(a, b):
+    with mpmath.workdps(50):
+        va, vb = _mp_value(a), _mp_value(b)
+        for op in ORDER_OPS:
+            assert op(a, b) == op(va, vb)
+            assert op(b, a) == op(vb, va)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_surds, st.floats(allow_nan=False))
+def test_order_against_float_is_type_error(a, x):
+    for op in ORDER_OPS:
+        for left, right in ((a, x), (x, a)):
+            with pytest.raises(TypeError) as info:
+                op(left, right)
+            assert "NotImplementedType" not in str(info.value)
+            assert "Surd" in str(info.value) and "float" in str(info.value)
+    with pytest.raises(TypeError):
+        sorted([a, x])
 
 
 def test_arithmetic():

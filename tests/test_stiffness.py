@@ -25,10 +25,13 @@ from stiffkit.codes import (
 from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
 from stiffkit.exact import Surd
 from stiffkit.stiffness import (
+    CIRCLE_WIDTH_TOL,
     NodesRequired,
     NotInGeneralPosition,
     brute_force_dual,
     certify_stiff,
+    _cluster_cost,
+    _max_cluster_width,
     circle_dual_scan,
     classify_sharp,
     dual_search,
@@ -473,15 +476,136 @@ class TestSamplingOracles:
         assert len(brute_force_dual(cross_polytope(3), 1, samples=20_000)) == 0
 
     def test_circle_scan_square(self):
-        hits = circle_dual_scan(ngon(4), 2, resolution=200_000)
+        hits = circle_dual_scan(ngon(4), 2)
         assert len(hits) == 4
         angles = sorted(np.arctan2(hits[:, 1], hits[:, 0]) % (2 * np.pi))
         expected = [np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4]
         assert np.allclose(angles, expected, atol=1e-9)
 
     def test_circle_scan_pentagon_empty(self):
-        assert len(circle_dual_scan(ngon(5), 2, resolution=200_000)) == 0
+        assert len(circle_dual_scan(ngon(5), 2)) == 0
 
     def test_circle_scan_rejects_higher_dim(self):
         with pytest.raises(ValueError):
             circle_dual_scan(cube(3), 2)
+
+
+def _grid_scan_reference(code, m: int, resolution: int = 200_000) -> np.ndarray:
+    """The circle scan as it was written before the pair-midpoint one: the
+    cluster cost on an angle grid, then a golden-section search on each
+    low-cost run and the same width test and deduplication."""
+    units = code.unit_array()
+    alphas = np.arctan2(units[:, 1], units[:, 0])
+    n = len(units)
+
+    def cost(th: float) -> float:
+        return float(_cluster_cost(np.cos(th - alphas), m)[0])
+
+    step = 2 * np.pi / resolution
+    thetas = np.arange(resolution) * step
+    costs = np.empty(resolution)
+    chunk = 1 << 16
+    for lo in range(0, resolution, chunk):
+        hi = min(resolution, lo + chunk)
+        costs[lo:hi] = _cluster_cost(np.cos(thetas[lo:hi, None] - alphas[None, :]), m)
+    low = costs < 4.0 * n * step
+    if not low.any():
+        return np.zeros((0, 2))
+    idx = np.nonzero(low)[0]
+    runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == resolution - 1:
+        runs[0] = np.concatenate([runs[-1] - resolution, runs[0]])
+        runs.pop()
+    gold = (5**0.5 - 1) / 2
+    hits: list[float] = []
+    for run in runs:
+        a, b = (run[0] - 1) * step, (run[-1] + 1) * step
+        while b - a > 1e-14:
+            c, d = b - gold * (b - a), a + gold * (b - a)
+            if cost(c) < cost(d):
+                b = d
+            else:
+                a = c
+        th = 0.5 * (a + b)
+        if _max_cluster_width(np.cos(th - alphas), m) <= CIRCLE_WIDTH_TOL:
+            hits.append(th % (2 * np.pi))
+    hits.sort()
+    out = [th for i, th in enumerate(hits) if not i or (th - hits[i - 1]) > 1e-9]
+    if len(out) > 1 and (out[0] + 2 * np.pi - out[-1]) <= 1e-9:
+        out.pop()
+    return np.array([[np.cos(th), np.sin(th)] for th in out]).reshape(-1, 2)
+
+
+def _circle_code(angles) -> FloatCode:
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return FloatCode("circle", 2, pts, tolerance=1e-12)
+
+
+def _circular_gap(a: float, b: float) -> float:
+    g = abs(a - b) % (2 * np.pi)
+    return min(g, 2 * np.pi - g)
+
+
+@st.composite
+def _reflected_codes(draw):
+    """Angles axis +- b_k for k = 2..4 base angles in (0, pi): the axis and
+    its antipode tie every pair, so they qualify at m = k and m = k + 1.
+    The b_k are kept apart (and b_i + b_j away from pi) so that distinct
+    hits of the grid reference never share one low-cost run.  At m = k a
+    jitter of 1e-6 on one point leaves only near-ties, which the width
+    test must reject."""
+    axis = draw(st.floats(0, 2 * np.pi))
+    k = draw(st.integers(2, 4))
+    bases = draw(st.lists(st.floats(0.1, np.pi - 0.1), min_size=k, max_size=k))
+    for i, bi in enumerate(bases):
+        for bj in bases[:i]:
+            assume(abs(bi - bj) > 0.05 and abs(bi + bj - np.pi) > 0.05)
+    m = draw(st.sampled_from((k, k + 1)))
+    angles = np.array([axis + s * b for b in bases for s in (1.0, -1.0)])
+    if m == k:
+        angles[0] += draw(st.sampled_from((0.0, 1e-6)))
+    return _circle_code(angles), m
+
+
+@st.composite
+def _random_angle_codes(draw):
+    """n random angles and m <= n - 2: a pair midpoint ties one pair only,
+    so no direction qualifies."""
+    angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=3, max_size=8))
+    for i, a in enumerate(angles):
+        for b in angles[:i]:
+            assume(_circular_gap(a, b) > 1e-3)
+    m = draw(st.integers(1, len(angles) - 2))
+    return _circle_code(np.array(angles)), m
+
+
+@st.composite
+def _ngon_codes(draw):
+    n = draw(st.integers(4, 9))
+    return ngon(n), draw(st.integers(1, n - 1))
+
+
+class TestCircleScan:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(_reflected_codes(), _random_angle_codes(), _ngon_codes()))
+    def test_matches_grid_reference(self, case):
+        code, m = case
+        hits = circle_dual_scan(code, m)
+        ref = _grid_scan_reference(code, m)
+        assert hits.shape == ref.shape
+        for h in hits:
+            assert np.linalg.norm(ref - h, axis=1).min() <= 1e-8
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_even_ngon_midpoints_exact(self, m):
+        hits = circle_dual_scan(ngon(2 * m), m)
+        mid = np.array([[np.cos((2 * k + 1) * np.pi / (2 * m)),
+                         np.sin((2 * k + 1) * np.pi / (2 * m))] for k in range(2 * m)])
+        assert hits.shape == (2 * m, 2)
+        assert np.abs(hits - mid).max() <= 1e-12
+        assert circle_dual_scan(ngon(2 * m + 1), m).shape == (0, 2)
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 4), (5, 0)])
+    def test_every_or_no_direction_is_an_error(self, n, m):
+        with pytest.raises(ValueError):
+            circle_dual_scan(ngon(n), m)
