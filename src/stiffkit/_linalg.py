@@ -1,8 +1,10 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Small dense systems only: the matrices here are at most
-(ambient dimension) x (ambient dimension), so fraction-free elimination is
-plenty fast and keeps every intermediate value exact.
+Small dense systems only: the matrices here have at most twice the
+ambient dimension in columns.  One fraction-free Gauss-Jordan elimination
+(Bareiss, Math. Comp. 22, 1968) gives adjugates, determinants and integer
+nullspaces, and GreedyRank reduces rows the same way one at a time, so
+every intermediate value stays an integer.
 """
 
 from __future__ import annotations
@@ -49,49 +51,52 @@ class GreedyRank:
         return True
 
 
-def adjugate_and_det(mat: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Adjugate matrix and determinant of a square integer matrix.
+def _gauss_jordan(rows: Sequence[Sequence[int]],
+                  ) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows.
 
-    adj(A) @ A = det(A) * I, all entries integers.  Computed by cofactor
-    expansion through fraction-free Gaussian elimination on bordered
-    systems; n is small so O(n^4) cofactors are fine.
+    Returns (reduced, pivots, D, sign): the nonzero reduced rows, their
+    pivot columns, the last pivot D and the sign of the row swaps.  Each
+    step takes row_i <- (p * row_i - row_i[c] * row_p) / prev for every
+    other row i, where p is the new pivot and prev the one before it; the
+    division is exact because every entry is a minor of the input.  Every
+    reduced row then has D in its own pivot column and 0 in the others,
+    so it is D times the reduced row-echelon row.
+    """
+    a = [[int(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        prow, p = a[r], a[r][col]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(col)
+        prev = p
+    return a[:len(pivots)], pivots, prev, sign
+
+
+def adjugate_and_det(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate matrix and determinant of a nonsingular square integer matrix.
+
+    adj(A) @ A = det(A) * I, all entries integers.  One elimination of
+    [A | I] leaves [D * I | D * inv(A)]; det(A) = sign * D, so the right
+    block times sign is adj(A).  A singular A raises ValueError.
     """
     n = len(mat)
-    det = _int_det(mat)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            sign = -1 if (i + j) % 2 else 1
-            adj[i][j] = sign * _int_det(minor)
-    return adj, det
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss elimination (exact)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    reduced, pivots, last, sign = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[sign * x for x in row[n:]] for row in reduced], sign * last
 
 
 def integer_direction(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -102,32 +107,21 @@ def integer_direction(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def integer_nullspace(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Integer basis of the rational nullspace of the given integer rows."""
+    """Integer basis of the rational nullspace of the given integer rows.
+
+    Read off one fraction-free elimination: free column f gives x_f = D and
+    x_p = -row_p[f] on each pivot column p, reduced to a primitive vector
+    with a positive leading entry.
+    """
     ncols = len(rows[0])
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = [x / work[rank][col] for x in work[rank]]
-        work[rank] = prow
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], prow)]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced, pivots, last, _ = _gauss_jordan(rows)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for prow, pc in zip(work[:rank], pivots):
-            vec[pc] = -prow[fc]
-        out = integer_direction(vec)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = last
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
+        out = gcd_reduce(tuple(vec))
         if next(x for x in out if x) < 0:  # leading entry positive
             out = tuple(-x for x in out)
         basis.append(out)

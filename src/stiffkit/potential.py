@@ -174,6 +174,8 @@ class MinimizationReport:
     iterations: int      # descent loop passes
     n_newton_steps: int  # accepted Newton steps, over all starts
     dual_value: Optional[float] = None
+    # (max-min)/|mean| of the potential over dual points, max-min if mean = 0
+    dual_spread_rel: Optional[float] = None
     # best finite descended non-dual value minus the dual value; None when
     # no such value exists
     gap: Optional[float] = None
@@ -196,7 +198,8 @@ class MinimizationReport:
             "n_newton_steps": self.n_newton_steps,
         }
         if self.dual_value is not None:
-            out.update(dual_value=self.dual_value, gap=self.gap,
+            out.update(dual_value=self.dual_value,
+                       dual_spread_rel=self.dual_spread_rel, gap=self.gap,
                        dual_match=self.dual_match)
         return out
 
@@ -397,10 +400,14 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     n_failed = int(np.sum(~conv))
 
     dual_value: Optional[float] = None
+    spread: Optional[float] = None
     gap: Optional[float] = None
     dual_match: Optional[bool] = None
     if n_dual:
-        dual_value = min(_probe_values(dual_units, units, kernel))
+        dvals = _probe_values(dual_units, units, kernel)
+        dual_value = min(dvals)
+        # relative to the magnitude, absolute when the mean is 0
+        spread = (max(dvals) - dual_value) / (abs(fsum(dvals) / n_dual) or 1.0)
         # every evaluated value is evidence, converged or not
         nd = np.isfinite(vals) & ~is_dual_start
         if nd.any():
@@ -417,7 +424,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     return MinimizationReport(code.name, kernel.name, restarts, seed,
                               global_min, cluster, n_conv, n_failed,
                               n_singular, GRAD_TOL, CLUSTER_TOL, iterations,
-                              n_newton, dual_value, gap, dual_match)
+                              n_newton, dual_value, spread, gap, dual_match)
 
 
 @dataclass(frozen=True)
@@ -479,23 +486,19 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
     for k, kernel in enumerate(kernels):
         rep = minimize_potential(code, kernel, restarts=restarts,
                                  seed=seed + k, dual=dual_units)
-        dvals = _probe_values(dual_units, code.unit_array(), kernel)
-        mean = fsum(dvals) / len(dvals)
-        # relative to the magnitude, absolute when it is 0
-        spread = (max(dvals) - min(dvals)) / (abs(mean) or 1.0)
         if len(rep.argmin_cluster):
             dists = [float(np.linalg.norm(dual_units - p, axis=1).min())
                      for p in rep.argmin_cluster]
             worst = max(dists)
         else:
             worst = float("inf")
-        const_ok = spread <= 1e-9
+        const_ok = rep.dual_spread_rel <= 1e-9
         no_beat = rep.gap is not None and rep.gap >= -1e-8
         argmin_ok = (not kernel.strictly_convex_family) or worst <= argmin_tol
         equality = (abs(rep.global_min_value - rep.dual_value)
                     / (abs(rep.dual_value) or 1.0))
         out.append(UniversalMinimumReport(
-            code.name, kernel.name, rep.dual_value, spread,
+            code.name, kernel.name, rep.dual_value, rep.dual_spread_rel,
             rep.global_min_value, rep.gap, equality, worst,
             rep.n_converged, rep.n_failed, rep.n_singular_starts,
             restarts, seed + k,

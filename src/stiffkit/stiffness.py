@@ -7,10 +7,11 @@ level walk over d+1 linearly independent code points: level k assigns one
 of the m candidate values to the k-th point and drops every assignment
 whose first k dots no unit point can have, because the shortest point
 with those dots is longer than 1 (the Fincke-Pohst idea).  The last level
-keeps the unit solutions, and a survivor is kept when its full spectrum
-stays within the candidate set.  Exact integer arithmetic (adjugates of
-the leading Gram blocks over a common quadratic extension) makes the kept
-solutions certificates rather than approximations.
+keeps the unit solutions, and a survivor is kept when every dot it forms
+with the code is a candidate value.  Exact integer arithmetic (adjugates
+of the leading Gram blocks over a common quadratic extension, and one
+integer dot table for the survivors) makes the kept solutions
+certificates rather than approximations.
 """
 
 from __future__ import annotations
@@ -302,7 +303,8 @@ def _dual_search_exact(code, m, idx, node_values, rhs, dual_complete,
     """Exact walk.  A dual point x has a . x = n * sqrt(g) / Q on each chosen
     row a, and given its first k dots its squared norm is at least
     g * n^T adj(G_k) n / (Q^2 det G_k), G_k the Gram matrix of those rows.
-    The unit solutions point along n^T adj(G) A."""
+    The unit solutions point along n^T adj(G) A.  The walk values hold each
+    node once and A has full rank, so no two survivors are the same point."""
     n_ints, q_lcm, g = rhs
     rows = [code.points[i] for i in idx]
     gram = raw_dots(rows, rows).tolist()
@@ -320,16 +322,19 @@ def _dual_search_exact(code, m, idx, node_values, rhs, dual_complete,
         q = ((f @ forms[k - 1]) * f).sum(axis=1)
         return q == bounds[-1] if k == len(bounds) else q <= bounds[k - 1]
 
-    survivors = _walk(np.array(n_ints, dtype=dtype), len(idx), keep,
-                      f"dual search for {code.name}")
-    w = survivors.astype(object) @ np.array(blocks[-1][0], dtype=object) \
+    survivors = _walk(np.array(list(dict.fromkeys(n_ints)), dtype=dtype), len(idx),
+                      keep, f"dual search for {code.name}")
+    adj, det = blocks[-1]
+    w = survivors.astype(object) @ np.array(adj, dtype=object) \
         @ np.array(rows, dtype=object)
 
-    # dedup by signed direction and certify each survivor's full spectrum
-    dirs = dict.fromkeys(gcd_reduce(tuple(int(x) for x in v)) for v in w)
-    cands = [LatticePoint(v, sum(x * x for x in v)) for v in dirs]
-    kept = [p for p, ok in zip(cands, _within_nodes(code, cands, m, node_values)) if ok]
-    pts = tuple(sorted(kept, key=lambda p: p.vector))
+    # survivor w is the unit point w * sqrt(g) / (Q det G), so its dot with
+    # code point c is node k exactly when the integer w . c is n_k det G
+    dirs = [tuple(int(x) for x in v) for v in w]
+    ok = np.isin(raw_dots(dirs, code.points), [n * det for n in n_ints]).all(axis=1) \
+        if dirs else ()
+    kept = sorted(gcd_reduce(v) for v, good in zip(dirs, ok) if good)
+    pts = tuple(LatticePoint(v, sum(x * x for x in v)) for v in kept)
     return DualSearchResult(code.name, m, "exact", pts, None, dual_complete,
                             nodes_supplied, tuple(node_values))
 
@@ -350,7 +355,7 @@ def _dual_search_float(code, m, idx, node_values, dual_complete,
         y = np.linalg.solve(r[:k, :k].T, f.T)
         return (y * y).sum(axis=0) <= 1.0 + WALK_SLACK
 
-    node_floats = [float(v) for v in node_values]
+    node_floats = list(dict.fromkeys(float(v) for v in node_values))
     nmat = _walk(np.asarray(node_floats), d1, keep, f"dual search for {code.name}")
     z = nmat @ np.linalg.inv(a).T  # row i solves a @ z = nmat[i]
     cand = z[np.abs(np.linalg.norm(z, axis=1) - 1.0) < 1e-7]
@@ -366,23 +371,10 @@ def _dual_search_float(code, m, idx, node_values, dual_complete,
         if res < FLOAT_RESIDUAL:
             found.append(v)
             max_res = max(max_res, float(res))
-    # dedup on a 1e-9 mesh
-    uniq: dict[tuple, np.ndarray] = {}
-    for v in found:
-        key = tuple(np.round(v / 1e-9).astype(np.int64).tolist())
-        uniq.setdefault(key, v)
-    pts = np.array(sorted(uniq.values(), key=lambda q: tuple(q))) if uniq else np.zeros((0, d1))
+    pts = np.array(sorted(found, key=lambda q: tuple(q))) if found else np.zeros((0, d1))
 
     return DualSearchResult(code.name, m, "float", (), pts, dual_complete,
                             nodes_supplied, tuple(node_values), max_residual=max_res)
-
-
-def _within_nodes(code: LatticeCode, points: Sequence[LatticePoint], m: int,
-                  node_values) -> list[bool]:
-    """Per point: at most m distinct exact dots against the code, each a node."""
-    node_set = {v if isinstance(v, Surd) else Surd(v) for v in node_values}
-    return [len(entries) <= m and all(v in node_set for v, _ in entries)
-            for entries in exact_spectra(points, code)]
 
 
 @dataclass(frozen=True)
@@ -465,16 +457,13 @@ def certify_stiff(code: Code, m: int,
 def _frequencies_match(code: Code, m: int, dual: DualSearchResult,
                        freq_table) -> bool:
     """Prop-2.3 check: counts equal a_0(Lagrange basis) * N for every point."""
-    ns = gegenbauer_nodes(code.sphere_dim, m)
-    n = code.size
     if dual.nodes_supplied and len(dual.node_values) == m:
-        # weights only certified for the canonical Gegenbauer nodes
-        expected = None
-    else:
-        expected = list(zip(ns.nodes, ns.weights))
-    if expected is None:
+        # weights are certified only for the canonical Gegenbauer nodes, so
         # all rows must at least agree with each other
         return len(set(freq_table)) <= 1
+    ns = gegenbauer_nodes(code.sphere_dim, m)
+    n = code.size
+    expected = list(zip(ns.nodes, ns.weights))
     if ns.exact and dual.exact:
         want = {(v if isinstance(v, Surd) else Surd(v)): Fraction(w) * n
                 for v, w in expected}

@@ -1,13 +1,16 @@
-"""Exact linear algebra helpers: the incremental rank tracker."""
+"""Exact linear algebra helpers: the incremental rank tracker, adjugates
+and integer nullspaces."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiffkit._linalg import GreedyRank
+from stiffkit._linalg import (GreedyRank, adjugate_and_det, integer_direction,
+                              integer_nullspace)
 from stiffkit.codes import demicube, polytope_2_41
 from stiffkit.stiffness import _independent_rows
 
@@ -31,6 +34,80 @@ class _FractionRank:
         self.rows.append(row)
         self.pivots.append(pcol)
         return True
+
+
+def _bareiss_det(mat) -> int:
+    """Determinant by fraction-free elimination, as it was written."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [row[:] for row in mat]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _cofactor_adjugate_and_det(mat):
+    """The adjugate as it was written: one cofactor determinant per entry."""
+    n = len(mat)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[mat[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            adj[i][j] = (-1) ** (i + j) * _bareiss_det(minor)
+    return adj, _bareiss_det(mat)
+
+
+def _fraction_nullspace(rows):
+    """The nullspace as it was written: Gauss-Jordan over Fraction rows."""
+    ncols = len(rows[0])
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = [x / work[rank][col] for x in work[rank]]
+        work[rank] = prow
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], prow)]
+        pivots.append(col)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for prow, pc in zip(work, pivots):
+            vec[pc] = -prow[fc]
+        out = integer_direction(vec)
+        if next(x for x in out if x) < 0:
+            out = tuple(-x for x in out)
+        basis.append(out)
+    return basis
+
+
+@st.composite
+def _square_matrices(draw):
+    """Square integer matrices, entries small (singular ones are common) or
+    up to 2^70."""
+    n = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from((2, 2**70)))
+    entry = st.integers(-bound, bound)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
 
 
 @st.composite
@@ -79,3 +156,37 @@ def test_independent_rows_of_named_codes():
                 if len(expected) == code.ambient_dim:
                     break
         assert chosen == expected and len(chosen) == code.ambient_dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices())
+def test_adjugate_matches_cofactors(mat):
+    adj, det = _cofactor_adjugate_and_det(mat)
+    if det == 0:
+        with pytest.raises(ValueError):
+            adjugate_and_det(mat)
+        return
+    assert adjugate_and_det(mat) == (adj, det)
+    n = len(mat)
+    product = [[sum(adj[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rows_with_planted_dependencies())
+def test_singular_matrix_raises(case):
+    ncols, rows = case
+    square = [list(r) for r in (rows * ncols)[:ncols - 1]]
+    square.append([sum(r[k] for r in square) for k in range(ncols)])  # dependent
+    with pytest.raises(ValueError):
+        adjugate_and_det(square)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_with_planted_dependencies())
+def test_integer_nullspace_matches_fraction_reduction(case):
+    _, rows = case
+    basis = integer_nullspace(rows)
+    assert basis == _fraction_nullspace(rows)
+    assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in basis)

@@ -307,6 +307,33 @@ class TestUniversalMinimum:
             assert rep.gap >= -1e-8
             assert rep.equality_rel <= 1e-9
 
+    def test_dual_potentials_taken_once_per_kernel(self, monkeypatch):
+        import stiffkit.potential as potential
+
+        calls = []
+        real = potential._probe_values
+
+        def counted(probes, units, kernel):
+            calls.append(kernel.name)
+            return real(probes, units, kernel)
+
+        monkeypatch.setattr(potential, "_probe_values", counted)
+        dual = dual_search(cross_polytope(4), 2).unit_points()
+        reps = verify_universal_minimum(
+            cross_polytope(4), 2, dual,
+            [Kernel.parse("riesz:1"), Kernel.parse("gauss:1")],
+            restarts=20, seed=0)
+        assert calls == ["riesz:1", "gauss:1"]
+        assert all(rep.passed for rep in reps)
+
+    def test_minimization_report_carries_the_dual_spread(self):
+        dual = dual_search(cross_polytope(4), 2).unit_points()
+        rep = minimize_potential(cross_polytope(4), Kernel.parse("gauss:1"),
+                                 restarts=20, seed=0, dual=dual)
+        out = rep.to_json_dict()
+        assert out["dual_spread_rel"] == rep.dual_spread_rel <= 1e-9
+        assert list(out).index("dual_spread_rel") == list(out).index("dual_value") + 1
+
     def test_zero_dual_value(self):
         # q(t) = t sums to 0 over an antipodal code, so every value is 0
         dual = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]) / 3 ** 0.5

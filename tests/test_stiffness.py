@@ -99,6 +99,19 @@ class TestDualSearchExact:
         with pytest.raises(ValueError):
             dual_search(cube(3), 2, nodes=[Fraction(0), Fraction(1, 2), Fraction(-1, 2)])
 
+    def test_repeated_nodes_walk_once(self):
+        # demicube(5) meets its signed basis at -+1/sqrt(5); a node given
+        # twice yields the same points, in exact and in float arithmetic
+        s = Surd.sqrt_of(Fraction(1, 5))
+        once = dual_search(demicube(5), 3, nodes=(-s, s))
+        twice = dual_search(demicube(5), 3, nodes=(-s, s, s))
+        assert twice.exact and twice.points == once.points and once.count == 10
+        f = float(s)
+        once = dual_search(demicube(5), 3, nodes=(-f, f))
+        twice = dual_search(demicube(5), 3, nodes=(-f, f, f))
+        assert twice.mode == "float" and once.count == 10
+        assert np.array_equal(twice.points_float, once.points_float)
+
     def test_mixed_extensions_search_in_float(self):
         # sqrt(2) and sqrt(3) cannot share one quadratic extension
         mixed = [Surd.sqrt_of(Fraction(1, 2)), -Surd.sqrt_of(Fraction(1, 3))]
