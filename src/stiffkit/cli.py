@@ -29,11 +29,12 @@ from .codes import (
     polytope_2_41,
     save_code,
 )
-from .config import SizeCapExceeded
+from .config import BadSizeCap, SizeCapExceeded, size_cap
 from .design import FLOAT_DESIGN_TOL, index_set, spectrum
 from .exact import Surd, parse_scalar
-from .potential import Kernel, SingularEvaluation, verify_universal_minimum
-from .stiffness import NodesRequired, NotInGeneralPosition, certify_stiff
+from .potential import (DUAL_SPREAD_REL, GAP_FLOOR, Kernel, SingularEvaluation,
+                        verify_universal_minimum)
+from .stiffness import FLOAT_RESIDUAL, NodesRequired, NotInGeneralPosition, certify_stiff
 from .suite import run_suite
 from .transforms import facet_derive, glue, rotated_cubes, symmetrize
 
@@ -92,9 +93,13 @@ def _parse_nodes(text: Optional[str]):
 
 
 def _parse_point(text: str, code):
-    """Comma-separated coordinates; all-integer input on an integer code
-    becomes an exact lattice point."""
+    """A nonzero point of the code's ambient space from comma-separated
+    coordinates; all-integer input on an integer code becomes an exact
+    lattice point."""
     parts = [t.strip() for t in text.split(",")]
+    if len(parts) != code.ambient_dim:
+        raise UsageError(f"point {text!r} has {len(parts)} coordinates, "
+                         f"the code lives in dimension {code.ambient_dim}")
     try:
         ints = [int(t) for t in parts]
     except ValueError:
@@ -105,9 +110,12 @@ def _parse_point(text: str, code):
             raise UsageError("point must be nonzero")
         return LatticePoint(tuple(ints), ns)
     try:
-        return np.array([float(t) for t in parts])
+        x = np.array([float(t) for t in parts])
     except ValueError:
         raise UsageError(f"cannot parse point {text!r}") from None
+    if not (np.isfinite(x).all() and x.any()):
+        raise UsageError(f"point {text!r} must be finite and nonzero")
+    return x
 
 
 def _parse_kernels(text: str) -> list[Kernel]:
@@ -122,6 +130,12 @@ def _load(path: str):
         return load_code(path)
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"bad code file {path}: {e}") from None
+
+
+def _same_dimension(a, b) -> None:
+    if a.ambient_dim != b.ambient_dim:
+        raise UsageError(f"{a.name} lives in dimension {a.ambient_dim}, "
+                         f"{b.name} in dimension {b.ambient_dim}")
 
 
 def _write_code(code, out: Optional[str], command: str,
@@ -207,14 +221,15 @@ def cmd_dual(args) -> int:
     if reason:
         report["reason"] = reason
     _emit("dual", report,
-          tolerances={"float_residual": 1e-9} if dual is not None
+          tolerances={"float_residual": FLOAT_RESIDUAL} if dual is not None
           and dual.mode == "float" else None)
     return 0 if dual is not None else 1
 
 
 def cmd_verify_min(args) -> int:
-    code = _load(args.file)
-    dual = _load(args.dual).unit_array()
+    code, dual_code = _load(args.file), _load(args.dual)
+    _same_dimension(code, dual_code)
+    dual = dual_code.unit_array()
     kernels = _parse_kernels(args.kernels)
     reps = verify_universal_minimum(code, args.m, dual, kernels,
                                     restarts=args.restarts, seed=args.seed,
@@ -226,7 +241,7 @@ def cmd_verify_min(args) -> int:
                   ("gap", "none" if r.gap is None else f"{r.gap:.3e}")])
         print(file=sys.stderr)
     _emit("verify-min", [r.to_json_dict() for r in reps], seed=args.seed,
-          tolerances={"dual_spread_rel": 1e-9, "gap_floor": -1e-8,
+          tolerances={"dual_spread_rel": DUAL_SPREAD_REL, "gap_floor": GAP_FLOOR,
                       "argmin_tol": args.argmin_tol})
     return 0 if all(r.passed for r in reps) else 1
 
@@ -278,6 +293,7 @@ def cmd_facet(args) -> int:
 
 def cmd_glue(args) -> int:
     c1, c2 = _load(args.file1), _load(args.file2)
+    _same_dimension(c1, c2)
     glued, cert = glue(c1, c2, args.m, seed=args.seed)
     _summary([("inputs", f"{c1.name} + {c2.name}"),
               ("output points", glued.size),
@@ -434,14 +450,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        size_cap()  # a malformed cap is an input error for every command
         return args.func(args)
-    except UsageError as e:
-        _err(str(e))
-        return 2
-    except SizeCapExceeded as e:
-        _err(str(e))
-        return 2
-    except (OSError, json.JSONDecodeError) as e:
+    except (UsageError, SizeCapExceeded, BadSizeCap, OSError, json.JSONDecodeError) as e:
         _err(str(e))
         return 2
     except (NodesRequired, NotInGeneralPosition, SingularEvaluation,

@@ -23,6 +23,9 @@ from .exact import Surd, square_free_split
 
 Vector = tuple[int, ...]
 
+# entries of one row block of differences in FloatCode's distinctness check
+DISTINCT_BLOCK = 2**20
+
 
 def gcd_reduce(vec: Vector) -> Vector:
     """Divide out the (positive) gcd, preserving direction and sign."""
@@ -193,10 +196,15 @@ class FloatCode:
             raise ValueError("float code points must be unit vectors (within 1e-9)")
         self.points = pts / norms[:, None]
         if len(pts) <= 4096:  # pairwise distinctness check, skipped for huge codes
-            diffs = np.linalg.norm(self.points[:, None, :] - self.points[None, :, :], axis=2)
-            np.fill_diagonal(diffs, np.inf)
-            if diffs.min() < 10 * self.tolerance:
-                raise ValueError(f"code {self.name!r} has points closer than the tolerance")
+            n = len(pts)
+            rows = max(1, DISTINCT_BLOCK // (n * self.ambient_dim))
+            for lo in range(0, n, rows):
+                block = self.points[lo:lo + rows]
+                diffs = np.linalg.norm(block[:, None, :] - self.points[None, :, :], axis=2)
+                diffs[np.arange(len(block)), np.arange(lo, lo + len(block))] = np.inf
+                if diffs.min() < 10 * self.tolerance:
+                    raise ValueError(
+                        f"code {self.name!r} has points closer than the tolerance")
 
     @property
     def size(self) -> int:

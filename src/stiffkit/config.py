@@ -13,14 +13,21 @@ class SizeCapExceeded(ValueError):
     """Raised when a construction or enumeration would exceed the cap."""
 
 
+class BadSizeCap(ValueError):
+    """Raised when the cap variable is set to anything but a positive integer."""
+
+
 def size_cap() -> int:
     """Current cap on generated point counts and enumeration sizes."""
     raw = os.environ.get(ENV_SIZE_CAP)
     if raw is None:
         return DEFAULT_SIZE_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap <= 0:
-        raise ValueError(f"{ENV_SIZE_CAP} must be positive, got {raw!r}")
+        raise BadSizeCap(f"{ENV_SIZE_CAP} must be a positive integer, got {raw!r}")
     return cap
 
 

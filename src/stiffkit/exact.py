@@ -261,4 +261,4 @@ def parse_scalar(text: str) -> Surd:
 
 def scalar_str(x: Scalar) -> str:
     """Render an exact scalar the way parse_scalar reads it."""
-    return str(x if isinstance(x, Surd) else Surd(x))
+    return str(Surd(x))

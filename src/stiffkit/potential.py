@@ -33,6 +33,10 @@ TRUST_RADIUS = 0.25
 ROUNDOFF_FACTOR = 64
 # rows per block of every rows x code dot table, which bounds their memory
 ROW_BLOCK = 256
+# verify_universal_minimum: the largest relative spread of the potential over
+# the dual, and the least gap a descended start may leave below the dual value
+DUAL_SPREAD_REL = 1e-9
+GAP_FLOOR = -1e-8
 
 
 class SingularEvaluation(ArithmeticError):
@@ -412,7 +416,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
         nd = np.isfinite(vals) & ~is_dual_start
         if nd.any():
             gap = float(vals[nd].min() - dual_value)
-            dual_match = gap >= -1e-8
+            dual_match = gap >= GAP_FLOOR
 
     good = conv & np.isfinite(vals)
     global_min = float(vals[good].min()) if good.any() else float("inf")
@@ -473,9 +477,10 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
                              argmin_tol: float = 1e-5) -> list[UniversalMinimumReport]:
     """Check that the dual attains the global potential minimum per kernel.
 
-    Per kernel: (a) the potential is constant over the dual within 1e-9
-    relative; (b) some non-dual start descended to a finite value and none
-    beats the dual value by more than 1e-8, converged or not; (c) for
+    Per kernel: (a) the potential is constant over the dual within
+    DUAL_SPREAD_REL relative; (b) some non-dual start descended to a finite
+    value and none beats the dual value by more than -GAP_FLOOR, converged
+    or not; (c) for
     strictly convex families every argmin lies within argmin_tol of a dual
     point.
     """
@@ -492,8 +497,8 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
             worst = max(dists)
         else:
             worst = float("inf")
-        const_ok = rep.dual_spread_rel <= 1e-9
-        no_beat = rep.gap is not None and rep.gap >= -1e-8
+        const_ok = rep.dual_spread_rel <= DUAL_SPREAD_REL
+        no_beat = rep.gap is not None and rep.gap >= GAP_FLOOR
         argmin_ok = (not kernel.strictly_convex_family) or worst <= argmin_tol
         equality = (abs(rep.global_min_value - rep.dual_value)
                     / (abs(rep.dual_value) or 1.0))
@@ -560,7 +565,7 @@ def skip_one_add_two_check(code: Code, m: int, t_list: Sequence[Scalar],
         raise ValueError("m must be >= 2")
     if len(t_list) != m:
         raise ValueError(f"need exactly {m} nodes, got {len(t_list)}")
-    ts = [v if isinstance(v, Surd) else Surd(v) for v in t_list]
+    ts = [Surd(v) for v in t_list]
     for a, b in zip(ts, ts[1:]):
         if not a < b:
             raise ValueError("t_list must be strictly increasing")

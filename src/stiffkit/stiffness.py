@@ -186,7 +186,7 @@ def _exact_rhs(node_values: Sequence[Scalar], norm_sq: int):
     quadratic extension.
     """
     root = Surd.sqrt_of(norm_sq)
-    terms = [(v if isinstance(v, Surd) else Surd(v)) * root for v in node_values]
+    terms = [Surd(v) * root for v in node_values]
     # all nonzero terms must live in one quadratic extension Q(sqrt(g))
     rads = {t.radicand for t in terms if t.coeff != 0}
     if len(rads) > 1:
@@ -439,19 +439,32 @@ def certify_stiff(code: Code, m: int,
     freq_match: Optional[bool] = None
     props: dict = {}
     if dual is not None and dual.count:
-        if dual.exact and isinstance(code, LatticeCode):
+        # every exact dual point has squared norm g * (integer)^2 with the
+        # one square-free g of the walk's extension Q(sqrt(g)), so as_code
+        # scales them to one norm and equal integer dots are equal unit dots
+        if dual.exact:
+            dual_code = dual.as_code()
             freq_table = exact_spectra(dual.points, code)
+            antipodal = dual_code.is_antipodal()
+            dots, gap = raw_dots(code.points, dual_code.points), 0
         else:
-            for v in dual.unit_points():
-                s = spectrum(v, code)
-                freq_table.append(tuple((round(float(val), 9), c)
-                                        for val, c in s.entries))
+            units = dual.unit_points()
+            freq_table = [tuple((round(float(val), 9), c)
+                                for val, c in spectrum(v, code).entries) for v in units]
+            antipodal = all(np.linalg.norm(units + p, axis=1).min() <= 1e-8 for p in units)
+            dots, gap = code.unit_array() @ units.T, 1e-8
         freq_match = _frequencies_match(code, m, dual, freq_table)
-        props["antipodal"] = _dual_antipodal(dual)
+        props["antipodal"] = antipodal
         props["cardinality_ok"] = dual.count <= m ** code.ambient_dim
-        props["double_dual_contains_code"] = _double_dual_contains(code, m, dual)
+        props["double_dual_contains_code"] = _at_most_m_distinct(dots, m, gap)
     return StiffnessCertificate(code.name, m, strength, stiff, dual,
                                 tuple(freq_table), freq_match, props)
+
+
+def _at_most_m_distinct(dots: np.ndarray, m: int, gap: float) -> bool:
+    """Every row of the table holds at most m values more than gap apart."""
+    rows = np.sort(dots, axis=1)
+    return bool(np.all((np.diff(rows, axis=1) > gap).sum(axis=1) < m))
 
 
 def _frequencies_match(code: Code, m: int, dual: DualSearchResult,
@@ -465,15 +478,8 @@ def _frequencies_match(code: Code, m: int, dual: DualSearchResult,
     n = code.size
     expected = list(zip(ns.nodes, ns.weights))
     if ns.exact and dual.exact:
-        want = {(v if isinstance(v, Surd) else Surd(v)): Fraction(w) * n
-                for v, w in expected}
-        for row in freq_table:
-            got = {v: c for v, c in row}
-            if set(got) != set(want):
-                return False
-            if any(Fraction(got[k]) != want[k] for k in want):
-                return False
-        return True
+        want = {Surd(v): Fraction(w) * n for v, w in expected}
+        return all(dict(row) == want for row in freq_table)
     want_f = sorted((float(v), float(w) * n) for v, w in expected)
     for row in freq_table:
         got_f = sorted((float(v), c) for v, c in row)
@@ -483,51 +489,6 @@ def _frequencies_match(code: Code, m: int, dual: DualSearchResult,
             if abs(gv - wv) > 1e-8 or abs(gc - wc) > 1e-6 * n:
                 return False
     return True
-
-
-def _dual_antipodal(dual: DualSearchResult) -> bool:
-    if dual.points:
-        dirs = {p.direction() for p in dual.points}
-        return all(tuple(-x for x in d) in dirs for d in dirs)
-    pts = dual.points_float
-    if pts is None or not len(pts):
-        return True
-    for p in pts:
-        if np.linalg.norm(pts + p[None, :], axis=1).min() > 1e-8:
-            return False
-    return True
-
-
-def _double_dual_contains(code: Code, m: int, dual: DualSearchResult) -> bool:
-    """Every code point forms at most m distinct dots against the dual."""
-    if dual.exact and isinstance(code, LatticeCode):
-        return bool(np.all(_distinct_unit_dots(code.points, dual.points) <= m))
-    dual_units = dual.unit_points()
-    for v in code.unit_array():
-        dots = np.sort(dual_units @ v)
-        distinct = 1 + int(np.sum(np.diff(dots) > 1e-8))
-        if distinct > m:
-            return False
-    return True
-
-
-def _distinct_unit_dots(vectors: Sequence[Vector],
-                       points: Sequence[LatticePoint]) -> np.ndarray:
-    """Per integer vector v: how many distinct unit dots it forms with the points.
-
-    Point j, rescaled by common_norm to squared norm F^2 * s_j, gives the
-    integer r = v . p_j, and the unit dot is r / (F * sqrt(|v|^2 * s_j)).
-    Two unit dots in a row are equal exactly when their keys (s_j, r) are,
-    except that every r = 0 is the same value 0.
-    """
-    scaled, parts = common_norm([p.vector for p in points])
-    table = raw_dots(vectors, scaled)
-    classes = sorted(set(parts))
-    k = np.array([classes.index(s) for s in parts])
-    # key (s_j, r) as the integer r*K + k_j, which is 0 only for r = 0
-    keys = np.where(table == 0, 0, table * len(classes) + k)
-    keys.sort(axis=1)
-    return 1 + (np.diff(keys, axis=1) != 0).sum(axis=1)
 
 
 @dataclass(frozen=True)

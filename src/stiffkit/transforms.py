@@ -74,7 +74,7 @@ def facet_derive(code: Code, x, t) -> Code:
     exact_in = isinstance(code, LatticeCode) and isinstance(x, LatticePoint) \
         and isinstance(t, (int, Fraction, Surd))
     if exact_in:
-        tt = t if isinstance(t, Surd) else Surd(t)
+        tt = Surd(t)
         if tt == 1 or tt == -1:
             raise ValueError("t = ±1 slices to a single point, not a facet")
         # selected rows: x.y == t * sqrt(ns_x * ns_c), which must be an integer

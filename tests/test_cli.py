@@ -169,8 +169,10 @@ def test_spectrum_by_index_and_coords(tmp_path, capsys):
 def test_spectrum_bad_probe(tmp_path, capsys):
     f = tmp_path / "d5.json"
     save_code(demicube(5), f)
-    assert run(capsys, "spectrum", str(f), "--probe", "99")[0] == 2
-    assert run(capsys, "spectrum", str(f), "--probe", "x,y")[0] == 2
+    for probe in ("99", "x,y", "0,0,0,0,0", "0.0,0,0,0,0", "nan,0,0,0,0",
+                  "1,2", "1.5,2", "1,0,0,0,0,0"):
+        code, stdout, _ = run(capsys, "spectrum", str(f), "--probe", probe)
+        assert (code, stdout) == (2, ""), probe
 
 
 def test_verify_min_pass_and_fail(tmp_path, capsys):
@@ -196,6 +198,12 @@ def test_verify_min_pass_and_fail(tmp_path, capsys):
     assert code == 1
     assert not json.loads(stdout)["report"][0]["passed"]
 
+    other = tmp_path / "x4.json"
+    save_code(cross_polytope(4), other)
+    code, stdout, stderr = run(capsys, "verify-min", str(f), "-m", "2",
+                               "--dual", str(other), "--kernels", "gauss:1")
+    assert (code, stdout) == (2, "") and "dimension" in stderr
+
 
 def test_symmetrize_roundtrip(tmp_path, capsys):
     f = tmp_path / "d5.json"
@@ -215,6 +223,9 @@ def test_facet_exact_and_unattained(tmp_path, capsys):
     assert "exact" in stderr
     assert load_code(out).same_point_set(cross_polytope(3))
     assert run(capsys, "facet", str(f), "--point", "1,0,0,0", "--t", "1/3")[0] == 1
+    for point in ("0.0,0,0,0", "0,0,0,0", "1,0,0", "1.0,0,0,0,0"):
+        code, stdout, _ = run(capsys, "facet", str(f), "--point", point, "--t", "0")
+        assert (code, stdout) == (2, ""), point
 
 
 def test_glue_and_reload(tmp_path, capsys):
@@ -228,6 +239,14 @@ def test_glue_and_reload(tmp_path, capsys):
     assert env["seed"] == 3
     assert env["report"]["certificate"]["stiff"] is True
     assert load_code(out).size == 12
+
+
+def test_glue_of_different_dimensions_is_usage_error(tmp_path, capsys):
+    f3, f4 = tmp_path / "x3.json", tmp_path / "x4.json"
+    save_code(cross_polytope(3), f3)
+    save_code(cross_polytope(4), f4)
+    code, stdout, stderr = run(capsys, "glue", str(f3), str(f4), "-m", "2")
+    assert (code, stdout) == (2, "") and "dimension" in stderr
 
 
 def test_glue_nonstiff_input_fails(tmp_path, capsys):
@@ -277,6 +296,13 @@ def test_size_cap_env(tmp_path, capsys, monkeypatch):
     code, _, stderr = run(capsys, "construct", "2-41")
     assert code == 2
     assert "STIFFKIT_SIZE_CAP" in stderr
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("STIFFKIT_SIZE_CAP", raw)
+        for argv in (("suite", "--paper", "--only", "5"), ("construct", "cube", "3")):
+            code, stdout, stderr = run(capsys, *argv)
+            assert (code, stdout) == (2, ""), (raw, argv)
+            assert "STIFFKIT_SIZE_CAP must be a positive integer" in stderr
+            assert "bad parameters" not in stderr and "check failed" not in stderr
 
 
 def test_parse_scalar_grammar():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiffkit.codes import (
+    DISTINCT_BLOCK,
     FloatCode,
     LatticeCode,
     LatticePoint,
@@ -26,7 +28,7 @@ from stiffkit.codes import (
     save_code,
     unit_surd,
 )
-from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
+from stiffkit.config import ENV_SIZE_CAP, BadSizeCap, SizeCapExceeded, size_cap
 from stiffkit.exact import Surd
 from fractions import Fraction
 
@@ -124,12 +126,34 @@ def test_validation_rejects_bad_codes():
         FloatCode("bad", 2, np.array([[0.5, 0.5]]))  # not unit
 
 
+def test_float_distinctness_check_runs_in_row_blocks():
+    pts = np.random.default_rng(1).normal(size=(1500, 8))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    assert DISTINCT_BLOCK // (1500 * 8) < 1500  # more than one block
+    tracemalloc.start()
+    try:
+        FloatCode("random", 8, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    # a repeated point in the first and the last block, and a near repeat
+    # inside the 10 * tolerance threshold, are still found
+    for dup in (pts[0], pts[0] + np.eye(8)[0] * 3e-12):
+        with pytest.raises(ValueError, match="closer than the tolerance"):
+            FloatCode("dup", 8, np.vstack([pts[:-1], dup / np.linalg.norm(dup)]))
+
+
 def test_size_cap(monkeypatch):
     monkeypatch.setenv(ENV_SIZE_CAP, "100")
     with pytest.raises(SizeCapExceeded):
         cube(12)
     monkeypatch.setenv(ENV_SIZE_CAP, "5000")
     assert cube(12).size == 4096
+    for raw in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv(ENV_SIZE_CAP, raw)
+        with pytest.raises(BadSizeCap, match=ENV_SIZE_CAP):
+            size_cap()
 
 
 def test_lattice_point_dots_and_directions():

@@ -19,11 +19,7 @@ from stiffkit.codes import (
 )
 from stiffkit.design import index_set, pair_values, spectrum
 from stiffkit.exact import Surd
-from stiffkit.stiffness import (
-    DualSearchResult,
-    _distinct_unit_dots,
-    _double_dual_contains,
-)
+from stiffkit.stiffness import DualSearchResult, _at_most_m_distinct
 
 
 def _dots_loop(a, b) -> list[list[int]]:
@@ -104,29 +100,16 @@ def test_spectrum_of_mixed_norm_dual_matches_surd_route():
 
 
 def test_double_dual_of_mixed_norm_dual_matches_surd_route():
+    # norms 2 and 8 share the square-free part 2, so as_code finds one norm
     code = polytope_2_41()
-    dual = _e8_dual_of_2160()
-    counts = _distinct_unit_dots(code.points, dual.points)
-    for v, got in list(zip(code.points, counts))[::40]:
-        assert got == len({_unit_dot_surd(v, p.vector) for p in dual.points})
-    assert _double_dual_contains(code, 5, dual)
-    assert not _double_dual_contains(code, 4, dual)
-
-
-@st.composite
-def _code_and_points(draw):
-    dim = draw(st.integers(1, 4))
-    vec = st.tuples(*[st.integers(-4, 4)] * dim).filter(any)
-    vectors = draw(st.lists(vec, min_size=1, max_size=6))
-    points = draw(st.lists(vec, min_size=1, max_size=8))
-    return vectors, [LatticePoint(p, sum(x * x for x in p)) for p in points]
-
-
-@settings(max_examples=300, deadline=None)
-@given(_code_and_points())
-def test_distinct_unit_dots_match_surd_sets(case):
-    # point norms here mix square-free parts (1, 2, 3, ...) freely
-    vectors, points = case
-    got = _distinct_unit_dots(vectors, points).tolist()
-    want = [len({_unit_dot_surd(v, p.vector) for p in points}) for v in vectors]
-    assert got == want
+    dual_code = _e8_dual_of_2160().as_code()
+    table = raw_dots(code.points, dual_code.points)
+    for v, row in list(zip(code.points, table))[::40]:
+        want = {_unit_dot_surd(v, p) for p in dual_code.points}
+        assert len(set(row.tolist())) == len(want)
+    assert _at_most_m_distinct(table, 5, 0)
+    assert not _at_most_m_distinct(table, 4, 0)
+    # the float evidence reaches the same verdicts on the unit table
+    units = code.unit_array() @ dual_code.unit_array().T
+    assert _at_most_m_distinct(units, 5, 1e-8)
+    assert not _at_most_m_distinct(units, 4, 1e-8)

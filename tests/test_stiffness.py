@@ -23,7 +23,7 @@ from stiffkit.codes import (
     polytope_2_41,
 )
 from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
-from stiffkit.exact import Surd
+from stiffkit.exact import Surd, square_free_split
 from stiffkit.stiffness import (
     CIRCLE_WIDTH_TOL,
     NodesRequired,
@@ -198,6 +198,9 @@ class TestWalkAgainstFullEnumeration:
         exact = dual_search(code, len(nodes), nodes=nodes)
         assert exact.mode == "exact"
         assert {p.vector for p in exact.points} == want
+        # one square-free norm part, so the points scale to one common norm
+        assert len({square_free_split(p.norm_sq)[1] for p in exact.points}) == 1
+        assert exact.as_code().same_point_set(exact.points)
 
         approx = dual_search(code, len(nodes), nodes=[float(v) for v in nodes])
         assert approx.mode == "float"
