@@ -346,14 +346,20 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(kind: type, low: int):
+    """argparse type: a finite value of kind (int or float) that is >= low."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not low <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be >= {low} and finite, got {text}")
+        return value
+    return parse
+
+
+_positive_int, _seed, _tolerance = _number(int, 1), _number(int, 0), _number(float, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,15 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernels", required=True,
                    help="comma list, e.g. riesz:2,gauss:1,log")
     p.add_argument("--restarts", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--argmin-tol", type=float, default=1e-5)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--argmin-tol", type=_tolerance, default=1e-5)
     p.set_defaults(func=cmd_verify_min)
 
     p = sub.add_parser("spectrum", help="dot products of a probe against a code")
     p.add_argument("file")
     p.add_argument("--probe", required=True,
                    help="point index, or comma-separated coordinates")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="float merge tolerance")
     p.set_defaults(func=cmd_spectrum)
 
@@ -428,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("-m", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_glue)
 

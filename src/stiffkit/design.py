@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .codes import Code, FloatCode, LatticeCode, LatticePoint, raw_dots, unit_surd
-from .exact import Scalar, Surd, scalar_str
+from .exact import Scalar, scalar_str
 from .gegenbauer import Polynomial, a0, gegenbauer_poly
 
 FLOAT_DESIGN_TOL = 1e-10  # relative to N^2, for float codes
@@ -93,15 +93,20 @@ def pair_values(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
     return _gram_multiset(code)
 
 
-def pair_sum(code: Code, n: int) -> Union[Fraction, float]:
-    """Sum of P_n(x_i . x_j) over all ordered pairs (i, j)."""
+def _pair_sums(code: Code, degrees: Sequence[int]) -> list[Union[Fraction, float]]:
+    """pair_sum for each degree; a float code clips one Gram table for all."""
     d = code.sphere_dim
-    p = gegenbauer_poly(d, n)
+    polys = [gegenbauer_poly(d, n) for n in degrees]
     if isinstance(code, LatticeCode):
-        return sum((p(t) * c for t, c in _gram_multiset(code)), Fraction(0))
+        return [sum((p(t) * c for t, c in _gram_multiset(code)), Fraction(0)) for p in polys]
     pts = code.unit_array()
     gram = np.clip(pts @ pts.T, -1.0, 1.0)
-    return float(np.sum(p.eval_float(gram)))
+    return [float(np.sum(p.eval_float(gram))) for p in polys]
+
+
+def pair_sum(code: Code, n: int) -> Union[Fraction, float]:
+    """Sum of P_n(x_i . x_j) over all ordered pairs (i, j)."""
+    return _pair_sums(code, [n])[0]
 
 
 def index_set(code: Code, n_max: int) -> DesignReport:
@@ -109,19 +114,45 @@ def index_set(code: Code, n_max: int) -> DesignReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     exact = isinstance(code, LatticeCode)
-    idx = set()
-    n2 = code.size**2
-    for n in range(1, n_max + 1):
-        s = pair_sum(code, n)
-        if exact:
-            if s == 0:
-                idx.add(n)
-        elif abs(s) <= FLOAT_DESIGN_TOL * n2:
-            idx.add(n)
+    degrees = range(1, n_max + 1)
+    bound = 0 if exact else FLOAT_DESIGN_TOL * code.size**2
+    idx = {n for n, s in zip(degrees, _pair_sums(code, degrees)) if abs(s) <= bound}
     strength = 0
     while strength + 1 in idx:
         strength += 1
     return DesignReport(code.name, n_max, frozenset(idx), strength, exact)
+
+
+def spectra(dots: np.ndarray, norm_sq: Optional[int] = None,
+            tol: float = 1e-9) -> list[tuple]:
+    """Per row of a dot table: its (value, multiplicity) entries, ascending.
+
+    An integer table of raw dots, with norm_sq the product of the squared
+    norms of its two sides, gives one exact Surd per distinct integer.  A
+    float table of unit dots merges each value into the group whose first
+    value it exceeds by at most tol; the group reports its mean.
+    """
+    if norm_sq is not None:
+        return [tuple((unit_surd(int(v), norm_sq), int(c))
+                      for v, c in zip(*np.unique(row, return_counts=True))) for row in dots]
+    if not tol >= 0:
+        raise ValueError(f"merge tolerance must be >= 0, got {tol}")
+    out = []
+    for row in np.sort(dots, axis=1):
+        # row[j] - row[i] <= tol (in floats; row[i] + tol rounds differently)
+        # gives row[j] <= row[i] + 2 tol, as rounding is monotone and 2 tol
+        # exact: the group of row[i] ends by ends[i]
+        ends = np.searchsorted(row, row + 2 * tol, side="right")
+        entries = []
+        i = 0
+        while i < len(row):
+            j = i + 1
+            if ends[i] > j:  # another value within 2 tol
+                j = i + int(np.searchsorted(row[i:ends[i]] - row[i], tol, side="right"))
+            entries.append((float(np.mean(row[i:j])) if j > i + 1 else float(row[i]), j - i))
+            i = j
+        out.append(tuple(entries))
+    return out
 
 
 def spectrum(probe: Union[LatticePoint, Sequence[float], np.ndarray],
@@ -130,44 +161,19 @@ def spectrum(probe: Union[LatticePoint, Sequence[float], np.ndarray],
     """Dot products of one unit probe point against every code point.
 
     Exact when both the probe and the code are integer models; dot values
-    are then rationals or surds.  Otherwise float values are merged when
-    closer than tol.
+    are then rationals or surds.  Otherwise float values are merged as in
+    spectra.
     """
     if isinstance(probe, LatticePoint) and isinstance(code, LatticeCode):
         if probe.ambient_dim != code.ambient_dim:
             raise ValueError("probe dimension does not match the code")
+        dots = raw_dots([probe.vector], code.points)
         return SpectrumReport(str(probe.vector), code.name, True,
-                              exact_spectra([probe], code)[0])
+                              spectra(dots, probe.norm_sq * code.norm_sq)[0])
     vec = probe.unit() if isinstance(probe, LatticePoint) else np.asarray(probe, dtype=float)
     vec = vec / np.linalg.norm(vec)
-    dots = np.sort(code.unit_array() @ vec)
-    entries = []
-    i = 0
-    while i < len(dots):
-        j = i
-        while j + 1 < len(dots) and dots[j + 1] - dots[i] <= tol:
-            j += 1
-        entries.append((float(np.mean(dots[i:j + 1])), j - i + 1))
-        i = j + 1
     return SpectrumReport(np.array2string(vec, precision=6), code.name, False,
-                          tuple(entries))
-
-
-def exact_spectra(points: Sequence[LatticePoint], code: LatticeCode
-                  ) -> list[tuple[tuple[Surd, int], ...]]:
-    """Per point: its (unit dot, multiplicity) entries against the code, ascending.
-
-    One integer table for all points; each distinct integer dot of a point
-    becomes one Surd.
-    """
-    if not points:
-        return []
-    out = []
-    for p, row in zip(points, raw_dots([p.vector for p in points], code.points)):
-        vals, counts = np.unique(row, return_counts=True)
-        ns = p.norm_sq * code.norm_sq
-        out.append(tuple((unit_surd(int(v), ns), int(c)) for v, c in zip(vals, counts)))
-    return out
+                          spectra((code.unit_array() @ vec)[None], tol=tol)[0])
 
 
 def halfcount_3design(code: LatticeCode) -> tuple[bool, Optional[tuple[int, ...]]]:

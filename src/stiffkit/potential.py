@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import Code, LatticeCode, LatticePoint
-from .design import index_set
+from .codes import Code, LatticePoint
+from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import Polynomial
 
@@ -498,7 +498,7 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
         else:
             worst = float("inf")
         const_ok = rep.dual_spread_rel <= DUAL_SPREAD_REL
-        no_beat = rep.gap is not None and rep.gap >= GAP_FLOOR
+        no_beat = bool(rep.dual_match)
         argmin_ok = (not kernel.strictly_convex_family) or worst <= argmin_tol
         equality = (abs(rep.global_min_value - rep.dual_value)
                     / (abs(rep.dual_value) or 1.0))
@@ -594,25 +594,11 @@ def skip_one_add_two_check(code: Code, m: int, t_list: Sequence[Scalar],
 
     witness_ok: Optional[bool] = None
     if candidates is not None:
-        from .design import spectrum
-
-        witness_ok = True
-        allowed = set(ts)
-        for c in candidates:
-            if isinstance(c, LatticePoint) and isinstance(code, LatticeCode):
-                s = spectrum(c, code)
-                if any(v not in allowed for v in s.values()):
-                    witness_ok = False
-                    break
-            else:
-                s = spectrum(np.asarray(c, dtype=float), code)
-                floats = [float(t) for t in ts]
-                for v in s.values():
-                    if min(abs(float(v) - f) for f in floats) > 1e-9:
-                        witness_ok = False
-                        break
-                if witness_ok is False:
-                    break
+        reports = (spectrum(c, code) for c in candidates)
+        witness_ok = all(
+            set(s.values()) <= set(ts) if s.exact
+            else all(min(abs(v - float(t)) for t in ts) <= 1e-9 for v in s.values())
+            for s in reports)
     return SkipOneAddTwoReport(
         code.name, m, index_ok, missing, sum_ok, sumsq_ok,
         scalar_str(total), str(lhs), str(bound),

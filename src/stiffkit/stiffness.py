@@ -27,7 +27,7 @@ from ._linalg import GreedyRank, adjugate_and_det, integer_nullspace
 from .codes import (Code, LatticeCode, LatticePoint, Vector, common_norm, gcd_reduce,
                     raw_dots)
 from .config import check_size
-from .design import exact_spectra, index_set, spectrum
+from .design import index_set, pair_values, spectra
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import nodes as gegenbauer_nodes
 
@@ -444,19 +444,22 @@ def certify_stiff(code: Code, m: int,
         # scales them to one norm and equal integer dots are equal unit dots
         if dual.exact:
             dual_code = dual.as_code()
-            freq_table = exact_spectra(dual.points, code)
+            # columns in dual.points order: frequency row k is dual point k's
+            scaled = {gcd_reduce(v): v for v in dual_code.points}
+            dots = raw_dots(code.points, [scaled[p.direction()] for p in dual.points])
+            freq_table = spectra(dots.T, dual_code.norm_sq * code.norm_sq)
             antipodal = dual_code.is_antipodal()
-            dots, gap = raw_dots(code.points, dual_code.points), 0
         else:
             units = dual.unit_points()
-            freq_table = [tuple((round(float(val), 9), c)
-                                for val, c in spectrum(v, code).entries) for v in units]
+            dots = code.unit_array() @ units.T
+            freq_table = [tuple((round(val, 9), c) for val, c in row)
+                          for row in spectra(dots.T)]
             antipodal = all(np.linalg.norm(units + p, axis=1).min() <= 1e-8 for p in units)
-            dots, gap = code.unit_array() @ units.T, 1e-8
         freq_match = _frequencies_match(code, m, dual, freq_table)
         props["antipodal"] = antipodal
         props["cardinality_ok"] = dual.count <= m ** code.ambient_dim
-        props["double_dual_contains_code"] = _at_most_m_distinct(dots, m, gap)
+        props["double_dual_contains_code"] = _at_most_m_distinct(
+            dots, m, 0 if dual.exact else 1e-8)
     return StiffnessCertificate(code.name, m, strength, stiff, dual,
                                 tuple(freq_table), freq_match, props)
 
@@ -515,8 +518,6 @@ def classify_sharp(code: LatticeCode) -> SharpnessReport:
     """Sharpness: m' distinct inter-point dots vs design strength 2m'-1 (2m')."""
     if not isinstance(code, LatticeCode):
         raise ValueError("sharpness classification needs an exact code")
-    from .design import pair_values
-
     vals = [t for t, _ in pair_values(code) if t != 1]
     m_prime = len(vals)
     rep = index_set(code, 2 * m_prime)

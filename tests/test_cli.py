@@ -132,6 +132,28 @@ def test_dual_m_below_one_is_usage_error(tmp_path, capsys):
         assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-9"), ("--tol", "x"),
+    ("--argmin-tol", "nan"), ("--argmin-tol", "-1"), ("--argmin-tol", "inf"),
+    ("--seed", "-1"), ("--seed", "1.5"), ("glue-seed", "-3"),
+])
+def test_bad_tolerance_or_seed_is_usage_error(tmp_path, capsys, flag, value):
+    f = tmp_path / "x3.json"
+    save_code(cross_polytope(3), f)
+    argv = {
+        "--tol": ["spectrum", str(f), "--probe", "0"],
+        "--argmin-tol": ["verify-min", str(f), "-m", "2", "--dual", str(f),
+                         "--kernels", "gauss:1", "--restarts", "4"],
+        "--seed": ["verify-min", str(f), "-m", "2", "--dual", str(f),
+                   "--kernels", "gauss:1", "--restarts", "4"],
+        "glue-seed": ["glue", str(f), str(f), "-m", "2"],
+    }[flag]
+    with pytest.raises(SystemExit) as ex:
+        main(argv + ["--seed" if flag == "glue-seed" else flag, value])
+    assert ex.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_code_file_with_wrong_dimension_is_usage_error(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"name": "bad", "ambient_dim": 3, "norm_sq": 2,

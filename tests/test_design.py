@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiffkit.codes import (
     LatticeCode,
@@ -18,15 +20,19 @@ from stiffkit.codes import (
     polytope_2_41,
 )
 from stiffkit.design import (
+    FLOAT_DESIGN_TOL,
+    _pair_sums,
     constancy_check,
     halfcount_3design,
     index_set,
     pair_sum,
     pair_values,
+    spectra,
     spectrum,
 )
 from stiffkit.exact import Surd
 from stiffkit.gegenbauer import Polynomial, a0, gegenbauer_poly
+from stiffkit.transforms import glue
 
 
 def _pair_sum_naive(code: LatticeCode, n: int) -> Fraction:
@@ -74,6 +80,25 @@ def test_2_41_index_set():
     assert pair_sum(polytope_2_41(), 8) == Fraction(388800, 143)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ngon(8),
+    lambda: glue(cross_polytope(3), cross_polytope(3), 2, seed=0)[0],
+], ids=["ngon8", "glue_x3_x3"])
+def test_float_pair_sums_match_one_table_per_degree(make):
+    code = make()
+    degrees = range(1, 10)
+    pts = code.unit_array()
+    want = []
+    for n in degrees:
+        gram = np.clip(pts @ pts.T, -1.0, 1.0)
+        want.append(float(np.sum(gegenbauer_poly(code.sphere_dim, n).eval_float(gram))))
+    assert _pair_sums(code, degrees) == want
+    assert [pair_sum(code, n) for n in degrees] == want
+    bound = FLOAT_DESIGN_TOL * code.size**2
+    assert index_set(code, 9).index_set == {n for n, s in zip(degrees, want)
+                                            if abs(s) <= bound}
+
+
 def test_float_design_check_ngon():
     for n in (4, 5, 6, 8):
         rep = index_set(ngon(n), n + 1)
@@ -102,6 +127,48 @@ def test_spectrum_float_merging():
     assert rep.total == 4
     counts = dict((round(v, 9), m) for v, m in rep.entries)
     assert counts == {-1.0: 1, 0.0: 2, 1.0: 1}
+
+
+def _merge_reference(dots: np.ndarray, tol: float) -> tuple:
+    """Reference float merge: grow each group while dots[j] - dots[i] <= tol
+    for its first sorted value dots[i]; report the group mean."""
+    dots = np.sort(dots)
+    entries = []
+    i = 0
+    while i < len(dots):
+        j = i
+        while j + 1 < len(dots) and dots[j + 1] - dots[i] <= tol:
+            j += 1
+        entries.append((float(np.mean(dots[i:j + 1])), j - i + 1))
+        i = j + 1
+    return tuple(entries)
+
+
+def test_spectra_float_merge_is_anchored_at_the_group_start():
+    # 1.2e-9 is within tol of 0.6e-9 but not of the group's first value 0
+    (row,) = spectra(np.array([[1.2e-9, 0.0, 0.6e-9]]), tol=1e-9)
+    assert row == ((float(np.mean([0.0, 0.6e-9])), 2), (1.2e-9, 1))
+    # exactly tol above the first value joins the group
+    (row,) = spectra(np.array([[1e-9, 0.0]]), tol=1e-9)
+    assert row == ((0.5e-9, 2),)
+    # b - a > tol although b <= a + tol in floats: the difference decides
+    a, b = 0.2739233746429086, 0.27392337564290864
+    assert b - a > 1e-9 and b <= a + 1e-9
+    (row,) = spectra(np.array([[a, b]]), tol=1e-9)
+    assert row == ((a, 1), (b, 1))
+    for tol in (-1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            spectra(np.array([[0.0, 1.0]]), tol=tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1, 1), st.floats(0, 4e-9)), min_size=1, max_size=30),
+       st.sampled_from([0.0, 1e-9, 0.05, 0.3]))
+def test_spectra_float_matches_reference_merge(values, tol):
+    dots = np.array(values)
+    assert spectra(dots[None], tol=tol)[0] == _merge_reference(dots, tol)
+    assert spectra(np.vstack([dots, -dots]), tol=tol) == [
+        _merge_reference(dots, tol), _merge_reference(-dots, tol)]
 
 
 def test_spectrum_json():

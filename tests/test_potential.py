@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiffkit.codes import (
+    FloatCode,
     LatticePoint,
     cross_polytope,
     cube,
@@ -385,6 +386,16 @@ class TestSkipOneAddTwo:
                                       candidates=[bogus])
         assert rep2.witness_ok is False
         assert not rep2.all_ok
+
+    def test_witnesses_against_a_float_code(self):
+        code = FloatCode("float_demicube5", 5, demicube(5).unit_array())
+        nodes = (-Surd.sqrt_of(Fraction(1, 5)), Surd.sqrt_of(Fraction(1, 5)))
+        for cand, ok in ((LatticePoint((1, 0, 0, 0, 0), 1), True),
+                         (LatticePoint((1, 1, 0, 0, 0), 2), False),
+                         (np.array([0.0, 0.0, -2.0, 0.0, 0.0]), True),
+                         (np.array([1.0, 1.0, 0.0, 0.0, 0.0]), False)):
+            rep = skip_one_add_two_check(code, 2, nodes, candidates=[cand])
+            assert rep.witness_ok is ok, cand
 
     def test_demicube5_fails_index(self):
         nodes = (-Surd.sqrt_of(Fraction(1, 5)), Surd.sqrt_of(Fraction(1, 5)))

@@ -23,6 +23,7 @@ from stiffkit.codes import (
     polytope_2_41,
 )
 from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
+from stiffkit.design import spectrum
 from stiffkit.exact import Surd, square_free_split
 from stiffkit.stiffness import (
     CIRCLE_WIDTH_TOL,
@@ -37,6 +38,7 @@ from stiffkit.stiffness import (
     dual_search,
     dual_to_code,
 )
+from stiffkit.transforms import rotated_cubes
 
 NODES_241 = (
     Surd.sqrt_of(Fraction(1, 2)),
@@ -317,6 +319,31 @@ class TestCertify:
         assert by_float == {
             0.707107: 126, 0.353553: 576, 0.0: 756, -0.353553: 576, -0.707107: 126,
         }
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_exact_frequency_rows_are_per_point_spectra(self, step):
+        # on every third point the rows differ, and as_code lists the dual
+        # (norms 2 and 8) in another order: row k must stay dual point k's
+        full = polytope_2_41()
+        code = LatticeCode(f"every_{step}", 8, full.norm_sq, full.points[::step])
+        cert = certify_stiff(code, 5, nodes=NODES_241)
+        assert {p.norm_sq for p in cert.dual.points} == {2, 8}
+        assert len(set(cert.frequency_table)) == (1 if step == 1 else 236)
+        assert cert.frequency_table == tuple(spectrum(p, code).entries
+                                             for p in cert.dual.points)
+
+    @pytest.mark.parametrize("make", [
+        lambda: rotated_cubes(3)[0],
+        lambda: FloatCode("float_2_41", 8, polytope_2_41().unit_array()),
+    ], ids=["rotated_cubes3", "float_2_41"])
+    def test_float_frequency_rows_are_per_point_spectra(self, make):
+        code = make()
+        m, nodes = (2, None) if code.ambient_dim == 3 else (5, [float(t) for t in NODES_241])
+        cert = certify_stiff(code, m, nodes=nodes)
+        assert cert.dual.count and not cert.dual.exact
+        want = tuple(tuple((round(v, 9), c) for v, c in spectrum(u, code).entries)
+                     for u in cert.dual.unit_points())
+        assert cert.frequency_table == want
 
     def test_certificate_json_fields(self):
         cert = certify_stiff(cross_polytope(4), 2)
