@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .codes import Code, FloatCode, LatticeCode, LatticePoint, raw_dots, unit_surd
 from .exact import Scalar, scalar_str
-from .gegenbauer import Polynomial, a0, gegenbauer_poly
+from .gegenbauer import gegenbauer_poly
 
 FLOAT_DESIGN_TOL = 1e-10  # relative to N^2, for float codes
 
@@ -174,47 +173,3 @@ def spectrum(probe: Union[LatticePoint, Sequence[float], np.ndarray],
     vec = vec / np.linalg.norm(vec)
     return SpectrumReport(np.array2string(vec, precision=6), code.name, False,
                           spectra((code.unit_array() @ vec)[None], tol=tol)[0])
-
-
-def halfcount_3design(code: LatticeCode) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Half-count criterion for sign-vector codes on the cube {-1, 1}^d.
-
-    Such a code is a 3-design iff N is even and, for every set I of one,
-    two, or three coordinate indices, exactly half the points have an even
-    number of negative entries at I.  Returns (verdict, witness index set).
-    """
-    d = code.ambient_dim
-    if any(abs(x) != 1 for p in code.points for x in p):
-        raise ValueError("half-count criterion applies to sign-vector codes only")
-    if code.size % 2 == 1:
-        return False, ()
-    pts = code.int_array()
-    from itertools import combinations
-    for k in (1, 2, 3):
-        if k > d:
-            break
-        for idx in combinations(range(d), k):
-            prods = pts[:, idx].prod(axis=1)
-            # product +1 iff evenly many negatives at idx
-            if int(np.sum(prods == 1)) * 2 != code.size:
-                return False, idx
-    return True, None
-
-
-def constancy_check(code: Code, q: Polynomial, trials: int, seed: int) -> float:
-    """Max deviation of (1/N) sum_i q(x_i . y) from a_0(q) over random y.
-
-    For an n-design and deg q <= n the potential is constant a_0(q) times N;
-    the deviation reported here is per point (already divided by N).
-    """
-    d = code.sphere_dim
-    rng = np.random.default_rng(seed)
-    pts = code.unit_array()
-    target = float(a0(q, d))
-    worst = 0.0
-    for _ in range(trials):
-        y = rng.normal(size=d + 1)
-        y /= np.linalg.norm(y)
-        val = fsum(q.eval_float(pts @ y).tolist()) / code.size
-        worst = max(worst, abs(val - target))
-    return worst

@@ -51,12 +51,19 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x):
-        """Horner evaluation on a float or ndarray."""
-        acc = np.zeros_like(np.asarray(x, dtype=float))
+    def eval_float(self, x, out=None):
+        """Horner evaluation on a float or ndarray, in one accumulator.
+
+        `out`, a float array shaped like x and not x itself, receives the
+        values when given; a scalar or 0-d x gives a numpy float.
+        """
+        x = np.asarray(x, dtype=float)
+        acc = np.empty_like(x) if out is None else out
+        acc.fill(0.0)
         for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+            np.multiply(acc, x, out=acc)
+            np.add(acc, float(c), out=acc)
+        return acc if acc.ndim else acc[()]
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:

@@ -8,6 +8,12 @@ takes a safeguarded Riemannian Newton step where the tangent Hessian is
 positive definite and falls back to an adaptive gradient step where it is
 not; a start stops when its tangential gradient reaches the round-off
 floor of the gradient sum (see _descend).
+
+The batched rows x code evaluations (_potentials, _derivatives) run over
+blocks of as many rows as fill one table of BLOCK_BYTES.  Their two or
+three tables are allocated once per call and reused block after block, and
+the kernels are evaluated in place in them, so the descent holds at most
+three tables of BLOCK_BYTES each, whatever the start count.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,8 +37,11 @@ MAX_ITER = 600
 TRUST_RADIUS = 0.25
 # converged when |grad| <= ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)| (or gtol)
 ROUNDOFF_FACTOR = 64
-# rows per block of every rows x code dot table, which bounds their memory
-ROW_BLOCK = 256
+# bytes of one rows x code table in _potentials and _derivatives, which hold
+# two and three such tables, reused block after block: their memory is at
+# most three tables of BLOCK_BYTES whatever the start count (1 MiB: 60 rows
+# of the 2160-point code; a table then fits in a 2 MiB L2 cache)
+BLOCK_BYTES = 1 << 20
 # verify_universal_minimum: the largest relative spread of the potential over
 # the dual, and the least gap a descended start may leave below the dual value
 DUAL_SPREAD_REL = 1e-9
@@ -98,42 +107,78 @@ class Kernel:
         """Families with all derivatives positive: argmins must sit on the dual."""
         return self.family in ("riesz", "gauss")
 
-    def g(self, t):
+    def g(self, t, out=None):
         """Kernel values; callers clip t to [-1, 1], and t = 1 gives +inf
-        for the singular families, which callers treat as singular."""
+        for the singular families, which callers treat as singular.
+
+        `out`, a float array shaped like t and not t itself, receives the
+        values when given, so a caller's table is reused; a scalar or 0-d
+        t gives a numpy float.
+        """
         t = np.asarray(t, dtype=float)
+        w = np.empty_like(t) if out is None else out
+        if self.family == "poly":
+            return self.poly.eval_float(t, out=w)
+        _gap(t, w)
         if self.family == "riesz":
             with np.errstate(divide="ignore"):
-                return (2.0 - 2.0 * t) ** (-float(self.param) / 2.0)
-        if self.family == "gauss":
-            return np.exp(-float(self.param) * (2.0 - 2.0 * t))
-        if self.family == "log":
+                w **= -float(self.param) / 2.0
+        elif self.family == "gauss":
+            np.multiply(w, -float(self.param), out=w)
+            np.exp(w, out=w)
+        else:
             with np.errstate(divide="ignore"):
-                return -np.log(2.0 - 2.0 * t) + 2.0
-        return self.poly.eval_float(t)
+                np.log(w, out=w)
+            np.negative(w, out=w)
+            np.add(w, 2.0, out=w)
+        return w if w.ndim else w[()]
 
     def dg(self, t):
         return self.derivatives(t)[0]
 
-    def derivatives(self, t):
-        """(g'(t), g''(t)), from one pow or exp per element."""
-        t = np.asarray(t, dtype=float)
+    def derivatives(self, t, out=None):
+        """(g'(t), g''(t)), from one pow or exp per element.
+
+        `out`, a pair of float arrays shaped like t and distinct from t,
+        receives the two tables when given; t is then scratch and is
+        overwritten.  A scalar or 0-d t gives numpy floats.
+        """
+        if out is None:
+            t = np.array(t, dtype=float)
+            out = np.empty_like(t), np.empty_like(t)
+        d1, d2 = out
         if self.family == "riesz":
             s = float(self.param)
-            r = 2.0 - 2.0 * t
+            r = _gap(t, t)
+            np.copyto(d1, r)
             with np.errstate(divide="ignore"):
-                p = r ** (-s / 2.0 - 1.0)
-                return s * p, s * (s + 2.0) * p / r
-        if self.family == "gauss":
+                d1 **= -s / 2.0 - 1.0
+            np.multiply(d1, s * (s + 2.0), out=d2)
+            np.divide(d2, r, out=d2)
+            np.multiply(d1, s, out=d1)
+        elif self.family == "gauss":
             a = float(self.param)
-            e = np.exp(-a * (2.0 - 2.0 * t))
-            return 2.0 * a * e, 4.0 * a * a * e
-        if self.family == "log":
+            e = _gap(t, t)
+            np.multiply(e, -a, out=e)
+            np.exp(e, out=e)
+            np.multiply(e, 2.0 * a, out=d1)
+            np.multiply(e, 4.0 * a * a, out=d2)
+        elif self.family == "log":
+            np.subtract(1.0, t, out=d1)
             with np.errstate(divide="ignore"):
-                d1 = 1.0 / (1.0 - t)
-            return d1, d1 * d1
-        d1 = self.poly.derivative()
-        return d1.eval_float(t), d1.derivative().eval_float(t)
+                np.divide(1.0, d1, out=d1)
+            np.multiply(d1, d1, out=d2)
+        else:
+            p1 = self.poly.derivative()
+            p1.eval_float(t, out=d1)
+            p1.derivative().eval_float(t, out=d2)
+        return (d1, d2) if d1.ndim else (d1[()], d2[()])
+
+
+def _gap(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2 - 2t, that is |x-y|^2, written into out (which may be t)."""
+    np.multiply(t, 2.0, out=out)
+    return np.subtract(2.0, out, out=out)
 
 
 def potential_eval(x, code: Code, kernel: Kernel) -> float:
@@ -215,46 +260,59 @@ def _as_unit_rows(points: Optional[np.ndarray]) -> np.ndarray:
     return np.asarray([p / np.linalg.norm(p) for p in np.asarray(points, dtype=float)])
 
 
-def _dots(rows: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Dot table rows x code, clipped to [-1, 1] so float drift past a code
-    point reads as the singular t = 1."""
-    table = rows @ units.T
-    return np.clip(table, -1.0, 1.0, out=table)
+def _row_blocks(rows: np.ndarray, units: np.ndarray, n_tables: int
+                ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (lo, hi, tables) over blocks of rows, hi - lo rows at a time.
+
+    tables[0] is the dot table rows[lo:hi] x code, clipped to [-1, 1] so
+    float drift past a code point reads as the singular t = 1; the other
+    n_tables - 1 tables are scratch of the same shape.  All are views of
+    one buffer allocated once per call; a table holds as many rows as fit
+    in BLOCK_BYTES, and at least one.
+    """
+    size = max(1, min(len(rows), BLOCK_BYTES // (8 * len(units))))
+    buf = np.empty((n_tables, size, len(units)))
+    for lo in range(0, len(rows), size):
+        hi = min(lo + size, len(rows))
+        tables = buf[:, :hi - lo]
+        np.matmul(rows[lo:hi], units.T, out=tables[0])
+        np.clip(tables[0], -1.0, 1.0, out=tables[0])
+        yield lo, hi, tables
 
 
 def _potentials(rows: np.ndarray, units: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Potential at each row, one block of ROW_BLOCK rows at a time."""
+    """Potential at each row, one block of rows at a time."""
     out = np.empty(len(rows))
     with np.errstate(over="ignore"):
-        for lo in range(0, len(rows), ROW_BLOCK):
-            block = rows[lo:lo + ROW_BLOCK]
-            out[lo:lo + ROW_BLOCK] = kernel.g(_dots(block, units)).sum(axis=1)
+        for lo, hi, (dots, values) in _row_blocks(rows, units, 2):
+            kernel.g(dots, out=values).sum(axis=1, out=out[lo:hi])
     return out
 
 
-def _derivatives(rows: np.ndarray, units: np.ndarray,
-                 kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euclidean gradient, Euclidean Hessian and sum |g'| at each row.
+def _unit_pairs(units: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Upper-triangle indices (a, b), a <= b, and the products u_a*u_b of
+    each code point over them."""
+    upper = np.triu_indices(units.shape[1])
+    return upper, units[:, upper[0]] * units[:, upper[1]]
 
-    The Hessian sum_i g''(x.u_i) u_i u_i^T is one product with the table of
-    products u_a*u_b, a <= b, of each code point.
+
+def _derivatives(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
+                 kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euclidean gradient, Hessian pair sums and sum |g'| at each row.
+
+    The pair sums sum_i g''(x.u_i) u_i,a u_i,b over the pairs a <= b of
+    _unit_pairs are one product of the g'' table with unit_pairs.
     """
-    dim = units.shape[1]
-    upper = np.triu_indices(dim)
-    unit_pairs = units[:, upper[0]] * units[:, upper[1]]
-    grad = np.empty((len(rows), dim))
-    pair_sums = np.empty((len(rows), len(upper[0])))
+    grad = np.empty((len(rows), units.shape[1]))
+    pair_sums = np.empty((len(rows), unit_pairs.shape[1]))
     scale = np.empty(len(rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(rows), ROW_BLOCK):
-            d1, d2 = kernel.derivatives(_dots(rows[lo:lo + ROW_BLOCK], units))
-            grad[lo:lo + ROW_BLOCK] = d1 @ units
-            pair_sums[lo:lo + ROW_BLOCK] = d2 @ unit_pairs
-            scale[lo:lo + ROW_BLOCK] = np.abs(d1).sum(axis=1)
-    hess = np.empty((len(rows), dim, dim))
-    hess[:, upper[0], upper[1]] = pair_sums
-    hess[:, upper[1], upper[0]] = pair_sums
-    return grad, hess, scale
+        for lo, hi, (dots, d1, d2) in _row_blocks(rows, units, 3):
+            kernel.derivatives(dots, out=(d1, d2))
+            np.matmul(d1, units, out=grad[lo:hi])
+            np.matmul(d2, unit_pairs, out=pair_sums[lo:hi])
+            np.abs(d1, out=d1).sum(axis=1, out=scale[lo:hi])
+    return grad, pair_sums, scale
 
 
 def _newton_steps(x: np.ndarray, egrad: np.ndarray, ehess: np.ndarray,
@@ -296,6 +354,8 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
     Returns (points, values, converged_mask, iterations, newton_steps).
     """
     eps = np.finfo(float).eps
+    dim = units.shape[1]
+    upper, unit_pairs = _unit_pairs(units)
     x = starts.copy()
     alive = np.ones(len(x), dtype=bool)
     step = np.full(len(x), 0.1)
@@ -309,7 +369,7 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
             break
         iterations += 1
         xs = x[idx]
-        egrad, ehess, scale = _derivatives(xs, units, kernel)
+        egrad, pair_sums, scale = _derivatives(xs, units, unit_pairs, kernel)
         tang = egrad - np.einsum("ij,ij->i", egrad, xs)[:, None] * xs
         gn = np.linalg.norm(tang, axis=1)
         grad_norm[idx] = gn
@@ -320,7 +380,9 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
         if not len(work):
             continue
         xs, egrad, tang, gn = xs[~done], egrad[~done], tang[~done], gn[~done]
-        newton_step, newton = _newton_steps(xs, egrad, ehess[~done], tang)
+        ehess = np.empty((len(work), dim, dim))
+        ehess[:, upper[0], upper[1]] = ehess[:, upper[1], upper[0]] = pair_sums[~done]
+        newton_step, newton = _newton_steps(xs, egrad, ehess, tang)
         direction = -tang / gn[:, None]
         length = step[work]
         newton_len = np.linalg.norm(newton_step[newton], axis=1)

@@ -22,8 +22,6 @@ from stiffkit.codes import (
 from stiffkit.design import (
     FLOAT_DESIGN_TOL,
     _pair_sums,
-    constancy_check,
-    halfcount_3design,
     index_set,
     pair_sum,
     pair_values,
@@ -176,49 +174,6 @@ def test_spectrum_json():
     d = rep.to_json_dict()
     assert d["exact"] and len(d["entries"]) == 3
     assert {e["value"] for e in d["entries"]} == {"-1", "0", "1"}
-
-
-def test_halfcount_criterion():
-    ok, _ = halfcount_3design(demicube(5))
-    assert ok
-    ok, _ = halfcount_3design(cube(4))
-    assert ok
-    # half of the cube with a fixed first coordinate: fails at I = {0}
-    bad = LatticeCode("slab", 3, 3, tuple(p for p in cube(3).points if p[0] == 1))
-    ok, witness = halfcount_3design(bad)
-    assert not ok and witness == (0,)
-    # odd size fails immediately
-    odd = LatticeCode("odd", 3, 3, cube(3).points[:3])
-    ok, witness = halfcount_3design(odd)
-    assert not ok and witness == ()
-    with pytest.raises(ValueError):
-        halfcount_3design(cross_polytope(3))
-
-
-def test_halfcount_agrees_with_pair_sums_on_random_subsets():
-    rng = np.random.default_rng(3)
-    full = cube(4).points
-    for _ in range(20):
-        k = int(rng.integers(2, 9)) * 2
-        idx = rng.choice(len(full), size=k, replace=False)
-        pts = tuple(sorted(full[i] for i in idx))
-        code = LatticeCode("sub", 4, 4, pts)
-        by_halfcount, _ = halfcount_3design(code)
-        by_sums = index_set(code, 3).strength >= 3
-        assert by_halfcount == by_sums
-
-
-def test_constancy_check_design_invariance():
-    # degree <= 3 polynomial potentials are constant on a 3-design
-    q = Polynomial([Fraction(1), Fraction(-2), Fraction(3), Fraction(5)])
-    dev = constancy_check(demicube(5), q, trials=50, seed=7)
-    assert dev < 1e-12
-    dev = constancy_check(cross_polytope(4), q, trials=50, seed=7)
-    assert dev < 1e-12
-    # degree 4 breaks constancy on a strength-3 code
-    q4 = Polynomial([0, 0, 0, 0, 1])
-    dev = constancy_check(cube(3), q4, trials=50, seed=7)
-    assert dev > 1e-3
 
 
 def test_a0_times_n_is_the_constant():

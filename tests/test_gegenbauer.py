@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import cos, pi
 
 import mpmath
+import numpy as np
 import pytest
 
 from stiffkit.exact import Surd
@@ -109,6 +110,29 @@ def test_polynomial_ops():
     assert p(Fraction(1, 2)) == 2
     assert q.derivative() == Polynomial([0, 6])
     assert Polynomial.monomial(3)(2) == 8
+
+
+def _horner_allocating(p: Polynomial, x):
+    """Reference: Horner with a fresh accumulator per step."""
+    acc = np.zeros_like(np.asarray(x, dtype=float))
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def test_eval_float_in_place_is_bit_identical():
+    rng = np.random.default_rng(4)
+    table = np.clip(rng.uniform(-1.2, 1.2, (7, 30)), -1.0, 1.0)
+    for p in [gegenbauer_poly(7, n) for n in range(11)] + [Polynomial([0])]:
+        want = _horner_allocating(p, table)
+        assert np.array_equal(p.eval_float(table), want)
+        out = np.full_like(table, np.nan)
+        assert p.eval_float(table, out=out) is out
+        assert np.array_equal(out, want)
+        for x in (0.3, -1.0, np.float64(0.77), np.array(-0.41)):
+            got = p.eval_float(x)
+            assert type(got) is np.float64
+            assert got == _horner_allocating(p, x)
 
 
 def test_nodes_exact_small_m():

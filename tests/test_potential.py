@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,13 +23,16 @@ from stiffkit.codes import (
 from stiffkit.exact import Surd
 from stiffkit.gegenbauer import Polynomial
 from stiffkit.potential import (
+    BLOCK_BYTES,
     CLUSTER_TOL,
     Kernel,
     SingularEvaluation,
+    _derivatives,
     _descend,
     _greedy_cluster,
     _potentials,
     _probe_values,
+    _unit_pairs,
     minimize_potential,
     potential_eval,
     skip_one_add_two_check,
@@ -104,6 +108,130 @@ class TestKernel:
         for spec in ("riesz:1", "riesz:2", "gauss:1", "log"):
             k = Kernel.parse(spec)
             assert np.all(k.dg(np.linspace(-0.99, 0.99, 50)) > 0), spec
+
+
+def _g_reference(kernel: Kernel, t: np.ndarray) -> np.ndarray:
+    """Reference: the allocating kernel formulas, one fresh table per step."""
+    with np.errstate(divide="ignore"):
+        if kernel.family == "riesz":
+            return (2.0 - 2.0 * t) ** (-float(kernel.param) / 2.0)
+        if kernel.family == "gauss":
+            return np.exp(-float(kernel.param) * (2.0 - 2.0 * t))
+        if kernel.family == "log":
+            return -np.log(2.0 - 2.0 * t) + 2.0
+    acc = np.zeros_like(t)
+    for c in reversed(kernel.poly.coeffs):
+        acc = acc * t + float(c)
+    return acc
+
+
+def _derivatives_reference(kernel: Kernel, t: np.ndarray) -> tuple:
+    """Reference: the allocating formulas for (g', g'')."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kernel.family == "riesz":
+            s = float(kernel.param)
+            r = 2.0 - 2.0 * t
+            p = r ** (-s / 2.0 - 1.0)
+            return s * p, s * (s + 2.0) * p / r
+        if kernel.family == "gauss":
+            a = float(kernel.param)
+            e = np.exp(-a * (2.0 - 2.0 * t))
+            return 2.0 * a * e, 4.0 * a * a * e
+        if kernel.family == "log":
+            d1 = 1.0 / (1.0 - t)
+            return d1, d1 * d1
+    p1 = kernel.poly.derivative()
+    return (_g_reference(Kernel("poly", poly=p1), t),
+            _g_reference(Kernel("poly", poly=p1.derivative()), t))
+
+
+BLOCK_KERNELS = [Kernel.parse("riesz:1"), Kernel.parse("riesz:2"),
+                 Kernel.parse("gauss:1"), Kernel.parse("log"),
+                 Kernel("poly", poly=Polynomial([1, Fraction(1, 2), 0, 3]))]
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("k", [Kernel.parse(spec) for spec in (
+        "riesz:1", "riesz:2", "riesz:4", "riesz:3/2", "riesz:1/2", "gauss:1",
+        "gauss:1/3", "log")] + BLOCK_KERNELS[-1:], ids=lambda k: k.name)
+    def test_bit_identical_to_allocating_formulas(self, k):
+        t = np.concatenate([[-1.0, 0.0, 1.0, 1.0 - 2 ** -52],
+                            np.random.default_rng(1).uniform(-1, 1, 500)])
+        assert np.array_equal(k.g(t), _g_reference(k, t), equal_nan=True)
+        d1, d2 = k.derivatives(t)
+        r1, r2 = _derivatives_reference(k, t)
+        assert np.array_equal(d1, r1, equal_nan=True)
+        assert np.array_equal(d2, r2, equal_nan=True)
+        # a scalar takes the array path: numpy floats, the same bits
+        for x in (-0.3, 0.7):
+            assert type(k.g(x)) is np.float64
+            assert k.g(x) == k.g(np.array([x]))[0]
+            for v, w in zip(k.derivatives(x), k.derivatives(np.array([x]))):
+                assert type(v) is np.float64 and v == w[0]
+
+
+class TestRowBlocks:
+    """_potentials and _derivatives against one unblocked table, with row
+    counts around the block size b of the 2160-point code."""
+
+    units = polytope_2_41().unit_array()
+    b = BLOCK_BYTES // (8 * len(units))
+
+    def _rows(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(n, 8))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        # code points (unit dots exactly 1 here) on both sides of a boundary
+        on_code = [i for i in (0, self.b - 1, self.b, n - 1) if 0 <= i < n]
+        rows[on_code] = self.units[[7 * i for i in on_code]]
+        return rows, on_code
+
+    @pytest.mark.parametrize("k", BLOCK_KERNELS, ids=lambda k: k.name)
+    def test_match_unblocked_reference(self, k):
+        b = self.b
+        assert b >= 2
+        _, pairs = _unit_pairs(self.units)
+        for n in (0, 1, b - 1, b, b + 1, 3 * b + 5):
+            rows, on_code = self._rows(n)
+            table = np.clip(rows @ self.units.T, -1.0, 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _g_reference(k, table).sum(axis=1)
+                r1, r2 = _derivatives_reference(k, table)
+                want_grad = np.array([row @ self.units for row in r1]).reshape(n, 8)
+                want_pairs = np.array([row @ pairs for row in r2]).reshape(n, 36)
+            got = _potentials(rows, self.units, k)
+            assert np.array_equal(got, want, equal_nan=True), n
+            if k.singular_at_one:
+                assert np.all(got[on_code] == np.inf), n
+            grad, pair_sums, scale = _derivatives(rows, self.units, pairs, k)
+            assert grad.shape == (n, 8) and pair_sums.shape == (n, 36)
+            assert np.array_equal(scale, np.abs(r1).sum(axis=1), equal_nan=True), n
+            finite = np.isfinite(scale)
+            assert np.array_equal(finite, np.all(np.isfinite(grad), axis=1))
+            scale2 = np.abs(r2[finite]).sum(axis=1)[:, None]
+            assert np.all(np.abs(grad[finite] - want_grad[finite])
+                          <= 1e-13 * scale[finite][:, None]), n
+            assert np.all(np.abs(pair_sums[finite] - want_pairs[finite])
+                          <= 1e-13 * scale2), n
+            if k.singular_at_one:
+                assert not finite[on_code].any(), n
+
+    def test_derivatives_memory_is_a_few_blocks(self):
+        # 3400 rows: criterion 7's starts (1000 random, 2160 antipodes,
+        # 240 dual points); three tables of BLOCK_BYTES, whatever the count
+        rng = np.random.default_rng(0)
+        rows = rng.normal(size=(3400, 8))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        _, pairs = _unit_pairs(self.units)
+        for k in BLOCK_KERNELS:
+            tracemalloc.start()
+            try:
+                out = _derivatives(rows, self.units, pairs, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            returned = sum(a.nbytes for a in out)
+            assert peak < 4 * BLOCK_BYTES + returned, k.name
 
 
 class TestPotentialEval:
