@@ -4,6 +4,13 @@ A LatticeCode stores integer coordinate vectors sharing one squared norm, so
 every dot product between unit points is an exact rational (v.w)/norm_sq.
 Configurations without such a model (polygons, glued or rotated families)
 are FloatCodes with an explicit tolerance.
+
+Float point sets are compared in one place, `close_pairs`, by a sweep:
+both sets are projected on one fixed, seeded unit direction r.  Since
+|a.r - b.r| <= |a - b|, only the points of b whose projections lie within
+the radius (plus a rounding bound) of a's can be that close, and only
+those candidates are measured, so repeat, antipode and disjointness
+checks cost O(N log N + candidates) instead of an N x N table.
 """
 
 from __future__ import annotations
@@ -22,9 +29,6 @@ from .config import check_size
 from .exact import Surd, square_free_split
 
 Vector = tuple[int, ...]
-
-# entries of one row block of differences in FloatCode's distinctness check
-DISTINCT_BLOCK = 2**20
 
 
 def gcd_reduce(vec: Vector) -> Vector:
@@ -73,6 +77,38 @@ def common_norm(vectors: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
 def unit_surd(raw: int, norm_sq_product: int) -> Surd:
     """The exact unit dot raw / sqrt(norm_sq_product) of two integer vectors."""
     return Surd(Fraction(raw, norm_sq_product), norm_sq_product)
+
+
+def close_pairs(a: np.ndarray, b: np.ndarray,
+                radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every index pair (i, j) of rows with |a_i - b_j| <= radius (>= 0), and
+    the distances np.linalg.norm(a_i - b_j), by the sweep described above.
+    The candidate count goes through check_size."""
+    dim = a.shape[1]
+    r = np.random.default_rng(0).normal(size=dim)
+    r /= np.linalg.norm(r)
+    pa, pb = a @ r, b @ r
+    order = np.argsort(pb)
+    pb = pb[order]
+    # covers the rounding of both projections, the window ends and the distances
+    scale = max(np.linalg.norm(a, axis=1).max(initial=0.0),
+                np.linalg.norm(b, axis=1).max(initial=0.0)) + radius
+    width = radius + 8 * (dim + 2) * np.finfo(float).eps * scale
+    lo = np.searchsorted(pb, pa - width, side="left")
+    counts = np.searchsorted(pb, pa + width, side="right") - lo
+    total = int(counts.sum())
+    check_size(total, "close_pairs candidates")
+    i = np.repeat(np.arange(len(a)), counts)
+    # the k-th candidate of a_i sits at sorted position lo_i + k
+    j = order[np.arange(total) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+    dist = np.linalg.norm(a[i] - b[j], axis=1)
+    near = dist <= radius
+    return i[near], j[near], dist[near]
+
+
+def covered_by(a: np.ndarray, b: np.ndarray, radius: float) -> bool:
+    """Every row of a lies within radius of some row of b."""
+    return len(np.unique(close_pairs(a, b, radius)[0])) == len(a)
 
 
 @dataclass(frozen=True)
@@ -195,16 +231,12 @@ class FloatCode:
         if not np.allclose(norms, 1.0, atol=1e-9):
             raise ValueError("float code points must be unit vectors (within 1e-9)")
         self.points = pts / norms[:, None]
-        if len(pts) <= 4096:  # pairwise distinctness check, skipped for huge codes
-            n = len(pts)
-            rows = max(1, DISTINCT_BLOCK // (n * self.ambient_dim))
-            for lo in range(0, n, rows):
-                block = self.points[lo:lo + rows]
-                diffs = np.linalg.norm(block[:, None, :] - self.points[None, :, :], axis=2)
-                diffs[np.arange(len(block)), np.arange(lo, lo + len(block))] = np.inf
-                if diffs.min() < 10 * self.tolerance:
-                    raise ValueError(
-                        f"code {self.name!r} has points closer than the tolerance")
+        if not 0 <= self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
+        radius = 10 * self.tolerance
+        i, j, dist = close_pairs(self.points, self.points, radius)
+        if np.any((i != j) & (dist < radius)):
+            raise ValueError(f"code {self.name!r} has points closer than the tolerance")
 
     @property
     def size(self) -> int:
@@ -218,11 +250,7 @@ class FloatCode:
         return self.points
 
     def is_antipodal(self) -> bool:
-        for p in self.points:
-            d = np.linalg.norm(self.points + p[None, :], axis=1)
-            if d.min() > self.tolerance * 10:
-                return False
-        return True
+        return covered_by(self.points, -self.points, 10 * self.tolerance)
 
     def to_json_dict(self) -> dict:
         return {

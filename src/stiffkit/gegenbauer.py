@@ -1,9 +1,9 @@
 """Gegenbauer polynomials for the sphere S^d, normalized to P_n(1) = 1.
 
-Everything is exact over Q: moments of the projection weight
-w_d(t) = gamma_d * (1 - t^2)^(d/2 - 1) on [-1, 1] satisfy a two-step
-recurrence, the polynomials come from Gram-Schmidt against those moments,
-and quadrature weights are mean values of Lagrange fundamental polynomials.
+Everything is exact over Q: the polynomials follow a three-term recurrence,
+moments of the projection weight w_d(t) = gamma_d * (1 - t^2)^(d/2 - 1) on
+[-1, 1] a two-step one, and quadrature weights are mean values of Lagrange
+fundamental polynomials.
 Nodes are exact surds through degree 3; higher degrees fall back to floats
 certified by exact sign changes.
 """
@@ -148,21 +148,18 @@ def a0(q: Polynomial, d: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def gegenbauer_poly(d: int, n: int) -> Polynomial:
-    """Degree-n Gegenbauer polynomial for S^d with P_n(1) = 1."""
+    """Degree-n Gegenbauer polynomial for S^d with P_n(1) = 1, from P_0 = 1,
+    P_1 = t and (n+d-2) P_n = (2n+d-3) t P_{n-1} - (n-1) P_{n-2}."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return Polynomial([1])
-    q = Polynomial.monomial(n)
-    for j in range(n):
-        pj = gegenbauer_poly(d, j)
-        coef = inner(q, pj, d) / inner(pj, pj, d)
-        if coef:
-            q = q - pj * coef
-    at_one = q(1)
-    if at_one == 0:
-        raise ArithmeticError("orthogonal polynomial vanishes at 1")
-    return q / at_one
+    if d < 1:
+        raise ValueError("sphere dimension d must be >= 1")
+    if n == 1:
+        return Polynomial([0, 1])
+    step = Polynomial.monomial(1, 2 * n + d - 3) * gegenbauer_poly(d, n - 1)
+    return (step - gegenbauer_poly(d, n - 2) * (n - 1)) / (n + d - 2)
 
 
 @dataclass(frozen=True)

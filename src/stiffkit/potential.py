@@ -29,6 +29,7 @@ from .codes import Code, LatticePoint
 from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import Polynomial
+from .stiffness import _at_most_m_distinct
 
 GRAD_TOL = 1e-10
 CLUSTER_TOL = 1e-6
@@ -542,13 +543,15 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
     Per kernel: (a) the potential is constant over the dual within
     DUAL_SPREAD_REL relative; (b) some non-dual start descended to a finite
     value and none beats the dual value by more than -GAP_FLOOR, converged
-    or not; (c) for
-    strictly convex families every argmin lies within argmin_tol of a dual
-    point.
+    or not; (c) for strictly convex families every argmin lies within
+    argmin_tol of a dual point; (d) every dual candidate forms at most m
+    distinct dots with the code (stiffness._at_most_m_distinct on one
+    dual x code table of unit dots, gaps up to 1e-8 taken as one value).
     """
     dual_units = _as_unit_rows(dual)
     if not len(dual_units):
         raise ValueError("dual candidate set is empty")
+    m_ok = _at_most_m_distinct(dual_units @ code.unit_array().T, m, 1e-8)
     out = []
     for k, kernel in enumerate(kernels):
         rep = minimize_potential(code, kernel, restarts=restarts,
@@ -569,7 +572,7 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
             rep.global_min_value, rep.gap, equality, worst,
             rep.n_converged, rep.n_failed, rep.n_singular_starts,
             restarts, seed + k,
-            const_ok and no_beat and argmin_ok))
+            m_ok and const_ok and no_beat and argmin_ok))
     return out
 
 

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import GreedyRank, adjugate_and_det, integer_nullspace
-from .codes import (Code, LatticeCode, LatticePoint, Vector, common_norm, gcd_reduce,
-                    raw_dots)
+from .codes import (Code, LatticeCode, LatticePoint, Vector, close_pairs, common_norm,
+                    covered_by, gcd_reduce, raw_dots)
 from .config import check_size
 from .design import index_set, pair_values, spectra
 from .exact import Scalar, Surd, scalar_str
@@ -454,7 +454,7 @@ def certify_stiff(code: Code, m: int,
             dots = code.unit_array() @ units.T
             freq_table = [tuple((round(val, 9), c) for val, c in row)
                           for row in spectra(dots.T)]
-            antipodal = all(np.linalg.norm(units + p, axis=1).min() <= 1e-8 for p in units)
+            antipodal = covered_by(units, -units, 1e-8)
         freq_match = _frequencies_match(code, m, dual, freq_table)
         props["antipodal"] = antipodal
         props["cardinality_ok"] = dual.count <= m ** code.ambient_dim
@@ -621,25 +621,21 @@ def brute_force_dual(code: Code, m: int, samples: int = 100_000) -> np.ndarray:
     if not len(kept):
         return np.zeros((0, d1))
 
-    # one refinement per connected blob of kept samples
+    # one refinement per connected blob of kept samples closer than the
+    # link; each sample takes the least index of its blob as its label
     link = 2.5 * spacing
-    labels = -np.ones(len(kept), dtype=int)
-    n_comp = 0
-    for i in range(len(kept)):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = n_comp
-        while stack:
-            j = stack.pop()
-            near = np.nonzero((labels < 0) &
-                              (np.linalg.norm(kept - kept[j], axis=1) < link))[0]
-            labels[near] = n_comp
-            stack.extend(near.tolist())
-        n_comp += 1
+    i, j, dist = close_pairs(kept, kept, link)
+    i, j = i[dist < link], j[dist < link]
+    labels = np.arange(len(kept))
+    while True:
+        least = labels.copy()
+        np.minimum.at(least, i, labels[j])
+        if np.array_equal(least, labels):
+            break
+        labels = least
 
     found: list[np.ndarray] = []
-    for comp in range(n_comp):
+    for comp in np.unique(labels):
         members = np.nonzero(labels == comp)[0]
         z = kept[members[np.argmin(kcost[members])]]
         zr = _pattern_search(z, units, m, spacing)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .codes import cross_polytope, cube, demicube, e8_roots, ngon, polytope_2_41
+from .codes import covered_by, cross_polytope, cube, demicube, e8_roots, ngon, polytope_2_41
 from .design import index_set, pair_sum
 from .exact import Surd
 from .gegenbauer import gegenbauer_poly, inner, nodes
@@ -268,8 +268,7 @@ def criterion_10() -> CriterionResult:
         mid = np.array([[np.cos((2 * k + 1) * np.pi / (2 * m)),
                          np.sin((2 * k + 1) * np.pi / (2 * m))]
                         for k in range(2 * m)])
-        if len(hits) != 2 * m or any(
-                np.linalg.norm(mid - h, axis=1).min() > 1e-8 for h in hits):
+        if len(hits) != 2 * m or not covered_by(hits, mid, 1e-8):
             problems.append(f"ngon({2 * m}) midpoint directions mismatch")
         odd = ngon(2 * m + 1)
         if len(circle_dual_scan(odd, m)):
@@ -322,8 +321,7 @@ def criterion_12() -> CriterionResult:
             if len(bf) != len(ds):
                 problems.append(f"{code.name} m={m}: {len(bf)} vs {len(ds)}")
                 continue
-            if len(bf) and max(
-                    float(np.linalg.norm(ds - b, axis=1).min()) for b in bf) > 1e-8:
+            if len(bf) and not covered_by(bf, ds, 1e-8):
                 problems.append(f"{code.name} m={m}: oracle offset > 1e-8")
     return _result(
         12, "sampling oracle agreement", t0, not problems,

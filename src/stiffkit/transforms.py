@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from ._linalg import integer_direction, integer_nullspace
-from .codes import (Code, FloatCode, LatticeCode, LatticePoint, Vector, common_norm, cube,
-                    raw_dots)
+from .codes import (Code, FloatCode, LatticeCode, LatticePoint, Vector, close_pairs,
+                    common_norm, cube, raw_dots)
 from .exact import Surd
 from .stiffness import StiffnessCertificate, certify_stiff
 
@@ -36,9 +36,9 @@ def symmetrize(code: Code) -> Code:
         return LatticeCode(f"symmetrize({code.name})", code.ambient_dim,
                            code.norm_sq, pts)
     pts = code.unit_array()
-    for p in pts:
-        if np.linalg.norm(pts + p[None, :], axis=1).min() < 10 * code.tolerance:
-            raise ValueError(f"{code.name} contains an antipodal pair")
+    radius = 10 * code.tolerance
+    if np.any(close_pairs(pts, -pts, radius)[2] < radius):
+        raise ValueError(f"{code.name} contains an antipodal pair")
     return FloatCode(f"symmetrize({code.name})", code.ambient_dim,
                      np.vstack([pts, -pts]), tolerance=code.tolerance)
 
@@ -153,6 +153,8 @@ def glue(code1: Code, code2: Code, m: int,
 
     rng = np.random.default_rng(seed)
     d1 = code1.ambient_dim
+    diffs = pts2[:, None, :] - pts1r[None, :, :]
+    dn = np.linalg.norm(diffs, axis=2)
     for _ in range(GLUE_TRIES):
         a = rng.normal(size=d1)
         a -= (a @ z2) * z2  # enforce a ⊥ z2
@@ -161,8 +163,6 @@ def glue(code1: Code, code2: Code, m: int,
             continue
         a /= n
         # genericity: a not parallel to any w - v, a not perpendicular to code2
-        diffs = pts2[:, None, :] - pts1r[None, :, :]
-        dn = np.linalg.norm(diffs, axis=2)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosines = np.abs(diffs @ a) / np.where(dn > 1e-12, dn, np.inf)
         if np.any(cosines > 1.0 - 1e-9):
@@ -170,9 +170,7 @@ def glue(code1: Code, code2: Code, m: int,
         if np.any(np.abs(pts2 @ a) < 1e-9):
             continue
         pts1rr = pts1r - 2.0 * (pts1r @ a)[:, None] * a[None, :]
-        # explicit disjointness check
-        gap = np.linalg.norm(pts2[:, None, :] - pts1rr[None, :, :], axis=2).min()
-        if gap < 1e-8:
+        if np.any(close_pairs(pts2, pts1rr, 1e-8)[2] < 1e-8):  # not disjoint
             continue
         union = np.vstack([pts1rr, pts2])
         out = FloatCode(f"glue({code1.name},{code2.name},m={m})", d1, union,

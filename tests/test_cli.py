@@ -227,6 +227,19 @@ def test_verify_min_pass_and_fail(tmp_path, capsys):
     assert (code, stdout) == (2, "") and "dimension" in stderr
 
 
+def test_verify_min_requires_m_dual_dots(tmp_path, capsys):
+    f = tmp_path / "x4.json"
+    save_code(cross_polytope(4), f)
+    dual = tmp_path / "dual.json"
+    save_code(dual_search(cross_polytope(4), 2).as_code("dual"), dual)
+    for m, want in ((2, 0), (1, 1)):
+        code, stdout, _ = run(capsys, "verify-min", str(f), "-m", str(m),
+                              "--dual", str(dual), "--kernels", "gauss:1",
+                              "--restarts", "40")
+        assert code == want, m
+        assert json.loads(stdout)["report"][0]["passed"] is (want == 0)
+
+
 def test_symmetrize_roundtrip(tmp_path, capsys):
     f = tmp_path / "d5.json"
     out = tmp_path / "sym.json"

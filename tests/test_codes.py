@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiffkit.codes import (
-    DISTINCT_BLOCK,
     FloatCode,
     LatticeCode,
     LatticePoint,
+    close_pairs,
     common_norm,
     cross_polytope,
     cube,
@@ -124,12 +124,14 @@ def test_validation_rejects_bad_codes():
         LatticePoint((1, 1), 3)
     with pytest.raises(ValueError):
         FloatCode("bad", 2, np.array([[0.5, 0.5]]))  # not unit
+    for tol in (-1e-12, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            FloatCode("bad", 2, np.eye(2), tolerance=tol)
 
 
 def test_float_distinctness_check_runs_in_row_blocks():
     pts = np.random.default_rng(1).normal(size=(1500, 8))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    assert DISTINCT_BLOCK // (1500 * 8) < 1500  # more than one block
     tracemalloc.start()
     try:
         FloatCode("random", 8, pts)
@@ -142,6 +144,72 @@ def test_float_distinctness_check_runs_in_row_blocks():
     for dup in (pts[0], pts[0] + np.eye(8)[0] * 3e-12):
         with pytest.raises(ValueError, match="closer than the tolerance"):
             FloatCode("dup", 8, np.vstack([pts[:-1], dup / np.linalg.norm(dup)]))
+
+
+def test_float_code_checks_repeats_at_any_size():
+    pts = np.random.default_rng(2).normal(size=(20_000, 8))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    tracemalloc.start()
+    try:
+        code = FloatCode("random", 8, pts)
+        assert not code.is_antipodal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert FloatCode("pm", 8, np.vstack([pts[:3000], -pts[:3000]])).is_antipodal()
+    with pytest.raises(ValueError, match="closer than the tolerance"):
+        FloatCode("dup", 8, np.vstack([pts[:5000], pts[4321]]))
+
+
+def _close_pairs_reference(a, b, radius):
+    """Every pair by its distance, from the full table, one row of a at a time."""
+    table = np.array([np.linalg.norm(p - b, axis=1) for p in a]).reshape(len(a), len(b))
+    i, j = np.nonzero(table <= radius)
+    return i, j, table[i, j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["random", "ngon", "2160", "pm", "repeat", "boundary"]),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1 - 1e-6, 1.0, 1 + 1e-6]))
+def test_close_pairs_matches_brute_force(kind, seed, scale):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    a = rng.normal(size=(int(rng.integers(0, 40)), dim))
+    b = rng.normal(size=(int(rng.integers(1, 40)), dim))
+    radius = float(rng.uniform(0, 2))
+    if kind == "ngon":
+        n = int(rng.integers(2, 400))
+        a = b = ngon(n).unit_array()
+        radius = 2 * np.sin(np.pi / n) * int(rng.integers(1, 3))  # neighbour chords
+    elif kind == "2160":
+        a = polytope_2_41().unit_array()
+        b = a[rng.choice(len(a), 100, replace=False)] * rng.choice([-1, 1], (100, 1))
+        b += rng.normal(size=b.shape) * 1e-9
+        radius = float(rng.choice([1e-11, 1e-8, 1e-6]))
+    elif kind == "pm":
+        a = a / np.linalg.norm(a, axis=1)[:, None]
+        b = np.vstack([a, -a])
+        radius = 1e-9
+    elif kind == "repeat":
+        b = np.vstack([a, b])[rng.integers(0, len(a) + len(b), 60)]
+        a = np.vstack([a, b[:5]])
+        radius = float(rng.choice([0.0, 1e-12]))
+    elif kind == "boundary":
+        step = rng.normal(size=a.shape)
+        step *= radius / np.linalg.norm(step, axis=1)[:, None]
+        b = np.vstack([b, a + step])
+    radius *= scale
+    i, j, dist = close_pairs(a, b, radius)
+    want_i, want_j, want_dist = _close_pairs_reference(a, b, radius)
+    order = np.lexsort((j, i))
+    assert np.array_equal(i[order], want_i) and np.array_equal(j[order], want_j)
+    assert np.array_equal(dist[order], want_dist)
+    if kind == "boundary" and scale != 1.0:
+        # a_k + step_k sits at distance radius / scale from a_k, up to rounding
+        hit = set(zip(i.tolist(), j.tolist()))
+        moved = [(k, len(b) - len(a) + k) in hit for k in range(len(a))]
+        assert all(moved) if scale > 1 else not any(moved)
 
 
 def test_size_cap(monkeypatch):

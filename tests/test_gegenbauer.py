@@ -54,6 +54,23 @@ def test_low_degree_closed_forms(d):
     assert gegenbauer_poly(d, 2) == Polynomial([Fraction(-1, d), 0, Fraction(d + 1, d)])
 
 
+def _gram_schmidt_polys(d: int, n_max: int) -> list[Polynomial]:
+    """P_0..P_n_max by Gram-Schmidt of 1, t, t^2, ..., each scaled to P_n(1) = 1."""
+    out: list[Polynomial] = []
+    for n in range(n_max + 1):
+        q = Polynomial.monomial(n)
+        for p in out:
+            q = q - p * (inner(q, p, d) / inner(p, p, d))
+        out.append(q / q(1))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 20, 21, 24])
+def test_recurrence_matches_gram_schmidt(d):
+    for n, want in enumerate(_gram_schmidt_polys(d, 14)):
+        assert gegenbauer_poly(d, n) == want, n
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
 def test_orthogonality_and_normalization(d):
     polys = [gegenbauer_poly(d, n) for n in range(7)]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stiffkit.codes import (
+    FloatCode,
     LatticeCode,
     LatticePoint,
     cross_polytope,
@@ -50,6 +51,11 @@ class TestSymmetrize:
         target = ngon(10).unit_array()
         for p in out.unit_array():
             assert np.linalg.norm(target - p, axis=1).min() < 1e-9
+
+    def test_float_antipodal_pair_rejected(self):
+        for code in (ngon(6), FloatCode("pair", 3, np.vstack([np.eye(3), -np.eye(3)[1]]))):
+            with pytest.raises(ValueError, match="contains an antipodal pair"):
+                symmetrize(code)
 
     def test_same_dual_as_input(self):
         a = dual_search(demicube(5), 2).as_code()
