@@ -198,9 +198,14 @@ class LatticeCode:
             theirs = frozenset(p.direction() for p in other)
         return self.direction_set() == theirs
 
-    def is_antipodal(self) -> bool:
+    def antipode_mask(self) -> np.ndarray:
+        """Per point, whether its antipode is a code point, exactly."""
         pset = set(self.points)
-        return all(tuple(-x for x in p) in pset for p in self.points)
+        return np.array([tuple(-x for x in p) in pset for p in self.points],
+                        dtype=bool)
+
+    def is_antipodal(self) -> bool:
+        return bool(self.antipode_mask().all())
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,8 +254,14 @@ class FloatCode:
     def unit_array(self) -> np.ndarray:
         return self.points
 
+    def antipode_mask(self) -> np.ndarray:
+        """Per point, whether its antipode is within 10x the tolerance of a
+        code point."""
+        near = close_pairs(-self.points, self.points, 10 * self.tolerance)[0]
+        return np.bincount(near, minlength=len(self.points)) > 0
+
     def is_antipodal(self) -> bool:
-        return covered_by(self.points, -self.points, 10 * self.tolerance)
+        return bool(self.antipode_mask().all())
 
     def to_json_dict(self) -> dict:
         return {

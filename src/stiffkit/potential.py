@@ -2,18 +2,22 @@
 
 Kernels are functions of the dot product t with g(x.y) = f(|x-y|^2), so
 |x-y|^2 = 2-2t.  Minimization is multistart descent on the unit sphere:
-seeded random starts plus the code antipodes plus any supplied dual
-candidates, descended in one numpy batch, then clustered.  Each iteration
-takes a safeguarded Riemannian Newton step where the tangent Hessian is
-positive definite and falls back to an adaptive gradient step where it is
-not; a start stops when its tangential gradient reaches the round-off
-floor of the gradient sum (see _descend).
+seeded random starts, the code antipodes that are not themselves code
+points (an antipodal code has none; the report counts them as
+n_antipode_starts) and any supplied dual candidates, descended in one
+numpy batch, then clustered.  Each iteration takes a safeguarded
+Riemannian Newton step where the tangent Hessian is positive definite and
+falls back to an adaptive gradient step where it is not; a start stops
+when its tangential gradient reaches the round-off floor of the gradient
+sum (see _descend).
 
-The batched rows x code evaluations (_potentials, _derivatives) run over
-blocks of as many rows as fill one table of BLOCK_BYTES.  Their two or
-three tables are allocated once per call and reused block after block, and
-the kernels are evaluated in place in them, so the descent holds at most
-three tables of BLOCK_BYTES each, whatever the start count.
+A point is evaluated once per step: _evaluate gives its potential,
+gradient, Hessian pair sums and sum |g'| from one dot table and one pow or
+exp per entry (Kernel.evaluate), and an accepted trial point keeps them
+for the next iteration.  It runs over blocks of as many rows as fill one
+table of BLOCK_BYTES; its three tables are allocated once per call and
+reused block after block, with the kernel evaluated in place, so the
+descent holds at most three tables of BLOCK_BYTES whatever the start count.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .codes import Code, LatticePoint
+from .config import check_size
 from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import Polynomial
@@ -38,10 +43,10 @@ MAX_ITER = 600
 TRUST_RADIUS = 0.25
 # converged when |grad| <= ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)| (or gtol)
 ROUNDOFF_FACTOR = 64
-# bytes of one rows x code table in _potentials and _derivatives, which hold
-# two and three such tables, reused block after block: their memory is at
-# most three tables of BLOCK_BYTES whatever the start count (1 MiB: 60 rows
-# of the 2160-point code; a table then fits in a 2 MiB L2 cache)
+# bytes of one rows x code table in _evaluate, which holds three such
+# tables, reused block after block: its memory is at most three tables of
+# BLOCK_BYTES whatever the start count (1 MiB: 60 rows of the 2160-point
+# code; a table then fits in a 2 MiB L2 cache)
 BLOCK_BYTES = 1 << 20
 # verify_universal_minimum: the largest relative spread of the potential over
 # the dual, and the least gap a descended start may leave below the dual value
@@ -134,46 +139,40 @@ class Kernel:
             np.add(w, 2.0, out=w)
         return w if w.ndim else w[()]
 
-    def dg(self, t):
-        return self.derivatives(t)[0]
+    def evaluate(self, t: np.ndarray, sums: np.ndarray, a: np.ndarray,
+                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums of g into `sums`, then the tables (g', g''), from one pow
+        or exp per element.
 
-    def derivatives(self, t, out=None):
-        """(g'(t), g''(t)), from one pow or exp per element.
-
-        `out`, a pair of float arrays shaped like t and distinct from t,
-        receives the two tables when given; t is then scratch and is
-        overwritten.  A scalar or 0-d t gives numpy floats.
+        t is a 2-D table of clipped dots, a and b scratch tables of its
+        shape; a first receives g, as g(t, out=a) gives it, and is summed
+        before g' and g'' overwrite it.  t may be overwritten too.  The
+        returned pair is two of the three tables: riesz takes g' = s p/r and
+        g'' = (s+2) g'/r from p = r^(-s/2), r = 2-2t; gauss takes 2a e and
+        4a^2 e from e = exp(-a r).
         """
-        if out is None:
-            t = np.array(t, dtype=float)
-            out = np.empty_like(t), np.empty_like(t)
-        d1, d2 = out
+        self.g(t, out=a).sum(axis=1, out=sums)
         if self.family == "riesz":
             s = float(self.param)
             r = _gap(t, t)
-            np.copyto(d1, r)
-            with np.errstate(divide="ignore"):
-                d1 **= -s / 2.0 - 1.0
-            np.multiply(d1, s * (s + 2.0), out=d2)
-            np.divide(d2, r, out=d2)
-            np.multiply(d1, s, out=d1)
+            np.divide(a, r, out=b)
+            np.multiply(b, s, out=b)
+            np.multiply(b, s + 2.0, out=a)
+            np.divide(a, r, out=a)
         elif self.family == "gauss":
-            a = float(self.param)
-            e = _gap(t, t)
-            np.multiply(e, -a, out=e)
-            np.exp(e, out=e)
-            np.multiply(e, 2.0 * a, out=d1)
-            np.multiply(e, 4.0 * a * a, out=d2)
+            rate = float(self.param)
+            np.multiply(a, 2.0 * rate, out=b)
+            np.multiply(a, 4.0 * rate * rate, out=a)
         elif self.family == "log":
-            np.subtract(1.0, t, out=d1)
+            np.subtract(1.0, t, out=b)
             with np.errstate(divide="ignore"):
-                np.divide(1.0, d1, out=d1)
-            np.multiply(d1, d1, out=d2)
+                np.divide(1.0, b, out=b)
+            np.multiply(b, b, out=a)
         else:
             p1 = self.poly.derivative()
-            p1.eval_float(t, out=d1)
-            p1.derivative().eval_float(t, out=d2)
-        return (d1, d2) if d1.ndim else (d1[()], d2[()])
+            p1.eval_float(t, out=b)
+            p1.derivative().eval_float(t, out=a)
+        return b, a
 
 
 def _gap(t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -219,6 +218,7 @@ class MinimizationReport:
     n_converged: int
     n_failed: int
     n_singular_starts: int
+    n_antipode_starts: int  # code antipodes that are not code points
     gradient_tol: float
     cluster_tol: float
     iterations: int      # descent loop passes
@@ -242,6 +242,7 @@ class MinimizationReport:
             "n_converged": self.n_converged,
             "n_failed": self.n_failed,
             "n_singular_starts": self.n_singular_starts,
+            "n_antipode_starts": self.n_antipode_starts,
             "gradient_tol": self.gradient_tol,
             "cluster_tol": self.cluster_tol,
             "iterations": self.iterations,
@@ -261,59 +262,42 @@ def _as_unit_rows(points: Optional[np.ndarray]) -> np.ndarray:
     return np.asarray([p / np.linalg.norm(p) for p in np.asarray(points, dtype=float)])
 
 
-def _row_blocks(rows: np.ndarray, units: np.ndarray, n_tables: int
-                ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (lo, hi, tables) over blocks of rows, hi - lo rows at a time.
-
-    tables[0] is the dot table rows[lo:hi] x code, clipped to [-1, 1] so
-    float drift past a code point reads as the singular t = 1; the other
-    n_tables - 1 tables are scratch of the same shape.  All are views of
-    one buffer allocated once per call; a table holds as many rows as fit
-    in BLOCK_BYTES, and at least one.
-    """
-    size = max(1, min(len(rows), BLOCK_BYTES // (8 * len(units))))
-    buf = np.empty((n_tables, size, len(units)))
-    for lo in range(0, len(rows), size):
-        hi = min(lo + size, len(rows))
-        tables = buf[:, :hi - lo]
-        np.matmul(rows[lo:hi], units.T, out=tables[0])
-        np.clip(tables[0], -1.0, 1.0, out=tables[0])
-        yield lo, hi, tables
-
-
-def _potentials(rows: np.ndarray, units: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Potential at each row, one block of rows at a time."""
-    out = np.empty(len(rows))
-    with np.errstate(over="ignore"):
-        for lo, hi, (dots, values) in _row_blocks(rows, units, 2):
-            kernel.g(dots, out=values).sum(axis=1, out=out[lo:hi])
-    return out
-
-
-def _unit_pairs(units: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Upper-triangle indices (a, b), a <= b, and the products u_a*u_b of
-    each code point over them."""
+def _unit_pairs(units: np.ndarray) -> np.ndarray:
+    """The products u_a*u_b of each code point over the upper-triangle
+    pairs a <= b, in np.triu_indices order."""
     upper = np.triu_indices(units.shape[1])
-    return upper, units[:, upper[0]] * units[:, upper[1]]
+    return units[:, upper[0]] * units[:, upper[1]]
 
 
-def _derivatives(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
-                 kernel: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euclidean gradient, Hessian pair sums and sum |g'| at each row.
+def _evaluate(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
+              kernel: Kernel) -> tuple[np.ndarray, ...]:
+    """Potential, Euclidean gradient, Hessian pair sums and sum |g'| at
+    each row, from one dot table and one Kernel.evaluate per block of rows.
 
-    The pair sums sum_i g''(x.u_i) u_i,a u_i,b over the pairs a <= b of
-    _unit_pairs are one product of the g'' table with unit_pairs.
+    A block holds as many rows as fit in BLOCK_BYTES, and at least one; its
+    three tables are views of one buffer allocated once per call.  The dot
+    table is clipped to [-1, 1] so float drift past a code point reads as
+    the singular t = 1.  The pair sums sum_i g''(x.u_i) u_i,a u_i,b over the
+    pairs a <= b of _unit_pairs are one product of the g'' table with
+    unit_pairs.
     """
+    values = np.empty(len(rows))
     grad = np.empty((len(rows), units.shape[1]))
     pair_sums = np.empty((len(rows), unit_pairs.shape[1]))
     scale = np.empty(len(rows))
+    size = max(1, min(len(rows), BLOCK_BYTES // (8 * len(units))))
+    tables = np.empty((3, size, len(units)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, (dots, d1, d2) in _row_blocks(rows, units, 3):
-            kernel.derivatives(dots, out=(d1, d2))
+        for lo in range(0, len(rows), size):
+            hi = min(lo + size, len(rows))
+            dots, a, b = tables[:, :hi - lo]
+            np.matmul(rows[lo:hi], units.T, out=dots)
+            np.clip(dots, -1.0, 1.0, out=dots)
+            d1, d2 = kernel.evaluate(dots, values[lo:hi], a, b)
             np.matmul(d1, units, out=grad[lo:hi])
             np.matmul(d2, unit_pairs, out=pair_sums[lo:hi])
             np.abs(d1, out=d1).sum(axis=1, out=scale[lo:hi])
-    return grad, pair_sums, scale
+    return values, grad, pair_sums, scale
 
 
 def _newton_steps(x: np.ndarray, egrad: np.ndarray, ehess: np.ndarray,
@@ -339,8 +323,9 @@ def _newton_steps(x: np.ndarray, egrad: np.ndarray, ehess: np.ndarray,
     return step, ok
 
 
-def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
-             values: np.ndarray, gtol: float, max_iter: int
+def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
+             starts: np.ndarray, evaluation: tuple[np.ndarray, ...],
+             gtol: float, max_iter: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Batched safeguarded Riemannian Newton descent on the unit sphere.
 
@@ -350,31 +335,32 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
     a round-off slack of 8 eps |f|.  A row stops when its tangential
     gradient is at most max(gtol, ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)|),
     the round-off floor of the gradient sum; that is the converged mask.
-    `values` holds the potential at each start, as _potentials gives it.
+    `evaluation` is what _evaluate gives at the starts.  Every trial point
+    is evaluated once, by _evaluate: an accepted row keeps its gradient and
+    pair sums for the next iteration's test and Newton step.
 
     Returns (points, values, converged_mask, iterations, newton_steps).
     """
     eps = np.finfo(float).eps
     dim = units.shape[1]
-    upper, unit_pairs = _unit_pairs(units)
+    upper = np.triu_indices(dim)
     x = starts.copy()
+    f, egrads, pairs, scales = (v.copy() for v in evaluation)
     alive = np.ones(len(x), dtype=bool)
     step = np.full(len(x), 0.1)
     grad_norm = np.full(len(x), np.inf)
     tol = np.full(len(x), gtol)
-    f = values.copy()
     iterations = newton_steps = 0
     while iterations < max_iter:
         idx = np.nonzero(alive)[0]
         if not len(idx):
             break
         iterations += 1
-        xs = x[idx]
-        egrad, pair_sums, scale = _derivatives(xs, units, unit_pairs, kernel)
+        xs, egrad = x[idx], egrads[idx]
         tang = egrad - np.einsum("ij,ij->i", egrad, xs)[:, None] * xs
         gn = np.linalg.norm(tang, axis=1)
         grad_norm[idx] = gn
-        tol[idx] = np.maximum(gtol, ROUNDOFF_FACTOR * eps * scale)
+        tol[idx] = np.maximum(gtol, ROUNDOFF_FACTOR * eps * scales[idx])
         done = gn <= tol[idx]
         alive[idx[done]] = False
         work = idx[~done]
@@ -382,7 +368,7 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
             continue
         xs, egrad, tang, gn = xs[~done], egrad[~done], tang[~done], gn[~done]
         ehess = np.empty((len(work), dim, dim))
-        ehess[:, upper[0], upper[1]] = ehess[:, upper[1], upper[0]] = pair_sums[~done]
+        ehess[:, upper[0], upper[1]] = ehess[:, upper[1], upper[0]] = pairs[work]
         newton_step, newton = _newton_steps(xs, egrad, ehess, tang)
         direction = -tang / gn[:, None]
         length = step[work]
@@ -398,12 +384,14 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
             rows = work[pending]
             trial = x[rows] + length[pending][:, None] * direction[pending]
             trial /= np.linalg.norm(trial, axis=1)[:, None]
-            f_trial = _potentials(trial, units, kernel)
+            f_trial, g_trial, p_trial, s_trial = _evaluate(trial, units,
+                                                           unit_pairs, kernel)
             slack = 8.0 * eps * np.abs(f[rows])
             ok = f_trial <= f[rows] - 1e-4 * length[pending] * slope[pending] + slack
             acc = rows[ok]
             x[acc] = trial[ok]
             f[acc] = f_trial[ok]
+            egrads[acc], pairs[acc], scales[acc] = g_trial[ok], p_trial[ok], s_trial[ok]
             newton_steps += int(np.sum(newton[pending[ok]]))
             grad_acc = pending[ok & ~newton[pending]]
             step[work[grad_acc]] = np.minimum(length[grad_acc] * 1.5, TRUST_RADIUS)
@@ -418,14 +406,19 @@ def _descend(units: np.ndarray, kernel: Kernel, starts: np.ndarray,
 
 def _greedy_cluster(points: np.ndarray, tol: float) -> np.ndarray:
     """Representatives, in input order: a point is kept when it is farther
-    than tol from every representative kept before it."""
-    reps = np.empty_like(points)
-    n = 0
-    for p in points:
-        if not n or np.linalg.norm(reps[:n] - p, axis=1).min() > tol:
-            reps[n] = p
-            n += 1
-    return reps[:n]
+    than tol from every representative kept before it.
+
+    One pass per representative: the first undecided point is the next
+    representative (every earlier one has been compared with it), and the
+    undecided points within tol of it are dropped.  Work and memory are
+    O(N * representatives), however many points share one minimum."""
+    keep = []
+    rest = np.arange(len(points))
+    while len(rest):
+        r, rest = rest[0], rest[1:]
+        keep.append(r)
+        rest = rest[np.linalg.norm(points[rest] - points[r], axis=1) > tol]
+    return points[np.array(keep, dtype=np.intp)]
 
 
 def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
@@ -434,20 +427,27 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     """Multistart minimization of the code's potential over the sphere.
 
     Starts: `restarts` seeded uniform points (one spawned generator stream
-    per restart), every code antipode, and the supplied dual candidates.
-    Starts where a singular kernel blows up are dropped and counted.
+    per restart), the code antipodes that are not themselves code points
+    (Code.antipode_mask: exact for a LatticeCode, within 10x the tolerance
+    for a FloatCode; an antipodal code has none), and the supplied dual
+    candidates.  Their count goes through check_size before any generator
+    is spawned.  Each start is evaluated once; starts where a singular
+    kernel blows up are dropped and counted, and each accepted descent step
+    is evaluated once (see _descend).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     units = code.unit_array()
     dim = code.ambient_dim
+    antipodes = -units[~code.antipode_mask()]
+    dual_units = _as_unit_rows(dual)
+    n_dual = len(dual_units)
+    check_size(restarts + len(antipodes) + n_dual, "descent starts")
 
     streams = np.random.SeedSequence(seed).spawn(restarts)
     rand = np.array([np.random.default_rng(s).normal(size=dim) for s in streams])
     rand /= np.linalg.norm(rand, axis=1)[:, None]
-    starts = [rand, -units]
-    dual_units = _as_unit_rows(dual)
-    n_dual = len(dual_units)
+    starts = [rand, antipodes]
     if n_dual:
         starts.append(dual_units)
     x0 = np.vstack(starts)
@@ -456,13 +456,15 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
         is_dual_start[-n_dual:] = True
 
     # drop starts that evaluate to +inf under singular kernels
-    f0 = _potentials(x0, units, kernel)
-    finite = np.isfinite(f0)
+    unit_pairs = _unit_pairs(units)
+    evaluation = _evaluate(x0, units, unit_pairs, kernel)
+    finite = np.isfinite(evaluation[0])
     n_singular = int(np.sum(~finite))
-    x0, f0, is_dual_start = x0[finite], f0[finite], is_dual_start[finite]
+    x0, is_dual_start = x0[finite], is_dual_start[finite]
+    evaluation = tuple(v[finite] for v in evaluation)
 
-    pts, vals, conv, iterations, n_newton = _descend(units, kernel, x0, f0,
-                                                     GRAD_TOL, max_iter)
+    pts, vals, conv, iterations, n_newton = _descend(
+        units, unit_pairs, kernel, x0, evaluation, GRAD_TOL, max_iter)
     n_conv = int(np.sum(conv))
     n_failed = int(np.sum(~conv))
 
@@ -490,8 +492,9 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     cluster = reps[np.lexsort(reps.T[::-1])]  # rows in lexicographic order
     return MinimizationReport(code.name, kernel.name, restarts, seed,
                               global_min, cluster, n_conv, n_failed,
-                              n_singular, GRAD_TOL, CLUSTER_TOL, iterations,
-                              n_newton, dual_value, spread, gap, dual_match)
+                              n_singular, len(antipodes), GRAD_TOL,
+                              CLUSTER_TOL, iterations, n_newton, dual_value,
+                              spread, gap, dual_match)
 
 
 @dataclass(frozen=True)
@@ -511,6 +514,7 @@ class UniversalMinimumReport:
     n_converged: int
     n_failed: int              # descended starts that did not converge
     n_singular_starts: int     # starts dropped as singular
+    n_antipode_starts: int     # code antipodes that are not code points
     restarts: int
     seed: int
     passed: bool
@@ -528,6 +532,7 @@ class UniversalMinimumReport:
             "n_converged": self.n_converged,
             "n_failed": self.n_failed,
             "n_singular_starts": self.n_singular_starts,
+            "n_antipode_starts": self.n_antipode_starts,
             "restarts": self.restarts,
             "seed": self.seed,
             "passed": self.passed,
@@ -571,7 +576,7 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
             code.name, kernel.name, rep.dual_value, rep.dual_spread_rel,
             rep.global_min_value, rep.gap, equality, worst,
             rep.n_converged, rep.n_failed, rep.n_singular_starts,
-            restarts, seed + k,
+            rep.n_antipode_starts, restarts, seed + k,
             m_ok and const_ok and no_beat and argmin_ok))
     return out
 

@@ -27,18 +27,16 @@ GLUE_TRIES = 64  # random reflection directions tried by glue
 
 def symmetrize(code: Code) -> Code:
     """The union code ∪ (-code); input must have no antipodal pair."""
+    paired = np.flatnonzero(code.antipode_mask())
+    if len(paired):
+        raise ValueError(f"{code.name} contains an antipodal pair "
+                         f"(point {paired[0]} and its antipode)")
     if isinstance(code, LatticeCode):
-        pset = set(code.points)
-        for p in code.points:
-            if tuple(-x for x in p) in pset:
-                raise ValueError(f"{code.name} contains the antipodal pair ±{p}")
-        pts = tuple(sorted(pset | {tuple(-x for x in p) for p in code.points}))
+        pts = tuple(sorted(set(code.points)
+                           | {tuple(-x for x in p) for p in code.points}))
         return LatticeCode(f"symmetrize({code.name})", code.ambient_dim,
                            code.norm_sq, pts)
     pts = code.unit_array()
-    radius = 10 * code.tolerance
-    if np.any(close_pairs(pts, -pts, radius)[2] < radius):
-        raise ValueError(f"{code.name} contains an antipodal pair")
     return FloatCode(f"symmetrize({code.name})", code.ambient_dim,
                      np.vstack([pts, -pts]), tolerance=code.tolerance)
 
@@ -153,8 +151,11 @@ def glue(code1: Code, code2: Code, m: int,
 
     rng = np.random.default_rng(seed)
     d1 = code1.ambient_dim
-    diffs = pts2[:, None, :] - pts1r[None, :, :]
-    dn = np.linalg.norm(diffs, axis=2)
+    # |w - v| for w in code2, v in the reflected code1, one code2 row at a
+    # time so no N2 x N1 x d difference tensor is held; too short to define
+    # a direction counts as never parallel
+    dn = np.array([np.linalg.norm(w - pts1r, axis=1) for w in pts2])
+    dn[dn <= 1e-12] = np.inf
     for _ in range(GLUE_TRIES):
         a = rng.normal(size=d1)
         a -= (a @ z2) * z2  # enforce a ⊥ z2
@@ -163,11 +164,11 @@ def glue(code1: Code, code2: Code, m: int,
             continue
         a /= n
         # genericity: a not parallel to any w - v, a not perpendicular to code2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosines = np.abs(diffs @ a) / np.where(dn > 1e-12, dn, np.inf)
+        along2 = pts2 @ a
+        cosines = np.abs(along2[:, None] - (pts1r @ a)[None, :]) / dn
         if np.any(cosines > 1.0 - 1e-9):
             continue
-        if np.any(np.abs(pts2 @ a) < 1e-9):
+        if np.any(np.abs(along2) < 1e-9):
             continue
         pts1rr = pts1r - 2.0 * (pts1r @ a)[:, None] * a[None, :]
         if np.any(close_pairs(pts2, pts1rr, 1e-8)[2] < 1e-8):  # not disjoint

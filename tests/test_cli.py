@@ -340,6 +340,24 @@ def test_size_cap_env(tmp_path, capsys, monkeypatch):
             assert "bad parameters" not in stderr and "check failed" not in stderr
 
 
+def test_descent_starts_under_size_cap(tmp_path, capsys, monkeypatch):
+    # restarts + code antipodes + dual points go through the cap before any
+    # generator is spawned: demicube(5) has 16 antipode starts, its dual 10
+    f, g = tmp_path / "d5.json", tmp_path / "x5.json"
+    save_code(demicube(5), f)
+    save_code(cross_polytope(5), g)
+    monkeypatch.setenv("STIFFKIT_SIZE_CAP", "100")
+    base = ["verify-min", str(f), "-m", "2", "--dual", str(g), "--kernels", "gauss:1"]
+    for restarts, starts in ((101, 127), (75, 101)):
+        code, stdout, stderr = run(capsys, *base, "--restarts", str(restarts))
+        assert (code, stdout) == (2, ""), restarts
+        assert f"descent starts needs {starts} items, above the cap 100" in stderr
+    # exactly 100 starts run, and their clustering stays under the cap
+    code, stdout, _ = run(capsys, *base, "--restarts", "74")
+    assert code == 0
+    assert json.loads(stdout)["report"][0]["n_antipode_starts"] == 16
+
+
 def test_parse_scalar_grammar():
     assert parse_scalar("0") == Fraction(0)
     assert parse_scalar("1/3") == Fraction(1, 3)

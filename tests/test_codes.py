@@ -60,6 +60,14 @@ def test_demicube_parity_and_counts():
     assert not demicube(3).is_antipodal()
 
 
+def test_antipode_mask_is_exact_on_integer_points():
+    # (2,1,0) and (-2,-1,0) pair up; the antipode (0,-1,-2) of (0,1,2) is
+    # absent, and (0,-2,-1) holds the same coordinates in another order
+    c = LatticeCode("mixed", 3, 5, ((2, 1, 0), (-2, -1, 0), (0, 1, 2), (0, -2, -1)))
+    assert c.antipode_mask().tolist() == [True, True, False, False]
+    assert not c.is_antipodal()
+
+
 def test_demicube_4_is_a_cross_polytope_copy():
     # 8 points with pairwise dots in {4, 0, -4}/4: an orthoplex up to rotation
     c = demicube(4)

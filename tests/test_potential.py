@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from stiffkit.codes import (
     FloatCode,
+    LatticeCode,
     LatticePoint,
     cross_polytope,
     cube,
@@ -27,10 +28,9 @@ from stiffkit.potential import (
     CLUSTER_TOL,
     Kernel,
     SingularEvaluation,
-    _derivatives,
     _descend,
+    _evaluate,
     _greedy_cluster,
-    _potentials,
     _probe_values,
     _unit_pairs,
     minimize_potential,
@@ -82,6 +82,7 @@ class TestKernel:
         assert math.isclose(float(k.g(0.0)), -math.log(2.0) + 2.0)
 
     def test_gradient_matches_finite_differences(self):
+        # g' from Kernel.evaluate against central differences of g
         kernels = [Kernel.parse("riesz:1"), Kernel.parse("riesz:4"),
                    Kernel.parse("gauss:2"), Kernel.parse("log"),
                    Kernel("poly", poly=Polynomial([1, Fraction(1, 2), 0, 3]))]
@@ -89,7 +90,8 @@ class TestKernel:
         for k in kernels:
             for t in np.linspace(-0.9, 0.9, 13):
                 num = (float(k.g(t + h)) - float(k.g(t - h))) / (2 * h)
-                assert math.isclose(float(k.dg(t)), num, rel_tol=1e-5, abs_tol=1e-8), k.name
+                d1 = _kernel_tables(k, t)[1][0]
+                assert math.isclose(d1, num, rel_tol=1e-5, abs_tol=1e-8), k.name
 
     def test_second_derivative_matches_finite_differences(self):
         kernels = [Kernel.parse("riesz:1"), Kernel.parse("riesz:2"),
@@ -98,16 +100,23 @@ class TestKernel:
         h = 1e-6
         for k in kernels:
             for t in np.linspace(-0.9, 0.9, 13):
-                num = (float(k.dg(t + h)) - float(k.dg(t - h))) / (2 * h)
-                d1, d2 = k.derivatives(t)
-                assert float(d1) == float(k.dg(t)), k.name
-                assert math.isclose(float(d2), num, rel_tol=1e-5, abs_tol=1e-8), k.name
+                _, d1, d2 = _kernel_tables(k, [t - h, t, t + h])
+                num = (d1[2] - d1[0]) / (2 * h)
+                assert math.isclose(d2[1], num, rel_tol=1e-5, abs_tol=1e-8), k.name
 
     def test_kernels_increasing_in_t(self):
-        # all families reward proximity: dg > 0 on (-1, 1)
+        # all families reward proximity: g' > 0 on (-1, 1)
         for spec in ("riesz:1", "riesz:2", "gauss:1", "log"):
             k = Kernel.parse(spec)
-            assert np.all(k.dg(np.linspace(-0.99, 0.99, 50)) > 0), spec
+            assert np.all(_kernel_tables(k, np.linspace(-0.99, 0.99, 50))[1] > 0), spec
+
+
+def _kernel_tables(kernel: Kernel, t) -> tuple:
+    """(g, g', g'') at each t, from Kernel.evaluate on one-column rows."""
+    t = np.array(t, dtype=float).reshape(-1, 1)
+    a, b, sums = np.empty_like(t), np.empty_like(t), np.empty(len(t))
+    d1, d2 = kernel.evaluate(t, sums, a, b)
+    return sums, d1[:, 0].copy(), d2[:, 0].copy()
 
 
 def _g_reference(kernel: Kernel, t: np.ndarray) -> np.ndarray:
@@ -125,14 +134,24 @@ def _g_reference(kernel: Kernel, t: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _riesz_pow_reference(kernel: Kernel, t: np.ndarray) -> tuple:
+    """Second riesz reference: (g', g'') from their own pow r^(-s/2-1)."""
+    s = float(kernel.param)
+    r = 2.0 - 2.0 * t
+    with np.errstate(divide="ignore"):
+        p = r ** (-s / 2.0 - 1.0)
+    return s * p, s * (s + 2.0) * p / r
+
+
 def _derivatives_reference(kernel: Kernel, t: np.ndarray) -> tuple:
-    """Reference: the allocating formulas for (g', g'')."""
+    """Reference: the allocating formulas for (g', g''); riesz takes both
+    from the value's pow p = r^(-s/2)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if kernel.family == "riesz":
             s = float(kernel.param)
             r = 2.0 - 2.0 * t
-            p = r ** (-s / 2.0 - 1.0)
-            return s * p, s * (s + 2.0) * p / r
+            d1 = s * (_g_reference(kernel, t) / r)
+            return d1, (s + 2.0) * d1 / r
         if kernel.family == "gauss":
             a = float(kernel.param)
             e = np.exp(-a * (2.0 - 2.0 * t))
@@ -158,21 +177,34 @@ class TestInPlaceKernels:
         t = np.concatenate([[-1.0, 0.0, 1.0, 1.0 - 2 ** -52],
                             np.random.default_rng(1).uniform(-1, 1, 500)])
         assert np.array_equal(k.g(t), _g_reference(k, t), equal_nan=True)
-        d1, d2 = k.derivatives(t)
+        g, d1, d2 = _kernel_tables(k, t)
         r1, r2 = _derivatives_reference(k, t)
+        assert np.array_equal(g, _g_reference(k, t), equal_nan=True)
         assert np.array_equal(d1, r1, equal_nan=True)
         assert np.array_equal(d2, r2, equal_nan=True)
         # a scalar takes the array path: numpy floats, the same bits
         for x in (-0.3, 0.7):
             assert type(k.g(x)) is np.float64
             assert k.g(x) == k.g(np.array([x]))[0]
-            for v, w in zip(k.derivatives(x), k.derivatives(np.array([x]))):
-                assert type(v) is np.float64 and v == w[0]
+
+    @pytest.mark.parametrize("spec", ["riesz:1/2", "riesz:1", "riesz:3/2",
+                                      "riesz:2", "riesz:3", "riesz:4"])
+    def test_riesz_within_4_eps_of_own_pow(self, spec):
+        # g' and g'' from the value's pow, against a pow of their own
+        k = Kernel.parse(spec)
+        t = np.concatenate([[-1.0, 0.0, 1.0, 1.0 - 2 ** -52],
+                            np.random.default_rng(2).uniform(-1, 1, 2000)])
+        eps = np.finfo(float).eps
+        for got, want in zip(_kernel_tables(k, t)[1:], _riesz_pow_reference(k, t)):
+            finite = np.isfinite(want)
+            assert np.array_equal(got[~finite], want[~finite])
+            assert np.all(np.abs(got[finite] - want[finite])
+                          <= 4 * eps * np.abs(want[finite])), spec
 
 
 class TestRowBlocks:
-    """_potentials and _derivatives against one unblocked table, with row
-    counts around the block size b of the 2160-point code."""
+    """_evaluate against one unblocked table, with row counts around the
+    block size b of the 2160-point code."""
 
     units = polytope_2_41().unit_array()
     b = BLOCK_BYTES // (8 * len(units))
@@ -190,7 +222,7 @@ class TestRowBlocks:
     def test_match_unblocked_reference(self, k):
         b = self.b
         assert b >= 2
-        _, pairs = _unit_pairs(self.units)
+        pairs = _unit_pairs(self.units)
         for n in (0, 1, b - 1, b, b + 1, 3 * b + 5):
             rows, on_code = self._rows(n)
             table = np.clip(rows @ self.units.T, -1.0, 1.0)
@@ -199,11 +231,10 @@ class TestRowBlocks:
                 r1, r2 = _derivatives_reference(k, table)
                 want_grad = np.array([row @ self.units for row in r1]).reshape(n, 8)
                 want_pairs = np.array([row @ pairs for row in r2]).reshape(n, 36)
-            got = _potentials(rows, self.units, k)
+            got, grad, pair_sums, scale = _evaluate(rows, self.units, pairs, k)
             assert np.array_equal(got, want, equal_nan=True), n
             if k.singular_at_one:
                 assert np.all(got[on_code] == np.inf), n
-            grad, pair_sums, scale = _derivatives(rows, self.units, pairs, k)
             assert grad.shape == (n, 8) and pair_sums.shape == (n, 36)
             assert np.array_equal(scale, np.abs(r1).sum(axis=1), equal_nan=True), n
             finite = np.isfinite(scale)
@@ -217,16 +248,16 @@ class TestRowBlocks:
                 assert not finite[on_code].any(), n
 
     def test_derivatives_memory_is_a_few_blocks(self):
-        # 3400 rows: criterion 7's starts (1000 random, 2160 antipodes,
-        # 240 dual points); three tables of BLOCK_BYTES, whatever the count
+        # 3400 rows, more than criterion 7's 1240 starts (1000 random, 240
+        # dual points); three tables of BLOCK_BYTES, whatever the count
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(3400, 8))
         rows /= np.linalg.norm(rows, axis=1)[:, None]
-        _, pairs = _unit_pairs(self.units)
+        pairs = _unit_pairs(self.units)
         for k in BLOCK_KERNELS:
             tracemalloc.start()
             try:
-                out = _derivatives(rows, self.units, pairs, k)
+                out = _evaluate(rows, self.units, pairs, k)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -341,6 +372,20 @@ class TestGreedyCluster:
     def test_empty(self):
         assert _greedy_cluster(np.zeros((0, 3)), CLUSTER_TOL).shape == (0, 3)
 
+    def test_thousands_of_points_on_two_minima(self, monkeypatch):
+        # 3000 points within a quarter of CLUSTER_TOL of one of two minima:
+        # the work is bounded by points x representatives, not by the
+        # square of a cluster's size, so the default size cap never bites
+        monkeypatch.delenv("STIFFKIT_SIZE_CAP", raising=False)
+        rng = np.random.default_rng(7)
+        centers = np.eye(8)[:2]
+        u = rng.normal(size=(3000, 8))
+        u *= 0.25 * CLUSTER_TOL / np.linalg.norm(u, axis=1)[:, None]
+        pts = centers[rng.integers(0, 2, size=3000) * (np.arange(3000) > 0)] + u
+        got = _greedy_cluster(pts, CLUSTER_TOL)
+        assert np.array_equal(got, _cluster_loop(pts, CLUSTER_TOL))
+        assert len(got) == 2
+
 
 class TestMinimize:
     def test_demicube5_riesz2(self):
@@ -370,22 +415,44 @@ class TestMinimize:
                                            [Kernel.parse("riesz:1")],
                                            restarts=20, seed=0)
         ublob = urep.to_json_dict()
-        # all six code antipodes are code points, singular under riesz
-        assert ublob["n_singular_starts"] == 6
+        # all six code antipodes are code points, so none is a start
+        assert ublob["n_singular_starts"] == 0
+        assert ublob["n_antipode_starts"] == 0
         assert ublob["n_failed"] == 0
 
     def test_float_drift_past_one_is_singular(self):
-        # demicube(6) is antipodal: its 32 code antipodes are code points,
-        # some of whose unit dots round to 1 + ulp
+        # demicube(6)'s unit dots with its own points round to 1 + ulp in
+        # places; clipped, every code point evaluates to +inf, never NaN
+        units = demicube(6).unit_array()
         for spec in ("riesz:1", "riesz:2", "riesz:4"):
+            out = _evaluate(units, units, _unit_pairs(units), Kernel.parse(spec))
+            assert np.all(out[0] == np.inf), spec
+            assert not any(np.isnan(v).any() for v in out), spec
             rep = minimize_potential(demicube(6), Kernel.parse(spec),
                                      restarts=200, seed=0)
-            assert rep.n_singular_starts == 32, spec
+            assert rep.n_singular_starts == rep.n_antipode_starts == 0, spec
             assert rep.n_failed == 0, spec
 
+    def test_singular_starts_dropped_before_descent(self, monkeypatch):
+        # with every code antipode started, demicube(6)'s 32 antipodes are
+        # its own points: minimize_potential drops and counts them, and
+        # keeps the dual starts behind them marked as dual
+        monkeypatch.setattr(LatticeCode, "antipode_mask",
+                            lambda self: np.zeros(self.size, dtype=bool))
+        dual = cross_polytope(6).unit_array()
+        for spec in ("riesz:1", "riesz:2", "riesz:4"):
+            rep = minimize_potential(demicube(6), Kernel.parse(spec),
+                                     restarts=50, seed=0, dual=dual)
+            assert rep.n_antipode_starts == rep.n_singular_starts == 32, spec
+            assert rep.n_failed == 0 and rep.n_converged == 50 + 12, spec
+            blob = rep.to_json_dict()
+            for key in ("global_min_value", "dual_value", "gap", "dual_spread_rel"):
+                assert math.isfinite(blob[key]), (spec, key)
+            assert np.isfinite(rep.argmin_cluster).all(), spec
+
     def test_gap_counts_unconverged_starts(self):
-        # after one iteration only the code-antipode maxima have converged;
-        # the unconverged starts already sit below the wrong dual's value
+        # after one iteration the unconverged starts already sit below the
+        # wrong dual's value
         wrong = np.array([[1.0, 1.0, 0.0, 0.0]]) / 2 ** 0.5
         rep = minimize_potential(cross_polytope(4), Kernel.parse("gauss:1"),
                                  restarts=200, seed=0, dual=wrong, max_iter=1)
@@ -399,11 +466,12 @@ class TestMinimize:
         start = p + 1e-3 * np.linspace(-1.0, 1.0, 5)
         start /= np.linalg.norm(start)
         units = code.unit_array()
+        pairs = _unit_pairs(units)
         x, _, conv, iterations, newton = _descend(
-            units, k, start[None, :], _potentials(start[None, :], units, k),
-            1e-10, 8)
+            units, pairs, k, start[None, :],
+            _evaluate(start[None, :], units, pairs, k), 1e-10, 8)
         assert conv[0] and iterations <= 8 and newton >= 1
-        grad = k.dg(units @ x[0]) @ units
+        grad = _kernel_tables(k, units @ x[0])[1] @ units
         tang = grad - (grad @ x[0]) * x[0]
         assert np.linalg.norm(tang) < 1e-10
         assert np.linalg.norm(x[0] - p) < 1e-8
@@ -421,6 +489,39 @@ class TestMinimize:
                                restarts=30, seed=11)
         assert a.global_min_value == b.global_min_value
         assert np.array_equal(a.argmin_cluster, b.argmin_cluster)
+
+
+class TestAntipodeStarts:
+    """A code antipode that is itself a code point is not a start."""
+
+    @pytest.mark.parametrize("code", [cross_polytope(3), demicube(6),
+                                      polytope_2_41()], ids=lambda c: c.name)
+    def test_antipodal_codes_start_no_antipode(self, code):
+        rep = minimize_potential(code, Kernel.parse("gauss:1"), restarts=5, seed=0)
+        assert rep.n_antipode_starts == 0
+        assert rep.n_converged + rep.n_failed == 5
+
+    def test_demicube5_keeps_all_16(self):
+        rep = minimize_potential(demicube(5), Kernel.parse("riesz:2"),
+                                 restarts=5, seed=0)
+        assert rep.n_antipode_starts == 16
+        assert rep.n_singular_starts == 0
+        assert rep.n_converged + rep.n_failed == 21
+        assert rep.to_json_dict()["n_antipode_starts"] == 16
+
+    def test_partly_antipodal_float_code(self):
+        # 6 generic points, the antipodes of the first two, and the antipode
+        # of the third moved by 1e-13, inside FloatCode's 10x tolerance
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(6, 4))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        near = -pts[2] + 1e-13 * np.array([1.0, -1.0, 0.0, 0.0])
+        code = FloatCode("part", 4, np.vstack([pts, -pts[:2], near]))
+        assert list(code.antipode_mask()) == [True] * 3 + [False] * 3 + [True] * 3
+        assert not code.is_antipodal()
+        rep = minimize_potential(code, Kernel.parse("riesz:1"), restarts=4, seed=0)
+        assert rep.n_antipode_starts == 3
+        assert rep.n_singular_starts == 0
 
 
 class TestUniversalMinimum:

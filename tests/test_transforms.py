@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +151,18 @@ class TestGlue:
     def test_non_stiff_input_rejected(self):
         with pytest.raises(ValueError):
             glue(cube(3), cube(3), 3)
+
+    def test_genericity_test_holds_no_difference_tensor(self):
+        # the 512 x 512 x 9 differences of two cube(9) copies are 18.9 MB;
+        # the rest of the peak is the union's own certify_stiff
+        tracemalloc.start()
+        try:
+            out, _ = glue(cube(9), cube(9), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == 1024
+        assert peak < 25 * 2**20
 
     def test_output_can_glue_again(self):
         base, _ = glue(cross_polytope(3), cross_polytope(3), 2, seed=2)
