@@ -35,7 +35,7 @@ from .exact import Surd, parse_scalar
 from .potential import (DUAL_SPREAD_REL, GAP_FLOOR, Kernel, SingularEvaluation,
                         verify_universal_minimum)
 from .stiffness import FLOAT_RESIDUAL, NodesRequired, NotInGeneralPosition, certify_stiff
-from .suite import run_suite
+from .suite import chosen_criteria, run_suite
 from .transforms import facet_derive, glue, rotated_cubes, symmetrize
 
 
@@ -318,17 +318,17 @@ def cmd_rotated_cubes(args) -> int:
 
 def cmd_suite(args) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = [int(t) for t in args.only.split(",")]
         except ValueError:
             raise UsageError("--only takes comma-separated criterion numbers") from None
-        bad = [n for n in numbers if not 1 <= n <= 12]
-        if bad:
-            raise UsageError(f"--only: criterion numbers run from 1 to 12, got {bad}")
+    try:
+        chosen = chosen_criteria(numbers)
+    except ValueError as e:
+        raise UsageError(f"--only: {e}") from None
     t0 = time.time()
     results = []
-    chosen = sorted(set(numbers)) if numbers else list(range(1, 13))
     for n in chosen:
         res = run_suite([n])[0]
         results.append(res)

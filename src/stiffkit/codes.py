@@ -182,7 +182,8 @@ class LatticeCode:
         return np.asarray(self.points, dtype=np.int64)
 
     def unit_array(self) -> np.ndarray:
-        return self.int_array().astype(float) / float(self.norm_sq) ** 0.5
+        # floats straight from the Python ints, so coordinates past int64 work
+        return np.asarray(self.points, dtype=float) / float(self.norm_sq) ** 0.5
 
     def lattice_points(self) -> list[LatticePoint]:
         return [LatticePoint(p, self.norm_sq) for p in self.points]

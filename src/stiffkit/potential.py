@@ -422,8 +422,8 @@ def _greedy_cluster(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
-                       seed: int = 0, dual: Optional[np.ndarray] = None,
-                       max_iter: int = MAX_ITER) -> MinimizationReport:
+                       seed: int = 0, dual: Optional[np.ndarray] = None
+                       ) -> MinimizationReport:
     """Multistart minimization of the code's potential over the sphere.
 
     Starts: `restarts` seeded uniform points (one spawned generator stream
@@ -464,7 +464,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     evaluation = tuple(v[finite] for v in evaluation)
 
     pts, vals, conv, iterations, n_newton = _descend(
-        units, unit_pairs, kernel, x0, evaluation, GRAD_TOL, max_iter)
+        units, unit_pairs, kernel, x0, evaluation, GRAD_TOL, MAX_ITER)
     n_conv = int(np.sum(conv))
     n_failed = int(np.sum(~conv))
 

@@ -24,15 +24,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import GreedyRank, adjugate_and_det, integer_nullspace
-from .codes import (Code, LatticeCode, LatticePoint, Vector, close_pairs, common_norm,
-                    covered_by, gcd_reduce, raw_dots)
+from .codes import (Code, LatticeCode, LatticePoint, Vector, common_norm, covered_by,
+                    gcd_reduce, raw_dots)
 from .config import check_size
 from .design import index_set, pair_values, spectra
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import nodes as gegenbauer_nodes
 
 FLOAT_RESIDUAL = 1e-9
-# cluster widths accepted as one dot value by the two sampling oracles
+# cluster widths accepted as one dot value by the two candidate scans
 BRUTE_WIDTH_TOL = 1e-6
 CIRCLE_WIDTH_TOL = 1e-8
 # the float walk keeps a prefix whose least squared norm is within this of 1
@@ -527,24 +527,6 @@ def classify_sharp(code: LatticeCode) -> SharpnessReport:
                            tuple(vals))
 
 
-def _cluster_cost(dots: np.ndarray, m: int) -> np.ndarray:
-    """Total width of the best split of sorted dots into m contiguous clusters.
-
-    Zero exactly when at most m distinct values remain; computed as the
-    value range minus the m-1 largest adjacent gaps.  Accepts a batch with
-    dot rows and returns one cost per row.
-    """
-    arr = np.sort(np.atleast_2d(dots), axis=1)
-    gaps = np.diff(arr, axis=1)
-    spread = arr[:, -1] - arr[:, 0]
-    if m >= arr.shape[1]:
-        return np.zeros(len(arr))
-    if m > 1:
-        top = -np.partition(-gaps, m - 2, axis=1)[:, : m - 1]
-        spread = spread - top.sum(axis=1)
-    return spread
-
-
 def _max_cluster_width(dots: np.ndarray, m: int) -> float:
     """Largest single-cluster width after cutting at the m-1 biggest gaps."""
     arr = np.sort(np.asarray(dots, dtype=float))
@@ -562,87 +544,45 @@ def _max_cluster_width(dots: np.ndarray, m: int) -> float:
     return width
 
 
-def _pattern_search(z: np.ndarray, units: np.ndarray, m: int,
-                    h0: float) -> np.ndarray:
-    """Derivative-free descent of the cluster cost over the sphere."""
-    z = z / np.linalg.norm(z)
-    d1 = len(z)
-    cost = float(_cluster_cost(units @ z, m)[0])
-    h = h0
-    while h > 1e-13:
-        # orthonormal tangent frame at the current point
-        basis = np.linalg.svd(z[None, :])[2][1:]
-        trials = np.vstack([z + s * h * b for b in basis for s in (1.0, -1.0)])
-        trials /= np.linalg.norm(trials, axis=1)[:, None]
-        costs = _cluster_cost(trials @ units.T, m)
-        k = int(np.argmin(costs))
-        if costs[k] < cost:
-            z, cost = trials[k], float(costs[k])
-            h = min(h * 1.5, h0)
-        else:
-            h *= 0.4
-    return z
+def brute_force_dual(code: Code, m: int) -> np.ndarray:
+    """All directions on S^2 with <= m distinct code dots.
 
-
-def brute_force_dual(code: Code, m: int, samples: int = 100_000) -> np.ndarray:
-    """Dense-sampling search for all unit points with <= m distinct code dots.
-
-    Independent of the linear-system route: scans quasi-random sphere
-    points (a Fibonacci spiral on S^2, Gaussian directions from seed 0
-    otherwise), keeps candidates whose dot multiset is nearly m-clusterable
-    at grid resolution, then sharpens each cluster of candidates by
-    pattern search and keeps those within BRUTE_WIDTH_TOL of
-    m-clusterability.
-    Returns deduplicated unit rows sorted lexicographically.
+    Independent of the linear-system route.  Take N > 2m points and a
+    direction z with at most m distinct dots: z is normal to every
+    difference of two points that share a dot.  By pigeonhole two of the
+    first m + 1 points share one, which gives a difference a.  Some dot is
+    shared by three or more points, which lie on a circle and so are not
+    collinear; their differences span the plane normal to z, so one of
+    them, b, is not parallel to a.  So z = ±(a x b)/|a x b| for a pair
+    difference a among the first m + 1 points and b among all points.
+    Float points rarely tie exactly, so each candidate is tested where it
+    lies: its dots must split into m clusters of width at most
+    BRUTE_WIDTH_TOL.  Returns unit rows sorted lexicographically, taking
+    the narrowest candidate first and dropping any within 1e-7 of a kept
+    one.  ValueError unless the code is on S^2, m >= 1 and N > 2m.
     """
+    if code.ambient_dim != 3:
+        raise ValueError("pair-difference scan applies to codes on S^2 only")
     units = code.unit_array()
-    d1 = code.ambient_dim
-    if d1 == 3:
-        i = np.arange(samples, dtype=float)
-        phi = (1 + 5**0.5) / 2
-        zc = 1.0 - 2.0 * (i + 0.5) / samples
-        r = np.sqrt(np.maximum(0.0, 1.0 - zc * zc))
-        th = 2 * np.pi * i / phi
-        pts = np.stack([r * np.cos(th), r * np.sin(th), zc], axis=1)
-    else:
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(samples, d1))
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-    spacing = (4 * np.pi / samples) ** 0.5 if d1 == 3 else samples ** (-1.0 / max(1, d1 - 1))
-
-    costs = np.empty(samples)
-    chunk = 1 << 14
-    for lo in range(0, samples, chunk):
-        hi = min(samples, lo + chunk)
-        costs[lo:hi] = _cluster_cost(pts[lo:hi] @ units.T, m)
-    keep_thresh = 2.0 * m * spacing  # cost slope is at most ~2m per unit move
-    low = costs < keep_thresh
-    kept, kcost = pts[low], costs[low]
-    if not len(kept):
-        return np.zeros((0, d1))
-
-    # one refinement per connected blob of kept samples closer than the
-    # link; each sample takes the least index of its blob as its label
-    link = 2.5 * spacing
-    i, j, dist = close_pairs(kept, kept, link)
-    i, j = i[dist < link], j[dist < link]
-    labels = np.arange(len(kept))
-    while True:
-        least = labels.copy()
-        np.minimum.at(least, i, labels[j])
-        if np.array_equal(least, labels):
-            break
-        labels = least
-
+    n = len(units)
+    if not 1 <= m < n / 2:
+        raise ValueError(f"m must be in 1..{(n - 1) // 2} for {n} points on S^2, got {m}")
+    i, j = np.triu_indices(m + 1, 1)
+    first = units[i] - units[j]
+    i, j = np.triu_indices(n, 1)
+    every = units[i] - units[j]
+    check_size(2 * len(first) * len(every), f"pair-difference scan of {n} points")
+    normals = np.cross(first[:, None, :], every[None, :, :]).reshape(-1, 3)
+    lengths = np.linalg.norm(normals, axis=1)
+    normals = normals[lengths > 0] / lengths[lengths > 0, None]
+    candidates = np.vstack([normals, -normals])
+    widths = np.array([_max_cluster_width(units @ z, m) for z in candidates])
+    order = np.argsort(widths, kind="stable")
     found: list[np.ndarray] = []
-    for comp in np.unique(labels):
-        members = np.nonzero(labels == comp)[0]
-        z = kept[members[np.argmin(kcost[members])]]
-        zr = _pattern_search(z, units, m, spacing)
-        if _max_cluster_width(units @ zr, m) <= BRUTE_WIDTH_TOL:
-            if not any(np.linalg.norm(zr - f) < 1e-7 for f in found):
-                found.append(zr)
-    return np.array(sorted(found, key=lambda q: tuple(q))) if found else np.zeros((0, d1))
+    for z in candidates[order[widths[order] <= BRUTE_WIDTH_TOL]]:
+        if not any(np.linalg.norm(z - f) < 1e-7 for f in found):
+            found.append(z)
+    return np.array(sorted(found, key=tuple)).reshape(-1, 3)
 
 
 def circle_dual_scan(code: Code, m: int) -> np.ndarray:

@@ -309,14 +309,15 @@ def criterion_11() -> CriterionResult:
 
 
 def criterion_12() -> CriterionResult:
-    """Dense-sampling oracle agrees with the linear-system dual search."""
+    """The pair-difference scan of brute_force_dual agrees with the
+    linear-system dual search."""
     t0 = time.time()
     problems = []
     cases = [cube(3), cross_polytope(3), symmetrize(demicube(3)),
              rotated_cubes(2)[0]]
     for code in cases:
         for m in (1, 2):
-            bf = brute_force_dual(code, m, samples=100_000)
+            bf = brute_force_dual(code, m)
             ds = dual_search(code, m).unit_points()
             if len(bf) != len(ds):
                 problems.append(f"{code.name} m={m}: {len(bf)} vs {len(ds)}")
@@ -336,12 +337,18 @@ ALL_CRITERIA: Sequence[Callable[[], CriterionResult]] = (
 )
 
 
+def chosen_criteria(numbers: Optional[Sequence[int]] = None) -> list[int]:
+    """The criterion numbers to run, sorted and once each: all of them for
+    None.  ValueError for an empty selection or a number out of range."""
+    if numbers is None:
+        return list(range(1, len(ALL_CRITERIA) + 1))
+    bad = [n for n in numbers if not 1 <= n <= len(ALL_CRITERIA)]
+    if bad or not numbers:
+        raise ValueError(f"criterion numbers run from 1 to {len(ALL_CRITERIA)}, "
+                         f"got {list(numbers)}")
+    return sorted(set(numbers))
+
+
 def run_suite(numbers: Optional[Sequence[int]] = None) -> list[CriterionResult]:
-    """Run the selected criteria (all twelve by default) in order."""
-    chosen = sorted(set(numbers)) if numbers else range(1, 13)
-    out = []
-    for n in chosen:
-        if not 1 <= n <= 12:
-            raise ValueError(f"criterion number {n} out of range 1..12")
-        out.append(ALL_CRITERIA[n - 1]())
-    return out
+    """Run the selected criteria (all by default) in order."""
+    return [ALL_CRITERIA[n - 1]() for n in chosen_criteria(numbers)]

@@ -19,6 +19,7 @@ from stiffkit.codes import (
 )
 from stiffkit.exact import Surd, parse_scalar
 from stiffkit.stiffness import dual_search
+from stiffkit.suite import ALL_CRITERIA, run_suite
 
 
 def run(capsys, *argv):
@@ -227,6 +228,25 @@ def test_verify_min_pass_and_fail(tmp_path, capsys):
     assert (code, stdout) == (2, "") and "dimension" in stderr
 
 
+def test_verify_min_past_int64(tmp_path, capsys):
+    # a square scaled by 2^70 gives the unit square's report, by its verdict
+    s = 2 ** 70
+    big, small, axes = (tmp_path / n for n in ("big.json", "small.json", "axes.json"))
+    save_code(LatticeCode("big square", 2, 2 * s * s,
+                          ((-s, -s), (-s, s), (s, -s), (s, s))), big)
+    save_code(cube(2), small)
+    save_code(cross_polytope(2), axes)
+    reports = []
+    for f in (big, small):
+        code, stdout, stderr = run(capsys, "verify-min", str(f), "-m", "2",
+                                   "--dual", str(axes), "--kernels", "riesz:1,gauss:1",
+                                   "--restarts", "20")
+        assert code == 0, stderr
+        reports.append([{k: v for k, v in r.items() if k != "code"}
+                        for r in json.loads(stdout)["report"]])
+    assert reports[0] == reports[1]
+
+
 def test_verify_min_requires_m_dual_dots(tmp_path, capsys):
     f = tmp_path / "x4.json"
     save_code(cross_polytope(4), f)
@@ -320,6 +340,14 @@ def test_suite_bad_only_token(capsys):
     assert run(capsys, "suite", "--paper", "--only", "2,x")[0] == 2
     assert run(capsys, "suite", "--paper", "--only", "13")[0] == 2
     assert run(capsys, "suite", "--paper", "--only", "0,2")[0] == 2
+    for empty in ("", ","):
+        code, stdout, stderr = run(capsys, "suite", "--paper", "--only", empty)
+        assert (code, stdout) == (2, ""), empty
+        assert "[ 1]" not in stderr, empty
+    with pytest.raises(ValueError):
+        run_suite([])
+    with pytest.raises(ValueError):
+        run_suite([len(ALL_CRITERIA) + 1])
 
 
 def test_missing_file_is_io_error(capsys):

@@ -300,3 +300,18 @@ def test_common_norm_rescales_to_lcm_squared_times_square_free_part(vectors):
         # parallel, same orientation: w = k * v for a positive integer k
         k = gcd(*w) // gcd(*v)
         assert k > 0 and w == tuple(k * x for x in v)
+
+
+@pytest.mark.parametrize("code", [
+    *(cross_polytope(d) for d in (2, 3, 4, 8)), *(cube(d) for d in (2, 3, 4, 8)),
+    *(demicube(d) for d in (3, 5, 6, 8)), e8_roots(), polytope_2_41(),
+], ids=lambda c: c.name)
+def test_unit_array_bits_match_the_int64_route(code):
+    old = code.int_array().astype(float) / float(code.norm_sq) ** 0.5
+    assert code.unit_array().tobytes() == old.tobytes()
+
+
+def test_unit_array_past_int64():
+    s = 2 ** 70
+    big = LatticeCode("big square", 2, 2 * s * s, ((-s, -s), (-s, s), (s, -s), (s, s)))
+    assert big.unit_array().tobytes() == cube(2).unit_array().tobytes()

@@ -450,12 +450,14 @@ class TestMinimize:
                 assert math.isfinite(blob[key]), (spec, key)
             assert np.isfinite(rep.argmin_cluster).all(), spec
 
-    def test_gap_counts_unconverged_starts(self):
+    def test_gap_counts_unconverged_starts(self, monkeypatch):
         # after one iteration the unconverged starts already sit below the
         # wrong dual's value
+        import stiffkit.potential as potential
+        monkeypatch.setattr(potential, "MAX_ITER", 1)
         wrong = np.array([[1.0, 1.0, 0.0, 0.0]]) / 2 ** 0.5
         rep = minimize_potential(cross_polytope(4), Kernel.parse("gauss:1"),
-                                 restarts=200, seed=0, dual=wrong, max_iter=1)
+                                 restarts=200, seed=0, dual=wrong)
         assert rep.iterations == 1
         assert rep.gap < -1e-8
         assert rep.dual_match is False

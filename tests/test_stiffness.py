@@ -15,6 +15,7 @@ from stiffkit.codes import (
     FloatCode,
     LatticeCode,
     LatticePoint,
+    close_pairs,
     cross_polytope,
     cube,
     demicube,
@@ -26,19 +27,19 @@ from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
 from stiffkit.design import spectrum
 from stiffkit.exact import Surd, square_free_split
 from stiffkit.stiffness import (
+    BRUTE_WIDTH_TOL,
     CIRCLE_WIDTH_TOL,
     NodesRequired,
     NotInGeneralPosition,
     brute_force_dual,
     certify_stiff,
-    _cluster_cost,
     _max_cluster_width,
     circle_dual_scan,
     classify_sharp,
     dual_search,
     dual_to_code,
 )
-from stiffkit.transforms import rotated_cubes
+from stiffkit.transforms import rotated_cubes, symmetrize
 
 NODES_241 = (
     Surd.sqrt_of(Fraction(1, 2)),
@@ -509,14 +510,14 @@ class TestDualToCode:
 
 class TestSamplingOracles:
     def test_brute_force_matches_search_cube3(self):
-        bf = brute_force_dual(cube(3), 2, samples=40_000)
+        bf = brute_force_dual(cube(3), 2)
         ds = dual_search(cube(3), 2).unit_points()
         assert len(bf) == len(ds)
         for b in bf:
             assert min(np.linalg.norm(b - u) for u in ds) < 1e-8
 
     def test_brute_force_empty_for_m1(self):
-        assert len(brute_force_dual(cross_polytope(3), 1, samples=20_000)) == 0
+        assert len(brute_force_dual(cross_polytope(3), 1)) == 0
 
     def test_circle_scan_square(self):
         hits = circle_dual_scan(ngon(4), 2)
@@ -531,6 +532,21 @@ class TestSamplingOracles:
     def test_circle_scan_rejects_higher_dim(self):
         with pytest.raises(ValueError):
             circle_dual_scan(cube(3), 2)
+
+
+def _cluster_cost(dots: np.ndarray, m: int) -> np.ndarray:
+    """Total width of the best split of sorted dots into m contiguous
+    clusters, one cost per row: the value range minus the m-1 largest
+    adjacent gaps, zero exactly when at most m distinct values remain."""
+    arr = np.sort(np.atleast_2d(dots), axis=1)
+    gaps = np.diff(arr, axis=1)
+    spread = arr[:, -1] - arr[:, 0]
+    if m >= arr.shape[1]:
+        return np.zeros(len(arr))
+    if m > 1:
+        top = -np.partition(-gaps, m - 2, axis=1)[:, : m - 1]
+        spread = spread - top.sum(axis=1)
+    return spread
 
 
 def _grid_scan_reference(code, m: int, resolution: int = 200_000) -> np.ndarray:
@@ -652,3 +668,148 @@ class TestCircleScan:
     def test_every_or_no_direction_is_an_error(self, n, m):
         with pytest.raises(ValueError):
             circle_dual_scan(ngon(n), m)
+
+
+def _pattern_search(z: np.ndarray, units: np.ndarray, m: int, h0: float) -> np.ndarray:
+    """Derivative-free descent of the cluster cost over the sphere."""
+    z = z / np.linalg.norm(z)
+    cost = float(_cluster_cost(units @ z, m)[0])
+    h = h0
+    while h > 1e-13:
+        basis = np.linalg.svd(z[None, :])[2][1:]
+        trials = np.vstack([z + s * h * b for b in basis for s in (1.0, -1.0)])
+        trials /= np.linalg.norm(trials, axis=1)[:, None]
+        costs = _cluster_cost(trials @ units.T, m)
+        k = int(np.argmin(costs))
+        if costs[k] < cost:
+            z, cost = trials[k], float(costs[k])
+            h = min(h * 1.5, h0)
+        else:
+            h *= 0.4
+    return z
+
+
+def _sampler_reference(code, m: int, samples: int = 100_000) -> np.ndarray:
+    """brute_force_dual as it was written before the pair-difference scan:
+    the cluster cost on a Fibonacci spiral of samples, one pattern search
+    from the cheapest sample of each blob of low-cost samples, and the same
+    width test and deduplication."""
+    units = code.unit_array()
+    i = np.arange(samples, dtype=float)
+    zc = 1.0 - 2.0 * (i + 0.5) / samples
+    r = np.sqrt(np.maximum(0.0, 1.0 - zc * zc))
+    th = 2 * np.pi * i / ((1 + 5**0.5) / 2)
+    pts = np.stack([r * np.cos(th), r * np.sin(th), zc], axis=1)
+    spacing = (4 * np.pi / samples) ** 0.5
+    costs = np.empty(samples)
+    chunk = 1 << 14
+    for lo in range(0, samples, chunk):
+        costs[lo:lo + chunk] = _cluster_cost(pts[lo:lo + chunk] @ units.T, m)
+    low = costs < 2.0 * m * spacing
+    kept, kcost = pts[low], costs[low]
+    link = 2.5 * spacing
+    i, j, dist = close_pairs(kept, kept, link)
+    i, j = i[dist < link], j[dist < link]
+    labels = np.arange(len(kept))
+    while True:
+        least = labels.copy()
+        np.minimum.at(least, i, labels[j])
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    found: list[np.ndarray] = []
+    for comp in np.unique(labels):
+        members = np.nonzero(labels == comp)[0]
+        zr = _pattern_search(kept[members[np.argmin(kcost[members])]], units, m, spacing)
+        if _max_cluster_width(units @ zr, m) <= BRUTE_WIDTH_TOL:
+            if not any(np.linalg.norm(zr - f) < 1e-7 for f in found):
+                found.append(zr)
+    return np.array(sorted(found, key=tuple)).reshape(-1, 3)
+
+
+def _all_pairs_reference(code, m: int) -> np.ndarray:
+    """brute_force_dual without the first-(m+1) restriction: the normals of
+    every two pair differences, the same width test and deduplication."""
+    units = code.unit_array()
+    i, j = np.triu_indices(len(units), 1)
+    diffs = units[i] - units[j]
+    normals = np.cross(diffs[:, None, :], diffs[None, :, :]).reshape(-1, 3)
+    lengths = np.linalg.norm(normals, axis=1)
+    normals = normals[lengths > 0] / lengths[lengths > 0, None]
+    candidates = np.vstack([normals, -normals])
+    widths = np.array([_max_cluster_width(units @ z, m) for z in candidates])
+    order = np.argsort(widths, kind="stable")
+    found: list[np.ndarray] = []
+    for z in candidates[order[widths[order] <= BRUTE_WIDTH_TOL]]:
+        if not any(np.linalg.norm(z - f) < 1e-7 for f in found):
+            found.append(z)
+    return np.array(sorted(found, key=tuple)).reshape(-1, 3)
+
+
+def _shipped_s2_codes():
+    yield from (cube(3), cross_polytope(3), symmetrize(demicube(3)))
+    for n in range(1, 5):
+        yield rotated_cubes(n)[0]
+
+
+@st.composite
+def _planted_circle_codes(draw):
+    """N > 2m points on m parallel circles x.z = t_k: z and -z have at most
+    m distinct dots.  Heights lie 0.05 apart and the points of one circle
+    0.05 rad apart, so no two points come close."""
+    m = draw(st.integers(1, 3))
+    z = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+    assume(np.linalg.norm(z) > 0.1)
+    z /= np.linalg.norm(z)
+    heights = draw(st.lists(st.floats(-0.9, 0.9), min_size=m, max_size=m))
+    for a, b in itertools.combinations(heights, 2):
+        assume(abs(a - b) > 0.05)
+    n = draw(st.integers(2 * m + 1, 2 * m + 3))
+    circles = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=n, max_size=n))
+    for (ca, a), (cb, b) in itertools.combinations(zip(circles, angles), 2):
+        assume(ca != cb or _circular_gap(a, b) > 0.05)
+    e1 = np.cross(z, np.eye(3)[np.argmin(np.abs(z))])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(z, e1)
+    t = np.array(heights)[circles][:, None]
+    ring = np.cos(angles)[:, None] * e1 + np.sin(angles)[:, None] * e2
+    pts = t * z + np.sqrt(1 - t * t) * ring
+    return FloatCode("planted", 3, pts, tolerance=1e-12), m, z
+
+
+class TestBruteForceScan:
+    @pytest.mark.parametrize("code", _shipped_s2_codes(), ids=lambda c: c.name)
+    def test_matches_sampler(self, code):
+        for m in (1, 2, 3):
+            if code.size <= 2 * m:
+                continue
+            hits = brute_force_dual(code, m)
+            ref = _sampler_reference(code, m)
+            assert hits.shape == ref.shape, m
+            for h in hits:
+                assert np.linalg.norm(ref - h, axis=1).min() <= 1e-8, m
+
+    @settings(max_examples=40, deadline=None)
+    @given(_planted_circle_codes())
+    def test_planted_direction_and_all_pairs_reference(self, case):
+        code, m, z = case
+        hits = brute_force_dual(code, m)
+        for target in (z, -z):
+            assert np.linalg.norm(hits - target, axis=1).min() <= 1e-9
+        ref = _all_pairs_reference(code, m)
+        assert hits.shape == ref.shape
+        for h in hits:
+            assert np.linalg.norm(ref - h, axis=1).min() <= 1e-8
+
+    @pytest.mark.parametrize("code,m", [(ngon(6), 2), (cross_polytope(4), 1),
+                                        (cube(3), 0), (cube(3), 4),
+                                        (cross_polytope(3), 3)])
+    def test_outside_the_argument_is_an_error(self, code, m):
+        with pytest.raises(ValueError):
+            brute_force_dual(code, m)
+
+    def test_candidates_go_through_the_size_cap(self, monkeypatch):
+        monkeypatch.setenv(ENV_SIZE_CAP, "100")
+        with pytest.raises(SizeCapExceeded):
+            brute_force_dual(cube(3), 2)  # 2 * C(3,2) * C(8,2) = 168
