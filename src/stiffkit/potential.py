@@ -9,15 +9,22 @@ numpy batch, then clustered.  Each iteration takes a safeguarded
 Riemannian Newton step where the tangent Hessian is positive definite and
 falls back to an adaptive gradient step where it is not; a start stops
 when its tangential gradient reaches the round-off floor of the gradient
-sum (see _descend).
+sum (see _descend).  The Newton step solves with a Cholesky factorization
+batched over rows; its pivots are all positive exactly where the tangent
+Hessian is positive definite, and a row with a pivot <= 0 takes the
+gradient step.
 
 A point is evaluated once per step: _evaluate gives its potential,
 gradient, Hessian pair sums and sum |g'| from one dot table and one pow or
 exp per entry (Kernel.evaluate), and an accepted trial point keeps them
-for the next iteration.  It runs over blocks of as many rows as fill one
-table of BLOCK_BYTES; its three tables are allocated once per call and
-reused block after block, with the kernel evaluated in place, so the
-descent holds at most three tables of BLOCK_BYTES whatever the start count.
+for the next iteration.  The table holds -2t, from one product with
+-2 units, and Kernel.evaluate clips it into the gap r = 2-2t in place.  It
+returns each derivative as a (table, constant) pair, g' = c1 d1 and
+g'' = c2 d2, so the constants scale the small row sums instead of whole
+tables: riesz makes 7 passes over a table, gauss 5.  _evaluate runs over
+blocks of as many rows as fill one table of BLOCK_BYTES; its three tables
+are allocated once per call and reused block after block, so the descent
+holds at most three tables of BLOCK_BYTES whatever the start count.
 """
 
 from __future__ import annotations
@@ -125,60 +132,67 @@ class Kernel:
         w = np.empty_like(t) if out is None else out
         if self.family == "poly":
             return self.poly.eval_float(t, out=w)
-        _gap(t, w)
-        if self.family == "riesz":
-            with np.errstate(divide="ignore"):
-                w **= -float(self.param) / 2.0
-        elif self.family == "gauss":
-            np.multiply(w, -float(self.param), out=w)
-            np.exp(w, out=w)
-        else:
-            with np.errstate(divide="ignore"):
-                np.log(w, out=w)
-            np.negative(w, out=w)
-            np.add(w, 2.0, out=w)
+        np.multiply(t, 2.0, out=w)
+        self._of_gap(np.subtract(2.0, w, out=w), w)
         return w if w.ndim else w[()]
 
-    def evaluate(self, t: np.ndarray, sums: np.ndarray, a: np.ndarray,
-                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row sums of g into `sums`, then the tables (g', g''), from one pow
-        or exp per element.
+    def _of_gap(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """g as a function of r = 2-2t = |x-y|^2, written into out (which
+        may be r); not for poly."""
+        with np.errstate(divide="ignore"):
+            if self.family == "riesz":
+                return np.power(r, -float(self.param) / 2.0, out=out)
+            if self.family == "gauss":
+                np.multiply(r, -float(self.param), out=out)
+                return np.exp(out, out=out)
+            np.log(r, out=out)
+            return np.subtract(2.0, out, out=out)
 
-        t is a 2-D table of clipped dots, a and b scratch tables of its
-        shape; a first receives g, as g(t, out=a) gives it, and is summed
-        before g' and g'' overwrite it.  t may be overwritten too.  The
-        returned pair is two of the three tables: riesz takes g' = s p/r and
-        g'' = (s+2) g'/r from p = r^(-s/2), r = 2-2t; gauss takes 2a e and
-        4a^2 e from e = exp(-a r).
+    def evaluate(self, table: np.ndarray, sums: np.ndarray, scale: np.ndarray,
+                 a: np.ndarray, b: np.ndarray) -> tuple:
+        """Row sums of g into `sums` and of |d1| into `scale`, then
+        (d1, c1, d2, c2) with g' = c1 d1 and g'' = c2 d2 elementwise.
+
+        table holds -2t, unclipped, and is overwritten; a and b are scratch
+        tables of its shape.  The d tables are among these three and the
+        constants c are floats, so the caller scales row sums of d rather
+        than whole tables.  r = clip(2 - 2t, 0, 4) equals the
+        2 - 2 clip(t, -1, 1) of Kernel.g bit for bit, so the sums of g are
+        the values Kernel.g gives on clipped dots.  From one pow or exp:
+        riesz d1 = p/r and d2 = (p/r)/r with p = r^(-s/2), c1 = s,
+        c2 = s(s+2); gauss d1 = d2 = e = exp(-a r), c1 = 2a, c2 = 4a^2;
+        log d1 = 1/r, d2 = 1/r^2, c1 = 2, c2 = 4.  Every family but poly
+        has d1 > 0, so only poly takes |d1| apart.
         """
-        self.g(t, out=a).sum(axis=1, out=sums)
-        if self.family == "riesz":
-            s = float(self.param)
-            r = _gap(t, t)
-            np.divide(a, r, out=b)
-            np.multiply(b, s, out=b)
-            np.multiply(b, s + 2.0, out=a)
-            np.divide(a, r, out=a)
-        elif self.family == "gauss":
-            rate = float(self.param)
-            np.multiply(a, 2.0 * rate, out=b)
-            np.multiply(a, 4.0 * rate * rate, out=a)
-        elif self.family == "log":
-            np.subtract(1.0, t, out=b)
-            with np.errstate(divide="ignore"):
-                np.divide(1.0, b, out=b)
-            np.multiply(b, b, out=a)
-        else:
+        if self.family == "poly":
+            t = np.multiply(table, -0.5, out=table)
+            np.clip(t, -1.0, 1.0, out=t)
+            self.poly.eval_float(t, out=a).sum(axis=1, out=sums)
             p1 = self.poly.derivative()
             p1.eval_float(t, out=b)
             p1.derivative().eval_float(t, out=a)
-        return b, a
-
-
-def _gap(t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """2 - 2t, that is |x-y|^2, written into out (which may be t)."""
-    np.multiply(t, 2.0, out=out)
-    return np.subtract(2.0, out, out=out)
+            np.abs(b, out=t).sum(axis=1, out=scale)
+            return b, 1.0, a, 1.0
+        r = np.add(table, 2.0, out=table)
+        np.clip(r, 0.0, 4.0, out=r)
+        if self.family == "gauss":
+            e = self._of_gap(r, r)
+            e.sum(axis=1, out=sums)
+            scale[:] = sums
+            rate = float(self.param)
+            return e, 2.0 * rate, e, 4.0 * rate * rate
+        self._of_gap(r, a).sum(axis=1, out=sums)
+        if self.family == "riesz":
+            s = float(self.param)
+            np.divide(a, r, out=b)
+            b.sum(axis=1, out=scale)
+            np.divide(b, r, out=a)
+            return b, s, a, s * (s + 2.0)
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, r, out=b)
+        b.sum(axis=1, out=scale)
+        np.multiply(b, b, out=a)
+        return b, 2.0, a, 4.0
 
 
 def potential_eval(x, code: Code, kernel: Kernel) -> float:
@@ -275,10 +289,14 @@ def _evaluate(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
     each row, from one dot table and one Kernel.evaluate per block of rows.
 
     A block holds as many rows as fit in BLOCK_BYTES, and at least one; its
-    three tables are views of one buffer allocated once per call.  The dot
-    table is clipped to [-1, 1] so float drift past a code point reads as
-    the singular t = 1.  The pair sums sum_i g''(x.u_i) u_i,a u_i,b over the
-    pairs a <= b of _unit_pairs are one product of the g'' table with
+    three tables are views of one buffer allocated once per call.  One
+    product with -2 units gives the table of -2t exactly (a power of two
+    scales without rounding), which Kernel.evaluate clips into the gap
+    r = 2 - 2t, so float drift past a code point reads as the singular
+    r = 0.  The derivative tables come with constant factors, which scale
+    the small row sums once per call: the gradient sum_i g'(x.u_i) u_i and
+    the pair sums sum_i g''(x.u_i) u_i,a u_i,b over the pairs a <= b of
+    _unit_pairs are products of the d1 and d2 tables with units and
     unit_pairs.
     """
     values = np.empty(len(rows))
@@ -287,16 +305,19 @@ def _evaluate(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
     scale = np.empty(len(rows))
     size = max(1, min(len(rows), BLOCK_BYTES // (8 * len(units))))
     tables = np.empty((3, size, len(units)))
+    gap_units = -2.0 * units
+    c1 = c2 = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(rows), size):
             hi = min(lo + size, len(rows))
-            dots, a, b = tables[:, :hi - lo]
-            np.matmul(rows[lo:hi], units.T, out=dots)
-            np.clip(dots, -1.0, 1.0, out=dots)
-            d1, d2 = kernel.evaluate(dots, values[lo:hi], a, b)
+            table, a, b = tables[:, :hi - lo]
+            np.matmul(rows[lo:hi], gap_units.T, out=table)
+            d1, c1, d2, c2 = kernel.evaluate(table, values[lo:hi], scale[lo:hi], a, b)
             np.matmul(d1, units, out=grad[lo:hi])
             np.matmul(d2, unit_pairs, out=pair_sums[lo:hi])
-            np.abs(d1, out=d1).sum(axis=1, out=scale[lo:hi])
+        grad *= c1
+        pair_sums *= c2
+        scale *= c1
     return values, grad, pair_sums, scale
 
 
@@ -307,7 +328,11 @@ def _newton_steps(x: np.ndarray, egrad: np.ndarray, ehess: np.ndarray,
     The tangent Hessian is P H P - (x.grad) P with P = I - x x^T (Absil,
     Mahony & Sepulchre 2008, ch. 5-6); adding a positive multiple of x x^T
     moves its zero eigenvalue along x off zero without touching the tangent
-    ones, so the step is defined exactly where every eigenvalue is positive.
+    ones, so the step is defined exactly where every eigenvalue is positive,
+    that is where every pivot of its Cholesky factorization is.  The
+    factorization runs column by column over all rows at once, then one
+    forward and one back substitution solve for the step; a row with a
+    pivot <= 0 is not ok and gets a zero step.
     """
     dim = x.shape[1]
     proj = np.eye(dim) - x[:, :, None] * x[:, None, :]
@@ -315,11 +340,22 @@ def _newton_steps(x: np.ndarray, egrad: np.ndarray, ehess: np.ndarray,
     hess = proj @ ehess @ proj - radial[:, None, None] * proj
     shift = 1.0 + np.abs(hess).max(axis=(1, 2))
     hess += shift[:, None, None] * x[:, :, None] * x[:, None, :]
-    lam, vec = np.linalg.eigh(hess)
-    ok = lam[:, 0] > 0
-    coef = np.einsum("kji,kj->ki", vec[ok], tang[ok]) / lam[ok]
-    step = np.zeros_like(x)
-    step[ok] = -np.einsum("kij,kj->ki", vec[ok], coef)
+    # hess becomes L below and on its diagonal, H = L L^T, where ok
+    ok = np.ones(len(x), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(dim):
+            ok &= hess[:, j, j] > 0
+            hess[:, j:, j] /= np.sqrt(np.where(ok, hess[:, j, j], 1.0))[:, None]
+            col = hess[:, j + 1:, j]
+            hess[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
+        step = -tang
+        for j in range(dim):
+            step[:, j] /= hess[:, j, j]
+            step[:, j + 1:] -= hess[:, j + 1:, j] * step[:, j, None]
+        for j in reversed(range(dim)):
+            step[:, j] /= hess[:, j, j]
+            step[:, :j] -= hess[:, j, :j] * step[:, j, None]
+    step[~ok] = 0.0
     return step, ok
 
 

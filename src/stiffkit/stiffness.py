@@ -527,21 +527,22 @@ def classify_sharp(code: LatticeCode) -> SharpnessReport:
                            tuple(vals))
 
 
-def _max_cluster_width(dots: np.ndarray, m: int) -> float:
-    """Largest single-cluster width after cutting at the m-1 biggest gaps."""
-    arr = np.sort(np.asarray(dots, dtype=float))
-    if m >= len(arr):
-        return 0.0
-    if m == 1:
-        return float(arr[-1] - arr[0])
-    gaps = np.diff(arr)
-    cuts = np.sort(np.argsort(gaps)[-(m - 1):])
-    width = 0.0
-    lo = 0
-    for c in list(cuts) + [len(arr) - 1]:
-        width = max(width, float(arr[c] - arr[lo]))
-        lo = c + 1
-    return width
+def _max_cluster_widths(table: np.ndarray, m: int) -> np.ndarray:
+    """Per row of dots: the largest cluster width after cutting the sorted
+    row at its m-1 biggest gaps (a stable sort of the gaps, so of equal
+    gaps the later ones are cut)."""
+    arr = np.sort(table, axis=1)
+    n = arr.shape[1]
+    if m >= n:
+        return np.zeros(len(arr))
+    cuts = np.argsort(np.diff(arr, axis=1), axis=1, kind="stable")[:, n - m:]
+    cuts.sort(axis=1)
+    ends = np.concatenate([cuts, np.full((len(arr), 1), n - 1)], axis=1)
+    starts = np.concatenate([np.zeros((len(arr), 1), dtype=cuts.dtype), cuts + 1],
+                            axis=1)
+    widths = (np.take_along_axis(arr, ends, axis=1)
+              - np.take_along_axis(arr, starts, axis=1))
+    return widths.max(axis=1)
 
 
 def brute_force_dual(code: Code, m: int) -> np.ndarray:
@@ -571,12 +572,13 @@ def brute_force_dual(code: Code, m: int) -> np.ndarray:
     first = units[i] - units[j]
     i, j = np.triu_indices(n, 1)
     every = units[i] - units[j]
-    check_size(2 * len(first) * len(every), f"pair-difference scan of {n} points")
+    # the candidate x code table of dots, the largest array of the scan
+    check_size(2 * len(first) * len(every) * n, f"pair-difference scan of {n} points")
     normals = np.cross(first[:, None, :], every[None, :, :]).reshape(-1, 3)
     lengths = np.linalg.norm(normals, axis=1)
     normals = normals[lengths > 0] / lengths[lengths > 0, None]
     candidates = np.vstack([normals, -normals])
-    widths = np.array([_max_cluster_width(units @ z, m) for z in candidates])
+    widths = _max_cluster_widths(candidates @ units.T, m)
     order = np.argsort(widths, kind="stable")
     found: list[np.ndarray] = []
     for z in candidates[order[widths[order] <= BRUTE_WIDTH_TOL]]:
@@ -605,13 +607,13 @@ def circle_dual_scan(code: Code, m: int) -> np.ndarray:
     if not 1 <= m < n:
         raise ValueError(f"m must be in 1..{n - 1} for {n} points on the circle, "
                          f"got {m}; with m >= n every direction qualifies")
-    check_size(n * (n - 1), f"circle scan of {n} points")
+    check_size(n * (n - 1) * n, f"circle scan of {n} points")  # candidates x code
     alphas = np.arctan2(units[:, 1], units[:, 0])
     i, j = np.triu_indices(n, 1)
     mids = 0.5 * (alphas[i] + alphas[j])
     thetas = np.sort(np.concatenate([mids, mids + np.pi]) % (2 * np.pi))
-    hits = [th for th in thetas
-            if _max_cluster_width(np.cos(th - alphas), m) <= CIRCLE_WIDTH_TOL]
+    widths = _max_cluster_widths(np.cos(thetas[:, None] - alphas[None, :]), m)
+    hits = thetas[widths <= CIRCLE_WIDTH_TOL]
     out = [th for k, th in enumerate(hits)
            if not k or (th - hits[k - 1]) > 1e-9]
     if len(out) > 1 and (out[0] + 2 * np.pi - out[-1]) <= 1e-9:

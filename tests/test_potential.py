@@ -31,6 +31,7 @@ from stiffkit.potential import (
     _descend,
     _evaluate,
     _greedy_cluster,
+    _newton_steps,
     _probe_values,
     _unit_pairs,
     minimize_potential,
@@ -112,11 +113,13 @@ class TestKernel:
 
 
 def _kernel_tables(kernel: Kernel, t) -> tuple:
-    """(g, g', g'') at each t, from Kernel.evaluate on one-column rows."""
-    t = np.array(t, dtype=float).reshape(-1, 1)
-    a, b, sums = np.empty_like(t), np.empty_like(t), np.empty(len(t))
-    d1, d2 = kernel.evaluate(t, sums, a, b)
-    return sums, d1[:, 0].copy(), d2[:, 0].copy()
+    """(g, g', g'') at each t, from Kernel.evaluate on one-column rows of
+    -2t, with g' = c1 d1 and g'' = c2 d2."""
+    x = -2.0 * np.array(t, dtype=float).reshape(-1, 1)
+    a, b = np.empty_like(x), np.empty_like(x)
+    sums, scale = np.empty(len(x)), np.empty(len(x))
+    d1, c1, d2, c2 = kernel.evaluate(x, sums, scale, a, b)
+    return sums, c1 * d1[:, 0], c2 * d2[:, 0]
 
 
 def _g_reference(kernel: Kernel, t: np.ndarray) -> np.ndarray:
@@ -145,13 +148,13 @@ def _riesz_pow_reference(kernel: Kernel, t: np.ndarray) -> tuple:
 
 def _derivatives_reference(kernel: Kernel, t: np.ndarray) -> tuple:
     """Reference: the allocating formulas for (g', g''); riesz takes both
-    from the value's pow p = r^(-s/2)."""
+    from the value's pow p = r^(-s/2), as s (p/r) and s(s+2) ((p/r)/r)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if kernel.family == "riesz":
             s = float(kernel.param)
             r = 2.0 - 2.0 * t
-            d1 = s * (_g_reference(kernel, t) / r)
-            return d1, (s + 2.0) * d1 / r
+            q = _g_reference(kernel, t) / r
+            return s * q, s * (s + 2.0) * (q / r)
         if kernel.family == "gauss":
             a = float(kernel.param)
             e = np.exp(-a * (2.0 - 2.0 * t))
@@ -263,6 +266,74 @@ class TestRowBlocks:
                 tracemalloc.stop()
             returned = sum(a.nbytes for a in out)
             assert peak < 4 * BLOCK_BYTES + returned, k.name
+
+
+def _newton_steps_eigh(x, egrad, ehess, tang) -> tuple:
+    """Reference: the eigendecomposition step that the Cholesky one
+    replaced, and the eigenvalues of the shifted tangent Hessian."""
+    dim = x.shape[1]
+    proj = np.eye(dim) - x[:, :, None] * x[:, None, :]
+    radial = np.einsum("ij,ij->i", egrad, x)
+    hess = proj @ ehess @ proj - radial[:, None, None] * proj
+    shift = 1.0 + np.abs(hess).max(axis=(1, 2))
+    hess += shift[:, None, None] * x[:, :, None] * x[:, None, :]
+    lam, vec = np.linalg.eigh(hess)
+    ok = lam[:, 0] > 0
+    coef = np.einsum("kji,kj->ki", vec[ok], tang[ok]) / lam[ok]
+    step = np.zeros_like(x)
+    step[ok] = -np.einsum("kij,kj->ki", vec[ok], coef)
+    return step, ok, lam
+
+
+@st.composite
+def _tangent_hessians(draw):
+    """Rows (x, egrad, ehess, tang) in dimension 3, 8 or 24 whose tangent
+    Hessians are, row by row, positive definite, indefinite, or have
+    lambda_min = +-1e-10 |H| for the norm |H| of the shifted matrix that
+    _newton_steps factors (shift 1 + the largest entry, along x)."""
+    dim = draw(st.sampled_from((3, 8, 24)))
+    kinds = draw(st.lists(st.sampled_from(("pd", "indefinite", "+1e-10", "-1e-10")),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        x = rng.normal(size=dim)
+        x /= np.linalg.norm(x)
+        basis = np.linalg.qr(np.column_stack([x, rng.normal(size=(dim, dim - 1))]))[0][:, 1:]
+        lam = 10.0 ** rng.uniform(-2, 2) * rng.uniform(0.1, 1.0, dim - 1)
+        if kind == "indefinite":
+            lam[: rng.integers(1, dim)] *= -1.0
+        else:
+            lam[0] = 0.0
+        tangent = basis @ np.diag(lam) @ basis.T
+        if kind != "indefinite":
+            norm = max(1.0 + np.abs(tangent).max(), lam.max())
+            lam0 = {"pd": rng.uniform(0.01, 1.0), "+1e-10": 1e-10,
+                    "-1e-10": -1e-10}[kind] * norm
+            tangent += lam0 * np.outer(basis[:, 0], basis[:, 0])
+        radial = rng.normal() * lam.max()
+        tang = basis @ rng.normal(size=dim - 1)
+        rows.append((x, tang + radial * x,
+                     tangent + radial * (np.eye(dim) - np.outer(x, x)), tang))
+    return tuple(np.array(a) for a in zip(*rows))
+
+
+class TestNewtonSteps:
+    @settings(max_examples=150, deadline=None)
+    @given(_tangent_hessians())
+    def test_cholesky_matches_eigh(self, case):
+        step, ok = _newton_steps(*case)
+        want, want_ok, lam = _newton_steps_eigh(*case)
+        norm = np.abs(lam).max(axis=1)
+        clear = np.abs(lam[:, 0]) > 1e-8 * norm
+        assert np.array_equal(ok[clear], want_ok[clear])
+        assert np.all(step[~ok] == 0.0) and np.all(np.isfinite(step[ok]))
+        # 1e-10 relative, widened by the round-off that both solves carry
+        # along the eigenvector of lambda_min, eps times the condition number
+        both = ok & want_ok
+        cond = norm[both] / lam[both, 0]
+        bound = (1e-10 + 64 * np.finfo(float).eps * cond) * np.linalg.norm(want[both], axis=1)
+        assert np.all(np.linalg.norm(step[both] - want[both], axis=1) <= bound)
 
 
 class TestPotentialEval:

@@ -33,7 +33,7 @@ from stiffkit.stiffness import (
     NotInGeneralPosition,
     brute_force_dual,
     certify_stiff,
-    _max_cluster_width,
+    _max_cluster_widths,
     circle_dual_scan,
     classify_sharp,
     dual_search,
@@ -532,6 +532,47 @@ class TestSamplingOracles:
     def test_circle_scan_rejects_higher_dim(self):
         with pytest.raises(ValueError):
             circle_dual_scan(cube(3), 2)
+
+
+def _max_cluster_width(dots: np.ndarray, m: int, kind=None) -> float:
+    """Reference: the one-row width loop that _max_cluster_widths replaced,
+    largest single-cluster width after cutting at the m-1 biggest gaps;
+    `kind` is the sort of the gaps (numpy's default, not stable, when None)."""
+    arr = np.sort(np.asarray(dots, dtype=float))
+    if m >= len(arr):
+        return 0.0
+    if m == 1:
+        return float(arr[-1] - arr[0])
+    gaps = np.diff(arr)
+    cuts = np.sort(np.argsort(gaps, kind=kind)[-(m - 1):])
+    width = 0.0
+    lo = 0
+    for c in list(cuts) + [len(arr) - 1]:
+        width = max(width, float(arr[c] - arr[lo]))
+        lo = c + 1
+    return width
+
+
+class TestClusterWidths:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 12),
+           st.integers(1, 4))
+    def test_tie_free_rows_match_the_loop(self, seed, rows, n, m):
+        table = np.random.default_rng(seed).uniform(-1, 1, (rows, n))
+        want = [_max_cluster_width(row, m) for row in table]
+        assert np.array_equal(_max_cluster_widths(table, m), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(2, 12),
+           st.integers(1, 4))
+    def test_planted_ties_match_a_stable_loop(self, seed, rows, n, m):
+        # dots on a grid of eighths: equal values and equal gaps throughout
+        table = np.random.default_rng(seed).integers(-8, 9, (rows, n)) / 8
+        want = [_max_cluster_width(row, m, kind="stable") for row in table]
+        assert np.array_equal(_max_cluster_widths(table, m), want)
+
+    def test_no_rows(self):
+        assert _max_cluster_widths(np.zeros((0, 5)), 2).shape == (0,)
 
 
 def _cluster_cost(dots: np.ndarray, m: int) -> np.ndarray:
