@@ -178,9 +178,6 @@ class LatticeCode:
         """d for the sphere S^d the unit points live on."""
         return self.ambient_dim - 1
 
-    def int_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=np.int64)
-
     def unit_array(self) -> np.ndarray:
         # floats straight from the Python ints, so coordinates past int64 work
         return np.asarray(self.points, dtype=float) / float(self.norm_sq) ** 0.5

@@ -65,11 +65,6 @@ class DesignReport:
     strength: int
     exact: bool
 
-    def is_design(self, n: int) -> bool:
-        if n > self.checked_up_to:
-            raise ValueError(f"only checked up to degree {self.checked_up_to}")
-        return all(k in self.index_set for k in range(1, n + 1))
-
     def to_json_dict(self) -> dict:
         return {
             "code": self.code_name,

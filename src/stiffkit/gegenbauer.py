@@ -180,9 +180,6 @@ class NodeSet:
     def nodes_float(self) -> tuple[float, ...]:
         return tuple(float(t) for t in self.nodes)
 
-    def weights_float(self) -> tuple[float, ...]:
-        return tuple(float(w) for w in self.weights)
-
 
 def nodes(d: int, m: int) -> NodeSet:
     """Roots of P_m^(d) and the weights a_0(phi_i) of their Lagrange basis.

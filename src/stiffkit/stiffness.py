@@ -3,22 +3,23 @@
 The dual of a code is the set of sphere points forming at most m distinct
 dot products with it.  For a (2m-1)-design those dot values can only be
 the m roots of the degree-m Gegenbauer polynomial.  The dual is found by a
-level walk over d+1 linearly independent code points: level k assigns one
-of the m candidate values to the k-th point and drops every assignment
-whose first k dots no unit point can have, because the shortest point
-with those dots is longer than 1 (the Fincke-Pohst idea).  The last level
-keeps the unit solutions, and a survivor is kept when every dot it forms
-with the code is a candidate value.  Exact integer arithmetic (adjugates
-of the leading Gram blocks over a common quadratic extension, and one
-integer dot table for the survivors) makes the kept solutions
-certificates rather than approximations.
+level walk over d+1 linearly independent code points (the Fincke-Pohst
+prune): level k assigns one of the m candidate values to the k-th point
+and drops every assignment whose first k dots no unit point can have,
+because the shortest point with those dots is longer than 1.  The walk
+runs in floats on the R factor of the chosen rows and drops a prefix only
+beyond a stated rounding bound, so it never loses a dual point.  The
+arithmetic of the input decides how a survivor is certified: an integer
+code maps it to an integer direction and keeps it when its norm and
+every integer dot it forms with the code are exactly right; a float code
+keeps it when every dot lies within FLOAT_RESIDUAL of a candidate value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,14 +36,12 @@ FLOAT_RESIDUAL = 1e-9
 # cluster widths accepted as one dot value by the two candidate scans
 BRUTE_WIDTH_TOL = 1e-6
 CIRCLE_WIDTH_TOL = 1e-8
-# the float walk keeps a prefix whose least squared norm is within this of 1
-WALK_SLACK = 1e-6
 
 
 class NotInGeneralPosition(ValueError):
-    """The code does not span the ambient space, so the (d+1)x(d+1)
-    enumeration cannot run.  For m >= 2 this means invalid input: a stiff
-    code is at least a 3-design and those span."""
+    """The code does not span the ambient space, so the walk has no d+1
+    independent rows to assign nodes to.  For m >= 2 this means invalid
+    input: a stiff code is at least a 3-design and those span."""
 
 
 class NodesRequired(ValueError):
@@ -137,33 +136,35 @@ def dual_to_code(points: Sequence[LatticePoint], name: str) -> LatticeCode:
     return LatticeCode(name, points[0].ambient_dim, target, tuple(sorted(scaled)))
 
 
-def _independent_rows(code: LatticeCode) -> list[int]:
-    """Indices of a maximal independent subset, greedy in sorted point order."""
-    order = sorted(range(code.size), key=lambda i: code.points[i])
-    tracker = GreedyRank(code.ambient_dim)
-    chosen = []
-    for i in order:
-        if tracker.try_add(code.points[i]):
-            chosen.append(i)
-            if tracker.rank == code.ambient_dim:
-                break
-    return chosen
+def _independent_rows(code: Code, units: np.ndarray) -> list[int]:
+    """Indices of a maximal independent subset, greedy by least residual.
 
-
-def _independent_rows_float(points: np.ndarray) -> list[int]:
-    order = sorted(range(len(points)), key=lambda i: tuple(points[i]))
+    Each pick has the least float residual off the span of the picks
+    before it, among residuals above 1e-8: small early pivots keep the
+    walk small.  For a LatticeCode GreedyRank confirms each pick, and once
+    the float rule runs out the other points go through GreedyRank in
+    input order, so the rank is exact.
+    """
+    d1 = units.shape[1]
+    tracker = GreedyRank(d1) if isinstance(code, LatticeCode) else None
+    res = units.copy()  # residuals off the span of the chosen rows
     chosen: list[int] = []
-    basis: list[np.ndarray] = []
-    for i in order:
-        v = points[i].copy()
-        for b in basis:
-            v -= (v @ b) * b
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            basis.append(v / n)
+    while len(chosen) < d1:
+        sq = np.einsum("ij,ij->i", res, res)
+        sq[sq <= 1e-16] = np.inf
+        i = int(np.argmin(sq))
+        if sq[i] == np.inf:
+            break
+        if tracker is None or tracker.try_add(code.points[i]):
             chosen.append(i)
-            if len(chosen) == points.shape[1]:
-                break
+            res -= np.outer(res @ res[i], res[i] / sq[i])
+        else:
+            res[i] = 0.0
+    for i in range(len(units)):
+        if tracker is None or tracker.rank == d1:
+            break
+        if i not in chosen and tracker.try_add(code.points[i]):
+            chosen.append(i)
     return chosen
 
 
@@ -214,12 +215,10 @@ def dual_search(
     if m < 1:
         raise ValueError("m must be >= 1")
     d1 = code.ambient_dim
+    units = code.unit_array()
 
     # rank gate: the enumeration needs d+1 independent points
-    if isinstance(code, LatticeCode):
-        idx = _independent_rows(code)
-    else:
-        idx = _independent_rows_float(code.unit_array())
+    idx = _independent_rows(code, units)
     if len(idx) < d1:
         if m == 1:
             return _subspace_dual(code, len(idx), nodes_supplied=nodes is not None)
@@ -234,15 +233,27 @@ def dual_search(
         raise ValueError(f"{len(node_values)} nodes supplied for m = {m}")
     dual_complete = not nodes_supplied
 
-    rhs = None
-    if isinstance(code, LatticeCode) and all(isinstance(v, (int, Fraction, Surd))
-                                             for v in node_values):
-        rhs = _exact_rhs(node_values, code.norm_sq)
+    exact = isinstance(code, LatticeCode) and all(
+        isinstance(v, (int, Fraction, Surd)) for v in node_values)
+    walked = list(dict.fromkeys(Surd(v) if exact else float(v) for v in node_values))
+    rhs = _exact_rhs(walked, code.norm_sq) if exact else None
+    values = np.array([float(v) for v in walked])
+    q, r = np.linalg.qr(units[idx].T)
+    # exact nodes and rows carry only rounding, float dots FLOAT_RESIDUAL
+    node_idx, y = _walk(r, values, FLOAT_RESIDUAL if rhs is None else _gamma(8),
+                        f"dual search for {code.name}")
     if rhs is not None:
-        return _dual_search_exact(code, m, idx, node_values, rhs,
-                                  dual_complete, nodes_supplied)
-    return _dual_search_float(code, m, idx, node_values,
-                              dual_complete, nodes_supplied)
+        return DualSearchResult(code.name, m, "exact", _exact_dual(code, idx, node_idx, rhs),
+                                None, dual_complete, nodes_supplied, tuple(node_values))
+    # spectrum certificate: the point Q y, normalized, is kept when every
+    # dot it forms with the code is within FLOAT_RESIDUAL of some node
+    cand = y @ q.T
+    cand /= np.linalg.norm(cand, axis=1)[:, None]
+    res = np.array([np.abs((units @ v)[:, None] - values).min(axis=1).max() for v in cand])
+    good = res < FLOAT_RESIDUAL
+    return DualSearchResult(code.name, m, "float", (), _sorted_rows(cand[good]), dual_complete,
+                            nodes_supplied, tuple(node_values),
+                            max_residual=float(res[good].max(initial=0.0)))
 
 
 def _subspace_dual(code: Code, rank: int, nodes_supplied: bool) -> DualSearchResult:
@@ -269,112 +280,110 @@ def _subspace_dual(code: Code, rank: int, nodes_supplied: bool) -> DualSearchRes
     null = np.linalg.svd(code.unit_array())[2][rank:]
     if len(null) == 1:
         z = null[0] / np.linalg.norm(null[0])
-        pts = np.vstack([z, -z])
-        order = np.lexsort(pts.T[::-1])
-        return DualSearchResult(code.name, 1, "float", (), pts[order], True,
-                                nodes_supplied, (0.0,))
+        return DualSearchResult(code.name, 1, "float", (), _sorted_rows(np.vstack([z, -z])),
+                                True, nodes_supplied, (0.0,))
     return DualSearchResult(code.name, 1, "subspace", (), None, True,
                             nodes_supplied, (0.0,),
                             subspace_basis=tuple(tuple(float(x) for x in b) for b in null))
 
 
-def _walk(values: np.ndarray, levels: int, keep, what: str) -> np.ndarray:
-    """Assignments of values to the d+1 chosen rows that survive every level.
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
 
-    Level k extends each surviving assignment of rows 1..k-1 by each value
-    for row k and keeps the rows n for which keep(k, frontier) holds.  keep
-    compares the least squared norm of a point whose first k dots are the
-    assigned values with 1, so it drops the prefixes no unit point can
-    complete.  No dual point is lost: a unit point whose dots all lie at
-    the values satisfies every prefix of its own system.  check_size
+
+def _walk(r: np.ndarray, values: np.ndarray, tau: float,
+          what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Node assignments to the d+1 chosen rows that a unit point can have.
+
+    With the chosen unit rows a = R^T Q^T, the least-norm point whose first
+    k dots are n is Q_k y, R_k^T y = n.  Level k extends each prefix by each
+    value n_k, adds y_k = (n_k - sum_{j<k} R_jk y_j) / R_kk and y_k^2 to a
+    running |y|^2, and drops it when |y|^2 > hi_k, or at the last level
+    < lo.  Returns the node indices and y of the survivors; check_size
     bounds each new frontier.
-    """
-    frontier = np.zeros((1, 0), dtype=values.dtype)
-    for k in range(1, levels + 1):
-        check_size(len(frontier) * len(values), f"{what} at level {k}")
-        frontier = np.hstack([np.repeat(frontier, len(values), axis=0),
-                              np.tile(values, len(frontier))[:, None]])
-        frontier = frontier[keep(k, frontier)]
-    return frontier
+
+    No x with |x| = 1 and each dot within tau of its node is dropped.  The
+    computed y solves (R_k^T + E) y = n, |E| <= gamma_k |R_k^T| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 8.5), so
+    ||E|| <= f_k = 2 gamma_k sqrt(k); R is the R factor of rows moved by at
+    most gamma_{10(d+1)^2} (Thm 19.4, its constant taken as 10).  In that
+    basis x has norm <= 1, = 1 at the last level, and solves the system up
+    to rho_k = sqrt(k) (gamma_{10(d+1)^2} + tau) + f_k, so |y| is within
+    e_k = rho_k beta_k / (1 - beta_k f_k) of that norm, beta_k >= ||R_k^-1||
+    being twice the Frobenius norm of the leading block of the computed
+    R^-1.  The running sum adds gamma_{k+1}, so hi_k = (1 + e_k)^2
+    (1 + gamma_{k+2}) and lo = (1 - e)^2 (1 - gamma_{d+3}); where e_k >= 1,
+    as at a pivot rounded to 0, nothing is dropped."""
+    d1 = len(r)
+    k = np.arange(1, d1 + 1)
+    f = 2 * _gamma(k) * np.sqrt(k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rinv = np.linalg.inv(r) if r.diagonal().all() else np.full_like(r, np.inf)
+        beta = 2 * np.sqrt(np.cumsum(np.cumsum(rinv * rinv, axis=0), axis=1).diagonal())
+        rho = np.sqrt(k) * (_gamma(10 * d1 * d1) + tau) + f
+        e = np.where(beta * f < 1, rho * beta / (1 - beta * f), np.inf)
+        hi = np.where(e < 1, (1 + e) ** 2 * (1 + _gamma(k + 2)), np.inf)
+        lo = np.where((k == d1) & (e < 1), (1 - e) ** 2 * (1 - _gamma(k + 2)), -np.inf)
+
+        node_idx = np.zeros((1, d1), dtype=np.intp)
+        y = np.zeros((1, d1))
+        sq = np.zeros(1)
+        for j in range(d1):
+            check_size(len(sq) * len(values), f"{what} at level {j + 1}")
+            yj = (values[None, :] - (y[:, :j] @ r[:j, j])[:, None]) / r[j, j]
+            sq_j = sq[:, None] + yj * yj
+            rows, cols = np.nonzero(~((sq_j > hi[j]) | (sq_j < lo[j])))  # keeps NaN
+            node_idx, y, sq = node_idx[rows], y[rows], sq_j[rows, cols]
+            node_idx[:, j] = cols
+            y[:, j] = yj[rows, cols]
+    return node_idx, y
 
 
-def _dual_search_exact(code, m, idx, node_values, rhs, dual_complete,
-                       nodes_supplied) -> DualSearchResult:
-    """Exact walk.  A dual point x has a . x = n * sqrt(g) / Q on each chosen
-    row a, and given its first k dots its squared norm is at least
-    g * n^T adj(G_k) n / (Q^2 det G_k), G_k the Gram matrix of those rows.
-    The unit solutions point along n^T adj(G) A.  The walk values hold each
-    node once and A has full rank, so no two survivors are the same point."""
+def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
+                rhs) -> tuple[LatticePoint, ...]:
+    """Certify walk survivors in integers.  A dual point x has
+    c . x = n sqrt(g) / Q on each chosen row c, so with A the chosen rows
+    and G = A A^T it is w sqrt(g) / (Q det G) for w = n^T adj(G) A: a unit
+    point when g |w|^2 = (Q det G)^2, meeting code point c at node k when
+    w . c = n_k det G, or v . c = n_k det G / h for the primitive v = w / h,
+    whose dots stay small.  Each node is walked once and A has full rank,
+    so no two survivors are the same point."""
     n_ints, q_lcm, g = rhs
     rows = [code.points[i] for i in idx]
-    gram = raw_dots(rows, rows).tolist()
-    blocks = [adjugate_and_det([r[:k] for r in gram[:k]]) for k in range(1, len(idx) + 1)]
-    bounds = [q_lcm * q_lcm * det for _, det in blocks]
-    # int64 overflow guard: |n^T (g adj) n| <= k^2 * g * max|adj| * max|n|^2
-    max_n = max([1] + [abs(x) for x in n_ints])
-    safe = all(k * k * g * max(abs(x) for row in adj for x in row) * max_n**2 < 2**62
-               and bound < 2**62
-               for k, ((adj, _), bound) in enumerate(zip(blocks, bounds), 1))
-    dtype = np.int64 if safe else object
-    forms = [np.array(adj, dtype=dtype) * g for adj, _ in blocks]
-
-    def keep(k, f):  # the last level keeps the unit solutions only
-        q = ((f @ forms[k - 1]) * f).sum(axis=1)
-        return q == bounds[-1] if k == len(bounds) else q <= bounds[k - 1]
-
-    survivors = _walk(np.array(list(dict.fromkeys(n_ints)), dtype=dtype), len(idx),
-                      keep, f"dual search for {code.name}")
-    adj, det = blocks[-1]
-    w = survivors.astype(object) @ np.array(adj, dtype=object) \
+    adj, det = adjugate_and_det(raw_dots(rows, rows).tolist())
+    w = np.array(n_ints, dtype=object)[node_idx] @ np.array(adj, dtype=object) \
         @ np.array(rows, dtype=object)
+    dirs, targets = [], []
+    for v in w:
+        if g * sum(x * x for x in v) != (q_lcm * det) ** 2:
+            continue
+        h = gcd(*v)
+        v = tuple(int(x) // h for x in v)
+        t = [n * det // h for n in n_ints if n * det % h == 0]
+        if t:  # padded with a repeat, so every row has one target per node
+            dirs.append(v)
+            targets.append(t + t[:1] * (len(n_ints) - len(t)))
+    big = any(abs(t) >= 2**62 for row in targets for t in row)
+    targets = np.array(targets, dtype=object if big else np.int64).reshape(-1, len(n_ints))
+    # code points in blocks of about 2^22 dots: a survivor is dropped at the
+    # first block it misses, and no survivor x code table is held
+    alive = np.arange(len(dirs))
+    step = max(1, 2**22 // max(len(dirs), 1))
+    for start in range(0, code.size, step):
+        if len(alive):
+            dots = raw_dots([dirs[i] for i in alive], code.points[start:start + step])
+            hit = np.any([dots == col[:, None] for col in targets[alive].T], axis=0)
+            alive = alive[hit.all(axis=1)]
+    return tuple(LatticePoint(v, sum(x * x for x in v)) for v in sorted(dirs[i] for i in alive))
 
-    # survivor w is the unit point w * sqrt(g) / (Q det G), so its dot with
-    # code point c is node k exactly when the integer w . c is n_k det G
-    dirs = [tuple(int(x) for x in v) for v in w]
-    ok = np.isin(raw_dots(dirs, code.points), [n * det for n in n_ints]).all(axis=1) \
-        if dirs else ()
-    kept = sorted(gcd_reduce(v) for v, good in zip(dirs, ok) if good)
-    pts = tuple(LatticePoint(v, sum(x * x for x in v)) for v in kept)
-    return DualSearchResult(code.name, m, "exact", pts, None, dual_complete,
-                            nodes_supplied, tuple(node_values))
 
-
-def _dual_search_float(code, m, idx, node_values, dual_complete,
-                       nodes_supplied) -> DualSearchResult:
-    """Float walk.  With a = R^T Q^T, the least-norm point with its first k
-    unit dots fixed to n is Q_k y for R_k^T y = n, so its squared norm is
-    |y|^2.  Solving the triangular system keeps the rounding error in step
-    with cond(a); the Gram form n^T inv(G_k) n would square it.  Survivors
-    are solved through inv(a)."""
-    d1 = code.ambient_dim
-    units = code.unit_array()
-    a = units[idx]
-    r = np.linalg.qr(a.T)[1]
-
-    def keep(k, f):
-        y = np.linalg.solve(r[:k, :k].T, f.T)
-        return (y * y).sum(axis=0) <= 1.0 + WALK_SLACK
-
-    node_floats = list(dict.fromkeys(float(v) for v in node_values))
-    nmat = _walk(np.asarray(node_floats), d1, keep, f"dual search for {code.name}")
-    z = nmat @ np.linalg.inv(a).T  # row i solves a @ z = nmat[i]
-    cand = z[np.abs(np.linalg.norm(z, axis=1) - 1.0) < 1e-7]
-    cand /= np.linalg.norm(cand, axis=1)[:, None]
-
-    # spectrum certificate: every dot within residual of some node
-    found = []
-    max_res = 0.0
-    node_arr = np.asarray(node_floats)
-    for v in cand:
-        dots = units @ v
-        res = np.abs(dots[:, None] - node_arr[None, :]).min(axis=1).max()
-        if res < FLOAT_RESIDUAL:
-            found.append(v)
-            max_res = max(max_res, float(res))
-    pts = np.array(sorted(found, key=lambda q: tuple(q))) if found else np.zeros((0, d1))
-
-    return DualSearchResult(code.name, m, "float", (), pts, dual_complete,
-                            nodes_supplied, tuple(node_values), max_residual=max_res)
+def _sorted_rows(pts: np.ndarray) -> np.ndarray:
+    """Rows in lexicographic order of their coordinates rounded to 12
+    places, -0.0 taken as 0.0, so rounding noise cannot reorder them."""
+    key = np.round(pts, 12) + 0.0
+    return pts[np.lexsort(key.T[::-1])]
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def test_antipode_mask_is_exact_on_integer_points():
 def test_demicube_4_is_a_cross_polytope_copy():
     # 8 points with pairwise dots in {4, 0, -4}/4: an orthoplex up to rotation
     c = demicube(4)
-    g = c.int_array() @ c.int_array().T
+    g = raw_dots(c.points, c.points)
     assert sorted(np.unique(g).tolist()) == [-4, 0, 4]
 
 
@@ -83,7 +83,7 @@ def test_e8_counts_and_dots():
         k = sum(1 for x in p if x != 0)
         by_support[k] = by_support.get(k, 0) + 1
     assert by_support == {2: 112, 8: 128}
-    g = e8.int_array() @ e8.int_array().T
+    g = raw_dots(e8.points, e8.points)
     assert sorted(np.unique(g).tolist()) == [-8, -4, 0, 4, 8]
     assert e8.is_antipodal()
 
@@ -102,8 +102,7 @@ def test_2_41_counts_and_row_profile():
             assert sum(1 for x in p if x < 0) % 2 == 1
             assert sorted(abs(x) for x in p) == [1] * 7 + [3]
     # every point sees the same dot multiset against the code
-    pts = w.int_array()
-    row = pts @ pts[0]
+    row = raw_dots(w.points, w.points[:1])[:, 0]
     vals, cnt = np.unique(row, return_counts=True)
     assert dict(zip(vals.tolist(), cnt.tolist())) == {
         -16: 1, -12: 64, -8: 280, -4: 448, 0: 574,
@@ -307,7 +306,7 @@ def test_common_norm_rescales_to_lcm_squared_times_square_free_part(vectors):
     *(demicube(d) for d in (3, 5, 6, 8)), e8_roots(), polytope_2_41(),
 ], ids=lambda c: c.name)
 def test_unit_array_bits_match_the_int64_route(code):
-    old = code.int_array().astype(float) / float(code.norm_sq) ** 0.5
+    old = np.asarray(code.points, dtype=np.int64).astype(float) / float(code.norm_sq) ** 0.5
     assert code.unit_array().tobytes() == old.tobytes()
 
 

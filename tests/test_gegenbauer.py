@@ -191,7 +191,7 @@ def test_nodes_float_are_roots_with_good_weights(d, m):
         for got, want in zip(ts, expected):
             assert abs(got - want) < 1e-14
     # quadrature with these weights reproduces moments up to degree 2m-1
-    ws = ns.weights_float()
+    ws = [float(w) for w in ns.weights]
     assert abs(sum(ws) - 1) < 1e-12
     for k in range(1, 2 * m):
         approx = sum(w * t**k for w, t in zip(ws, ts))

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiffkit._linalg import (GreedyRank, adjugate_and_det, integer_direction,
                               integer_nullspace)
-from stiffkit.codes import demicube, polytope_2_41
+from stiffkit.codes import demicube, polytope_2_41, raw_dots
 from stiffkit.stiffness import _independent_rows
 
 
@@ -144,18 +145,34 @@ def test_greedy_rank_matches_fraction_tracker(case):
     assert tracker.rank == len(reference.rows) <= ncols
 
 
-def test_independent_rows_of_named_codes():
-    for code in (demicube(8), polytope_2_41()):
-        chosen = _independent_rows(code)
-        reference = _FractionRank()
-        order = sorted(range(code.size), key=lambda i: code.points[i])
-        expected = []
-        for i in order:
-            if reference.try_add(code.points[i]):
-                expected.append(i)
-                if len(expected) == code.ambient_dim:
-                    break
-        assert chosen == expected and len(chosen) == code.ambient_dim
+def _squared_residuals(code, basis) -> list[Fraction]:
+    """Per code point v, the squared residual of v/|v| off span(basis):
+    det Gram(basis + v) / det Gram(basis) of the unit vectors.  The
+    bordered Gram determinant is det(G) |v|^2 - g^T adj(G) g, with G the
+    integer Gram matrix of the basis and g its dots with v."""
+    if not basis:
+        return [Fraction(1)] * code.size
+    adj, det = adjugate_and_det(raw_dots(basis, basis).tolist())
+    g = raw_dots(code.points, basis).astype(object)
+    quad = ((g @ np.array(adj, dtype=object)) * g).sum(axis=1)
+    return [Fraction(det * code.norm_sq - q, det * code.norm_sq) for q in quad]
+
+
+@pytest.mark.parametrize("code", [demicube(8), polytope_2_41()], ids=lambda c: c.name)
+def test_independent_rows_pick_a_least_exact_residual(code):
+    chosen = _independent_rows(code, code.unit_array())
+    assert len(chosen) == code.ambient_dim
+    tracker = GreedyRank(code.ambient_dim)
+    assert all(tracker.try_add(code.points[i]) for i in chosen)
+    for t, pick in enumerate(chosen):
+        basis = [code.points[i] for i in chosen[:t]]
+        residuals = _squared_residuals(code, basis)
+        assert residuals[pick] == min(q for q in residuals if q)
+        # the bordered formula against the determinants themselves
+        rows = basis + [code.points[pick]]
+        det_with = adjugate_and_det(raw_dots(rows, rows).tolist())[1]
+        det_without = adjugate_and_det(raw_dots(basis, basis).tolist())[1] if basis else 1
+        assert residuals[pick] == Fraction(det_with, det_without * code.norm_sq)
 
 
 @settings(max_examples=300, deadline=None)

@@ -27,6 +27,11 @@ from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
 from stiffkit.design import spectrum
 from stiffkit.exact import Surd, square_free_split
 from stiffkit.stiffness import (
+    _exact_dual,
+    _exact_rhs,
+    _gamma,
+    _independent_rows,
+    _walk,
     BRUTE_WIDTH_TOL,
     CIRCLE_WIDTH_TOL,
     NodesRequired,
@@ -97,6 +102,12 @@ class TestDualSearchExact:
         assert res.nodes_supplied
         assert res.count == 240
         assert res.as_code().same_point_set(e8_roots())
+
+    def test_demicube14_m3_with_nodes_is_the_signed_basis(self):
+        # thousands of survivors are certified against the code in blocks
+        s = Surd.sqrt_of(Fraction(1, 14))
+        res = dual_search(demicube(14), 3, nodes=(-s, Surd(0), s))
+        assert res.exact and {p.vector for p in res.points} == signed_basis(14)
 
     def test_supplied_node_count_capped_by_m(self):
         with pytest.raises(ValueError):
@@ -212,6 +223,50 @@ class TestWalkAgainstFullEnumeration:
         dist = np.linalg.norm(units[:, None, :] - approx.points_float[None, :, :], axis=2)
         assert dist.min(axis=1).max() < 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(_code_and_nodes())
+    def test_integer_certificate_of_every_assignment(self, drawn):
+        # the certificate alone: fed every node assignment, unpruned, it
+        # keeps exactly the unit points whose dots all lie at the nodes
+        code, probe_sq, raws = drawn
+        ns = code.norm_sq * probe_sq
+        rhs = _exact_rhs([Surd(Fraction(r, ns), ns) for r in raws], code.norm_sq)
+        every = np.array(list(itertools.product(range(len(raws)), repeat=code.ambient_dim)))
+        pts = _exact_dual(code, _independent_rows(code, code.unit_array()), every, rhs)
+        assert {p.vector for p in pts} == _reference_dual(code, probe_sq, raws)
+
+    def test_node_target_off_the_integers_meets_nothing(self):
+        # the walk keeps the unit point (1, 0), whose dot 3/5 with (3, -4)
+        # is no node; the node 5/7 asks (1, 0) for the integer dot 25/7,
+        # which is none, and which floor division would take for that 3
+        code = LatticeCode("three", 2, 25, ((4, 3), (3, -4), (4, -3)))
+        res = dual_search(code, 3, nodes=[Fraction(-7, 10), Fraction(4, 5), Fraction(5, 7)])
+        assert res.exact and res.count == 0
+        assert _reference_dual(code, 196, [-49, 56, 50]) == set()
+
+    @pytest.mark.parametrize("code", [cube(3), cube(4), demicube(5)], ids=lambda c: c.name)
+    def test_unit_norm_before_the_last_level(self, code):
+        # the signed basis meets these codes at -+1/sqrt(norm_sq), and some
+        # e_i lies in the span of the first k < d picked rows, so its prefix
+        # reaches |y|^2 = 1 at level k and every later y_j is 0
+        d = code.ambient_dim
+        rows = [code.points[i] for i in _independent_rows(code, code.unit_array())]
+        want = _reference_dual(code, 1, [-1, 1])
+        assert want == signed_basis(d)
+
+        def level(v):  # the first level whose rows span v
+            return next(k for k in range(1, d + 1)
+                        if np.linalg.matrix_rank(np.array(rows[:k] + [v])) == k)
+
+        assert min(level(v) for v in want) < d
+        nodes = [Surd(Fraction(r, code.norm_sq), code.norm_sq) for r in (-1, 1)]
+        exact = dual_search(code, 2, nodes=nodes)
+        assert exact.mode == "exact" and {p.vector for p in exact.points} == want
+        approx = dual_search(code, 2, nodes=[float(v) for v in nodes])
+        assert approx.mode == "float" and approx.count == len(want)
+        units = np.array(sorted(want), dtype=float)
+        assert np.abs(units - approx.points_float).max() < 1e-12
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-7, 2e-8])
     def test_float_nodes_on_a_nearly_flat_code(self, eps):
         # a square lifted by eps off its plane spans R^3 with cond ~ 1/eps;
@@ -233,6 +288,21 @@ class TestWalkAgainstFullEnumeration:
         assert res.count == len(want)
         dist = np.linalg.norm(np.array(want)[:, None, :] - res.points_float[None, :, :], axis=2)
         assert dist.min(axis=1).max() < 1e-9
+
+
+class TestWalkBounds:
+    def test_unit_point_rounded_below_one_is_kept(self):
+        # (2/7, 3/7, 6/7) is a unit point whose squares sum to 1 - 2^-53
+        values = np.array([2 / 7, 3 / 7, 6 / 7])
+        assert sum(v * v for v in values) < 1.0
+        idx, y = _walk(np.eye(3), values, _gamma(8), "walk")
+        assert sorted(map(tuple, idx.tolist())) == sorted(itertools.permutations(range(3)))
+        assert np.array_equal(y, values[idx])
+
+    def test_zero_pivot_drops_nothing(self):
+        idx, _ = _walk(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([-0.5, 0.5]),
+                       _gamma(8), "walk")
+        assert len(idx) == 4
 
 
 class TestFrontierCap:
@@ -471,6 +541,19 @@ class TestExactAgainstRotatedFloat:
         assert approx.count == exact.count
         assert np.allclose(rot @ _span_projector(exact) @ rot.T,
                            _span_projector(approx), atol=1e-9)
+
+
+class TestFloatDualOrder:
+    @pytest.mark.parametrize("code", [demicube(5), demicube(6), cube(4)], ids=lambda c: c.name)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_copy_gives_the_same_order(self, code, seed):
+        # the points agree to rounding, which must not decide their order
+        units = code.unit_array()
+        perm = np.random.default_rng(seed).permutation(len(units))
+        a = dual_search(FloatCode("a", code.ambient_dim, units), 2)
+        b = dual_search(FloatCode("b", code.ambient_dim, units[perm]), 2)
+        assert a.count == b.count == 2 * code.ambient_dim
+        assert np.abs(a.points_float - b.points_float).max() < 1e-12
 
 
 class TestSharpness:
