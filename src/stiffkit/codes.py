@@ -10,7 +10,8 @@ both sets are projected on one fixed, seeded unit direction r.  Since
 |a.r - b.r| <= |a - b|, only the points of b whose projections lie within
 the radius (plus a rounding bound) of a's can be that close, and only
 those candidates are measured, so repeat, antipode and disjointness
-checks cost O(N log N + candidates) instead of an N x N table.
+checks cost O(N log N + candidates) instead of an N x N table.  Near
+duplicates within one set are taken once by one rule, `greedy_cluster`.
 """
 
 from __future__ import annotations
@@ -109,6 +110,23 @@ def close_pairs(a: np.ndarray, b: np.ndarray,
 def covered_by(a: np.ndarray, b: np.ndarray, radius: float) -> bool:
     """Every row of a lies within radius of some row of b."""
     return len(np.unique(close_pairs(a, b, radius)[0])) == len(a)
+
+
+def greedy_cluster(points: np.ndarray, tol: float) -> np.ndarray:
+    """Representatives, in input order: a point is kept when it is farther
+    than tol from every representative kept before it.
+
+    One pass per representative: the first undecided point is the next
+    representative (every earlier one has been compared with it), and the
+    undecided points within tol of it are dropped.  Work and memory are
+    O(N * representatives), however many points share one minimum."""
+    keep = []
+    rest = np.arange(len(points))
+    while len(rest):
+        r, rest = rest[0], rest[1:]
+        keep.append(r)
+        rest = rest[np.linalg.norm(points[rest] - points[r], axis=1) > tol]
+    return points[np.array(keep, dtype=np.intp)]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import sqrt
 from typing import Callable, Union
 
+from .config import ENV_SIZE_CAP, SizeCapExceeded, size_cap
+
 Scalar = Union[int, Fraction, "Surd"]
 
 
@@ -23,7 +25,8 @@ class MixedRadicandError(ArithmeticError):
 
 
 def square_free_split(n: int) -> tuple[int, int]:
-    """Return (f, s) with n = f*f*s and s square-free.  Requires n >= 0."""
+    """Return (f, s) with n = f*f*s and s square-free.  Requires n >= 0.
+    Trial division, SizeCapExceeded once the divisor passes size_cap()."""
     if n < 0:
         raise ValueError("square_free_split needs a non-negative integer")
     if n in (0, 1):
@@ -31,7 +34,11 @@ def square_free_split(n: int) -> tuple[int, int]:
     f = 1
     s = n
     p = 2
+    cap = size_cap()
     while p * p <= s:
+        if p > cap:
+            raise SizeCapExceeded(f"square-free split of {n} needs trial divisors "
+                                  f"above the cap {cap} (raise {ENV_SIZE_CAP} to override)")
         while s % (p * p) == 0:
             s //= p * p
             f *= p

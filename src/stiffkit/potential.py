@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import Code, LatticePoint
+from .codes import Code, LatticePoint, greedy_cluster
 from .config import check_size
 from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
@@ -440,23 +440,6 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
     return x, f, converged, iterations, newton_steps
 
 
-def _greedy_cluster(points: np.ndarray, tol: float) -> np.ndarray:
-    """Representatives, in input order: a point is kept when it is farther
-    than tol from every representative kept before it.
-
-    One pass per representative: the first undecided point is the next
-    representative (every earlier one has been compared with it), and the
-    undecided points within tol of it are dropped.  Work and memory are
-    O(N * representatives), however many points share one minimum."""
-    keep = []
-    rest = np.arange(len(points))
-    while len(rest):
-        r, rest = rest[0], rest[1:]
-        keep.append(r)
-        rest = rest[np.linalg.norm(points[rest] - points[r], axis=1) > tol]
-    return points[np.array(keep, dtype=np.intp)]
-
-
 def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
                        seed: int = 0, dual: Optional[np.ndarray] = None
                        ) -> MinimizationReport:
@@ -524,7 +507,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     if dual_value is not None:
         global_min = min(global_min, dual_value)
     level = global_min + 1e-8 * (1.0 + abs(global_min))
-    reps = _greedy_cluster(pts[good & (vals <= level)], CLUSTER_TOL)
+    reps = greedy_cluster(pts[good & (vals <= level)], CLUSTER_TOL)
     cluster = reps[np.lexsort(reps.T[::-1])]  # rows in lexicographic order
     return MinimizationReport(code.name, kernel.name, restarts, seed,
                               global_min, cluster, n_conv, n_failed,

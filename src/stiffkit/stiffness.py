@@ -26,7 +26,7 @@ import numpy as np
 
 from ._linalg import GreedyRank, adjugate_and_det, integer_nullspace
 from .codes import (Code, LatticeCode, LatticePoint, Vector, common_norm, covered_by,
-                    gcd_reduce, raw_dots)
+                    gcd_reduce, greedy_cluster, raw_dots)
 from .config import check_size
 from .design import index_set, pair_values, spectra
 from .exact import Scalar, Surd, scalar_str
@@ -181,21 +181,17 @@ def _default_nodes(code: Code, m: int):
 
 
 def _exact_rhs(node_values: Sequence[Scalar], norm_sq: int):
-    """Scaled right-hand sides n_k with node*sqrt(norm_sq) = (n_k/Q)*sqrt(g).
-
-    Returns (ints, Q, g) or None when the values do not sit in one
-    quadratic extension.
+    """Scaled right-hand sides n_k with node*sqrt(norm_sq) = (n_k/Q)*sqrt(g):
+    the nonzero nodes c_k*sqrt(s) share one radicand s (1 when all are
+    rational), n_k = c_k*Q and g = s*norm_sq, which is never factored.
+    Returns (ints, Q, g), or None for nodes in two quadratic extensions.
     """
-    root = Surd.sqrt_of(norm_sq)
-    terms = [Surd(v) * root for v in node_values]
-    # all nonzero terms must live in one quadratic extension Q(sqrt(g))
-    rads = {t.radicand for t in terms if t.coeff != 0}
+    nodes = [Surd(v) for v in node_values]
+    rads = {v.radicand for v in nodes if v.coeff != 0}
     if len(rads) > 1:
         return None
-    g = rads.pop() if rads else 1
-    q_lcm = lcm(*(t.coeff.denominator for t in terms))
-    ints = [int(t.coeff * q_lcm) for t in terms]
-    return ints, q_lcm, g
+    q_lcm = lcm(*(v.coeff.denominator for v in nodes))
+    return [int(v.coeff * q_lcm) for v in nodes], q_lcm, (rads.pop() if rads else 1) * norm_sq
 
 
 def dual_search(
@@ -448,8 +444,8 @@ def certify_stiff(code: Code, m: int,
     freq_match: Optional[bool] = None
     props: dict = {}
     if dual is not None and dual.count:
-        # every exact dual point has squared norm g * (integer)^2 with the
-        # one square-free g of the walk's extension Q(sqrt(g)), so as_code
+        # every exact dual point w has g |w|^2 a square for the walk's g, so
+        # |w|^2 is the square-free part of g times a square: as_code
         # scales them to one norm and equal integer dots are equal unit dots
         if dual.exact:
             dual_code = dual.as_code()
@@ -554,6 +550,17 @@ def _max_cluster_widths(table: np.ndarray, m: int) -> np.ndarray:
     return widths.max(axis=1)
 
 
+def _qualifying(candidates: np.ndarray, units: np.ndarray, m: int,
+                width_tol: float) -> np.ndarray:
+    """The unit candidates and their negatives whose dots split into m
+    clusters of width at most width_tol, narrowest first, taken once by
+    codes.greedy_cluster at width_tol / 10."""
+    candidates = np.vstack([candidates, -candidates])
+    widths = _max_cluster_widths(candidates @ units.T, m)
+    order = np.argsort(widths, kind="stable")
+    return greedy_cluster(candidates[order[widths[order] <= width_tol]], width_tol / 10)
+
+
 def brute_force_dual(code: Code, m: int) -> np.ndarray:
     """All directions on S^2 with <= m distinct code dots.
 
@@ -585,29 +592,24 @@ def brute_force_dual(code: Code, m: int) -> np.ndarray:
     check_size(2 * len(first) * len(every) * n, f"pair-difference scan of {n} points")
     normals = np.cross(first[:, None, :], every[None, :, :]).reshape(-1, 3)
     lengths = np.linalg.norm(normals, axis=1)
-    normals = normals[lengths > 0] / lengths[lengths > 0, None]
-    candidates = np.vstack([normals, -normals])
-    widths = _max_cluster_widths(candidates @ units.T, m)
-    order = np.argsort(widths, kind="stable")
-    found: list[np.ndarray] = []
-    for z in candidates[order[widths[order] <= BRUTE_WIDTH_TOL]]:
-        if not any(np.linalg.norm(z - f) < 1e-7 for f in found):
-            found.append(z)
-    return np.array(sorted(found, key=tuple)).reshape(-1, 3)
+    hits = _qualifying(normals[lengths > 0] / lengths[lengths > 0, None], units, m,
+                       BRUTE_WIDTH_TOL)
+    return hits[np.lexsort(hits.T[::-1])]
 
 
 def circle_dual_scan(code: Code, m: int) -> np.ndarray:
     """All directions on the circle with <= m distinct code dots.
 
-    Take the n > m distinct points at angles a_i.  A direction t with at
-    most m distinct dots has, by pigeonhole, two points i != j with
-    cos(t - a_i) = cos(t - a_j), which forces 2t = a_i + a_j (mod 2 pi).  So
-    the n(n-1) pair midpoints (a_i + a_j)/2 and (a_i + a_j)/2 + pi are the
-    only candidates.  Float points rarely tie exactly, so each candidate is
-    tested where it lies: its dots must split into m clusters of width at
-    most CIRCLE_WIDTH_TOL.  Returns unit rows in increasing angle from 0,
-    candidates within 1e-9 rad of each other (across 2 pi too) taken once.
-    With m >= n every direction qualifies, which is a ValueError.
+    The same pigeonhole as brute_force_dual: take n > m distinct points at
+    angles a_i.  A direction t with at most m distinct dots ties two of the
+    first m + 1 points, i != j, and cos(t - a_i) = cos(t - a_j) forces
+    2t = a_i + a_j (mod 2 pi).  So the m(m+1)/2 midpoints (a_i + a_j)/2 of
+    those points and their antipodes are the only candidates.  Float points
+    rarely tie exactly, so each candidate is tested where it lies: its dots
+    must split into m clusters of width at most CIRCLE_WIDTH_TOL.  Returns
+    unit rows in increasing angle from 0 (angles rounded to 12 places),
+    taking the narrowest candidate first and dropping any within 1e-9 of a
+    kept one.  With m >= n every direction qualifies, which is a ValueError.
     """
     if code.ambient_dim != 2:
         raise ValueError("angular scan applies to codes on S^1 only")
@@ -616,15 +618,11 @@ def circle_dual_scan(code: Code, m: int) -> np.ndarray:
     if not 1 <= m < n:
         raise ValueError(f"m must be in 1..{n - 1} for {n} points on the circle, "
                          f"got {m}; with m >= n every direction qualifies")
-    check_size(n * (n - 1) * n, f"circle scan of {n} points")  # candidates x code
-    alphas = np.arctan2(units[:, 1], units[:, 0])
-    i, j = np.triu_indices(n, 1)
+    check_size(m * (m + 1) * n, f"circle scan of {n} points")  # candidates x code
+    alphas = np.arctan2(units[:m + 1, 1], units[:m + 1, 0])
+    i, j = np.triu_indices(m + 1, 1)
     mids = 0.5 * (alphas[i] + alphas[j])
-    thetas = np.sort(np.concatenate([mids, mids + np.pi]) % (2 * np.pi))
-    widths = _max_cluster_widths(np.cos(thetas[:, None] - alphas[None, :]), m)
-    hits = thetas[widths <= CIRCLE_WIDTH_TOL]
-    out = [th for k, th in enumerate(hits)
-           if not k or (th - hits[k - 1]) > 1e-9]
-    if len(out) > 1 and (out[0] + 2 * np.pi - out[-1]) <= 1e-9:
-        out.pop()
-    return np.array([[np.cos(th), np.sin(th)] for th in out]).reshape(-1, 2)
+    hits = _qualifying(np.stack([np.cos(mids), np.sin(mids)], axis=1), units, m,
+                       CIRCLE_WIDTH_TOL)
+    angles = np.round(np.arctan2(hits[:, 1], hits[:, 0]), 12) % (2 * np.pi)
+    return hits[np.argsort(angles)]

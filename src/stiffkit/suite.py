@@ -83,15 +83,8 @@ def criterion_2() -> CriterionResult:
             problems.append(f"demicube({d}) not a 3-design")
     for d in (5, 6, 7):
         res = dual_search(demicube(d), 2)
-        want = set()
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            want.add(tuple(e))
-            e[i] = -1
-            want.add(tuple(e))
         if not (res.exact and res.dual_complete and
-                {p.vector for p in res.points} == want):
+                {p.vector for p in res.points} == set(cross_polytope(d).points)):
             problems.append(f"demicube({d}) dual mismatch")
     elapsed_ok = (time.time() - t0) < 60.0
     return _result(
@@ -325,7 +318,7 @@ def criterion_12() -> CriterionResult:
             if len(bf) and not covered_by(bf, ds, 1e-8):
                 problems.append(f"{code.name} m={m}: oracle offset > 1e-8")
     return _result(
-        12, "sampling oracle agreement", t0, not problems,
+        12, "pair-difference scan agreement", t0, not problems,
         "; ".join(problems) if problems
         else "4 codes x m in {1,2}: same dual sets within 1e-8")
 

@@ -368,6 +368,19 @@ def test_size_cap_env(tmp_path, capsys, monkeypatch):
             assert "bad parameters" not in stderr and "check failed" not in stderr
 
 
+def test_square_free_split_over_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the rectangle (+-1, +-10^17): its probe x code dots are surds over
+    # (1 + 10^34)^2 = (101 * 28559389 * ...)^2, which trial division
+    # cannot split below the cap
+    f = tmp_path / "rect.json"
+    save_code(LatticeCode("rect", 2, 1 + 10**34,
+                          tuple(sorted((a, b * 10**17) for a in (1, -1) for b in (1, -1)))), f)
+    monkeypatch.setenv("STIFFKIT_SIZE_CAP", "1000")
+    code, stdout, stderr = run(capsys, "spectrum", str(f), "--probe", "0")
+    assert (code, stdout) == (2, "")
+    assert "above the cap 1000" in stderr
+
+
 def test_descent_starts_under_size_cap(tmp_path, capsys, monkeypatch):
     # restarts + code antipodes + dual points go through the cap before any
     # generator is spawned: demicube(5) has 16 antipode starts, its dual 10

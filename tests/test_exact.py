@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
 from stiffkit.exact import (
     MixedRadicandError,
     Surd,
@@ -31,6 +32,20 @@ def test_square_free_split():
     assert square_free_split(360) == (6, 10)
     f, s = square_free_split(2 * 3 * 5 * 7 * 11 * 13)
     assert f == 1 and s == 30030
+
+
+def test_square_free_split_stops_at_the_size_cap(monkeypatch):
+    monkeypatch.setenv(ENV_SIZE_CAP, "100")
+    # every trial divisor up to 97 finishes the split
+    assert square_free_split(97 * 97 * 5) == (97, 5)
+    assert square_free_split(2**40 * 3) == (2**20, 3)
+    assert square_free_split(101) == (1, 101)  # 11 * 11 > 101 ends the loop
+    # 1009 * 1013 has no factor below 101 and is above 101^2
+    for call in (lambda: square_free_split(1009 * 1013),
+                 lambda: Surd(1, 1009 * 1013),
+                 lambda: Surd.sqrt_of(1 + 10**34)):
+        with pytest.raises(SizeCapExceeded, match="above the cap 100"):
+            call()
 
 
 def test_normalization_pulls_out_squares():

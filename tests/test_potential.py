@@ -19,6 +19,7 @@ from stiffkit.codes import (
     cube,
     demicube,
     e8_roots,
+    greedy_cluster,
     polytope_2_41,
 )
 from stiffkit.exact import Surd
@@ -30,7 +31,6 @@ from stiffkit.potential import (
     SingularEvaluation,
     _descend,
     _evaluate,
-    _greedy_cluster,
     _newton_steps,
     _probe_values,
     _unit_pairs,
@@ -435,13 +435,13 @@ class TestGreedyCluster:
     @settings(max_examples=300, deadline=None)
     @given(_planted_points())
     def test_matches_pairwise_loop(self, pts):
-        got = _greedy_cluster(pts, CLUSTER_TOL)
+        got = greedy_cluster(pts, CLUSTER_TOL)
         want = _cluster_loop(pts, CLUSTER_TOL)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
     def test_empty(self):
-        assert _greedy_cluster(np.zeros((0, 3)), CLUSTER_TOL).shape == (0, 3)
+        assert greedy_cluster(np.zeros((0, 3)), CLUSTER_TOL).shape == (0, 3)
 
     def test_thousands_of_points_on_two_minima(self, monkeypatch):
         # 3000 points within a quarter of CLUSTER_TOL of one of two minima:
@@ -453,7 +453,7 @@ class TestGreedyCluster:
         u = rng.normal(size=(3000, 8))
         u *= 0.25 * CLUSTER_TOL / np.linalg.norm(u, axis=1)[:, None]
         pts = centers[rng.integers(0, 2, size=3000) * (np.arange(3000) > 0)] + u
-        got = _greedy_cluster(pts, CLUSTER_TOL)
+        got = greedy_cluster(pts, CLUSTER_TOL)
         assert np.array_equal(got, _cluster_loop(pts, CLUSTER_TOL))
         assert len(got) == 2
 

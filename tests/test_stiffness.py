@@ -126,6 +126,15 @@ class TestDualSearchExact:
         assert twice.mode == "float" and once.count == 10
         assert np.array_equal(twice.points_float, once.points_float)
 
+    def test_norm_with_a_large_square_free_part_is_not_factored(self, monkeypatch):
+        # the rectangle (+-1, +-10^17) has norm 1 + 10^34, whose prime
+        # factors above 101 lie beyond any trial divisor the cap admits
+        monkeypatch.setenv(ENV_SIZE_CAP, "10000")
+        rect = LatticeCode("rect", 2, 1 + 10**34,
+                           tuple(sorted((a, b * 10**17) for a in (1, -1) for b in (1, -1))))
+        res = dual_search(rect, 2, nodes=[Fraction(1, 2), Fraction(-1, 2)])
+        assert (res.mode, res.count) == ("exact", 0)
+
     def test_mixed_extensions_search_in_float(self):
         # sqrt(2) and sqrt(3) cannot share one quadratic extension
         mixed = [Surd.sqrt_of(Fraction(1, 2)), -Surd.sqrt_of(Fraction(1, 3))]
@@ -768,6 +777,34 @@ def _ngon_codes(draw):
     return ngon(n), draw(st.integers(1, n - 1))
 
 
+def _all_pairs_circle_reference(code, m: int) -> np.ndarray:
+    """circle_dual_scan without the first-(m+1) restriction, as it was
+    written before: all n(n-1) pair midpoints (a_i + a_j)/2 and + pi in
+    increasing angle, the width test on cos(t - a_i), and hits within
+    1e-9 rad of the previous one (across 2 pi too) dropped."""
+    units = code.unit_array()
+    alphas = np.arctan2(units[:, 1], units[:, 0])
+    i, j = np.triu_indices(len(units), 1)
+    mids = 0.5 * (alphas[i] + alphas[j])
+    thetas = np.sort(np.concatenate([mids, mids + np.pi]) % (2 * np.pi))
+    widths = _max_cluster_widths(np.cos(thetas[:, None] - alphas[None, :]), m)
+    hits = thetas[widths <= CIRCLE_WIDTH_TOL]
+    out = [th for k, th in enumerate(hits) if not k or (th - hits[k - 1]) > 1e-9]
+    if len(out) > 1 and (out[0] + 2 * np.pi - out[-1]) <= 1e-9:
+        out.pop()
+    return np.array([[np.cos(th), np.sin(th)] for th in out]).reshape(-1, 2)
+
+
+def _assert_same_circle_hits(hits: np.ndarray, ref: np.ndarray) -> None:
+    """Same shape, every hit within 1e-12 of the reference, and the rows in
+    increasing angle from 0."""
+    assert hits.shape == ref.shape
+    for h in hits:
+        assert np.linalg.norm(ref - h, axis=1).min() <= 1e-12
+    angles = np.round(np.arctan2(hits[:, 1], hits[:, 0]), 12) % (2 * np.pi)
+    assert np.all(np.diff(angles) > 0)
+
+
 class TestCircleScan:
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(_reflected_codes(), _random_angle_codes(), _ngon_codes()))
@@ -778,6 +815,37 @@ class TestCircleScan:
         assert hits.shape == ref.shape
         for h in hits:
             assert np.linalg.norm(ref - h, axis=1).min() <= 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_reflected_codes(), _random_angle_codes(), _ngon_codes()))
+    def test_matches_all_pairs_reference(self, case):
+        code, m = case
+        _assert_same_circle_hits(circle_dual_scan(code, m),
+                                 _all_pairs_circle_reference(code, m))
+
+    def test_ngons_match_all_pairs_reference(self):
+        for n in range(3, 13):
+            for m in range(1, n):
+                _assert_same_circle_hits(circle_dual_scan(ngon(n), m),
+                                         _all_pairs_circle_reference(ngon(n), m))
+
+    def test_hit_at_angle_zero_comes_first(self):
+        # ngon(3) at m = 2: the hit on the axis sits at about -2e-16 rad
+        hits = circle_dual_scan(ngon(3), 2)
+        assert np.linalg.norm(hits[0] - [1.0, 0.0]) <= 1e-12
+
+    def test_table_grows_with_m_not_with_pairs(self, monkeypatch):
+        # m(m+1) candidates x 1000 points; all n(n-1) midpoints would need
+        # 999,000,000 dots, above the default cap
+        monkeypatch.delenv(ENV_SIZE_CAP, raising=False)
+        assert circle_dual_scan(ngon(1000), 2).shape == (0, 2)
+
+    def test_candidates_go_through_the_size_cap(self, monkeypatch):
+        monkeypatch.setenv(ENV_SIZE_CAP, "50")
+        with pytest.raises(SizeCapExceeded):
+            circle_dual_scan(ngon(10), 2)  # 2 * 3 * 10 = 60
+        monkeypatch.setenv(ENV_SIZE_CAP, "60")
+        assert circle_dual_scan(ngon(10), 2).shape == (0, 2)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_even_ngon_midpoints_exact(self, m):
