@@ -20,14 +20,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import cos, gcd, lcm, pi, sin
+from math import cos, gcd, isqrt, lcm, pi, sin
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .config import check_size
-from .exact import Surd, square_free_split
+from .exact import Surd
 
 Vector = tuple[int, ...]
 
@@ -46,38 +46,70 @@ def _max_norm_sq(rows: np.ndarray) -> int:
     return max(int((rows * rows).sum(axis=1).max()), 1)
 
 
-def raw_dots(a: Sequence[Vector], b: Sequence[Vector]) -> np.ndarray:
-    """Integer dot products a_i . b_j of two non-empty sets of integer vectors.
+def int_arrays(a: Sequence[Vector], b: Sequence[Vector]) -> tuple[np.ndarray, np.ndarray]:
+    """Two non-empty sets of integer vectors as arrays whose products
+    a[i:j] @ b[k:l].T are exact.
 
-    Every exact dot product in the package goes through here.  The table
-    is computed in int64 when max|a_i|^2 * max|b_j|^2 < 2^62: by
-    Cauchy-Schwarz every product term and every partial sum is then below
-    2^31 in absolute value.  Otherwise it is computed in Python integers
-    (an object array), which cannot overflow.
+    Every exact dot product in the package goes through here.  The arrays
+    are int64 when max|a_i|^2 * max|b_j|^2 < 2^62: by Cauchy-Schwarz every
+    product term and every partial sum is then below 2^31 in absolute
+    value.  Otherwise they hold Python integers (object arrays), which
+    cannot overflow.  One sequence passed as both a and b is converted
+    once.
     """
+    same = b is a
     a_obj = np.asarray(a, dtype=object)
-    b_obj = np.asarray(b, dtype=object)
-    if _max_norm_sq(a_obj) * _max_norm_sq(b_obj) < 2**62:
-        return a_obj.astype(np.int64) @ b_obj.astype(np.int64).T
-    return a_obj @ b_obj.T
+    b_obj = a_obj if same else np.asarray(b, dtype=object)
+    a_max = _max_norm_sq(a_obj)
+    if a_max * (a_max if same else _max_norm_sq(b_obj)) < 2**62:
+        a_int = a_obj.astype(np.int64)
+        return a_int, a_int if same else b_obj.astype(np.int64)
+    return a_obj, b_obj
 
 
-def common_norm(vectors: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
-    """Rescale nonzero integer vectors to squared norms F^2 * s_j.
+def raw_dots(a: Sequence[Vector], b: Sequence[Vector]) -> np.ndarray:
+    """Integer dot products a_i . b_j, the whole table in the arithmetic
+    int_arrays picks."""
+    x, y = int_arrays(a, b)
+    return x @ y.T
 
-    Vector j has squared norm f_j^2 * s_j with s_j square-free; scaled by
-    F/f_j with F = lcm(f_j), it keeps its direction.  Returns the scaled
-    vectors and the s_j: one common norm exists iff every s_j is the same.
+
+def common_norm(vectors: Sequence[Vector]) -> Optional[list[Vector]]:
+    """Rescale nonzero integer vectors by positive integers to their least
+    common squared norm, or None when no common norm exists.
+
+    Vector j has squared norm n_j = f_j^2 s_j with s_j square-free, so a
+    common norm exists iff every s_j = s_1, that is iff every n_j n_1 is a
+    perfect square.  Then f_j / f_1 = sqrt(n_j n_1) / n_1 = p_j / q_j in
+    lowest terms, F = lcm(f_j) = f_1 lcm(p_j), and vector j scaled by
+    F / f_j = lcm(p_j) q_j / p_j has squared norm F^2 s_1.  Nothing is
+    factored, so a norm with a large square-free part costs one isqrt.
     """
-    splits = [square_free_split(sum(x * x for x in v)) for v in vectors]
-    big_f = lcm(*(f for f, _ in splits))
-    scaled = [tuple(x * (big_f // f) for x in v) for v, (f, _) in zip(vectors, splits)]
-    return scaled, [s for _, s in splits]
+    if not vectors:
+        return []
+    norms = [sum(x * x for x in v) for v in vectors]
+    ratios = []
+    for n in norms:
+        root = isqrt(n * norms[0])
+        if root * root != n * norms[0]:
+            return None
+        ratios.append(Fraction(root, norms[0]))
+    big_p = lcm(*(r.numerator for r in ratios))
+    return [tuple(x * (big_p // r.numerator * r.denominator) for x in v)
+            for v, r in zip(vectors, ratios)]
 
 
-def unit_surd(raw: int, norm_sq_product: int) -> Surd:
-    """The exact unit dot raw / sqrt(norm_sq_product) of two integer vectors."""
-    return Surd(Fraction(raw, norm_sq_product), norm_sq_product)
+def unit_surd(raw: int, norm_a: int, norm_b: int) -> Surd:
+    """The exact unit dot raw / sqrt(norm_a * norm_b) of two integer vectors
+    with squared norms norm_a and norm_b.
+
+    Their gcd g leaves the root first, sqrt(norm_a norm_b) =
+    g sqrt((norm_a / g)(norm_b / g)), so Surd factors only the cofactor: a
+    code and its dual, whose norms share a large factor, cost one gcd.
+    """
+    g = gcd(norm_a, norm_b)
+    rest = (norm_a // g) * (norm_b // g)
+    return Surd(Fraction(raw, g * rest), rest)
 
 
 def close_pairs(a: np.ndarray, b: np.ndarray,

@@ -1,10 +1,15 @@
-"""Process-wide limits for constructors and enumeration loops."""
+"""Process-wide limits for constructors, enumeration loops and block sizes."""
 
 from __future__ import annotations
 
 import os
 
 DEFAULT_SIZE_CAP = 2**22
+
+# bytes of one block of a table computed block by block (the descent's
+# rows x code tables, the exact Gram's row blocks): 1 MiB, 60 rows of the
+# 2160-point code, fits in a 2 MiB L2 cache
+BLOCK_BYTES = 1 << 20
 
 ENV_SIZE_CAP = "STIFFKIT_SIZE_CAP"
 

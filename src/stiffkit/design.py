@@ -1,14 +1,18 @@
 """Design strength certification through Gegenbauer pair sums.
 
 A configuration is an n-design exactly when the double sum of P_k over all
-ordered point pairs vanishes for k = 1..n.  For integer codes the Gram
-matrix comes from codes.raw_dots (int64 with an overflow guard), collapsed
-to a multiset of dot values, and each P_k is evaluated once per distinct value
-in exact rational arithmetic.
+ordered point pairs vanishes for k = 1..n.  For integer codes the pair
+sums run over the multiset of integer dot values: the points are converted
+once by codes.int_arrays (int64 under its overflow guard, Python integers
+past it), the Gram table is taken in row blocks of its upper triangle
+(BLOCK_BYTES each, so the N x N table is never held), each block's counts
+are merged into one multiset, and each P_k is evaluated once per distinct
+value in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -16,8 +20,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .codes import Code, FloatCode, LatticeCode, LatticePoint, raw_dots, unit_surd
-from .exact import Scalar, scalar_str
+from .codes import (Code, FloatCode, LatticeCode, LatticePoint, int_arrays, raw_dots,
+                    unit_surd)
+from .config import BLOCK_BYTES
+from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import gegenbauer_poly
 
 FLOAT_DESIGN_TOL = 1e-10  # relative to N^2, for float codes
@@ -77,9 +83,28 @@ class DesignReport:
 
 @lru_cache(maxsize=64)
 def _gram_multiset(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
-    """Multiset of unit dot products over all ordered pairs, diagonal included."""
-    vals, counts = np.unique(raw_dots(code.points, code.points), return_counts=True)
-    return tuple((Fraction(int(v), code.norm_sq), int(c)) for v, c in zip(vals, counts))
+    """Multiset of unit dot products over all ordered pairs, diagonal included.
+
+    The integer Gram table is taken in row blocks of its upper triangle:
+    block [s, s + step) is multiplied only against points s:, its square
+    part holds each ordered pair inside the block once, and each entry to
+    the right of it stands for the two ordered pairs (i, j) and (j, i).
+    Each part is collapsed by np.unique and its counts merged into one
+    count per integer dot, so a block table of at most BLOCK_BYTES is the
+    largest array held.
+    """
+    pts, _ = int_arrays(code.points, code.points)
+    n = len(pts)
+    step = max(1, BLOCK_BYTES // (8 * n))
+    counts: Counter[int] = Counter()
+    for s in range(0, n, step):
+        block = pts[s:s + step] @ pts[s:].T
+        width = len(block)
+        for part, weight in ((block[:, :width], 1), (block[:, width:], 2)):
+            vals, cnt = np.unique(part, return_counts=True)
+            for v, c in zip(vals.tolist(), cnt.tolist()):
+                counts[v] += weight * c
+    return tuple((Fraction(v, code.norm_sq), counts[v]) for v in sorted(counts))
 
 
 def pair_values(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
@@ -117,17 +142,19 @@ def index_set(code: Code, n_max: int) -> DesignReport:
     return DesignReport(code.name, n_max, frozenset(idx), strength, exact)
 
 
-def spectra(dots: np.ndarray, norm_sq: Optional[int] = None,
+def spectra(dots: np.ndarray, norms: Optional[tuple[int, int]] = None,
             tol: float = 1e-9) -> list[tuple]:
     """Per row of a dot table: its (value, multiplicity) entries, ascending.
 
-    An integer table of raw dots, with norm_sq the product of the squared
-    norms of its two sides, gives one exact Surd per distinct integer.  A
-    float table of unit dots merges each value into the group whose first
-    value it exceeds by at most tol; the group reports its mean.
+    An integer table of raw dots, with norms the squared norms of its two
+    sides, gives one exact Surd per distinct integer: the integer times
+    the unit_surd of 1, whose radicand is square-free.  A float table of
+    unit dots merges each value into the group whose first value it
+    exceeds by at most tol; the group reports its mean.
     """
-    if norm_sq is not None:
-        return [tuple((unit_surd(int(v), norm_sq), int(c))
+    if norms is not None:
+        unit = unit_surd(1, *norms)
+        return [tuple((Surd(unit.coeff * int(v), unit.radicand), int(c))
                       for v, c in zip(*np.unique(row, return_counts=True))) for row in dots]
     if not tol >= 0:
         raise ValueError(f"merge tolerance must be >= 0, got {tol}")
@@ -163,7 +190,7 @@ def spectrum(probe: Union[LatticePoint, Sequence[float], np.ndarray],
             raise ValueError("probe dimension does not match the code")
         dots = raw_dots([probe.vector], code.points)
         return SpectrumReport(str(probe.vector), code.name, True,
-                              spectra(dots, probe.norm_sq * code.norm_sq)[0])
+                              spectra(dots, (probe.norm_sq, code.norm_sq))[0])
     vec = probe.unit() if isinstance(probe, LatticePoint) else np.asarray(probe, dtype=float)
     vec = vec / np.linalg.norm(vec)
     return SpectrumReport(np.array2string(vec, precision=6), code.name, False,

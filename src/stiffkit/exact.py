@@ -172,6 +172,9 @@ class Surd:
         return op(surd_cmp(self, o), 0)
 
     def __eq__(self, other: object) -> bool:
+        # canonical form: equal values have equal fields
+        if isinstance(other, Surd):
+            return self.coeff == other.coeff and self.radicand == other.radicand
         return self._order(other, operator.eq)
 
     def __hash__(self) -> int:

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .codes import Code, LatticePoint, greedy_cluster
-from .config import check_size
+from .config import BLOCK_BYTES, check_size
 from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import Polynomial
@@ -50,11 +50,6 @@ MAX_ITER = 600
 TRUST_RADIUS = 0.25
 # converged when |grad| <= ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)| (or gtol)
 ROUNDOFF_FACTOR = 64
-# bytes of one rows x code table in _evaluate, which holds three such
-# tables, reused block after block: its memory is at most three tables of
-# BLOCK_BYTES whatever the start count (1 MiB: 60 rows of the 2160-point
-# code; a table then fits in a 2 MiB L2 cache)
-BLOCK_BYTES = 1 << 20
 # verify_universal_minimum: the largest relative spread of the potential over
 # the dual, and the least gap a descended start may leave below the dual value
 DUAL_SPREAD_REL = 1e-9

@@ -124,13 +124,14 @@ def dual_to_code(points: Sequence[LatticePoint], name: str) -> LatticeCode:
     """Rescale exact dual points to one common squared norm.
 
     With norm_sq = f^2 * s (s square-free), a common norm exists iff every
-    point has the same s; the target is then lcm(f)^2 * s.
+    point has the same s; the target is then lcm(f)^2 * s (codes.common_norm,
+    which finds it without factoring).
     """
     if not points:
         raise ValueError("no points to convert")
-    scaled, parts = common_norm([p.direction() for p in points])
-    if len(set(parts)) > 1:
-        raise ValueError(f"dual norms have square-free parts {sorted(set(parts))}, "
+    scaled = common_norm([p.direction() for p in points])
+    if scaled is None:
+        raise ValueError("dual norms have distinct square-free parts, "
                          "no common scaling exists")
     target = sum(x * x for x in scaled[0])
     return LatticeCode(name, points[0].ambient_dim, target, tuple(sorted(scaled)))
@@ -452,7 +453,7 @@ def certify_stiff(code: Code, m: int,
             # columns in dual.points order: frequency row k is dual point k's
             scaled = {gcd_reduce(v): v for v in dual_code.points}
             dots = raw_dots(code.points, [scaled[p.direction()] for p in dual.points])
-            freq_table = spectra(dots.T, dual_code.norm_sq * code.norm_sq)
+            freq_table = spectra(dots.T, (dual_code.norm_sq, code.norm_sq))
             antipodal = dual_code.is_antipodal()
         else:
             units = dual.unit_points()
@@ -554,11 +555,18 @@ def _qualifying(candidates: np.ndarray, units: np.ndarray, m: int,
                 width_tol: float) -> np.ndarray:
     """The unit candidates and their negatives whose dots split into m
     clusters of width at most width_tol, narrowest first, taken once by
-    codes.greedy_cluster at width_tol / 10."""
+    codes.greedy_cluster at 10 width_tol.
+
+    The radius covers the slack of the width test.  Tilting a direction by
+    e moves the dots x.z - y.z of two points by at most e|x - y|, so
+    candidates up to width_tol / 2 from a dual direction always qualify,
+    and ones up to 10 width_tol from it do when the points of each cluster
+    lie within 0.1 of each other.  Nearly parallel pair differences give
+    normals that far off; they are the same hit, not a second one."""
     candidates = np.vstack([candidates, -candidates])
     widths = _max_cluster_widths(candidates @ units.T, m)
     order = np.argsort(widths, kind="stable")
-    return greedy_cluster(candidates[order[widths[order] <= width_tol]], width_tol / 10)
+    return greedy_cluster(candidates[order[widths[order] <= width_tol]], 10 * width_tol)
 
 
 def brute_force_dual(code: Code, m: int) -> np.ndarray:
@@ -575,7 +583,7 @@ def brute_force_dual(code: Code, m: int) -> np.ndarray:
     Float points rarely tie exactly, so each candidate is tested where it
     lies: its dots must split into m clusters of width at most
     BRUTE_WIDTH_TOL.  Returns unit rows sorted lexicographically, taking
-    the narrowest candidate first and dropping any within 1e-7 of a kept
+    the narrowest candidate first and dropping any within 1e-5 of a kept
     one.  ValueError unless the code is on S^2, m >= 1 and N > 2m.
     """
     if code.ambient_dim != 3:
@@ -608,7 +616,7 @@ def circle_dual_scan(code: Code, m: int) -> np.ndarray:
     rarely tie exactly, so each candidate is tested where it lies: its dots
     must split into m clusters of width at most CIRCLE_WIDTH_TOL.  Returns
     unit rows in increasing angle from 0 (angles rounded to 12 places),
-    taking the narrowest candidate first and dropping any within 1e-9 of a
+    taking the narrowest candidate first and dropping any within 1e-7 of a
     kept one.  With m >= n every direction qualifies, which is a ValueError.
     """
     if code.ambient_dim != 2:

@@ -57,8 +57,7 @@ def _orthogonal_integer_basis(x: Vector) -> Optional[list[Vector]]:
             if coef:
                 w = [a - coef * c for a, c in zip(w, b)]
         basis.append(tuple(w))
-    scaled, parts = common_norm([integer_direction(b) for b in basis])
-    return scaled if len(set(parts)) <= 1 else None
+    return common_norm([integer_direction(b) for b in basis])
 
 
 def facet_derive(code: Code, x, t) -> Code:

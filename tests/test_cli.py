@@ -369,14 +369,15 @@ def test_size_cap_env(tmp_path, capsys, monkeypatch):
 
 
 def test_square_free_split_over_the_cap_exits_2(tmp_path, capsys, monkeypatch):
-    # the rectangle (+-1, +-10^17): its probe x code dots are surds over
-    # (1 + 10^34)^2 = (101 * 28559389 * ...)^2, which trial division
-    # cannot split below the cap
+    # the rectangle (+-1, +-10^17) against the probe (1, 0): the dots are
+    # surds over 1 + 10^34 = 101 * 28559389 * ..., which trial division
+    # cannot split below the cap (a code point as the probe shares the
+    # code's norm, which unit_surd takes out of the root without a split)
     f = tmp_path / "rect.json"
     save_code(LatticeCode("rect", 2, 1 + 10**34,
                           tuple(sorted((a, b * 10**17) for a in (1, -1) for b in (1, -1)))), f)
     monkeypatch.setenv("STIFFKIT_SIZE_CAP", "1000")
-    code, stdout, stderr = run(capsys, "spectrum", str(f), "--probe", "0")
+    code, stdout, stderr = run(capsys, "spectrum", str(f), "--probe", "1,0")
     assert (code, stdout) == (2, "")
     assert "above the cap 1000" in stderr
 

@@ -236,7 +236,7 @@ def test_lattice_point_dots_and_directions():
     q = LatticePoint((2, 2, 0), 8)
     raw = raw_dots([p.vector], [q.vector])
     assert raw.tolist() == [[2]]
-    assert unit_surd(2, p.norm_sq * q.norm_sq) == Surd.sqrt_of(Fraction(1, 2))
+    assert unit_surd(2, p.norm_sq, q.norm_sq) == Surd.sqrt_of(Fraction(1, 2))
     assert q.direction() == (1, 1, 0)
     assert (-q).direction() == (-1, -1, 0)
     assert gcd_reduce((0, 0, 0)) == (0, 0, 0)
@@ -282,12 +282,35 @@ def _square_free(n: int) -> bool:
     return all(n % (p * p) for p in range(2, isqrt(n) + 1))
 
 
+def _square_free_part(n: int) -> int:
+    """Reference: n with every square factor divided out, by trial division."""
+    for p in range(2, isqrt(n) + 1):
+        while n % (p * p) == 0:
+            n //= p * p
+    return n
+
+
+def _one_class_vectors(dim: int):
+    """Multiples of signed permutations of one vector: one square-free part."""
+    base = st.tuples(*[st.integers(-30, 30)] * dim).filter(any)
+    return base.flatmap(lambda v: st.lists(
+        st.builds(lambda c, perm, signs: tuple(c * s * v[i] for i, s in zip(perm, signs)),
+                  st.integers(1, 6), st.permutations(range(dim)),
+                  st.tuples(*[st.sampled_from((1, -1))] * dim)),
+        min_size=1, max_size=6))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
-    st.tuples(*[st.integers(-30, 30)] * dim).filter(any), min_size=1, max_size=6)))
+@given(st.integers(1, 4).flatmap(lambda dim: st.one_of(
+    st.lists(st.tuples(*[st.integers(-30, 30)] * dim).filter(any), min_size=1, max_size=6),
+    _one_class_vectors(dim))))
 def test_common_norm_rescales_to_lcm_squared_times_square_free_part(vectors):
-    scaled, parts = common_norm(vectors)
-    assert len(scaled) == len(parts) == len(vectors)
+    scaled = common_norm(vectors)
+    parts = [_square_free_part(sum(x * x for x in v)) for v in vectors]
+    if len(set(parts)) > 1:
+        assert scaled is None
+        return
+    assert len(scaled) == len(vectors)
     # norm_j = f_j^2 * s_j with s_j square-free, so f_j^2 = norm_j / s_j
     f = [isqrt(sum(x * x for x in v) // s) for v, s in zip(vectors, parts)]
     assert all(fj * fj * s == sum(x * x for x in v)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stiffkit.codes import (
@@ -18,9 +20,12 @@ from stiffkit.codes import (
     e8_roots,
     ngon,
     polytope_2_41,
+    raw_dots,
 )
+from stiffkit import design
 from stiffkit.design import (
     FLOAT_DESIGN_TOL,
+    _gram_multiset,
     _pair_sums,
     index_set,
     pair_sum,
@@ -58,6 +63,57 @@ def test_pair_values_bookkeeping():
     as_dict = dict(vals)
     assert as_dict[Fraction(1)] == 8  # diagonal
     assert as_dict[Fraction(-1)] == 8
+
+
+def _full_table_multiset(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
+    """Reference: np.unique over the whole N x N integer Gram table."""
+    vals, counts = np.unique(raw_dots(code.points, code.points), return_counts=True)
+    return tuple((Fraction(int(v), code.norm_sq), int(c)) for v, c in zip(vals, counts))
+
+
+@st.composite
+def _signed_permutation_codes(draw):
+    """A subset of the signed permutations of one integer vector, times a
+    scale that may push the squared norm past 2^31 (the Python-int path)."""
+    dim = draw(st.integers(1, 4))
+    base = draw(st.lists(st.integers(0, 5), min_size=dim, max_size=dim).filter(any))
+    shell = sorted({tuple(s * base[i] for s, i in zip(signs, perm))
+                    for perm in permutations(range(dim))
+                    for signs in product((1, -1), repeat=dim)})
+    keep = draw(st.lists(st.booleans(), min_size=len(shell), max_size=len(shell)))
+    assume(any(keep))
+    scale = draw(st.sampled_from((1, 3, 2**16, 2**40)))
+    pts = tuple(tuple(scale * x for x in p) for p, k in zip(shell, keep) if k)
+    return LatticeCode("shell", dim, sum(x * x for x in pts[0]), pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed_permutation_codes(), st.integers(1, 9))
+def test_block_multiset_matches_full_table(code, rows):
+    # blocks of 1..9 rows: most sizes are no multiple of the block, and the
+    # object path (norm_sq >= 2^31) runs through the same loop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "BLOCK_BYTES", 8 * code.size * rows)
+        assert _gram_multiset.__wrapped__(code) == _full_table_multiset(code)
+
+
+@pytest.mark.parametrize("code", [
+    cross_polytope(4), cube(5), demicube(6), e8_roots(), polytope_2_41(),
+], ids=lambda c: c.name)
+def test_shipped_multisets_match_full_table(code):
+    assert pair_values(code) == _full_table_multiset(code)
+
+
+def test_multiset_holds_no_full_table():
+    # demicube(12): the 2048 x 2048 int64 table alone is 32 MiB
+    code = demicube(12)
+    tracemalloc.start()
+    try:
+        _gram_multiset.__wrapped__(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_strengths_of_standard_codes():

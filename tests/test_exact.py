@@ -173,6 +173,21 @@ def test_sqrt_of():
     assert s * s == Fraction(3, 5)
 
 
+def _equal_surd_pairs():
+    """A surd and the same value written with a square k^2 in the radicand."""
+    return st.builds(lambda a, k: (a, Surd(a.coeff / k, a.radicand * k * k)),
+                     _surds, st.integers(1, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_surds, _scalars), _equal_surd_pairs()))
+def test_equality_agrees_with_surd_cmp(ab):
+    a, b = ab
+    want = surd_cmp(a, b) == 0
+    assert (a == b) is want and (b == a) is want
+    assert (a != b) is not want
+
+
 def test_structural_equality_is_value_equality():
     assert Surd(Fraction(1, 2), 8) == Surd(1, 2)          # both sqrt(2)
     assert {Surd(Fraction(1, 2), 8), Surd(1, 2)} == {Surd(1, 2)}

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stiffkit.codes import (
@@ -20,6 +20,7 @@ from stiffkit.codes import (
     cube,
     demicube,
     e8_roots,
+    greedy_cluster,
     ngon,
     polytope_2_41,
 )
@@ -424,6 +425,22 @@ class TestCertify:
         want = tuple(tuple((round(v, 9), c) for v, c in spectrum(u, code).entries)
                      for u in cert.dual.unit_points())
         assert cert.frequency_table == want
+
+    def test_square_with_a_large_square_free_norm_part(self, monkeypatch):
+        # the square (1, 10^17) rotated by quarter turns: its dual points
+        # have norm 2 (1 + 10^34), which as_code and the frequency table
+        # must handle without factoring 1 + 10^34
+        monkeypatch.setenv(ENV_SIZE_CAP, "10000")
+        b = 10**17
+        square = LatticeCode("square", 2, 1 + b * b,
+                             tuple(sorted(((1, b), (-b, 1), (-1, -b), (b, -1)))))
+        cert = certify_stiff(square, 2)
+        assert cert.stiff and cert.dual.exact and cert.dual.count == 4
+        assert cert.dual.as_code().norm_sq == 2 * (1 + b * b)
+        assert cert.frequencies_match_weights
+        half = Surd.sqrt_of(Fraction(1, 2))
+        assert set(cert.frequency_table) == {((-half, 2), (half, 2))}
+        assert all(cert.properties.values())
 
     def test_certificate_json_fields(self):
         cert = certify_stiff(cross_polytope(4), 2)
@@ -921,7 +938,8 @@ def _sampler_reference(code, m: int, samples: int = 100_000) -> np.ndarray:
 
 def _all_pairs_reference(code, m: int) -> np.ndarray:
     """brute_force_dual without the first-(m+1) restriction: the normals of
-    every two pair differences, the same width test and deduplication."""
+    every two pair differences, the same width test and the same greedy
+    deduplication."""
     units = code.unit_array()
     i, j = np.triu_indices(len(units), 1)
     diffs = units[i] - units[j]
@@ -931,11 +949,9 @@ def _all_pairs_reference(code, m: int) -> np.ndarray:
     candidates = np.vstack([normals, -normals])
     widths = np.array([_max_cluster_width(units @ z, m) for z in candidates])
     order = np.argsort(widths, kind="stable")
-    found: list[np.ndarray] = []
-    for z in candidates[order[widths[order] <= BRUTE_WIDTH_TOL]]:
-        if not any(np.linalg.norm(z - f) < 1e-7 for f in found):
-            found.append(z)
-    return np.array(sorted(found, key=tuple)).reshape(-1, 3)
+    found = greedy_cluster(candidates[order[widths[order] <= BRUTE_WIDTH_TOL]],
+                           10 * BRUTE_WIDTH_TOL)
+    return np.array(sorted(found.tolist())).reshape(-1, 3)
 
 
 def _shipped_s2_codes():
@@ -984,6 +1000,22 @@ class TestBruteForceScan:
 
     @settings(max_examples=40, deadline=None)
     @given(_planted_circle_codes())
+    # z = (0, 1, 1)/sqrt(2): the first and fourth points lie 1e-9 rad apart
+    # on circles at heights 0 and 1/4, so the normals of nearly parallel
+    # pair differences give a second qualifying candidate 1.8e-7 from +-z,
+    # of width 3.5e-7, which a dedup radius below the width slack reports
+    # as a second hit
+    @example(case=(FloatCode("planted", 3, np.array([
+        [0.0, 0.7071067811865476, -0.7071067811865476],
+        [-0.8147507776194344, 0.546696396291682, -0.19314300569840825],
+        [-0.8804234477112807, -0.10813956671746966, 0.4616929573107434],
+        [-9.682458365518543e-10, 0.8614298921780946, -0.5078765015848209],
+        [0.9284744365110905, 0.3709869174084157, -0.01743352681514196],
+        [0.27941549819892586, 0.678942920784305, -0.678942920784305],
+        [-0.9974949866040544, 0.05001875498139309, -0.05001875498139309],
+        [-0.5610375377812713, -0.38122728372158154, 0.7347806743148553],
+        [-0.13663886025813055, -0.5010248323895138, 0.8545782229827875]]),
+        tolerance=1e-12), 3, np.array([0.0, 0.7071067811865475, 0.7071067811865475])))
     def test_planted_direction_and_all_pairs_reference(self, case):
         code, m, z = case
         hits = brute_force_dual(code, m)
