@@ -9,8 +9,6 @@ every intermediate value stays an integer.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .codes import gcd_reduce
@@ -97,13 +95,6 @@ def adjugate_and_det(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [[sign * x for x in row[n:]] for row in reduced], sign * last
-
-
-def integer_direction(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """The primitive integer vector along a rational vector: clear the
-    denominators with their lcm, then divide out the gcd."""
-    den = lcm(*(x.denominator for x in vec))
-    return gcd_reduce(tuple(int(x * den) for x in vec))
 
 
 def integer_nullspace(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -1,11 +1,11 @@
 """Gegenbauer polynomials for the sphere S^d, normalized to P_n(1) = 1.
 
 Everything is exact over Q: the polynomials follow a three-term recurrence,
-moments of the projection weight w_d(t) = gamma_d * (1 - t^2)^(d/2 - 1) on
-[-1, 1] a two-step one, and quadrature weights are mean values of Lagrange
-fundamental polynomials.
-Nodes are exact surds through degree 3; higher degrees fall back to floats
-certified by exact sign changes.
+and the moments of the projection weight w_d(t) = gamma_d * (1 - t^2)^(d/2 - 1)
+on [-1, 1] a two-step one.  The roots of P_m are exact surds through m = 3,
+their quadrature weights exact Fractions.  Beyond that roots and weights are
+floats from one symmetric tridiagonal eigenproblem (Golub & Welsch, Math.
+Comp. 23, 1969), and every root is certified by an exact sign change of P_m.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, pi
 from typing import Sequence, Union
 
 import numpy as np
@@ -167,8 +166,9 @@ class NodeSet:
     """Roots of a Gegenbauer polynomial with their quadrature weights.
 
     nodes are ascending; exact means the nodes are Surd values (weights are
-    then exact Fractions too).  Float nodes are accurate to 1e-14, certified
-    by exact sign changes of the polynomial.
+    then exact Fractions too).  Float nodes are exactly antisymmetric,
+    t_i = -t_{m-1-i}, with symmetric weights, and each lies within 1e-14 of
+    its root, certified by an exact sign change of the polynomial.
     """
 
     d: int
@@ -186,7 +186,8 @@ def nodes(d: int, m: int) -> NodeSet:
 
     m <= 3 has surd roots for every d: {0}, {+-1/sqrt(d+1)}, and
     {0, +-sqrt(3/(d+3))}.  Beyond that the roots are not single surds in
-    general and are isolated by bisection with exact sign evaluation.
+    general; they and their weights come from _float_nodes, which raises
+    ArithmeticError rather than return a root it cannot certify.
     """
     if m < 1:
         raise ValueError("node count m must be >= 1")
@@ -201,61 +202,31 @@ def nodes(d: int, m: int) -> NodeSet:
         wside = moment(d, 2) / (2 * asq)
         wmid = 1 - 2 * wside
         return NodeSet(d, 3, True, (-a, Surd(0), a), (wside, wmid, wside))
-    roots = _float_roots(d, m)
-    weights = _float_weights(d, roots)
-    return NodeSet(d, m, False, tuple(roots), tuple(weights))
+    return NodeSet(d, m, False, *_float_nodes(d, m))
 
 
-def _float_roots(d: int, m: int) -> list[float]:
-    """All m roots of P_m^(d) to 1e-14 by interlacing plus exact bisection."""
-    if d == 1:
-        # Chebyshev case: roots are cos((2i-1)pi/2m), exact formula
-        return sorted(cos((2 * i - 1) * pi / (2 * m)) for i in range(1, m + 1))
-    if m <= 3:
-        return list(nodes(d, m).nodes_float())
-    pm = gegenbauer_poly(d, m)
-    inner_pts = _float_roots(d, m - 1)
-    brackets = [-1.0] + inner_pts + [1.0]
-    out = []
-    for lo, hi in zip(brackets, brackets[1:]):
-        out.append(_bisect_root(pm, Fraction(lo), Fraction(hi)))
-    return out
+def _float_nodes(d: int, m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Roots of P_m^(d) and their weights by Golub-Welsch, each root certified.
 
-
-def _bisect_root(p: Polynomial, lo: Fraction, hi: Fraction) -> float:
-    """Unique root of p in (lo, hi); signs at the ends must differ."""
-    flo = p(lo)
-    fhi = p(hi)
-    if flo == 0:
-        return float(lo)
-    if fhi == 0:
-        return float(hi)
-    assert (flo < 0) != (fhi < 0), "bracket does not straddle a sign change"
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        fmid = p(mid)
-        if fmid == 0:
-            return float(mid)
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if float(hi - lo) < 1e-15:
-            break
-    return float((lo + hi) / 2)
-
-
-def _float_weights(d: int, roots: list[float]) -> list[float]:
-    """a_0 of each Lagrange fundamental polynomial on the given roots."""
-    mus = [float(moment(d, k)) for k in range(len(roots))]
-    out = []
-    for i, r in enumerate(roots):
-        num = np.array([1.0])  # product of (t - r_j), ascending coefficients
-        denom = 1.0
-        for j, rj in enumerate(roots):
-            if j == i:
-                continue
-            num = np.concatenate(([0.0], num)) + np.concatenate((-rj * num, [0.0]))
-            denom *= r - rj
-        out.append(sum(c * mu for c, mu in zip(num, mus)) / denom)
-    return out
+    The monic orthogonal polynomials of w_d satisfy p_{n+1} = t p_n - b_n p_{n-1}
+    with b_1 = 1/(d+1) and b_n = n(n+d-2)/((2n+d-1)(2n+d-3)); the eigenvalues
+    of the tridiagonal matrix with off-diagonal sqrt(b_n) are the roots, and
+    the squared first components of its eigenvectors the weights.  Both are
+    symmetrized about 0.  Each root t must show an exact sign change of P_m
+    across [t - 1e-14, t + 1e-14], the m brackets disjoint, so together they
+    hold all m roots; ArithmeticError otherwise.
+    """
+    p = gegenbauer_poly(d, m)
+    n = np.arange(2, m, dtype=float)
+    b = np.concatenate(([1.0 / (d + 1)],
+                        n * (n + d - 2) / ((2 * n + d - 1) * (2 * n + d - 3))))
+    ts, vecs = np.linalg.eigh(np.diag(np.sqrt(b), -1))  # reads the lower triangle
+    ws = vecs[0] ** 2
+    ts, ws = (ts - ts[::-1]) / 2, (ws + ws[::-1]) / 2
+    half = Fraction(1, 10**14)
+    edges = [Fraction(t) + h for t in ts.tolist() for h in (-half, half)]
+    values = [p(e) for e in edges]
+    if not (all(lo * hi < 0 for lo, hi in zip(values[::2], values[1::2]))
+            and all(e < f for e, f in zip(edges, edges[1:]))):
+        raise ArithmeticError(f"roots of P_{m}^({d}) not certified to 1e-14")
+    return tuple(ts.tolist()), tuple(ws.tolist())

@@ -1,11 +1,16 @@
 """Constructive operations: symmetrization, facet derivation, gluing,
 and the rotated-cubes family.
 
+Facet derivation stays exact when the complement of the pole has an
+equal-norm integer basis: rows are selected by the integer identity
+(x.y)^2 = t^2 |x|^2 N, and the basis comes from a fraction-free
+Gram-Schmidt, so no norm is factored and no Fraction vector is built.
+
 Gluing implements the reflection construction that adds cardinalities of
 two m-stiff codes: reflect the first code so a dual point is shared, then
-reflect again across a generic hyperplane through that dual point to force
-disjointness.  The genericity conditions are tested explicitly and the
-random direction is retried on failure.
+reflect again across a random hyperplane through that dual point.  The
+copy must come out disjoint from the second code, which one proximity
+sweep checks; the random direction is retried otherwise.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import integer_direction, integer_nullspace
+from ._linalg import integer_nullspace
 from .codes import (Code, FloatCode, LatticeCode, LatticePoint, Vector, close_pairs,
-                    common_norm, cube, raw_dots)
+                    common_norm, cube, gcd_reduce, raw_dots)
 from .exact import Surd
 from .stiffness import StiffnessCertificate, certify_stiff
 
@@ -44,20 +49,21 @@ def symmetrize(code: Code) -> Code:
 def _orthogonal_integer_basis(x: Vector) -> Optional[list[Vector]]:
     """Pairwise-orthogonal integer basis of {x}^perp with equal squared norms.
 
-    Equal norms are possible iff the Gram-Schmidt norms share one
-    square-free part; returns None otherwise.
+    Gram-Schmidt without fractions: each nullspace vector w is taken to
+    gcd_reduce(|b|^2 w - (w.b) b) against every earlier b, a positive
+    multiple of its rational Gram-Schmidt vector.  Equal norms are possible
+    iff the resulting norms share one square-free part; returns None
+    otherwise.
     """
-    raw = integer_nullspace([x])
-    basis: list[tuple[Fraction, ...]] = []
-    for v in raw:
-        w = [Fraction(c) for c in v]
+    basis: list[Vector] = []
+    for w in integer_nullspace([x]):
         for b in basis:
-            bb = sum(c * c for c in b)
-            coef = sum(a * c for a, c in zip(w, b)) / bb
-            if coef:
-                w = [a - coef * c for a, c in zip(w, b)]
-        basis.append(tuple(w))
-    return common_norm([integer_direction(b) for b in basis])
+            wb = sum(p * q for p, q in zip(w, b))
+            if wb:
+                bb = sum(q * q for q in b)
+                w = gcd_reduce(tuple(bb * p - wb * q for p, q in zip(w, b)))
+        basis.append(w)
+    return common_norm(basis)
 
 
 def facet_derive(code: Code, x, t) -> Code:
@@ -74,12 +80,13 @@ def facet_derive(code: Code, x, t) -> Code:
         tt = Surd(t)
         if tt == 1 or tt == -1:
             raise ValueError("t = ±1 slices to a single point, not a facet")
-        # selected rows: x.y == t * sqrt(ns_x * ns_c), which must be an integer
-        target = tt * Surd.sqrt_of(x.norm_sq * code.norm_sq)
-        raw = raw_dots([x.vector], code.points)[0]
-        rows = []
-        if target.radicand == 1 and target.coeff.denominator == 1:
-            rows = [y for y, r in zip(code.points, raw) if r == int(target.coeff)]
+        # selected rows: x.y = t*sqrt(|x|^2 N), so (x.y)^2 = t^2 |x|^2 N with
+        # the sign of t, and t^2 is rational: no norm is ever factored
+        target_sq = tt.coeff ** 2 * tt.radicand * x.norm_sq * code.norm_sq
+        sign = (tt.coeff > 0) - (tt.coeff < 0)
+        raw = raw_dots([x.vector], code.points)[0].tolist()
+        rows = [y for y, r in zip(code.points, raw)
+                if r * r == target_sq and (r > 0) - (r < 0) == sign]
         if not rows:
             raise ValueError(f"dot value {t} is not attained by {code.name}")
         basis = _orthogonal_integer_basis(x.vector)
@@ -125,8 +132,8 @@ def glue(code1: Code, code2: Code, m: int,
     """Union of two m-stiff codes after two reflections, again m-stiff.
 
     Reflect code1 so a dual point of code1 lands on a dual point z2 of
-    code2, then reflect across a generic hyperplane containing z2 to make
-    the copy disjoint from code2.  The resulting union of (2m-1)-designs
+    code2, then across a random hyperplane containing z2, drawn again
+    until the copy is disjoint from code2.  The resulting union of (2m-1)-designs
     is a (2m-1)-design with z2 in its dual.
     """
     if code1.ambient_dim != code2.ambient_dim:
@@ -150,11 +157,6 @@ def glue(code1: Code, code2: Code, m: int,
 
     rng = np.random.default_rng(seed)
     d1 = code1.ambient_dim
-    # |w - v| for w in code2, v in the reflected code1, one code2 row at a
-    # time so no N2 x N1 x d difference tensor is held; too short to define
-    # a direction counts as never parallel
-    dn = np.array([np.linalg.norm(w - pts1r, axis=1) for w in pts2])
-    dn[dn <= 1e-12] = np.inf
     for _ in range(GLUE_TRIES):
         a = rng.normal(size=d1)
         a -= (a @ z2) * z2  # enforce a ⊥ z2
@@ -162,13 +164,6 @@ def glue(code1: Code, code2: Code, m: int,
         if n < 1e-9:
             continue
         a /= n
-        # genericity: a not parallel to any w - v, a not perpendicular to code2
-        along2 = pts2 @ a
-        cosines = np.abs(along2[:, None] - (pts1r @ a)[None, :]) / dn
-        if np.any(cosines > 1.0 - 1e-9):
-            continue
-        if np.any(np.abs(along2) < 1e-9):
-            continue
         pts1rr = pts1r - 2.0 * (pts1r @ a)[:, None] * a[None, :]
         if np.any(close_pairs(pts2, pts1rr, 1e-8)[2] < 1e-8):  # not disjoint
             continue

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import cos, pi
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 
+from stiffkit import gegenbauer
 from stiffkit.exact import Surd
 from stiffkit.gegenbauer import (
     Polynomial,
@@ -205,3 +208,65 @@ def test_float_roots_certified_by_exact_signs():
     for t in nodes(d, m).nodes_float():
         lo, hi = Fraction(t - 1e-13), Fraction(t + 1e-13)
         assert (p(lo) < 0) != (p(hi) < 0)
+
+
+@pytest.mark.parametrize("d,m", [(7, 16), (23, 20), (23, 30)])
+def test_float_weights_reproduce_moments(d, m):
+    # the quadrature error of the float nodes and weights themselves,
+    # summed exactly; the smallest weight at (23, 30) is about 4e-11
+    ns = nodes(d, m)
+    ts = [Fraction(t) for t in ns.nodes]
+    ws = [Fraction(w) for w in ns.weights]
+    for k in range(2 * m):
+        approx = sum(w * t**k for w, t in zip(ws, ts))
+        assert abs(approx - moment(d, k)) < 1e-14, k
+
+
+@pytest.mark.parametrize("d,m", [(1, 7), (2, 4), (3, 9), (7, 16), (23, 30), (5, 33)])
+def test_float_nodes_symmetric_and_certified(d, m):
+    ns = nodes(d, m)
+    ts, ws = ns.nodes, ns.weights
+    assert ts == tuple(-t for t in reversed(ts))
+    assert ws == tuple(reversed(ws))
+    if m % 2:
+        assert ts[m // 2] == 0.0
+    p = gegenbauer_poly(d, m)
+    half = Fraction(1, 10**14)
+    edges = [Fraction(t) + s for t in ts for s in (-half, half)]
+    assert edges == sorted(edges) and len(set(edges)) == 2 * m  # disjoint brackets
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        assert p(lo) * p(hi) < 0
+
+
+def _scaled(ts):
+    # every nonzero root moves out of its bracket (a plain shift would
+    # cancel in the symmetrization)
+    return ts * (1 + 1e-12)
+
+
+def _doubled(ts):
+    # the two outermost roots on each side coincide: both brackets hold a
+    # sign change, but they overlap, so the second root is not shown
+    ts = ts.copy()
+    ts[1], ts[-2] = ts[0], ts[-1]
+    return ts
+
+
+@pytest.mark.parametrize("spoil", [_scaled, _doubled])
+def test_uncertified_roots_raise(spoil):
+    eigh = np.linalg.eigh
+
+    def spoiled(a):
+        ts, vecs = eigh(a)
+        return spoil(ts), vecs
+
+    with mock.patch.object(gegenbauer.np.linalg, "eigh", spoiled):
+        with pytest.raises(ArithmeticError):
+            gegenbauer._float_nodes(7, 6)
+
+
+def test_many_nodes_are_fast():
+    start = time.perf_counter()
+    ns = nodes(7, 50)
+    assert time.perf_counter() - start < 5.0
+    assert len(ns.nodes) == 50 and not ns.exact

@@ -1,19 +1,22 @@
-"""Exact linear algebra helpers: the incremental rank tracker, adjugates
-and integer nullspaces."""
+"""Exact linear algebra helpers: the incremental rank tracker, adjugates,
+integer nullspaces and the fraction-free orthogonal basis of a complement."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiffkit._linalg import (GreedyRank, adjugate_and_det, integer_direction,
-                              integer_nullspace)
-from stiffkit.codes import demicube, polytope_2_41, raw_dots
+from stiffkit import transforms
+from stiffkit._linalg import GreedyRank, adjugate_and_det, integer_nullspace
+from stiffkit.codes import common_norm, demicube, gcd_reduce, polytope_2_41, raw_dots
 from stiffkit.stiffness import _independent_rows
+from stiffkit.transforms import _orthogonal_integer_basis
 
 
 class _FractionRank:
@@ -70,6 +73,13 @@ def _cofactor_adjugate_and_det(mat):
     return adj, _bareiss_det(mat)
 
 
+def _integer_direction(vec):
+    """The primitive integer vector along a rational vector: clear the
+    denominators with their lcm, then divide out the gcd."""
+    den = lcm(*(x.denominator for x in vec))
+    return gcd_reduce(tuple(int(x * den) for x in vec))
+
+
 def _fraction_nullspace(rows):
     """The nullspace as it was written: Gauss-Jordan over Fraction rows."""
     ncols = len(rows[0])
@@ -94,7 +104,7 @@ def _fraction_nullspace(rows):
         vec[fc] = Fraction(1)
         for prow, pc in zip(work, pivots):
             vec[pc] = -prow[fc]
-        out = integer_direction(vec)
+        out = _integer_direction(vec)
         if next(x for x in out if x) < 0:
             out = tuple(-x for x in out)
         basis.append(out)
@@ -207,3 +217,46 @@ def test_integer_nullspace_matches_fraction_reduction(case):
     basis = integer_nullspace(rows)
     assert basis == _fraction_nullspace(rows)
     assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in basis)
+
+
+def _fraction_orthogonal_directions(x):
+    """The complement basis as it was written: Gram-Schmidt over Fraction
+    vectors, then the primitive integer direction of each."""
+    basis: list[tuple[Fraction, ...]] = []
+    for v in integer_nullspace([x]):
+        w = [Fraction(c) for c in v]
+        for b in basis:
+            bb = sum(c * c for c in b)
+            coef = sum(a * c for a, c in zip(w, b)) / bb
+            if coef:
+                w = [a - coef * c for a, c in zip(w, b)]
+        basis.append(tuple(w))
+    return [_integer_direction(b) for b in basis]
+
+
+@st.composite
+def _poles(draw):
+    """Nonzero integer vectors: sparse with small entries (so equal-norm
+    complements are common) or dense with entries up to 2^70."""
+    n = draw(st.integers(2, 7))
+    bound = draw(st.sampled_from((1, 3, 2**70)))
+    x = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    if bound < 2**70:
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        x = [c if k else 0 for c, k in zip(x, keep)]
+    if not any(x):
+        x[draw(st.integers(0, n - 1))] = 1
+    return tuple(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poles())
+def test_orthogonal_basis_matches_fraction_gram_schmidt(x):
+    want = _fraction_orthogonal_directions(x)
+    with mock.patch.object(transforms, "common_norm", lambda vectors: list(vectors)):
+        directions = _orthogonal_integer_basis(x)
+    assert directions == want
+    assert all(sum(a * b for a, b in zip(x, v)) == 0 for v in directions)
+    assert all(sum(a * b for a, b in zip(u, v)) == 0
+               for i, u in enumerate(directions) for v in directions[i + 1:])
+    assert _orthogonal_integer_basis(x) == common_norm(want)

@@ -21,7 +21,9 @@ from stiffkit.codes import (
     ngon,
     save_code,
 )
+from stiffkit.config import ENV_SIZE_CAP
 from stiffkit.design import index_set, spectrum
+from stiffkit.exact import Surd
 from stiffkit.stiffness import (
     NotInGeneralPosition,
     certify_stiff,
@@ -105,6 +107,31 @@ class TestFacetDerive:
         out = facet_derive(cube(3), x, Fraction(1, 3))
         assert np.allclose(np.linalg.norm(out.unit_array(), axis=1), 1.0,
                            atol=1e-12)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_surd_slice_keeps_the_sign_of_t(self, sign):
+        # x1 = sign slices the 64 odd-vector roots (+-1)^8 whose other seven
+        # coordinates have an even (sign 1) or odd (sign -1) count of minus signs
+        x = LatticePoint((1, 0, 0, 0, 0, 0, 0, 0), 1)
+        out = facet_derive(e8_roots(), x, sign * Surd.sqrt_of(Fraction(1, 8)))
+        assert isinstance(out, LatticeCode)
+        assert (out.size, out.ambient_dim, out.norm_sq) == (64, 7, 7)
+        parity = 0 if sign == 1 else 1
+        assert all(sum(c < 0 for c in p) % 2 == parity for p in out.points)
+
+    def test_large_norm_slice_factors_nothing(self, monkeypatch):
+        # the square's norm 1 + 10^34 has no square-free split below the cap,
+        # and the slice t = 0 through its first point needs none
+        monkeypatch.setenv(ENV_SIZE_CAP, "1000")
+        big = 10**17
+        code = LatticeCode("square", 2, 1 + big**2,
+                           tuple(sorted([(1, big), (-big, 1), (-1, -big), (big, -1)])))
+        out = facet_derive(code, LatticePoint((1, big), 1 + big**2), 0)
+        assert isinstance(out, LatticeCode)
+        assert (out.size, out.ambient_dim) == (2, 1)
+        assert out.same_point_set(cross_polytope(1))
+        with pytest.raises(ValueError, match="not attained"):
+            facet_derive(code, LatticePoint((1, big), 1 + big**2), Fraction(1, 2))
 
     def test_unattained_t_rejected(self):
         x = LatticePoint((1, 0, 0, 0), 1)
