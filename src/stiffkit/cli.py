@@ -132,6 +132,14 @@ def _load(path: str):
         raise UsageError(f"bad code file {path}: {e}") from None
 
 
+def _check_sphere(code, what: str) -> None:
+    """Gegenbauer polynomials, and with them design strength and duals,
+    exist on S^d for d >= 1 only."""
+    if code.sphere_dim < 1:
+        raise UsageError(f"{code.name} lies on S^{code.sphere_dim}; {what} "
+                         "needs a sphere of dimension >= 1")
+
+
 def _same_dimension(a, b) -> None:
     if a.ambient_dim != b.ambient_dim:
         raise UsageError(f"{a.name} lives in dimension {a.ambient_dim}, "
@@ -187,6 +195,7 @@ def cmd_check_design(args) -> int:
     code = _load(args.file)
     if args.arithmetic == "exact" and not isinstance(code, LatticeCode):
         raise UsageError("--exact needs an integer code file")
+    _check_sphere(code, "design strength")
     if args.arithmetic == "float" and isinstance(code, LatticeCode):
         from .codes import FloatCode
         code = FloatCode(code.name, code.ambient_dim, code.unit_array(),
@@ -202,6 +211,7 @@ def cmd_check_design(args) -> int:
 
 def cmd_dual(args) -> int:
     code = _load(args.file)
+    _check_sphere(code, "a dual")
     nodes = _parse_nodes(args.nodes)
     cert = certify_stiff(code, args.m, nodes=nodes)
     dual = cert.dual

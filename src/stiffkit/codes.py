@@ -26,10 +26,16 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import check_size
+from .config import BLOCK_BYTES, check_size
 from .exact import Surd
 
 Vector = tuple[int, ...]
+
+# multiply-adds of one BLAS call in `products`: OpenBLAS runs a GEMM with
+# M * N * K <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) on the
+# calling thread (interface/gemm.c), so no exact product wakes its thread
+# pool, which on two busy cores can cost far more than the product
+GEMM_MACS = 1 << 18
 
 
 def gcd_reduce(vec: Vector) -> Vector:
@@ -48,30 +54,58 @@ def _max_norm_sq(rows: np.ndarray) -> int:
 
 def int_arrays(a: Sequence[Vector], b: Sequence[Vector]) -> tuple[np.ndarray, np.ndarray]:
     """Two non-empty sets of integer vectors as arrays whose products
-    a[i:j] @ b[k:l].T are exact.
+    through `products` are exact.
 
     Every exact dot product in the package goes through here.  The arrays
-    are int64 when max|a_i|^2 * max|b_j|^2 < 2^62: by Cauchy-Schwarz every
-    product term and every partial sum is then below 2^31 in absolute
-    value.  Otherwise they hold Python integers (object arrays), which
-    cannot overflow.  One sequence passed as both a and b is converted
-    once.
+    are float64 when max|a_i|^2 * max|b_j|^2 < 2^106: every coordinate is
+    then an integer below 2^53, which float64 holds exactly, and by
+    Cauchy-Schwarz so is every product term and every partial sum, in any
+    order of summation, with or without fused multiply-adds.  Otherwise
+    they hold Python integers (object arrays), which cannot overflow.  One
+    sequence passed as both a and b is converted once.
     """
     same = b is a
     a_obj = np.asarray(a, dtype=object)
     b_obj = a_obj if same else np.asarray(b, dtype=object)
     a_max = _max_norm_sq(a_obj)
-    if a_max * (a_max if same else _max_norm_sq(b_obj)) < 2**62:
-        a_int = a_obj.astype(np.int64)
-        return a_int, a_int if same else b_obj.astype(np.int64)
+    if a_max * (a_max if same else _max_norm_sq(b_obj)) < 2**106:
+        a_float = a_obj.astype(float)
+        return a_float, a_float if same else b_obj.astype(float)
     return a_obj, b_obj
 
 
+def products(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = x @ y.T for two arrays from int_arrays, written tile by tile.
+
+    Each np.matmul call fills a tile of r x c entries over K terms with
+    r c K <= GEMM_MACS, so OpenBLAS runs every call on the calling thread.
+    Tiles are about square, or as wide as the table when it is narrow, or
+    as tall as x when x has few rows.  out may be a strided view, such as
+    the leading columns of a larger table."""
+    m, n, k = len(x), len(y), x.shape[1]
+    area = max(1, GEMM_MACS // max(k, 1))
+    rows = min(m, max(isqrt(area), area // n))
+    cols = area // rows
+    y_t = y.T
+    for i in range(0, m, rows):
+        for j in range(0, n, cols):
+            np.matmul(x[i:i + rows], y_t[:, j:j + cols], out=out[i:i + rows, j:j + cols])
+    return out
+
+
 def raw_dots(a: Sequence[Vector], b: Sequence[Vector]) -> np.ndarray:
-    """Integer dot products a_i . b_j, the whole table in the arithmetic
-    int_arrays picks."""
+    """Integer dot products a_i . b_j, the whole table: int64 when
+    int_arrays picks float64, whose entries are then integers below 2^53,
+    and Python integers otherwise.  The products run in row blocks of at
+    most BLOCK_BYTES, each copied into the table."""
     x, y = int_arrays(a, b)
-    return x @ y.T
+    out = np.empty((len(x), len(y)), dtype=np.int64 if x.dtype == float else object)
+    step = max(1, BLOCK_BYTES // (8 * len(y)))
+    block = np.empty((min(step, len(x)), len(y)), dtype=x.dtype)
+    for s in range(0, len(x), step):
+        rows = x[s:s + step]
+        out[s:s + step] = products(rows, y, block[:len(rows)])
+    return out
 
 
 def common_norm(vectors: Sequence[Vector]) -> Optional[list[Vector]]:

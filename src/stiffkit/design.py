@@ -3,11 +3,12 @@
 A configuration is an n-design exactly when the double sum of P_k over all
 ordered point pairs vanishes for k = 1..n.  For integer codes the pair
 sums run over the multiset of integer dot values: the points are converted
-once by codes.int_arrays (int64 under its overflow guard, Python integers
-past it), the Gram table is taken in row blocks of its upper triangle
-(BLOCK_BYTES each, so the N x N table is never held), each block's counts
-are merged into one multiset, and each P_k is evaluated once per distinct
-value in exact rational arithmetic.
+once by codes.int_arrays (float64 holding exact integers under its guard,
+Python integers past it), the Gram table is taken in row blocks of its
+upper triangle (one table of BLOCK_BYTES reused, so the N x N table is
+never held), each block is filled by codes.products in single-threaded
+BLAS tiles, its counts are merged into one multiset, and each P_k is
+evaluated once per distinct value in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .codes import (Code, FloatCode, LatticeCode, LatticePoint, int_arrays, raw_dots,
-                    unit_surd)
+from .codes import (Code, FloatCode, LatticeCode, LatticePoint, int_arrays, products,
+                    raw_dots, unit_surd)
 from .config import BLOCK_BYTES
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import gegenbauer_poly
@@ -90,20 +91,22 @@ def _gram_multiset(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
     part holds each ordered pair inside the block once, and each entry to
     the right of it stands for the two ordered pairs (i, j) and (j, i).
     Each part is collapsed by np.unique and its counts merged into one
-    count per integer dot, so a block table of at most BLOCK_BYTES is the
-    largest array held.
+    count per integer dot, so one block table of at most BLOCK_BYTES,
+    reused by every block, is the largest array held.
     """
     pts, _ = int_arrays(code.points, code.points)
     n = len(pts)
     step = max(1, BLOCK_BYTES // (8 * n))
+    table = np.empty((min(step, n), n), dtype=pts.dtype)
     counts: Counter[int] = Counter()
     for s in range(0, n, step):
-        block = pts[s:s + step] @ pts[s:].T
-        width = len(block)
+        rows = pts[s:s + step]
+        width = len(rows)
+        block = products(rows, pts[s:], table[:width, :n - s])
         for part, weight in ((block[:, :width], 1), (block[:, width:], 2)):
             vals, cnt = np.unique(part, return_counts=True)
             for v, c in zip(vals.tolist(), cnt.tolist()):
-                counts[v] += weight * c
+                counts[int(v)] += weight * c
     return tuple((Fraction(v, code.norm_sq), counts[v]) for v in sorted(counts))
 
 
@@ -147,15 +150,22 @@ def spectra(dots: np.ndarray, norms: Optional[tuple[int, int]] = None,
     """Per row of a dot table: its (value, multiplicity) entries, ascending.
 
     An integer table of raw dots, with norms the squared norms of its two
-    sides, gives one exact Surd per distinct integer: the integer times
-    the unit_surd of 1, whose radicand is square-free.  A float table of
+    sides, gives exact Surds: the integer times the unit_surd of 1, whose
+    radicand is square-free, built once per distinct integer of the whole
+    table and shared by the rows that hold it.  A float table of
     unit dots merges each value into the group whose first value it
     exceeds by at most tol; the group reports its mean.
     """
     if norms is not None:
         unit = unit_surd(1, *norms)
-        return [tuple((Surd(unit.coeff * int(v), unit.radicand), int(c))
-                      for v, c in zip(*np.unique(row, return_counts=True))) for row in dots]
+
+        @cache
+        def surd(v: int) -> Surd:
+            return Surd(unit.coeff * v, unit.radicand)
+
+        rows = (np.unique(row, return_counts=True) for row in dots)
+        return [tuple((surd(v), c) for v, c in zip(vals.tolist(), cnt.tolist()))
+                for vals, cnt in rows]
     if not tol >= 0:
         raise ValueError(f"merge tolerance must be >= 0, got {tol}")
     out = []

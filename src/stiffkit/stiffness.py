@@ -348,16 +348,18 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
     whose dots stay small.  Each node is walked once and A has full rank,
     so no two survivors are the same point."""
     n_ints, q_lcm, g = rhs
+    if not len(node_idx):
+        return ()
     rows = [code.points[i] for i in idx]
     adj, det = adjugate_and_det(raw_dots(rows, rows).tolist())
-    w = np.array(n_ints, dtype=object)[node_idx] @ np.array(adj, dtype=object) \
-        @ np.array(rows, dtype=object)
+    adj_rows = raw_dots(adj, list(zip(*rows)))  # adj(G) A
+    w = raw_dots(np.array(n_ints, dtype=object)[node_idx], adj_rows.T)
     dirs, targets = [], []
-    for v in w:
+    for v in w.tolist():
         if g * sum(x * x for x in v) != (q_lcm * det) ** 2:
             continue
         h = gcd(*v)
-        v = tuple(int(x) // h for x in v)
+        v = tuple(x // h for x in v)
         t = [n * det // h for n in n_ints if n * det % h == 0]
         if t:  # padded with a repeat, so every row has one target per node
             dirs.append(v)

@@ -96,6 +96,21 @@ def test_check_design_exact_flag_on_float_code(tmp_path, capsys):
     assert run(capsys, "check-design", str(f), "--nmax", "3", "--exact")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-design", "--nmax", "1"],
+    ["check-design", "--nmax", "1", "--float"],
+    ["dual", "-m", "1"],
+], ids=" ".join)
+def test_code_on_s0_is_usage_error(tmp_path, capsys, argv):
+    # two points in R^1 lie on S^0, where no Gegenbauer polynomial exists
+    f = tmp_path / "seg.json"
+    save_code(LatticeCode("seg", 1, 1, ((1,), (-1,))), f)
+    code, stdout, stderr = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert stdout == ""
+    assert "S^0" in stderr and "check failed" not in stderr
+
+
 def test_dual_reports_certificate(tmp_path, capsys):
     f = tmp_path / "d5.json"
     save_code(demicube(5), f)

@@ -74,7 +74,7 @@ def _full_table_multiset(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
 @st.composite
 def _signed_permutation_codes(draw):
     """A subset of the signed permutations of one integer vector, times a
-    scale that may push the squared norm past 2^31 (the Python-int path)."""
+    scale that may push the squared norm past 2^53 (the Python-int path)."""
     dim = draw(st.integers(1, 4))
     base = draw(st.lists(st.integers(0, 5), min_size=dim, max_size=dim).filter(any))
     shell = sorted({tuple(s * base[i] for s, i in zip(signs, perm))
@@ -91,7 +91,7 @@ def _signed_permutation_codes(draw):
 @given(_signed_permutation_codes(), st.integers(1, 9))
 def test_block_multiset_matches_full_table(code, rows):
     # blocks of 1..9 rows: most sizes are no multiple of the block, and the
-    # object path (norm_sq >= 2^31) runs through the same loop
+    # object path (norm_sq >= 2^53) runs through the same loop
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design, "BLOCK_BYTES", 8 * code.size * rows)
         assert _gram_multiset.__wrapped__(code) == _full_table_multiset(code)
@@ -105,7 +105,7 @@ def test_shipped_multisets_match_full_table(code):
 
 
 def test_multiset_holds_no_full_table():
-    # demicube(12): the 2048 x 2048 int64 table alone is 32 MiB
+    # demicube(12): the whole 2048 x 2048 table alone is 32 MiB
     code = demicube(12)
     tracemalloc.start()
     try:

@@ -4,12 +4,17 @@ the Surd arithmetic it replaced."""
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiffkit import design
 from stiffkit.codes import (
+    GEMM_MACS,
     LatticeCode,
     LatticePoint,
     cube,
@@ -17,7 +22,7 @@ from stiffkit.codes import (
     polytope_2_41,
     raw_dots,
 )
-from stiffkit.design import index_set, pair_values, spectrum
+from stiffkit.design import _gram_multiset, index_set, pair_values, spectrum
 from stiffkit.exact import Surd
 from stiffkit.stiffness import DualSearchResult, _at_most_m_distinct
 
@@ -59,23 +64,96 @@ def test_raw_dots_matches_loop_large_entries(ab):
 
 
 def test_raw_dots_switches_to_python_ints_at_the_guard():
-    # |a|^2 * |b|^2 = 2^62 exactly: the first product that leaves int64
-    a, b = [(2**31, 0)], [(1, 0)]
+    # |a|^2 * |b|^2 = 2^106 exactly: the first product a float64 table
+    # may not hold exactly
+    a, b = [(2**53, 0)], [(1, 0)]
     assert raw_dots(a, b).dtype == object
-    assert raw_dots(a, b).tolist() == [[2**31]]
-    assert raw_dots([(2**31 - 1, 0)], b).dtype == np.int64
-    # a zero vector does not let huge entries into int64
+    assert raw_dots(a, b).tolist() == [[2**53]]
+    assert raw_dots([(2**53 - 1, 0)], b).dtype == np.int64
+    assert raw_dots([(2**53 - 1, 0)], b).tolist() == [[2**53 - 1]]
+    # a zero vector does not let huge entries into the float path
     assert raw_dots([(0, 0)], [(2**70, 1)]).tolist() == [[0]]
+
+
+def _near_2_26():
+    """Vectors of 1..3 entries within 64 of +-2^26, so |x| |y| comes close
+    to 2^53 and the guard |x|^2 |y|^2 < 2^106 falls either way."""
+    entry = st.integers(2**26 - 64, 2**26 + 64).flatmap(
+        lambda v: st.sampled_from((v, -v)))
+    def sets(dim):
+        vec = st.tuples(*[entry] * dim)
+        return st.tuples(st.lists(vec, min_size=1, max_size=5),
+                         st.lists(vec, min_size=1, max_size=5))
+    return st.integers(1, 3).flatmap(sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_2_26())
+def test_raw_dots_near_the_float_limit_matches_loop(ab):
+    a, b = ab
+    table = raw_dots(a, b)
+    norm_a = max(sum(x * x for x in v) for v in a)
+    norm_b = max(sum(x * x for x in v) for v in b)
+    assert table.dtype == (np.int64 if norm_a * norm_b < 2**106 else object)
+    assert table.tolist() == _dots_loop(a, b)
 
 
 def test_scaled_cube_takes_the_python_int_path():
     small = cube(3)
-    big = LatticeCode("cube(3)*2^16", 3, small.norm_sq * 2**32,
-                      tuple(tuple(x * 2**16 for x in p) for p in small.points))
-    assert big.norm_sq >= 2**31
+    big = LatticeCode("cube(3)*2^27", 3, small.norm_sq * 2**54,
+                      tuple(tuple(x * 2**27 for x in p) for p in small.points))
+    assert big.norm_sq >= 2**53
     assert raw_dots(big.points, big.points).dtype == object
     assert pair_values(big) == pair_values(small)
     assert index_set(big, 6).index_set == index_set(small, 6).index_set
+
+
+@st.composite
+def _exact_codes(draw):
+    """A random subset of the signed permutations of one integer vector,
+    times a scale on either side of the float guard."""
+    dim = draw(st.integers(1, 5))
+    base = draw(st.lists(st.integers(0, 9), min_size=dim, max_size=dim).filter(any))
+    shell = sorted({tuple(s * base[i] for s, i in zip(signs, perm))
+                    for perm in permutations(range(dim))
+                    for signs in product((1, -1), repeat=dim)})
+    pts = draw(st.lists(st.sampled_from(shell), min_size=1, unique=True))
+    scale = draw(st.sampled_from((1, 7, 2**20, 2**24 + 1, 2**26, 2**30)))
+    pts = tuple(tuple(scale * x for x in p) for p in pts)
+    return LatticeCode("shell", dim, sum(x * x for x in pts[0]), pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exact_codes(), st.integers(1, 9))
+def test_pair_values_match_counter_of_object_table(code, rows):
+    pts = np.array(code.points, dtype=object)
+    want = Counter((pts @ pts.T).ravel().tolist())
+    with pytest.MonkeyPatch.context() as mp:  # blocks of 1..9 rows
+        mp.setattr(design, "BLOCK_BYTES", 8 * code.size * rows)
+        got = _gram_multiset.__wrapped__(code)
+    assert got == tuple((Fraction(v, code.norm_sq), want[v]) for v in sorted(want))
+
+
+def test_every_blas_call_is_single_threaded_size(monkeypatch):
+    """Each float np.matmul of the exact primitive takes at most 2^18
+    multiply-adds, the size OpenBLAS runs on the calling thread."""
+    sizes = []
+    matmul = np.matmul
+
+    def spy(x, y, *args, **kwargs):
+        if x.dtype == float:
+            sizes.append(x.shape[0] * y.shape[1] * x.shape[1])
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    code = polytope_2_41()
+    _gram_multiset.__wrapped__(code)
+    raw_dots(code.points, e8_roots().points)
+    raw_dots([code.points[0]], code.points)
+    raw_dots(code.points, [code.points[0]])
+    spectrum(LatticePoint(code.points[0], code.norm_sq), code)
+    assert len(sizes) > 100
+    assert max(sizes) <= GEMM_MACS == 2**18
 
 
 def _e8_dual_of_2160() -> DualSearchResult:
