@@ -1,10 +1,10 @@
 """Exact linear algebra over the integers.
 
-Small dense systems only: the matrices here have at most twice the
-ambient dimension in columns.  One fraction-free Gauss-Jordan elimination
-(Bareiss, Math. Comp. 22, 1968) gives adjugates, determinants and integer
-nullspaces, and GreedyRank reduces rows the same way one at a time, so
-every intermediate value stays an integer.
+Small dense systems only: every matrix here has at most the ambient
+dimension in rows (a code's points enter as columns).  One fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) gives the rank,
+the first independent vectors of a list, adjugates, determinants and
+integer nullspaces, and every intermediate value stays an integer.
 """
 
 from __future__ import annotations
@@ -12,41 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .codes import gcd_reduce
-
-
-class GreedyRank:
-    """Incremental exact rank tracker for integer vectors.
-
-    Rows are reduced fraction-free: eliminating the pivot column c of a
-    stored row b from a row r takes b[c]*r - r[c]*b, then divides out the
-    gcd.  Every row stays a nonzero rational multiple of its Fraction
-    reduction, so the zero pattern, and with it every accept/reject, is
-    the same.
-    """
-
-    def __init__(self, ncols: int) -> None:
-        self.ncols = ncols
-        self._rows: list[tuple[int, ...]] = []  # row-echelon basis
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def try_add(self, vec: tuple[int, ...]) -> bool:
-        """Add vec if it enlarges the span; return whether it did."""
-        row = tuple(int(x) for x in vec)
-        for prow, pcol in zip(self._rows, self._pivots):
-            f = row[pcol]
-            if f:
-                p = prow[pcol]
-                row = gcd_reduce(tuple(p * a - f * b for a, b in zip(row, prow)))
-        pcol = next((i for i, x in enumerate(row) if x), None)
-        if pcol is None:
-            return False
-        self._rows.append(row)
-        self._pivots.append(pcol)
-        return True
 
 
 def _gauss_jordan(rows: Sequence[Sequence[int]],
@@ -80,6 +45,16 @@ def _gauss_jordan(rows: Sequence[Sequence[int]],
         pivots.append(col)
         prev = p
     return a[:len(pivots)], pivots, prev, sign
+
+
+def first_independent(vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the first maximal independent subset of integer vectors.
+
+    Vector i is kept when it is not in the span of the vectors before it:
+    these are the pivot columns of one elimination of the vectors as
+    columns, and their count is the rank.
+    """
+    return _gauss_jordan(list(zip(*vectors)))[1]
 
 
 def adjugate_and_det(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

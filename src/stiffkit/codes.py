@@ -320,9 +320,8 @@ class FloatCode:
         self.points = pts / norms[:, None]
         if not 0 <= self.tolerance < np.inf:
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
-        radius = 10 * self.tolerance
-        i, j, dist = close_pairs(self.points, self.points, radius)
-        if np.any((i != j) & (dist < radius)):
+        i, j, _ = close_pairs(self.points, self.points, 10 * self.tolerance)
+        if np.any(i != j):
             raise ValueError(f"code {self.name!r} has points closer than the tolerance")
 
     @property

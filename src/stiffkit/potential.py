@@ -115,18 +115,15 @@ class Kernel:
         """Families with all derivatives positive: argmins must sit on the dual."""
         return self.family in ("riesz", "gauss")
 
-    def g(self, t, out=None):
+    def g(self, t):
         """Kernel values; callers clip t to [-1, 1], and t = 1 gives +inf
-        for the singular families, which callers treat as singular.
-
-        `out`, a float array shaped like t and not t itself, receives the
-        values when given, so a caller's table is reused; a scalar or 0-d
-        t gives a numpy float.
+        for the singular families, which callers treat as singular.  A
+        scalar or 0-d t gives a numpy float.
         """
         t = np.asarray(t, dtype=float)
-        w = np.empty_like(t) if out is None else out
         if self.family == "poly":
-            return self.poly.eval_float(t, out=w)
+            return self.poly.eval_float(t)
+        w = np.empty_like(t)
         np.multiply(t, 2.0, out=w)
         self._of_gap(np.subtract(2.0, w, out=w), w)
         return w if w.ndim else w[()]

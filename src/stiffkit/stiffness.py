@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import GreedyRank, adjugate_and_det, integer_nullspace
+from ._linalg import adjugate_and_det, first_independent, integer_nullspace
 from .codes import (Code, LatticeCode, LatticePoint, Vector, common_norm, covered_by,
                     gcd_reduce, greedy_cluster, raw_dots)
 from .config import check_size
@@ -142,12 +142,12 @@ def _independent_rows(code: Code, units: np.ndarray) -> list[int]:
 
     Each pick has the least float residual off the span of the picks
     before it, among residuals above 1e-8: small early pivots keep the
-    walk small.  For a LatticeCode GreedyRank confirms each pick, and once
-    the float rule runs out the other points go through GreedyRank in
-    input order, so the rank is exact.
+    walk small.  For a LatticeCode one exact elimination keeps the picks
+    independent of the picks before them; when fewer than d+1 remain, a
+    second one runs over the picks followed by every other point in input
+    order, so the rank is exact.
     """
     d1 = units.shape[1]
-    tracker = GreedyRank(d1) if isinstance(code, LatticeCode) else None
     res = units.copy()  # residuals off the span of the chosen rows
     chosen: list[int] = []
     while len(chosen) < d1:
@@ -156,17 +156,16 @@ def _independent_rows(code: Code, units: np.ndarray) -> list[int]:
         i = int(np.argmin(sq))
         if sq[i] == np.inf:
             break
-        if tracker is None or tracker.try_add(code.points[i]):
-            chosen.append(i)
-            res -= np.outer(res @ res[i], res[i] / sq[i])
-        else:
-            res[i] = 0.0
-    for i in range(len(units)):
-        if tracker is None or tracker.rank == d1:
-            break
-        if i not in chosen and tracker.try_add(code.points[i]):
-            chosen.append(i)
-    return chosen
+        chosen.append(i)
+        res -= np.outer(res @ res[i], res[i] / sq[i])
+    if not isinstance(code, LatticeCode):
+        return chosen
+    kept = [chosen[k] for k in first_independent([code.points[i] for i in chosen])]
+    if len(kept) < d1:
+        picked = set(chosen)
+        order = chosen + [i for i in range(code.size) if i not in picked]
+        kept = [order[k] for k in first_independent([code.points[i] for i in order])]
+    return kept
 
 
 def _default_nodes(code: Code, m: int):
@@ -218,7 +217,7 @@ def dual_search(
     idx = _independent_rows(code, units)
     if len(idx) < d1:
         if m == 1:
-            return _subspace_dual(code, len(idx), nodes_supplied=nodes is not None)
+            return _subspace_dual(code, idx, nodes_supplied=nodes is not None)
         raise NotInGeneralPosition(
             f"{code.name} spans only {len(idx)} of {d1} dimensions; "
             "a stiff code with m >= 2 is a 3-design and spans"
@@ -253,18 +252,19 @@ def dual_search(
                             max_residual=float(res[good].max(initial=0.0)))
 
 
-def _subspace_dual(code: Code, rank: int, nodes_supplied: bool) -> DualSearchResult:
+def _subspace_dual(code: Code, idx: list[int], nodes_supplied: bool) -> DualSearchResult:
     """D_1 of a rank-deficient 1-design: the unit sphere of the orthogonal
-    complement; a point pair when that complement is a line.  rank is the
-    rank the gate of dual_search found, so a float code's complement has
-    the dimension that gate decided on."""
+    complement; a point pair when that complement is a line.  idx are the
+    independent rows the gate of dual_search found: they span the code, so
+    an integer code's complement is their nullspace, and a float code's
+    complement has the dimension that gate decided on."""
     rep = index_set(code, 1)
     if rep.strength < 1:
         raise NodesRequired(
             f"{code.name} is not a 1-design (center of mass is not the origin)"
         )
     if isinstance(code, LatticeCode):
-        basis = integer_nullspace(list(code.points))
+        basis = integer_nullspace([code.points[i] for i in idx])
         if len(basis) == 1:
             b = basis[0]
             p = LatticePoint(b, sum(x * x for x in b))
@@ -274,7 +274,7 @@ def _subspace_dual(code: Code, rank: int, nodes_supplied: bool) -> DualSearchRes
         return DualSearchResult(code.name, 1, "subspace", (), None, True,
                                 nodes_supplied, (Surd(0),),
                                 subspace_basis=tuple(basis))
-    null = np.linalg.svd(code.unit_array())[2][rank:]
+    null = np.linalg.svd(code.unit_array())[2][len(idx):]
     if len(null) == 1:
         z = null[0] / np.linalg.norm(null[0])
         return DualSearchResult(code.name, 1, "float", (), _sorted_rows(np.vstack([z, -z])),

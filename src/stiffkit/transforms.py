@@ -16,7 +16,7 @@ sweep checks; the random direction is retried otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, pi, sin
+from math import cos, gcd, pi, sin
 from typing import Optional
 
 import numpy as np
@@ -71,7 +71,8 @@ def facet_derive(code: Code, x, t) -> Code:
 
     Each selected y maps to (y - t*x)/sqrt(1-t^2), written in a basis of
     the orthogonal complement: an equal-norm integer basis keeps the
-    output exact when one exists, otherwise floating coordinates.
+    output exact when one exists, its coordinates divided by their common
+    gcd, otherwise floating coordinates.
     The pairwise dots transform as u -> (u - t^2)/(1 - t^2).
     """
     exact_in = isinstance(code, LatticeCode) and isinstance(x, LatticePoint) \
@@ -91,7 +92,9 @@ def facet_derive(code: Code, x, t) -> Code:
             raise ValueError(f"dot value {t} is not attained by {code.name}")
         basis = _orthogonal_integer_basis(x.vector)
         if basis is not None:
-            coords = [tuple(int(c) for c in w) for w in raw_dots(rows, basis)]
+            dots = raw_dots(rows, basis).tolist()
+            g = gcd(*(c for w in dots for c in w))
+            coords = [tuple(c // g for c in w) for w in dots]
             ns = sum(c * c for c in coords[0])  # LatticeCode checks the others
             return LatticeCode(f"facet({code.name},t={t})",
                                code.ambient_dim - 1, ns, tuple(sorted(coords)))

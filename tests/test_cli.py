@@ -179,6 +179,15 @@ def test_code_file_with_wrong_dimension_is_usage_error(tmp_path, capsys):
     assert "bad code file" in stderr and "dimension" in stderr
 
 
+def test_float_code_file_with_exact_repeat_at_tolerance_zero_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps({"name": "rep", "ambient_dim": 2, "tolerance": 0,
+                             "points_decimal": [[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]]}))
+    code, stdout, stderr = run(capsys, "check-design", str(f), "--nmax", "1")
+    assert (code, stdout) == (2, "")
+    assert "bad code file" in stderr and "closer than the tolerance" in stderr
+
+
 def test_dual_with_supplied_nodes(tmp_path, capsys):
     f = tmp_path / "x3.json"
     save_code(cross_polytope(3), f)

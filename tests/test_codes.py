@@ -169,6 +169,15 @@ def test_float_code_checks_repeats_at_any_size():
         FloatCode("dup", 8, np.vstack([pts[:5000], pts[4321]]))
 
 
+def test_float_code_at_tolerance_zero_refuses_exact_repeats():
+    # at tolerance 0 the repeat radius is 0, so only an exact repeat is
+    # within it, and it must still count
+    pts = [[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1]]
+    with pytest.raises(ValueError, match="closer than the tolerance"):
+        FloatCode("x", 2, pts, tolerance=0)
+    assert FloatCode("x", 2, pts[1:], tolerance=0).size == 4
+
+
 def _close_pairs_reference(a, b, radius):
     """Every pair by its distance, from the full table, one row of a at a time."""
     table = np.array([np.linalg.norm(p - b, axis=1) for p in a]).reshape(len(a), len(b))

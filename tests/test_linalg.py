@@ -1,4 +1,4 @@
-"""Exact linear algebra helpers: the incremental rank tracker, adjugates,
+"""Exact linear algebra helpers: the first independent vectors, adjugates,
 integer nullspaces and the fraction-free orthogonal basis of a complement."""
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiffkit import transforms
-from stiffkit._linalg import GreedyRank, adjugate_and_det, integer_nullspace
-from stiffkit.codes import common_norm, demicube, gcd_reduce, polytope_2_41, raw_dots
+from stiffkit._linalg import adjugate_and_det, first_independent, integer_nullspace
+from stiffkit.codes import (LatticeCode, common_norm, cross_polytope, cube, demicube,
+                            e8_roots, gcd_reduce, polytope_2_41, raw_dots)
 from stiffkit.stiffness import _independent_rows
 from stiffkit.transforms import _orthogonal_integer_basis
 
@@ -148,11 +149,12 @@ def _rows_with_planted_dependencies(draw):
 @settings(max_examples=200, deadline=None)
 @given(_rows_with_planted_dependencies())
 def test_greedy_rank_matches_fraction_tracker(case):
+    # first_independent keeps exactly the rows the one-at-a-time Fraction
+    # tracker accepts
     ncols, rows = case
-    tracker, reference = GreedyRank(ncols), _FractionRank()
-    assert ([tracker.try_add(r) for r in rows]
-            == [reference.try_add(r) for r in rows])
-    assert tracker.rank == len(reference.rows) <= ncols
+    reference = _FractionRank()
+    assert first_independent(rows) == [i for i, r in enumerate(rows) if reference.try_add(r)]
+    assert len(reference.rows) <= ncols
 
 
 def _squared_residuals(code, basis) -> list[Fraction]:
@@ -172,7 +174,7 @@ def _squared_residuals(code, basis) -> list[Fraction]:
 def test_independent_rows_pick_a_least_exact_residual(code):
     chosen = _independent_rows(code, code.unit_array())
     assert len(chosen) == code.ambient_dim
-    tracker = GreedyRank(code.ambient_dim)
+    tracker = _FractionRank()
     assert all(tracker.try_add(code.points[i]) for i in chosen)
     for t, pick in enumerate(chosen):
         basis = [code.points[i] for i in chosen[:t]]
@@ -183,6 +185,52 @@ def test_independent_rows_pick_a_least_exact_residual(code):
         det_with = adjugate_and_det(raw_dots(rows, rows).tolist())[1]
         det_without = adjugate_and_det(raw_dots(basis, basis).tolist())[1] if basis else 1
         assert residuals[pick] == Fraction(det_with, det_without * code.norm_sq)
+
+
+def _padded(code, k):
+    """The code with k zero coordinates appended: same points, rank unchanged."""
+    return LatticeCode(f"pad({code.name})", code.ambient_dim + k, code.norm_sq,
+                       tuple(sorted(tuple(p) + (0,) * k for p in code.points)))
+
+
+_RECTANGLE = LatticeCode("rect", 2, 1 + 10**34,
+                         tuple(sorted((a, b * 10**17) for a in (1, -1) for b in (1, -1))))
+
+
+# the rows _independent_rows picks, which the dual walk's frontier depends on;
+# as unit vectors the rectangle's four points lie within 1e-17 of +-e_2, so
+# its float rank is 1 and its second row comes from the exact pass over all
+# points
+_PICKED = {
+    "demicube(5)": [0, 11, 4, 2, 8],
+    "cube(3)": [0, 1, 2],
+    "cross_polytope(6)": [0, 1, 2, 3, 4, 5],
+    "e8_roots": [0, 14, 1, 7, 2, 12, 3, 4],
+    "polytope_2_41": [0, 1, 32, 48, 69, 473, 481, 485],
+    "demicube(12)": [0, 9, 1, 4, 5, 16, 22, 34, 282, 408, 209, 583],
+    "rect": [0, 1],
+}
+
+
+@pytest.mark.parametrize("code", [demicube(5), cube(3), cross_polytope(6), e8_roots(),
+                                  polytope_2_41(), demicube(12), _RECTANGLE],
+                         ids=lambda c: c.name)
+def test_independent_rows_keep_their_picks(code):
+    assert _independent_rows(code, code.unit_array()) == _PICKED[code.name]
+
+
+@pytest.mark.parametrize("code, k", [
+    pytest.param(cube(3), 3, id="cube(3)"),
+    pytest.param(e8_roots(), 1, id="e8_roots"),
+    pytest.param(polytope_2_41(), 2, id="polytope_2_41"),
+    pytest.param(demicube(12), 2, id="demicube(12)"),
+])
+def test_zero_padding_keeps_the_independent_rows(code, k):
+    # the float picks run out at the code's rank, and the exact pass over
+    # the other points adds none of them
+    want = _independent_rows(code, code.unit_array())
+    padded = _padded(code, k)
+    assert _independent_rows(padded, padded.unit_array()) == want
 
 
 @settings(max_examples=300, deadline=None)

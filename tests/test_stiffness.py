@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from stiffkit._linalg import integer_nullspace
 from stiffkit.codes import (
     FloatCode,
     LatticeCode,
@@ -363,6 +364,18 @@ class TestRankGate:
         assert res.mode == "subspace"
         assert res.count == 0 and not res.is_empty
         assert len(res.subspace_basis) == 2
+
+    @pytest.mark.parametrize("code", [
+        LatticeCode("pair4", 4, 1, ((-1, 0, 0, 0), (1, 0, 0, 0))),
+        LatticeCode("pad(cube(3))", 6, 3, tuple(p + (0, 0, 0) for p in cube(3).points)),
+    ], ids=lambda c: c.name)
+    def test_subspace_basis_is_the_nullspace_of_every_point(self, code):
+        # the gate's independent rows span the code, and the reduced
+        # row-echelon form of a row space is unique, so their nullspace
+        # basis is the one of all points
+        res = dual_search(code, 1)
+        assert res.mode == "subspace"
+        assert res.subspace_basis == tuple(integer_nullspace(list(code.points)))
 
 
 class TestCertify:

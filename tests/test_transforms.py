@@ -128,7 +128,7 @@ class TestFacetDerive:
                            tuple(sorted([(1, big), (-big, 1), (-1, -big), (big, -1)])))
         out = facet_derive(code, LatticePoint((1, big), 1 + big**2), 0)
         assert isinstance(out, LatticeCode)
-        assert (out.size, out.ambient_dim) == (2, 1)
+        assert (out.size, out.ambient_dim, out.norm_sq) == (2, 1, 1)
         assert out.same_point_set(cross_polytope(1))
         with pytest.raises(ValueError, match="not attained"):
             facet_derive(code, LatticePoint((1, big), 1 + big**2), Fraction(1, 2))
