@@ -213,6 +213,8 @@ def cmd_dual(args) -> int:
     code = _load(args.file)
     _check_sphere(code, "a dual")
     nodes = _parse_nodes(args.nodes)
+    if nodes is not None and len(nodes) > args.m:
+        raise UsageError(f"{len(nodes)} nodes supplied for m = {args.m}")
     cert = certify_stiff(code, args.m, nodes=nodes)
     dual = cert.dual
     rows = [("code", code.name), ("m", args.m),

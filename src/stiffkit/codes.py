@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import cos, gcd, isqrt, lcm, pi, sin
+from operator import index
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -75,7 +76,8 @@ def int_arrays(a: Sequence[Vector], b: Sequence[Vector]) -> tuple[np.ndarray, np
 
 
 def products(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = x @ y.T for two arrays from int_arrays, written tile by tile.
+    """out = x @ y.T, written tile by tile, for two arrays from int_arrays
+    (exact under its guard) or two float unit arrays.
 
     Each np.matmul call fills a tile of r x c entries over K terms with
     r c K <= GEMM_MACS, so OpenBLAS runs every call on the calling thread.
@@ -203,7 +205,8 @@ class LatticePoint:
     norm_sq: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
+        object.__setattr__(self, "vector", tuple(index(x) for x in self.vector))
+        object.__setattr__(self, "norm_sq", index(self.norm_sq))
         s = sum(x * x for x in self.vector)
         if s != self.norm_sq or self.norm_sq <= 0:
             raise ValueError(
@@ -235,8 +238,12 @@ class LatticeCode:
     points: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(tuple(int(x) for x in p) for p in self.points)
+        # index() takes Python and numpy integers and refuses floats and
+        # strings, so a non-integral coordinate is an error, not truncated
+        pts = tuple(tuple(index(x) for x in p) for p in self.points)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "ambient_dim", index(self.ambient_dim))
+        object.__setattr__(self, "norm_sq", index(self.norm_sq))
         check_size(len(pts), f"code {self.name!r}")
         if not pts:
             raise ValueError("a code needs at least one point")
@@ -456,12 +463,11 @@ def load_code(path: str | Path) -> Code:
     data = json.loads(Path(path).read_text())
     name = data.get("name", Path(path).stem)
     if "points" in data:
-        pts = tuple(tuple(int(x) for x in p) for p in data["points"])
-        return LatticeCode(name, int(data["ambient_dim"]), int(data["norm_sq"]), pts)
+        return LatticeCode(name, data["ambient_dim"], data["norm_sq"], data["points"])
     if "points_decimal" in data:
         return FloatCode(
             name,
-            int(data["ambient_dim"]),
+            index(data["ambient_dim"]),
             np.asarray(data["points_decimal"], dtype=float),
             tolerance=float(data.get("tolerance", 1e-12)),
         )

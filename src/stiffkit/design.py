@@ -1,14 +1,15 @@
 """Design strength certification through Gegenbauer pair sums.
 
 A configuration is an n-design exactly when the double sum of P_k over all
-ordered point pairs vanishes for k = 1..n.  For integer codes the pair
-sums run over the multiset of integer dot values: the points are converted
-once by codes.int_arrays (float64 holding exact integers under its guard,
-Python integers past it), the Gram table is taken in row blocks of its
-upper triangle (one table of BLOCK_BYTES reused, so the N x N table is
-never held), each block is filled by codes.products in single-threaded
-BLAS tiles, its counts are merged into one multiset, and each P_k is
-evaluated once per distinct value in exact rational arithmetic.
+ordered point pairs vanishes for k = 1..n.  Both arithmetics take the Gram
+table the same way, by _gram_parts: in row blocks of its upper triangle
+(one table of BLOCK_BYTES reused, so no N x N table is ever held), each
+block filled by codes.products in single-threaded BLAS tiles.  For integer
+codes the points are converted once by codes.int_arrays (float64 holding
+exact integers under its guard, Python integers past it), the blocks'
+counts are merged into one multiset of integer dot values, and each P_k is
+evaluated once per distinct value in exact rational arithmetic.  For float
+codes each block is clipped to [-1, 1] and every P_k summed over it.
 """
 
 from __future__ import annotations
@@ -82,31 +83,40 @@ class DesignReport:
         }
 
 
+def _gram_parts(pts: np.ndarray):
+    """The Gram table pts @ pts.T in row blocks of its upper triangle, as
+    (part, weight) pairs whose weighted entries cover every ordered pair once.
+
+    Block [s, s + step) is multiplied only against points s:.  Its square
+    part holds each ordered pair inside the block once (weight 1), and each
+    entry to the right of it stands for the two ordered pairs (i, j) and
+    (j, i) (weight 2); an empty part is skipped.  The parts are views of
+    one table of at most BLOCK_BYTES, reused by every block, so a part is
+    valid until the next one is drawn.
+    """
+    n = len(pts)
+    step = max(1, BLOCK_BYTES // (8 * n))
+    table = np.empty((min(step, n), n), dtype=pts.dtype)
+    for s in range(0, n, step):
+        width = min(step, n - s)
+        block = products(pts[s:s + width], pts[s:], table[:width, :n - s])
+        yield block[:, :width], 1
+        if width < n - s:
+            yield block[:, width:], 2
+
+
 @lru_cache(maxsize=64)
 def _gram_multiset(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
     """Multiset of unit dot products over all ordered pairs, diagonal included.
 
-    The integer Gram table is taken in row blocks of its upper triangle:
-    block [s, s + step) is multiplied only against points s:, its square
-    part holds each ordered pair inside the block once, and each entry to
-    the right of it stands for the two ordered pairs (i, j) and (j, i).
-    Each part is collapsed by np.unique and its counts merged into one
-    count per integer dot, so one block table of at most BLOCK_BYTES,
-    reused by every block, is the largest array held.
+    Each part of the integer Gram table from _gram_parts is collapsed by
+    np.unique and its weighted counts merged into one count per integer dot.
     """
-    pts, _ = int_arrays(code.points, code.points)
-    n = len(pts)
-    step = max(1, BLOCK_BYTES // (8 * n))
-    table = np.empty((min(step, n), n), dtype=pts.dtype)
     counts: Counter[int] = Counter()
-    for s in range(0, n, step):
-        rows = pts[s:s + step]
-        width = len(rows)
-        block = products(rows, pts[s:], table[:width, :n - s])
-        for part, weight in ((block[:, :width], 1), (block[:, width:], 2)):
-            vals, cnt = np.unique(part, return_counts=True)
-            for v, c in zip(vals.tolist(), cnt.tolist()):
-                counts[int(v)] += weight * c
+    for part, weight in _gram_parts(int_arrays(code.points, code.points)[0]):
+        vals, cnt = np.unique(part, return_counts=True)
+        for v, c in zip(vals.tolist(), cnt.tolist()):
+            counts[int(v)] += weight * c
     return tuple((Fraction(v, code.norm_sq), counts[v]) for v in sorted(counts))
 
 
@@ -116,14 +126,17 @@ def pair_values(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
 
 
 def _pair_sums(code: Code, degrees: Sequence[int]) -> list[Union[Fraction, float]]:
-    """pair_sum for each degree; a float code clips one Gram table for all."""
+    """pair_sum for each degree; a float code clips each Gram part once for all."""
     d = code.sphere_dim
     polys = [gegenbauer_poly(d, n) for n in degrees]
     if isinstance(code, LatticeCode):
         return [sum((p(t) * c for t, c in _gram_multiset(code)), Fraction(0)) for p in polys]
-    pts = code.unit_array()
-    gram = np.clip(pts @ pts.T, -1.0, 1.0)
-    return [float(np.sum(p.eval_float(gram))) for p in polys]
+    sums = [0.0] * len(polys)
+    for part, weight in _gram_parts(code.unit_array()):
+        np.clip(part, -1.0, 1.0, out=part)
+        for k, p in enumerate(polys):
+            sums[k] += weight * float(np.sum(p.eval_float(part)))
+    return sums
 
 
 def pair_sum(code: Code, n: int) -> Union[Fraction, float]:

@@ -255,9 +255,11 @@ def dual_search(
 def _subspace_dual(code: Code, idx: list[int], nodes_supplied: bool) -> DualSearchResult:
     """D_1 of a rank-deficient 1-design: the unit sphere of the orthogonal
     complement; a point pair when that complement is a line.  idx are the
-    independent rows the gate of dual_search found: they span the code, so
-    an integer code's complement is their nullspace, and a float code's
-    complement has the dimension that gate decided on."""
+    independent rows the gate of dual_search found, and they span the code,
+    so both arithmetics take the complement from those rows alone: an
+    integer code's is their exact nullspace, a float code's the trailing
+    right singular vectors of their SVD, of the dimension the gate decided
+    on."""
     rep = index_set(code, 1)
     if rep.strength < 1:
         raise NodesRequired(
@@ -274,7 +276,7 @@ def _subspace_dual(code: Code, idx: list[int], nodes_supplied: bool) -> DualSear
         return DualSearchResult(code.name, 1, "subspace", (), None, True,
                                 nodes_supplied, (Surd(0),),
                                 subspace_basis=tuple(basis))
-    null = np.linalg.svd(code.unit_array())[2][len(idx):]
+    null = np.linalg.svd(code.unit_array()[idx])[2][len(idx):]
     if len(null) == 1:
         z = null[0] / np.linalg.norm(null[0])
         return DualSearchResult(code.name, 1, "float", (), _sorted_rows(np.vstack([z, -z])),

@@ -11,11 +11,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .codes import covered_by, cross_polytope, cube, demicube, e8_roots, ngon, polytope_2_41
+from .codes import (LatticeCode, covered_by, cross_polytope, cube, demicube, e8_roots, ngon,
+                    polytope_2_41)
 from .design import index_set, pair_sum
 from .exact import Surd
 from .gegenbauer import gegenbauer_poly, inner, nodes
@@ -55,6 +57,14 @@ class CriterionResult:
         }
 
 
+@cache
+def _shared(name: str) -> LatticeCode:
+    """polytope_2_41() or e8_roots(), built once per process for the
+    criteria that share them (codes are frozen).  The constructors stay
+    uncached, so every direct call still checks the size cap."""
+    return {"2_41": polytope_2_41, "e8": e8_roots}[name]()
+
+
 def _result(number: int, name: str, started: float, passed: bool,
             details: str) -> CriterionResult:
     return CriterionResult(number, name, passed, details, time.time() - started)
@@ -63,7 +73,7 @@ def _result(number: int, name: str, started: float, passed: bool,
 def criterion_1() -> CriterionResult:
     """Exact pair sums of the 2160-point code: zero for 1..7, 9, 10; not 8."""
     t0 = time.time()
-    code = polytope_2_41()
+    code = _shared("2_41")
     zero_at = [n for n in list(range(1, 8)) + [9, 10] if pair_sum(code, n) == 0]
     s8 = pair_sum(code, 8)
     ok = len(zero_at) == 9 and s8 != 0
@@ -98,10 +108,10 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     """The 240 root vectors are exactly the five-level dual of the big code."""
     t0 = time.time()
-    code = polytope_2_41()
+    code = _shared("2_41")
     cert = certify_stiff(code, 5, nodes=NODES_2160)
     res = cert.dual
-    ok = res.exact and res.count == 240 and res.as_code().same_point_set(e8_roots())
+    ok = res.exact and res.count == 240 and res.as_code().same_point_set(_shared("e8"))
     rows = set(cert.frequency_table)
     spectra_ok = ok and len(rows) == 1 and all(c > 0 for _, c in cert.frequency_table[0])
     elapsed = time.time() - t0
@@ -192,8 +202,8 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     """Global potential minimum of the 2160-point code sits on the 240 roots."""
     t0 = time.time()
-    code = polytope_2_41()
-    dual = e8_roots().unit_array()
+    code = _shared("2_41")
+    dual = _shared("e8").unit_array()
     reps = verify_universal_minimum(
         code, 5, dual, [Kernel.parse("riesz:2"), Kernel.parse("gauss:1")],
         restarts=1000, seed=0, argmin_tol=1e-4)
@@ -209,8 +219,8 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     """Skip-one-add-two hypotheses hold exactly for the five-node set."""
     t0 = time.time()
-    code = polytope_2_41()
-    witness = e8_roots().lattice_points()[0]
+    code = _shared("2_41")
+    witness = _shared("e8").lattice_points()[0]
     rep = skip_one_add_two_check(code, 5, NODES_2160, candidates=[witness])
     ok = rep.all_ok and rep.sum_value == "0" and rep.sumsq_value == "5/4" \
         and rep.bound_value == "15/8"

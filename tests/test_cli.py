@@ -179,6 +179,34 @@ def test_code_file_with_wrong_dimension_is_usage_error(tmp_path, capsys):
     assert "bad code file" in stderr and "dimension" in stderr
 
 
+def test_code_file_with_non_integral_coordinates_is_usage_error(tmp_path, capsys):
+    # truncated, these points would be the square {+-e_1, +-e_2}, an exact
+    # 3-design
+    f = tmp_path / "frac.json"
+    f.write_text(json.dumps({"name": "frac", "ambient_dim": 2, "norm_sq": 1,
+                             "points": [[1.9, 0], [-1.9, 0], [0, 1.5], [0, -1.2]]}))
+    code, stdout, stderr = run(capsys, "check-design", str(f), "--nmax", "3")
+    assert (code, stdout) == (2, "")
+    assert "bad code file" in stderr
+    for field in ("ambient_dim", "norm_sq"):
+        data = {"name": "sq", "ambient_dim": 2, "norm_sq": 1,
+                "points": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
+        data[field] = 2.5
+        f.write_text(json.dumps(data))
+        code, stdout, stderr = run(capsys, "check-design", str(f), "--nmax", "3")
+        assert (code, stdout) == (2, ""), field
+        assert "bad code file" in stderr
+
+
+def test_dual_with_too_many_nodes_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "c3.json"
+    save_code(cube(3), f)
+    code, stdout, stderr = run(capsys, "dual", str(f), "-m", "2", "--nodes=0,1/3,-1/3")
+    assert (code, stdout) == (2, "")
+    assert "3 nodes supplied for m = 2" in stderr
+    assert "check failed" not in stderr
+
+
 def test_float_code_file_with_exact_repeat_at_tolerance_zero_is_usage_error(tmp_path, capsys):
     f = tmp_path / "rep.json"
     f.write_text(json.dumps({"name": "rep", "ambient_dim": 2, "tolerance": 0,

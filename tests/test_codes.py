@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from math import gcd, isqrt, lcm
 
@@ -285,6 +286,48 @@ def test_load_rejects_unknown_schema(tmp_path):
     path.write_text('{"name": "x", "ambient_dim": 2}')
     with pytest.raises(ValueError):
         load_code(path)
+
+
+_SQUARE = {"name": "x", "ambient_dim": 2, "norm_sq": 1,
+           "points": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"points": [[1.9, 0], [-1.9, 0], [0, 1.5], [0, -1.2]]},
+    {"points": [[1.0, 0], [-1, 0], [0, 1], [0, -1]]},
+    {"points": [["1", 0], [-1, 0], [0, 1], [0, -1]]},
+    {"ambient_dim": 2.0},
+    {"norm_sq": 1.0},
+    {"norm_sq": "1"},
+    {"ambient_dim": 2.0, "points": None, "points_decimal": [[1.0, 0.0], [-1.0, 0.0]]},
+])
+def test_load_refuses_non_integral_values(tmp_path, change):
+    # int() would truncate 1.9 to 1 and read the square {+-e_1, +-e_2}
+    data = {k: v for k, v in {**_SQUARE, **change}.items() if v is not None}
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(TypeError):
+        load_code(path)
+
+
+def test_integer_models_refuse_non_integral_values():
+    sq = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    for bad in (
+        lambda: LatticeCode("x", 2, 1, ((1.9, 0), (-1.9, 0), (0, 1.5), (0, -1.2))),
+        lambda: LatticeCode("x", 2.0, 1, sq),
+        lambda: LatticeCode("x", 2, 1.0, sq),
+        lambda: LatticePoint((1.0, 0), 1),
+        lambda: LatticePoint((1, 0), 1.0),
+        lambda: LatticePoint(("1", 0), 1),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    # numpy integers are integers
+    c = LatticeCode("x", np.int64(2), np.int64(1), tuple(map(tuple, np.array(sq))))
+    assert c.points == sq and type(c.norm_sq) is int and type(c.ambient_dim) is int
+    assert all(type(x) is int for p in c.points for x in p)
+    p = LatticePoint(np.array([3, 4]), np.int32(25))
+    assert p.vector == (3, 4) and type(p.norm_sq) is int
 
 
 def _square_free(n: int) -> bool:

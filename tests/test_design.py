@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stiffkit.codes import (
+    FloatCode,
     LatticeCode,
     LatticePoint,
     cross_polytope,
@@ -35,7 +36,7 @@ from stiffkit.design import (
 )
 from stiffkit.exact import Surd
 from stiffkit.gegenbauer import Polynomial, a0, gegenbauer_poly
-from stiffkit.transforms import glue
+from stiffkit.transforms import glue, rotated_cubes, symmetrize
 
 
 def _pair_sum_naive(code: LatticeCode, n: int) -> Fraction:
@@ -150,6 +151,80 @@ def test_float_pair_sums_match_one_table_per_degree(make):
     bound = FLOAT_DESIGN_TOL * code.size**2
     assert index_set(code, 9).index_set == {n for n, s in zip(degrees, want)
                                             if abs(s) <= bound}
+
+
+def _full_table_pair_sums(code, degrees) -> list[float]:
+    """Reference: the whole clipped N x N float Gram table, one P_n per degree."""
+    pts = code.unit_array()
+    gram = np.clip(pts @ pts.T, -1.0, 1.0)
+    return [float(np.sum(gegenbauer_poly(code.sphere_dim, n).eval_float(gram)))
+            for n in degrees]
+
+
+def _assert_matches_full_table(code, n_max: int) -> None:
+    degrees = range(1, n_max + 1)
+    want = _full_table_pair_sums(code, degrees)
+    got = _pair_sums(code, degrees)
+    assert np.all(np.abs(np.array(got) - want) <= 1e-12 * code.size**2)
+    bound = FLOAT_DESIGN_TOL * code.size**2
+    assert index_set(code, n_max).index_set == {n for n, s in zip(degrees, want)
+                                                if abs(s) <= bound}
+
+
+_SHIPPED_FLOAT = (
+    [(f"ngon({n})", lambda n=n: ngon(n)) for n in range(2, 41)]
+    + [(f"rotated_cubes({k})", lambda k=k: rotated_cubes(k)[0]) for k in range(1, 7)]
+    + [("glue_x3_x3", lambda: glue(cross_polytope(3), cross_polytope(3), 2, seed=0)[0])]
+    + [(f"sym(ngon({n}))", lambda n=n: symmetrize(ngon(n))) for n in range(3, 41, 2)]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in _SHIPPED_FLOAT],
+                         ids=[name for name, _ in _SHIPPED_FLOAT])
+def test_float_pair_sums_match_full_table_on_shipped_codes(make):
+    _assert_matches_full_table(make(), 12)
+
+
+def test_float_pair_sums_match_full_table_on_2_41():
+    # 2160 points: 9 row blocks of 60 rows under the default BLOCK_BYTES
+    big = polytope_2_41()
+    code = FloatCode("2_41", 8, big.unit_array())
+    _assert_matches_full_table(code, 10)
+    assert index_set(code, 10).index_set == index_set(big, 10).index_set
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(2, 6), st.booleans(),
+       st.sampled_from((1, 2, 3, 7, 80)), st.integers(0, 2**32 - 1))
+def test_float_pair_sums_in_blocks_match_full_table(size, dim, antipodal, blocks, seed):
+    # random unit codes, antipodal ones having every odd degree in their
+    # index set, in one, two or many row blocks
+    pts = np.random.default_rng(seed).normal(size=(size, dim))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    if antipodal:
+        pts = np.vstack([pts, -pts])
+    code = FloatCode("random", dim, pts)
+    rows = -(-code.size // blocks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "BLOCK_BYTES", 8 * code.size * rows)
+        parts = [(part.size, w) for part, w in design._gram_parts(pts)]
+        assert len(parts) == 2 * (-(-code.size // rows)) - 1
+        assert all(n > 0 for n, _ in parts)
+        assert sum(n * w for n, w in parts) == code.size**2
+        _assert_matches_full_table(code, 8)
+
+
+def test_float_pair_sums_hold_no_full_table():
+    # the 5002 x 5002 float table alone is 191 MiB
+    code = symmetrize(ngon(2501))
+    tracemalloc.start()
+    try:
+        rep = index_set(code, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(rep.index_set) == [1, 2, 3, 4]
+    assert peak <= 8 * 2**20
 
 
 def test_float_design_check_ngon():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -364,6 +365,54 @@ class TestRankGate:
         assert res.mode == "subspace"
         assert res.count == 0 and not res.is_empty
         assert len(res.subspace_basis) == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make,dim", [
+        (lambda: ngon(7).points, 3),
+        (lambda: ngon(40).points, 3),
+        (lambda: ngon(6000).points, 3),
+        (lambda: cube(3).unit_array(), 4),
+        (lambda: ngon(5).points, 4),
+        (lambda: cross_polytope(3).unit_array(), 5),
+    ], ids=["ngon7_R3", "ngon40_R3", "ngon6000_R3", "cube3_R4", "ngon5_R4", "x3_R5"])
+    def test_float_subspace_dual_of_rotated_planted_codes(self, make, dim, seed):
+        # a 1-design spanning k dimensions, turned by a random rotation of
+        # R^dim: D_1 is the unit sphere of the last dim - k rotated axes
+        base = make()
+        k = base.shape[1]
+        rot = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))[0]
+        pts = np.hstack([base, np.zeros((len(base), dim - k))]) @ rot.T
+        code = FloatCode("planted", dim, pts)
+        res = dual_search(code, 1)
+        normals = rot[:, k:].T
+        # reference: the trailing right singular vectors of all N points
+        ref = np.linalg.svd(pts, full_matrices=False)[2][k:]
+        if dim - k == 1:
+            assert (res.mode, res.count) == ("float", 2)
+            for z in res.points_float:
+                assert min(np.abs(z - normals[0]).max(), np.abs(z + normals[0]).max()) <= 1e-9
+                assert min(np.abs(z - ref[0]).max(), np.abs(z + ref[0]).max()) <= 1e-12
+            assert np.abs(res.points_float[0] + res.points_float[1]).max() == 0
+        else:
+            assert (res.mode, res.count) == ("subspace", 0)
+            basis = np.array(res.subspace_basis)
+            assert np.abs(basis.T @ basis - normals.T @ normals).max() <= 1e-9
+            assert np.abs(basis.T @ basis - ref.T @ ref).max() <= 1e-12
+
+    def test_flat_polygon_m1_holds_no_full_table(self):
+        # the 6000 x 6000 Gram table alone is 275 MiB, the all-points SVD's
+        # U as much again
+        pts = np.hstack([ngon(6000).points, np.zeros((6000, 1))])
+        code = FloatCode("flat_ngon(6000)", 3, pts)
+        tracemalloc.start()
+        try:
+            cert = certify_stiff(code, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cert.dual.mode, cert.dual.count) == ("float", 2)
+        assert np.array_equal(np.abs(cert.dual.points_float), [[0, 0, 1], [0, 0, 1]])
+        assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize("code", [
         LatticeCode("pair4", 4, 1, ((-1, 0, 0, 0), (1, 0, 0, 0))),
