@@ -11,7 +11,8 @@ both sets are projected on one fixed, seeded unit direction r.  Since
 the radius (plus a rounding bound) of a's can be that close, and only
 those candidates are measured, so repeat, antipode and disjointness
 checks cost O(N log N + candidates) instead of an N x N table.  Near
-duplicates within one set are taken once by one rule, `greedy_cluster`.
+duplicates within one set are taken once by one rule, `greedy_cluster`,
+and float rows are listed in one order, `sorted_rows`.
 """
 
 from __future__ import annotations
@@ -195,6 +196,13 @@ def greedy_cluster(points: np.ndarray, tol: float) -> np.ndarray:
         keep.append(r)
         rest = rest[np.linalg.norm(points[rest] - points[r], axis=1) > tol]
     return points[np.array(keep, dtype=np.intp)]
+
+
+def sorted_rows(pts: np.ndarray) -> np.ndarray:
+    """Rows in lexicographic order of their coordinates rounded to 12
+    places, -0.0 taken as 0.0, so rounding noise cannot reorder them."""
+    key = np.round(pts, 12) + 0.0
+    return pts[np.lexsort(key.T[::-1])]
 
 
 @dataclass(frozen=True)

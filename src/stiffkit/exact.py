@@ -26,7 +26,9 @@ class MixedRadicandError(ArithmeticError):
 
 def square_free_split(n: int) -> tuple[int, int]:
     """Return (f, s) with n = f*f*s and s square-free.  Requires n >= 0.
-    Trial division, SizeCapExceeded once the divisor passes size_cap()."""
+    Trial division, SizeCapExceeded once the divisor passes size_cap().
+    A divisor p is tried as p*p only when p itself divides s, since a p
+    that does not divide s cannot have p*p divide it either."""
     if n < 0:
         raise ValueError("square_free_split needs a non-negative integer")
     if n in (0, 1):
@@ -39,7 +41,7 @@ def square_free_split(n: int) -> tuple[int, int]:
         if p > cap:
             raise SizeCapExceeded(f"square-free split of {n} needs trial divisors "
                                   f"above the cap {cap} (raise {ENV_SIZE_CAP} to override)")
-        while s % (p * p) == 0:
+        while s % p == 0 and s % (p * p) == 0:
             s //= p * p
             f *= p
         p += 1 if p == 2 else 2

@@ -181,13 +181,16 @@ class NodeSet:
         return tuple(float(t) for t in self.nodes)
 
 
+@lru_cache(maxsize=None)
 def nodes(d: int, m: int) -> NodeSet:
     """Roots of P_m^(d) and the weights a_0(phi_i) of their Lagrange basis.
 
     m <= 3 has surd roots for every d: {0}, {+-1/sqrt(d+1)}, and
     {0, +-sqrt(3/(d+3))}.  Beyond that the roots are not single surds in
     general; they and their weights come from _float_nodes, which raises
-    ArithmeticError rather than return a root it cannot certify.
+    ArithmeticError rather than return a root it cannot certify.  NodeSet
+    is frozen, so one instance per (d, m) is cached and shared: a
+    certificate's default nodes and its frequency check solve once.
     """
     if m < 1:
         raise ValueError("node count m must be >= 1")

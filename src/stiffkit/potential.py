@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import Code, LatticePoint, greedy_cluster
+from .codes import Code, LatticePoint, greedy_cluster, sorted_rows
 from .config import BLOCK_BYTES, check_size
 from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
@@ -220,6 +220,7 @@ class MinimizationReport:
     restarts: int
     seed: int
     global_min_value: float
+    # greedy_cluster representatives, rows in codes.sorted_rows order
     argmin_cluster: np.ndarray
     n_converged: int
     n_failed: int
@@ -499,8 +500,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     if dual_value is not None:
         global_min = min(global_min, dual_value)
     level = global_min + 1e-8 * (1.0 + abs(global_min))
-    reps = greedy_cluster(pts[good & (vals <= level)], CLUSTER_TOL)
-    cluster = reps[np.lexsort(reps.T[::-1])]  # rows in lexicographic order
+    cluster = sorted_rows(greedy_cluster(pts[good & (vals <= level)], CLUSTER_TOL))
     return MinimizationReport(code.name, kernel.name, restarts, seed,
                               global_min, cluster, n_conv, n_failed,
                               n_singular, len(antipodes), GRAD_TOL,

@@ -26,9 +26,9 @@ import numpy as np
 
 from ._linalg import adjugate_and_det, first_independent, integer_nullspace
 from .codes import (Code, LatticeCode, LatticePoint, Vector, common_norm, covered_by,
-                    gcd_reduce, greedy_cluster, raw_dots)
+                    greedy_cluster, raw_dots, sorted_rows)
 from .config import check_size
-from .design import index_set, pair_values, spectra
+from .design import DesignReport, index_set, pair_values, spectra
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import nodes as gegenbauer_nodes
 
@@ -36,6 +36,7 @@ FLOAT_RESIDUAL = 1e-9
 # cluster widths accepted as one dot value by the two candidate scans
 BRUTE_WIDTH_TOL = 1e-6
 CIRCLE_WIDTH_TOL = 1e-8
+NO_COMMON_NORM = "dual norms have distinct square-free parts, no common scaling exists"
 
 
 class NotInGeneralPosition(ValueError):
@@ -131,8 +132,7 @@ def dual_to_code(points: Sequence[LatticePoint], name: str) -> LatticeCode:
         raise ValueError("no points to convert")
     scaled = common_norm([p.direction() for p in points])
     if scaled is None:
-        raise ValueError("dual norms have distinct square-free parts, "
-                         "no common scaling exists")
+        raise ValueError(NO_COMMON_NORM)
     target = sum(x * x for x in scaled[0])
     return LatticeCode(name, points[0].ambient_dim, target, tuple(sorted(scaled)))
 
@@ -168,16 +168,17 @@ def _independent_rows(code: Code, units: np.ndarray) -> list[int]:
     return kept
 
 
-def _default_nodes(code: Code, m: int):
-    rep = index_set(code, max(2 * m - 1, 1))
+def _default_nodes(code: Code, m: int, rep: Optional[DesignReport]):
+    """The m Gegenbauer roots, once rep (index_set(code, 2m - 1) when None)
+    certifies a (2m-1)-design."""
+    rep = rep or index_set(code, 2 * m - 1)
     if rep.strength < 2 * m - 1:
         raise NodesRequired(
             f"{code.name} has design strength {rep.strength} < {2 * m - 1}; "
             "Gegenbauer roots are not certified as the only dual dot values, "
             "pass candidate nodes explicitly"
         )
-    ns = gegenbauer_nodes(code.sphere_dim, m)
-    return list(ns.nodes)
+    return list(gegenbauer_nodes(code.sphere_dim, m).nodes)
 
 
 def _exact_rhs(node_values: Sequence[Scalar], norm_sq: int):
@@ -198,6 +199,8 @@ def dual_search(
     code: Code,
     m: int,
     nodes: Optional[Sequence] = None,
+    *,
+    _report: Optional[DesignReport] = None,
 ) -> DualSearchResult:
     """Enumerate the dual configuration D_m of a code.
 
@@ -206,7 +209,11 @@ def dual_search(
     provably all of D_m.  Supplied nodes restrict the search to points
     whose dots lie in that set.  The arithmetic follows the input: exact
     for an integer code with surd nodes in a single quadratic extension,
-    float otherwise.
+    float otherwise.  The design strength is checked once, by one
+    index_set call, and only on the paths that need it: default nodes,
+    or D_1 of a code inside a hyperplane.  certify_stiff passes its own
+    index_set report of the code (through degree 2m) as the private
+    _report, and the strength is read from it instead.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -217,14 +224,14 @@ def dual_search(
     idx = _independent_rows(code, units)
     if len(idx) < d1:
         if m == 1:
-            return _subspace_dual(code, idx, nodes_supplied=nodes is not None)
+            return _subspace_dual(code, idx, nodes is not None, _report)
         raise NotInGeneralPosition(
             f"{code.name} spans only {len(idx)} of {d1} dimensions; "
             "a stiff code with m >= 2 is a 3-design and spans"
         )
 
     nodes_supplied = nodes is not None
-    node_values = list(nodes) if nodes_supplied else _default_nodes(code, m)
+    node_values = list(nodes) if nodes_supplied else _default_nodes(code, m, _report)
     if len(node_values) > m:
         raise ValueError(f"{len(node_values)} nodes supplied for m = {m}")
     dual_complete = not nodes_supplied
@@ -247,20 +254,29 @@ def dual_search(
     cand /= np.linalg.norm(cand, axis=1)[:, None]
     res = np.array([np.abs((units @ v)[:, None] - values).min(axis=1).max() for v in cand])
     good = res < FLOAT_RESIDUAL
-    return DualSearchResult(code.name, m, "float", (), _sorted_rows(cand[good]), dual_complete,
+    return DualSearchResult(code.name, m, "float", (), sorted_rows(cand[good]), dual_complete,
                             nodes_supplied, tuple(node_values),
                             max_residual=float(res[good].max(initial=0.0)))
 
 
-def _subspace_dual(code: Code, idx: list[int], nodes_supplied: bool) -> DualSearchResult:
+def _subspace_dual(code: Code, idx: list[int], nodes_supplied: bool,
+                   rep: Optional[DesignReport]) -> DualSearchResult:
     """D_1 of a rank-deficient 1-design: the unit sphere of the orthogonal
-    complement; a point pair when that complement is a line.  idx are the
-    independent rows the gate of dual_search found, and they span the code,
-    so both arithmetics take the complement from those rows alone: an
-    integer code's is their exact nullspace, a float code's the trailing
-    right singular vectors of their SVD, of the dimension the gate decided
-    on."""
-    rep = index_set(code, 1)
+    complement; a point pair when that complement is a line.  rep, when
+    given, is the index_set report that shows the code is a 1-design.
+
+    idx are the independent rows the gate of dual_search found.  They span
+    an integer code, whose complement is their exact nullspace.  A float
+    code's complement is the trailing right singular vectors of all N unit
+    points, of the dimension the gate decided on, taken from the SVD of
+    their R factor (at most d x d, so no N x N factor is held): the gate's
+    picks are chosen for small pivots and may be nearly dependent, so
+    their own SVD would be as ill-conditioned as they are.  A float pair
+    reports the largest |dot| it forms with the code as max_residual.  It
+    is not held to FLOAT_RESIDUAL: points whose residual off the span of
+    the picks is under the gate's cut of 1e-8 count as inside the span, so
+    the pair's residual is bounded by that cut, not by FLOAT_RESIDUAL."""
+    rep = rep or index_set(code, 1)
     if rep.strength < 1:
         raise NodesRequired(
             f"{code.name} is not a 1-design (center of mass is not the origin)"
@@ -276,11 +292,13 @@ def _subspace_dual(code: Code, idx: list[int], nodes_supplied: bool) -> DualSear
         return DualSearchResult(code.name, 1, "subspace", (), None, True,
                                 nodes_supplied, (Surd(0),),
                                 subspace_basis=tuple(basis))
-    null = np.linalg.svd(code.unit_array()[idx])[2][len(idx):]
+    units = code.unit_array()
+    null = np.linalg.svd(np.linalg.qr(units, mode="r"))[2][len(idx):]
     if len(null) == 1:
         z = null[0] / np.linalg.norm(null[0])
-        return DualSearchResult(code.name, 1, "float", (), _sorted_rows(np.vstack([z, -z])),
-                                True, nodes_supplied, (0.0,))
+        return DualSearchResult(code.name, 1, "float", (), sorted_rows(np.vstack([z, -z])),
+                                True, nodes_supplied, (0.0,),
+                                max_residual=float(np.abs(units @ z).max()))
     return DualSearchResult(code.name, 1, "subspace", (), None, True,
                             nodes_supplied, (0.0,),
                             subspace_basis=tuple(tuple(float(x) for x in b) for b in null))
@@ -380,13 +398,6 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
     return tuple(LatticePoint(v, sum(x * x for x in v)) for v in sorted(dirs[i] for i in alive))
 
 
-def _sorted_rows(pts: np.ndarray) -> np.ndarray:
-    """Rows in lexicographic order of their coordinates rounded to 12
-    places, -0.0 taken as 0.0, so rounding noise cannot reorder them."""
-    key = np.round(pts, 12) + 0.0
-    return pts[np.lexsort(key.T[::-1])]
-
-
 @dataclass(frozen=True)
 class StiffnessCertificate:
     """Stiffness verdict with the evidence that produced it."""
@@ -431,13 +442,16 @@ def certify_stiff(code: Code, m: int,
 
     Stiff means (2m-1)-design with nonempty dual.  The frequency table counts
     how many code points realize each node against every dual point; for a
-    stiff code those counts match the quadrature weights times N.
+    stiff code those counts match the quadrature weights times N.  One
+    index_set call through degree 2m gives the strength, and the dual
+    search reads its hypotheses (a (2m-1)-design for the default nodes, a
+    1-design for D_1 of a flat code) from the same report.
     """
     rep = index_set(code, 2 * m)
     strength = rep.strength
     dual: Optional[DualSearchResult] = None
     try:
-        dual = dual_search(code, m, nodes=nodes)
+        dual = dual_search(code, m, nodes=nodes, _report=rep)
     except NodesRequired:
         if nodes is None and strength < 2 * m - 1:
             dual = None  # not a (2m-1)-design: not stiff, dual not enumerable
@@ -450,15 +464,16 @@ def certify_stiff(code: Code, m: int,
     props: dict = {}
     if dual is not None and dual.count:
         # every exact dual point w has g |w|^2 a square for the walk's g, so
-        # |w|^2 is the square-free part of g times a square: as_code
+        # |w|^2 is the square-free part of g times a square: common_norm
         # scales them to one norm and equal integer dots are equal unit dots
         if dual.exact:
-            dual_code = dual.as_code()
             # columns in dual.points order: frequency row k is dual point k's
-            scaled = {gcd_reduce(v): v for v in dual_code.points}
-            dots = raw_dots(code.points, [scaled[p.direction()] for p in dual.points])
-            freq_table = spectra(dots.T, (dual_code.norm_sq, code.norm_sq))
-            antipodal = dual_code.is_antipodal()
+            scaled = common_norm([p.direction() for p in dual.points])
+            if scaled is None:
+                raise ValueError(NO_COMMON_NORM)
+            dots = raw_dots(code.points, scaled)
+            freq_table = spectra(dots.T, (sum(x * x for x in scaled[0]), code.norm_sq))
+            antipodal = {tuple(-x for x in v) for v in scaled} == set(scaled)
         else:
             units = dual.unit_points()
             dots = code.unit_array() @ units.T
@@ -586,9 +601,10 @@ def brute_force_dual(code: Code, m: int) -> np.ndarray:
     difference a among the first m + 1 points and b among all points.
     Float points rarely tie exactly, so each candidate is tested where it
     lies: its dots must split into m clusters of width at most
-    BRUTE_WIDTH_TOL.  Returns unit rows sorted lexicographically, taking
-    the narrowest candidate first and dropping any within 1e-5 of a kept
-    one.  ValueError unless the code is on S^2, m >= 1 and N > 2m.
+    BRUTE_WIDTH_TOL.  Returns unit rows in codes.sorted_rows order
+    (lexicographic on coordinates rounded to 12 places), taking the
+    narrowest candidate first and dropping any within 1e-5 of a kept one.
+    ValueError unless the code is on S^2, m >= 1 and N > 2m.
     """
     if code.ambient_dim != 3:
         raise ValueError("pair-difference scan applies to codes on S^2 only")
@@ -606,7 +622,7 @@ def brute_force_dual(code: Code, m: int) -> np.ndarray:
     lengths = np.linalg.norm(normals, axis=1)
     hits = _qualifying(normals[lengths > 0] / lengths[lengths > 0, None], units, m,
                        BRUTE_WIDTH_TOL)
-    return hits[np.lexsort(hits.T[::-1])]
+    return sorted_rows(hits)
 
 
 def circle_dual_scan(code: Code, m: int) -> np.ndarray:

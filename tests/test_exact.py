@@ -48,6 +48,43 @@ def test_square_free_split_stops_at_the_size_cap(monkeypatch):
             call()
 
 
+def _square_free_split_reference(n: int) -> tuple[int, int]:
+    """square_free_split as it was before it tested p before p * p."""
+    from stiffkit.config import size_cap
+    if n in (0, 1):
+        return 1, n
+    f, s, p, cap = 1, n, 2, size_cap()
+    while p * p <= s:
+        if p > cap:
+            raise SizeCapExceeded(f"square-free split of {n} needs trial divisors "
+                                  f"above the cap {cap} (raise {ENV_SIZE_CAP} to override)")
+        while s % (p * p) == 0:
+            s //= p * p
+            f *= p
+        p += 1 if p == 2 else 2
+    return f, s
+
+
+def _outcome(split, n):
+    try:
+        return split(n)
+    except SizeCapExceeded as e:
+        return str(e)
+
+
+def test_square_free_split_matches_the_reference(monkeypatch):
+    for n in range(20001):
+        assert square_free_split(n) == _square_free_split_reference(n), n
+    squareful = [2**61 * 3, 3**30 * 7**4 * 11, 97**6 * 89**3 * 5, (10**6 + 3)**2 * 6,
+                 999983**2 * 999979, 2**5 * 3**7 * 5**3 * 7**2 * 13]
+    for n in squareful:
+        assert square_free_split(n) == _square_free_split_reference(n), n
+    # the same splits and the same refusals, word for word, under a small cap
+    monkeypatch.setenv(ENV_SIZE_CAP, "1000")
+    for n in squareful + [1009 * 1013, 1 + 10**34, 1013**2 * 2, 997**3]:
+        assert _outcome(square_free_split, n) == _outcome(_square_free_split_reference, n), n
+
+
 def test_normalization_pulls_out_squares():
     s = Surd(Fraction(1, 2), 8)
     assert s.coeff == Fraction(1) and s.radicand == 2

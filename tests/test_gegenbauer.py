@@ -265,6 +265,17 @@ def test_uncertified_roots_raise(spoil):
             gegenbauer._float_nodes(7, 6)
 
 
+@pytest.mark.parametrize("d,m", [(1, 1), (3, 2), (7, 3), (1, 4), (7, 6)])
+def test_each_node_set_is_solved_once(monkeypatch, d, m):
+    nodes.cache_clear()
+    calls = []
+    real = gegenbauer._float_nodes
+    monkeypatch.setattr(gegenbauer, "_float_nodes",
+                        lambda *args: calls.append(args) or real(*args))
+    assert nodes(d, m) is nodes(d, m)
+    assert calls == ([] if m <= 3 else [(d, m)])
+
+
 def test_many_nodes_are_fast():
     start = time.perf_counter()
     ns = nodes(7, 50)

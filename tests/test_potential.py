@@ -21,6 +21,7 @@ from stiffkit.codes import (
     e8_roots,
     greedy_cluster,
     polytope_2_41,
+    sorted_rows,
 )
 from stiffkit.exact import Surd
 from stiffkit.gegenbauer import Polynomial
@@ -470,6 +471,17 @@ class TestMinimize:
         assert len(rep.argmin_cluster) == 10
         for p in rep.argmin_cluster:
             assert abs(np.abs(p).max() - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("code", [demicube(5), demicube(6), cross_polytope(4)],
+                             ids=lambda c: c.name)
+    def test_argmins_in_sorted_rows_order(self, code):
+        # coordinates that are zero up to noise must not decide the order,
+        # as they do under a raw lexsort of these clusters
+        dual = dual_search(code, 2).unit_points()
+        for spec in ("riesz:1", "riesz:2", "gauss:1"):
+            rep = minimize_potential(code, Kernel.parse(spec), restarts=200, seed=0, dual=dual)
+            assert len(rep.argmin_cluster) == len(dual), spec
+            assert np.array_equal(rep.argmin_cluster, sorted_rows(rep.argmin_cluster)), spec
 
     def test_report_json(self):
         rep = minimize_potential(cross_polytope(3), Kernel.parse("gauss:1"),

@@ -6,12 +6,14 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import wraps
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from stiffkit import design, gegenbauer, stiffness
 from stiffkit._linalg import integer_nullspace
 from stiffkit.codes import (
     FloatCode,
@@ -22,12 +24,14 @@ from stiffkit.codes import (
     cube,
     demicube,
     e8_roots,
+    gcd_reduce,
     greedy_cluster,
     ngon,
     polytope_2_41,
+    raw_dots,
 )
 from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
-from stiffkit.design import spectrum
+from stiffkit.design import spectra, spectrum
 from stiffkit.exact import Surd, square_free_split
 from stiffkit.stiffness import (
     _exact_dual,
@@ -47,7 +51,31 @@ from stiffkit.stiffness import (
     dual_search,
     dual_to_code,
 )
-from stiffkit.transforms import rotated_cubes, symmetrize
+from stiffkit.transforms import glue, rotated_cubes, symmetrize
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs its calls; return the log."""
+    calls = []
+    real = getattr(module, name)
+
+    @wraps(real)
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _rotated_flat_ngon(n: int) -> FloatCode:
+    """The n-gon in the plane z = 0 of R^3, turned by a seeded rotation:
+    its D_1 is the rotated pair ±e_3."""
+    t = 2 * np.pi * np.arange(n) / n
+    flat = np.column_stack([np.cos(t), np.sin(t), np.zeros(n)])
+    rot = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))[0]
+    return FloatCode(f"rotated_flat_ngon({n})", 3, flat @ rot.T)
+
 
 NODES_241 = (
     Surd.sqrt_of(Fraction(1, 2)),
@@ -414,6 +442,28 @@ class TestRankGate:
         assert np.array_equal(np.abs(cert.dual.points_float), [[0, 0, 1], [0, 0, 1]])
         assert peak <= 8 * 2**20
 
+    @pytest.mark.parametrize("n", [7, 6000])
+    def test_float_pair_reports_its_measured_residual(self, n):
+        # the gate's picks of a fine polygon are neighbouring vertices, nearly
+        # dependent, whose own SVD leaves the normal about 4e-14 off
+        code = _rotated_flat_ngon(n)
+        res = dual_search(code, 1)
+        assert (res.mode, res.count) == ("float", 2)
+        units = code.unit_array()
+        measured = [np.abs(units @ z).max() for z in res.points_float]
+        assert measured[0] == measured[1] == res.max_residual
+        assert res.max_residual < 1e-14
+
+    def test_float_code_with_fewer_points_than_dimensions(self):
+        # R of the 2 x 4 unit array is 2 x 4, and the SVD's full V still
+        # gives the three directions off ±e_1
+        res = dual_search(FloatCode("pm_e1", 4, np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]])), 1)
+        assert (res.mode, res.count) == ("subspace", 0)
+        basis = np.array(res.subspace_basis)
+        assert basis.shape == (3, 4)
+        assert np.abs(basis @ basis.T - np.eye(3)).max() < 1e-15
+        assert np.abs(basis[:, 0]).max() < 1e-15
+
     @pytest.mark.parametrize("code", [
         LatticeCode("pair4", 4, 1, ((-1, 0, 0, 0), (1, 0, 0, 0))),
         LatticeCode("pad(cube(3))", 6, 3, tuple(p + (0, 0, 0) for p in cube(3).points)),
@@ -425,6 +475,78 @@ class TestRankGate:
         res = dual_search(code, 1)
         assert res.mode == "subspace"
         assert res.subspace_basis == tuple(integer_nullspace(list(code.points)))
+
+
+def _flat_ngon_6000():
+    return FloatCode("flat_ngon(6000)", 3, np.hstack([ngon(6000).points, np.zeros((6000, 1))]))
+
+
+class TestOneDesignCheck:
+    """A certificate checks its code's design strength once, solves each
+    node set once and scales an exact dual without building a code."""
+
+    @pytest.mark.parametrize("make,m", [
+        (_flat_ngon_6000, 1),
+        (lambda: FloatCode("2_41 as floats", 8, polytope_2_41().unit_array()), 2),
+        (lambda: rotated_cubes(2)[0], 2),
+        (lambda: demicube(5), 2),
+        (lambda: glue(cross_polytope(3), cross_polytope(3), 2)[0], 2),
+    ], ids=["flat_ngon6000", "2_41_float", "rotated_cubes2", "demicube5", "glued_x3"])
+    def test_one_pair_sum_pass_per_certificate(self, monkeypatch, make, m):
+        code = make()
+        calls = _counted(monkeypatch, design, "_pair_sums")
+        cert = certify_stiff(code, m)
+        assert len(calls) == 1
+        assert cert.design_strength >= 2 * m - 1 and cert.dual is not None
+
+    def test_dual_search_alone_checks_only_where_needed(self, monkeypatch):
+        calls = _counted(monkeypatch, design, "_pair_sums")
+        dual_search(demicube(5), 2)
+        assert len(calls) == 1
+        dual_search(_flat_ngon_6000(), 1)
+        assert len(calls) == 2
+        # supplied nodes on a code that spans need no strength
+        dual_search(demicube(5), 2, nodes=gegenbauer.nodes(4, 2).nodes)
+        assert len(calls) == 2
+
+    def test_default_nodes_and_weights_share_one_solve(self, monkeypatch):
+        gegenbauer.nodes.cache_clear()
+        solves = _counted(monkeypatch, gegenbauer, "_float_nodes")
+        cert = certify_stiff(ngon(8), 4)
+        assert cert.stiff and cert.frequencies_match_weights
+        assert solves == [(1, 4)]
+
+    @pytest.mark.parametrize("code,m,nodes", [
+        (demicube(5), 2, None),
+        (cross_polytope(4), 2, None),
+        (cube(3), 2, None),
+        (demicube(12), 3, (Surd(0), Surd.sqrt_of(Fraction(1, 12)),
+                           -Surd.sqrt_of(Fraction(1, 12)))),
+        # with nodes -1/3 and 1 the tetrahedron is its own dual, not antipodal
+        (demicube(3), 2, (Fraction(-1, 3), 1)),
+    ], ids=["demicube5", "cross4", "cube3", "demicube12", "tetrahedron"])
+    def test_exact_dual_is_scaled_without_a_code(self, monkeypatch, code, m, nodes):
+        want = certify_stiff(code, m, nodes=nodes)
+        # reference: the dual as a sorted code, its points matched back to
+        # dual.points by direction
+        dual_code = want.dual.as_code()
+        scaled = {gcd_reduce(v): v for v in dual_code.points}
+        dots = raw_dots(code.points, [scaled[p.direction()] for p in want.dual.points])
+        assert want.frequency_table == tuple(spectra(dots.T, (dual_code.norm_sq, code.norm_sq)))
+        assert want.properties["antipodal"] == dual_code.is_antipodal()
+        built = _counted(monkeypatch, LatticeCode, "__post_init__")
+        monkeypatch.setattr(stiffness, "dual_to_code", None)  # a call would fail
+        assert certify_stiff(code, m, nodes=nodes) == want
+        assert built == []
+
+    def test_exact_dual_without_a_common_norm_is_refused(self, monkeypatch):
+        # no walk survivor can have this, so the certificate is given one
+        bad = stiffness.DualSearchResult(
+            "x", 1, "exact", (LatticePoint((1, 0), 1), LatticePoint((1, 1), 2)), None,
+            True, True, (Surd(0),))
+        monkeypatch.setattr(stiffness, "dual_search", lambda *args, **kwargs: bad)
+        with pytest.raises(ValueError, match=stiffness.NO_COMMON_NORM):
+            certify_stiff(cross_polytope(2), 1, nodes=(Surd(0),))
 
 
 class TestCertify:
