@@ -126,11 +126,13 @@ def pair_values(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
 
 
 def _pair_sums(code: Code, degrees: Sequence[int]) -> list[Union[Fraction, float]]:
-    """pair_sum for each degree; a float code clips each Gram part once for all."""
+    """pair_sum for each degree; an exact code looks its multiset up once,
+    a float code clips each Gram part once for all."""
     d = code.sphere_dim
     polys = [gegenbauer_poly(d, n) for n in degrees]
     if isinstance(code, LatticeCode):
-        return [sum((p(t) * c for t, c in _gram_multiset(code)), Fraction(0)) for p in polys]
+        gram = _gram_multiset(code)
+        return [sum((p(t) * c for t, c in gram), Fraction(0)) for p in polys]
     sums = [0.0] * len(polys)
     for part, weight in _gram_parts(code.unit_array()):
         np.clip(part, -1.0, 1.0, out=part)

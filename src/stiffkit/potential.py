@@ -1,5 +1,10 @@
 """Pairwise potentials on the sphere: evaluation, minimization, verification.
 
+verify_universal_minimum runs minimize_potential once per kernel with the
+dual candidates among the starts; its UniversalMinimumReport is that
+MinimizationReport plus the equality with the dual value, the worst
+argmin distance to the dual and the verdict.
+
 Kernels are functions of the dot product t with g(x.y) = f(|x-y|^2), so
 |x-y|^2 = 2-2t.  Minimization is multistart descent on the unit sphere:
 seeded random starts, the code antipodes that are not themselves code
@@ -508,26 +513,14 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
                               spread, gap, dual_match)
 
 
-@dataclass(frozen=True)
-class UniversalMinimumReport:
-    """Per-kernel comparison of the multistart minimum with the dual value."""
+@dataclass(frozen=True, kw_only=True)
+class UniversalMinimumReport(MinimizationReport):
+    """One kernel's multistart report, dual candidates among the starts,
+    plus the three fields of the verdict; its JSON has the verdict's keys."""
 
-    code_name: str
-    kernel: str
-    dual_value: float
-    # (max-min)/|mean| of the potential over dual points, max-min if mean = 0
-    dual_spread_rel: float
-    global_min_value: float
-    gap: Optional[float]       # best finite non-dual descended value minus dual value
     # |global_min - dual_value| / |dual_value|, the numerator if dual_value = 0
     equality_rel: float
     argmin_max_dist: float     # worst distance from an argmin to the dual set
-    n_converged: int
-    n_failed: int              # descended starts that did not converge
-    n_singular_starts: int     # starts dropped as singular
-    n_antipode_starts: int     # code antipodes that are not code points
-    restarts: int
-    seed: int
     passed: bool
 
     def to_json_dict(self) -> dict:
@@ -563,6 +556,10 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
     argmin_tol of a dual point; (d) every dual candidate forms at most m
     distinct dots with the code (stiffness._at_most_m_distinct on one
     dual x code table of unit dots, gaps up to 1e-8 taken as one value).
+
+    Each report is minimize_potential's, with the dual rows normalized
+    once here, extended by the equality, the argmin distance (both against
+    those rows) and the verdict.
     """
     dual_units = _as_unit_rows(dual)
     if not len(dual_units):
@@ -584,11 +581,8 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
         equality = (abs(rep.global_min_value - rep.dual_value)
                     / (abs(rep.dual_value) or 1.0))
         out.append(UniversalMinimumReport(
-            code.name, kernel.name, rep.dual_value, rep.dual_spread_rel,
-            rep.global_min_value, rep.gap, equality, worst,
-            rep.n_converged, rep.n_failed, rep.n_singular_starts,
-            rep.n_antipode_starts, restarts, seed + k,
-            m_ok and const_ok and no_beat and argmin_ok))
+            **vars(rep), equality_rel=equality, argmin_max_dist=worst,
+            passed=m_ok and const_ok and no_beat and argmin_ok))
     return out
 
 
@@ -613,23 +607,6 @@ class SkipOneAddTwoReport:
     def all_ok(self) -> bool:
         base = self.index_ok and self.sum_ok and self.sumsq_ok
         return base and (self.witness_ok is not False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "code": self.code_name,
-            "m": self.m,
-            "index_ok": self.index_ok,
-            "index_missing": list(self.index_missing),
-            "sum_ok": self.sum_ok,
-            "sumsq_ok": self.sumsq_ok,
-            "sum": self.sum_value,
-            "sumsq": self.sumsq_value,
-            "bound": self.bound_value,
-            "sum_margin": self.sum_margin,
-            "sumsq_margin": self.sumsq_margin,
-            "witness_ok": self.witness_ok,
-            "all_ok": self.all_ok,
-        }
 
 
 def skip_one_add_two_check(code: Code, m: int, t_list: Sequence[Scalar],

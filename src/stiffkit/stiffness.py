@@ -482,7 +482,10 @@ def certify_stiff(code: Code, m: int,
             antipodal = covered_by(units, -units, 1e-8)
         freq_match = _frequencies_match(code, m, dual, freq_table)
         props["antipodal"] = antipodal
-        props["cardinality_ok"] = dual.count <= m ** code.ambient_dim
+        if m >= 2:
+            # a walked dual has at most m choices at each of d+1 rows; D_1
+            # is the walk's single point or _subspace_dual's pair
+            props["cardinality_ok"] = dual.count <= m ** code.ambient_dim
         props["double_dual_contains_code"] = _at_most_m_distinct(
             dots, m, 0 if dual.exact else 1e-8)
     return StiffnessCertificate(code.name, m, strength, stiff, dual,
@@ -527,16 +530,6 @@ class SharpnessReport:
     sharp: bool
     strongly_sharp: bool
     dot_values: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "code": self.code_name,
-            "inner_dot_count": self.inner_dot_count,
-            "strength": self.strength,
-            "sharp": self.sharp,
-            "strongly_sharp": self.strongly_sharp,
-            "dot_values": [scalar_str(v) for v in self.dot_values],
-        }
 
 
 def classify_sharp(code: LatticeCode) -> SharpnessReport:

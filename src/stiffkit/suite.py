@@ -74,7 +74,8 @@ def criterion_1() -> CriterionResult:
     """Exact pair sums of the 2160-point code: zero for 1..7, 9, 10; not 8."""
     t0 = time.time()
     code = _shared("2_41")
-    zero_at = [n for n in list(range(1, 8)) + [9, 10] if pair_sum(code, n) == 0]
+    zeros = index_set(code, 10).index_set
+    zero_at = [n for n in list(range(1, 8)) + [9, 10] if n in zeros]
     s8 = pair_sum(code, 8)
     ok = len(zero_at) == 9 and s8 != 0
     elapsed_ok = (time.time() - t0) < 10.0

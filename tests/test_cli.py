@@ -241,6 +241,29 @@ def test_spectrum_by_index_and_coords(tmp_path, capsys):
     assert [e["count"] for e in rep["entries"]] == [8, 8]
 
 
+def test_dual_of_a_subspace(tmp_path, capsys):
+    f = tmp_path / "e1.json"
+    save_code(LatticeCode("e1", 4, 1, ((-1, 0, 0, 0), (1, 0, 0, 0))), f)
+    code, stdout, _ = run(capsys, "dual", str(f), "-m", "1")
+    assert code == 0
+    dual = json.loads(stdout)["report"]["dual"]
+    assert (dual["mode"], dual["count"]) == ("subspace", 0)
+    assert dual["subspace_basis"] == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_spectrum_of_a_float_code(tmp_path, capsys):
+    f = tmp_path / "n7.json"
+    run(capsys, "construct", "ngon", "7", "-o", str(f))
+    for probe in ("0.6,0.8", "0"):
+        code, stdout, _ = run(capsys, "spectrum", str(f), "--probe", probe)
+        assert code == 0, probe
+        rep = json.loads(stdout)["report"]
+        assert rep["exact"] is False, probe
+        assert sum(e["count"] for e in rep["entries"]) == 7, probe
+    # the vertex itself: dot 1 once, the six others in three pairs
+    assert [e["count"] for e in rep["entries"]] == [2, 2, 2, 1]
+
+
 def test_spectrum_bad_probe(tmp_path, capsys):
     f = tmp_path / "d5.json"
     save_code(demicube(5), f)
@@ -278,6 +301,15 @@ def test_verify_min_pass_and_fail(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "verify-min", str(f), "-m", "2",
                                "--dual", str(other), "--kernels", "gauss:1")
     assert (code, stdout) == (2, "") and "dimension" in stderr
+
+
+def test_verify_min_bad_kernel_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "x3.json"
+    save_code(cross_polytope(3), f)
+    code, stdout, stderr = run(capsys, "verify-min", str(f), "-m", "2", "--dual", str(f),
+                               "--kernels", "riesz:x")
+    assert (code, stdout) == (2, "")
+    assert "'x'" in stderr
 
 
 def test_verify_min_past_int64(tmp_path, capsys):
@@ -346,6 +378,17 @@ def test_glue_and_reload(tmp_path, capsys):
     assert env["seed"] == 3
     assert env["report"]["certificate"]["stiff"] is True
     assert load_code(out).size == 12
+
+
+def test_glue_to_stdout(tmp_path, capsys):
+    f = tmp_path / "x3.json"
+    save_code(cross_polytope(3), f)
+    code, stdout, _ = run(capsys, "glue", str(f), str(f), "-m", "2")
+    assert code == 0
+    report = json.loads(stdout)["report"]
+    assert list(report) == ["code", "certificate"]
+    assert len(report["code"]["points_decimal"]) == 12
+    assert report["certificate"]["stiff"] is True
 
 
 def test_glue_of_different_dimensions_is_usage_error(tmp_path, capsys):

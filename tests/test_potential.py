@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,9 @@ from stiffkit.potential import (
     BLOCK_BYTES,
     CLUSTER_TOL,
     Kernel,
+    MinimizationReport,
     SingularEvaluation,
+    UniversalMinimumReport,
     _descend,
     _evaluate,
     _newton_steps,
@@ -668,6 +671,28 @@ class TestUniversalMinimum:
             [Kernel("poly", poly=Polynomial([0, 0, 0, 1]))], restarts=20, seed=0)
         assert math.isclose(rep.dual_spread_rel, 16 / 9, rel_tol=1e-12)
         assert not rep.passed
+
+    def test_verdict_extends_the_multistart_report(self):
+        # demicube(5)'s dual is the signed basis, whose rows stay bit for bit
+        # the same when normalized again, so a direct call sees the same starts
+        code = demicube(5)
+        dual = dual_search(code, 2).unit_points()
+        kernels = [Kernel.parse("riesz:1"), Kernel.parse("gauss:1")]
+        reps = verify_universal_minimum(code, 2, dual, kernels, restarts=40, seed=3)
+        own = [f.name for f in fields(UniversalMinimumReport)]
+        assert own[-3:] == ["equality_rel", "argmin_max_dist", "passed"]
+        assert own[:-3] == [f.name for f in fields(MinimizationReport)]
+        for k, (kernel, rep) in enumerate(zip(kernels, reps)):
+            assert isinstance(rep, MinimizationReport)
+            direct = minimize_potential(code, kernel, restarts=40, seed=3 + k, dual=dual)
+            assert np.array_equal(rep.argmin_cluster, direct.argmin_cluster)
+            assert (rep.iterations, rep.n_newton_steps) == (direct.iterations,
+                                                            direct.n_newton_steps)
+            assert (rep.seed, rep.restarts) == (3 + k, 40)
+            assert list(rep.to_json_dict()) == [
+                "code", "kernel", "dual_value", "dual_spread_rel", "global_min_value",
+                "gap", "equality_rel", "argmin_max_dist", "n_converged", "n_failed",
+                "n_singular_starts", "n_antipode_starts", "restarts", "seed", "passed"]
 
     def test_wrong_dual_fails(self):
         wrong = np.array([[1.0, 1.0, 0.0, 0.0]]) / 2 ** 0.5

@@ -626,6 +626,19 @@ class TestCertify:
         assert set(cert.frequency_table) == {((-half, 2), (half, 2))}
         assert all(cert.properties.values())
 
+    def test_float_frequency_count_mismatch(self):
+        # the triangle at height 1/2 meets e_3 at the one supplied node 1/2,
+        # where the weights of m = 2 on S^2 need both Gegenbauer nodes
+        ang = 2 * np.pi * np.arange(3) / 3
+        r = math.sqrt(3) / 2
+        tri = FloatCode("tri", 3, np.column_stack([r * np.cos(ang), r * np.sin(ang),
+                                                   np.full(3, 0.5)]))
+        cert = certify_stiff(tri, 2, nodes=(0.5,))
+        assert cert.dual.mode == "float" and cert.dual.count == 1
+        assert np.allclose(cert.dual.points_float, [[0.0, 0.0, 1.0]])
+        assert cert.frequencies_match_weights is False
+        assert not cert.stiff
+
     def test_certificate_json_fields(self):
         cert = certify_stiff(cross_polytope(4), 2)
         blob = cert.to_json_dict()
@@ -643,6 +656,10 @@ class TestStructuralProperties:
             assert cert.properties["antipodal"], code.name
             assert cert.dual.count <= m ** code.ambient_dim, code.name
             assert cert.properties["double_dual_contains_code"], code.name
+
+    def test_walked_duals_keep_the_cardinality_bound(self):
+        for code in [demicube(5)] + [cross_polytope(d) for d in range(3, 7)]:
+            assert certify_stiff(code, 2).properties["cardinality_ok"] is True, code.name
 
     def test_triple_dual_identity(self):
         for code in [demicube(5), cross_polytope(3), cross_polytope(4),
@@ -677,6 +694,20 @@ class TestOneStiff:
         assert {tuple(abs(x) for x in p.vector) for p in dual.points} == {(0, 0, 1)}
         assert dual.subspace_basis is None
         assert {p.vector for p in dual.points} == {(0, 0, 1), (0, 0, -1)}
+
+    @pytest.mark.parametrize("make", [
+        lambda: LatticeCode("eq_square", 3, 1,
+                            ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))),
+        lambda: FloatCode("flat_7gon", 3,
+                          np.column_stack([ngon(7).unit_array(), np.zeros(7)])),
+    ], ids=["square", "flat_7gon"])
+    def test_d1_pair_carries_no_cardinality_bound(self, make):
+        # the pair is the complement of the span, not a walk's leaves, so
+        # the walk's m^(d+1) = 1 bounds nothing here
+        cert = certify_stiff(make(), 1)
+        assert cert.stiff and cert.dual.count == 2
+        assert "cardinality_ok" not in cert.properties
+        assert cert.properties["antipodal"]
 
     def test_cube3_not_1stiff(self):
         assert not certify_stiff(cube(3), 1).stiff

@@ -191,6 +191,16 @@ class TestGlue:
         assert out.size == 1024
         assert peak < 25 * 2**20
 
+    def test_subspace_duals_glue(self):
+        # D_1 of ±e_1 in R^4 is the unit sphere of e_1's complement, so both
+        # glued copies take their dual point from its basis
+        pair = LatticeCode("pair", 4, 1, ((-1, 0, 0, 0), (1, 0, 0, 0)))
+        assert certify_stiff(pair, 1).dual.mode == "subspace"
+        out, cert = glue(pair, pair, 1)
+        assert out.size == 4
+        assert cert.stiff
+        assert cert.dual.mode == "subspace" and len(cert.dual.subspace_basis) == 2
+
     def test_output_can_glue_again(self):
         base, _ = glue(cross_polytope(3), cross_polytope(3), 2, seed=2)
         out, cert = glue(base, cross_polytope(3), 2, seed=3)
