@@ -119,10 +119,13 @@ def _parse_point(text: str, code):
 
 
 def _parse_kernels(text: str) -> list[Kernel]:
-    try:
-        return [Kernel.parse(t.strip()) for t in text.split(",")]
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    kernels = []
+    for spec in (t.strip() for t in text.split(",")):
+        try:
+            kernels.append(Kernel.parse(spec))
+        except (ValueError, ZeroDivisionError) as e:  # Fraction('1/0') divides
+            raise UsageError(f"--kernels {spec!r}: {e}") from None
+    return kernels
 
 
 def _load(path: str):

@@ -6,9 +6,14 @@ import os
 
 DEFAULT_SIZE_CAP = 2**22
 
-# bytes of one block of a table computed block by block (the descent's
-# rows x code tables, the exact Gram's row blocks): 1 MiB, 60 rows of the
-# 2160-point code, fits in a 2 MiB L2 cache
+# bytes of one block of a table computed block by block: 1 MiB, 60 rows of
+# the 2160-point code, fits in a 2 MiB L2 cache.  Its users: the Gram row
+# blocks of the pair sums (design._gram_parts); the descent's rows x code
+# tables (potential._evaluate); and the stream codes.dot_blocks, which
+# raw_dots collects and which the survivor certification, the frequency
+# rows, the double-dual check, verify_universal_minimum's m-check and the
+# scans' widths read block by block; the float dual's residuals take
+# blocks of candidates of the same size (stiffness.dual_search)
 BLOCK_BYTES = 1 << 20
 
 ENV_SIZE_CAP = "STIFFKIT_SIZE_CAP"

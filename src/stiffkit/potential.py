@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import Code, LatticePoint, greedy_cluster, sorted_rows
+from .codes import Code, LatticePoint, dot_blocks, greedy_cluster, sorted_rows
 from .config import BLOCK_BYTES, check_size
 from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
@@ -554,8 +554,9 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
     value and none beats the dual value by more than -GAP_FLOOR, converged
     or not; (c) for strictly convex families every argmin lies within
     argmin_tol of a dual point; (d) every dual candidate forms at most m
-    distinct dots with the code (stiffness._at_most_m_distinct on one
-    dual x code table of unit dots, gaps up to 1e-8 taken as one value).
+    distinct dots with the code (stiffness._at_most_m_distinct on blocks
+    of dual rows x code from codes.dot_blocks, gaps up to 1e-8 taken as
+    one value).
 
     Each report is minimize_potential's, with the dual rows normalized
     once here, extended by the equality, the argmin distance (both against
@@ -564,7 +565,8 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
     dual_units = _as_unit_rows(dual)
     if not len(dual_units):
         raise ValueError("dual candidate set is empty")
-    m_ok = _at_most_m_distinct(dual_units @ code.unit_array().T, m, 1e-8)
+    m_ok = all(_at_most_m_distinct(block, m, 1e-8)
+               for _, block in dot_blocks(dual_units, code.unit_array(), exact=False))
     out = []
     for k, kernel in enumerate(kernels):
         rep = minimize_potential(code, kernel, restarts=restarts,

@@ -26,8 +26,8 @@ import numpy as np
 
 from ._linalg import adjugate_and_det, first_independent, integer_nullspace
 from .codes import (Code, LatticeCode, LatticePoint, Vector, common_norm, covered_by,
-                    greedy_cluster, raw_dots, sorted_rows)
-from .config import check_size
+                    dot_blocks, greedy_cluster, int_arrays, raw_dots, sorted_rows)
+from .config import BLOCK_BYTES, check_size
 from .design import DesignReport, index_set, pair_values, spectra
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import nodes as gegenbauer_nodes
@@ -252,7 +252,17 @@ def dual_search(
     # dot it forms with the code is within FLOAT_RESIDUAL of some node
     cand = y @ q.T
     cand /= np.linalg.norm(cand, axis=1)[:, None]
-    res = np.array([np.abs((units @ v)[:, None] - values).min(axis=1).max() for v in cand])
+    # in blocks of candidates, each row of dots one matrix-vector product
+    # (a stacked matmul), which rounds unlike a GEMM block: the residuals,
+    # and max_residual, stay those of units @ v
+    res = np.empty(len(cand))
+    step = max(1, BLOCK_BYTES // (8 * len(units)))
+    for s in range(0, len(cand), step):
+        dots = np.matmul(units, cand[s:s + step, :, None])[..., 0]
+        dist = np.abs(dots - values[0])
+        for v in values[1:]:
+            np.minimum(dist, np.abs(dots - v), out=dist)
+        res[s:s + step] = dist.max(axis=1)
     good = res < FLOAT_RESIDUAL
     return DualSearchResult(code.name, m, "float", (), sorted_rows(cand[good]), dual_complete,
                             nodes_supplied, tuple(node_values),
@@ -365,7 +375,9 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
     and G = A A^T it is w sqrt(g) / (Q det G) for w = n^T adj(G) A: a unit
     point when g |w|^2 = (Q det G)^2, meeting code point c at node k when
     w . c = n_k det G, or v . c = n_k det G / h for the primitive v = w / h,
-    whose dots stay small.  Each node is walked once and A has full rank,
+    whose dots stay small.  The dots run through codes.dot_blocks, in
+    blocks of code points x survivors of at most BLOCK_BYTES, so no code x
+    survivor table is held.  Each node is walked once and A has full rank,
     so no two survivors are the same point."""
     n_ints, q_lcm, g = rhs
     if not len(node_idx):
@@ -384,18 +396,25 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
         if t:  # padded with a repeat, so every row has one target per node
             dirs.append(v)
             targets.append(t + t[:1] * (len(n_ints) - len(t)))
+    if not dirs:
+        return ()
     big = any(abs(t) >= 2**62 for row in targets for t in row)
-    targets = np.array(targets, dtype=object if big else np.int64).reshape(-1, len(n_ints))
-    # code points in blocks of about 2^22 dots: a survivor is dropped at the
-    # first block it misses, and no survivor x code table is held
-    alive = np.arange(len(dirs))
-    step = max(1, 2**22 // max(len(dirs), 1))
-    for start in range(0, code.size, step):
-        if len(alive):
-            dots = raw_dots([dirs[i] for i in alive], code.points[start:start + step])
-            hit = np.any([dots == col[:, None] for col in targets[alive].T], axis=0)
-            alive = alive[hit.all(axis=1)]
-    return tuple(LatticePoint(v, sum(x * x for x in v)) for v in sorted(dirs[i] for i in alive))
+    targets = np.array(targets, dtype=object if big else np.int64).T
+    # blocks of code points x survivors: each node's target is OR-ed into
+    # one boolean block, and a survivor stays alive while every code point
+    # of every block meets one of its nodes
+    pts, survivors = int_arrays(code.points, dirs)
+    alive = np.ones(len(dirs), dtype=bool)
+    for start, block in dot_blocks(pts, survivors, exact=True):
+        if not start:  # the first block is the tallest
+            hit_buf, eq_buf = np.empty(block.shape, dtype=bool), np.empty(block.shape, dtype=bool)
+        hit, eq = hit_buf[:len(block)], eq_buf[:len(block)]
+        np.equal(block, targets[0], out=hit)
+        for t in targets[1:]:
+            hit |= np.equal(block, t, out=eq)
+        alive &= hit.all(axis=0)
+    return tuple(LatticePoint(v, sum(x * x for x in v))
+                 for v in sorted(d for d, a in zip(dirs, alive) if a))
 
 
 @dataclass(frozen=True)
@@ -445,7 +464,10 @@ def certify_stiff(code: Code, m: int,
     stiff code those counts match the quadrature weights times N.  One
     index_set call through degree 2m gives the strength, and the dual
     search reads its hypotheses (a (2m-1)-design for the default nodes, a
-    1-design for D_1 of a flat code) from the same report.
+    1-design for D_1 of a flat code) from the same report.  The frequency
+    rows come from blocks of dual points x code and the double-dual check
+    from blocks of code points x dual, both from codes.dot_blocks on
+    operands converted once, so no whole dual x code table is held.
     """
     rep = index_set(code, 2 * m)
     strength = rep.strength
@@ -467,35 +489,41 @@ def certify_stiff(code: Code, m: int,
         # |w|^2 is the square-free part of g times a square: common_norm
         # scales them to one norm and equal integer dots are equal unit dots
         if dual.exact:
-            # columns in dual.points order: frequency row k is dual point k's
+            # rows in dual.points order: frequency row k is dual point k's
             scaled = common_norm([p.direction() for p in dual.points])
             if scaled is None:
                 raise ValueError(NO_COMMON_NORM)
-            dots = raw_dots(code.points, scaled)
-            freq_table = spectra(dots.T, (sum(x * x for x in scaled[0]), code.norm_sq))
+            duals, pts = int_arrays(scaled, code.points)
+            norms = (sum(x * x for x in scaled[0]), code.norm_sq)
+            for _, block in dot_blocks(duals, pts, exact=True):
+                freq_table += spectra(block, norms)
             antipodal = {tuple(-x for x in v) for v in scaled} == set(scaled)
         else:
-            units = dual.unit_points()
-            dots = code.unit_array() @ units.T
-            freq_table = [tuple((round(val, 9), c) for val, c in row)
-                          for row in spectra(dots.T)]
-            antipodal = covered_by(units, -units, 1e-8)
+            duals, pts = dual.unit_points(), code.unit_array()
+            for _, block in dot_blocks(duals, pts, exact=False):
+                freq_table += [tuple((round(val, 9), c) for val, c in row)
+                               for row in spectra(block)]
+            antipodal = covered_by(duals, -duals, 1e-8)
         freq_match = _frequencies_match(code, m, dual, freq_table)
         props["antipodal"] = antipodal
         if m >= 2:
             # a walked dual has at most m choices at each of d+1 rows; D_1
             # is the walk's single point or _subspace_dual's pair
             props["cardinality_ok"] = dual.count <= m ** code.ambient_dim
-        props["double_dual_contains_code"] = _at_most_m_distinct(
-            dots, m, 0 if dual.exact else 1e-8)
+        gap = 0 if dual.exact else 1e-8
+        props["double_dual_contains_code"] = all(
+            _at_most_m_distinct(block, m, gap)
+            for _, block in dot_blocks(pts, duals, exact=dual.exact))
     return StiffnessCertificate(code.name, m, strength, stiff, dual,
                                 tuple(freq_table), freq_match, props)
 
 
 def _at_most_m_distinct(dots: np.ndarray, m: int, gap: float) -> bool:
-    """Every row of the table holds at most m values more than gap apart."""
-    rows = np.sort(dots, axis=1)
-    return bool(np.all((np.diff(rows, axis=1) > gap).sum(axis=1) < m))
+    """Every row of the table holds at most m values more than gap apart.
+    The rows are sorted in place: the tables are dot_blocks' blocks, which
+    the next block overwrites."""
+    dots.sort(axis=1)
+    return bool(np.all((np.diff(dots, axis=1) > gap).sum(axis=1) < m))
 
 
 def _frequencies_match(code: Code, m: int, dual: DualSearchResult,
@@ -567,7 +595,8 @@ def _qualifying(candidates: np.ndarray, units: np.ndarray, m: int,
                 width_tol: float) -> np.ndarray:
     """The unit candidates and their negatives whose dots split into m
     clusters of width at most width_tol, narrowest first, taken once by
-    codes.greedy_cluster at 10 width_tol.
+    codes.greedy_cluster at 10 width_tol.  The widths come from blocks of
+    candidates x code (codes.dot_blocks), so no whole table is held.
 
     The radius covers the slack of the width test.  Tilting a direction by
     e moves the dots x.z - y.z of two points by at most e|x - y|, so
@@ -576,7 +605,9 @@ def _qualifying(candidates: np.ndarray, units: np.ndarray, m: int,
     lie within 0.1 of each other.  Nearly parallel pair differences give
     normals that far off; they are the same hit, not a second one."""
     candidates = np.vstack([candidates, -candidates])
-    widths = _max_cluster_widths(candidates @ units.T, m)
+    widths = np.empty(len(candidates))
+    for start, block in dot_blocks(candidates, units, exact=False):
+        widths[start:start + len(block)] = _max_cluster_widths(block, m)
     order = np.argsort(widths, kind="stable")
     return greedy_cluster(candidates[order[widths[order] <= width_tol]], 10 * width_tol)
 
@@ -609,7 +640,7 @@ def brute_force_dual(code: Code, m: int) -> np.ndarray:
     first = units[i] - units[j]
     i, j = np.triu_indices(n, 1)
     every = units[i] - units[j]
-    # the candidate x code table of dots, the largest array of the scan
+    # the candidate x code dots, which _qualifying takes in blocks
     check_size(2 * len(first) * len(every) * n, f"pair-difference scan of {n} points")
     normals = np.cross(first[:, None, :], every[None, :, :]).reshape(-1, 3)
     lengths = np.linalg.norm(normals, axis=1)

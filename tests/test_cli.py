@@ -310,6 +310,18 @@ def test_verify_min_bad_kernel_is_usage_error(tmp_path, capsys):
                                "--kernels", "riesz:x")
     assert (code, stdout) == (2, "")
     assert "'x'" in stderr
+    assert "--kernels" in stderr and "riesz:x" in stderr
+
+
+@pytest.mark.parametrize("spec", ["foo:1", "riesz:1/0"])
+def test_verify_min_unknown_kernel_names_the_spec(tmp_path, capsys, spec):
+    # an unknown family, and a parameter that Fraction divides by zero
+    f = tmp_path / "x3.json"
+    save_code(cross_polytope(3), f)
+    code, stdout, stderr = run(capsys, "verify-min", str(f), "-m", "2", "--dual", str(f),
+                               "--kernels", f"log,{spec}")
+    assert (code, stdout) == (2, "")
+    assert "--kernels" in stderr and spec in stderr
 
 
 def test_verify_min_past_int64(tmp_path, capsys):

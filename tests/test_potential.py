@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiffkit import codes
 from stiffkit.codes import (
     FloatCode,
     LatticeCode,
@@ -29,6 +30,7 @@ from stiffkit.gegenbauer import Polynomial
 from stiffkit.potential import (
     BLOCK_BYTES,
     CLUSTER_TOL,
+    DUAL_SPREAD_REL,
     Kernel,
     MinimizationReport,
     SingularEvaluation,
@@ -761,3 +763,26 @@ class TestE8AsDualOf241:
         vals = [potential_eval(p.unit(), code, k)
                 for p in e8_roots().lattice_points()[:12]]
         assert max(vals) - min(vals) < 1e-9 * abs(vals[0])
+
+
+@pytest.mark.parametrize("rows", [None, 7], ids=["default_blocks", "blocks_of_7"])
+def test_m_check_reads_the_last_ragged_block(rows):
+    # demicube(5)'s dual, the 10 points +-e_i, then e_1 turned 1e-6 rad
+    # towards e_2: its dots with the code take 4 values about 9e-7 apart,
+    # more than m = 2, while its potential is the dual value to about 1e-12
+    # relative, so only the m-check can fail; in blocks of 7 dual rows the
+    # turned row is the last of the ragged last block of 4
+    code = demicube(5)
+    dual = dual_search(code, 2).unit_points()
+    eps = 1e-6
+    planted = np.vstack([dual, [math.cos(eps), math.sin(eps), 0, 0, 0]])
+    kernels = [Kernel.parse("riesz:1")]
+    with pytest.MonkeyPatch.context() as mp:
+        if rows:
+            mp.setattr(codes, "BLOCK_BYTES", 8 * rows * code.size)
+        good = verify_universal_minimum(code, 2, dual, kernels, restarts=20)
+        bad = verify_universal_minimum(code, 2, planted, kernels, restarts=20)
+    assert good[0].passed
+    assert not bad[0].passed
+    assert bad[0].dual_spread_rel <= DUAL_SPREAD_REL and bad[0].dual_match
+    assert bad[0].argmin_max_dist <= 1e-5

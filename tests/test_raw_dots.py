@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiffkit import design
+from stiffkit import codes, design
 from stiffkit.codes import (
     GEMM_MACS,
     LatticeCode,
     LatticePoint,
     cube,
+    dot_blocks,
     e8_roots,
+    int_arrays,
     polytope_2_41,
     raw_dots,
 )
@@ -132,6 +134,34 @@ def test_pair_values_match_counter_of_object_table(code, rows):
         mp.setattr(design, "BLOCK_BYTES", 8 * code.size * rows)
         got = _gram_multiset.__wrapped__(code)
     assert got == tuple((Fraction(v, code.norm_sq), want[v]) for v in sorted(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_codes(), st.integers(0, 9))
+def test_dot_blocks_tile_the_table(code, rows):
+    # blocks of 1..9 rows (0: a block smaller than one row still takes a
+    # row), a ragged last block, int64 under the float guard and Python
+    # integers past it; each block is copied, as the next one reuses it
+    a, b = code.points, code.points[::-1]
+    x, y = int_arrays(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "BLOCK_BYTES", 8 * len(b) * rows)
+        got = [(s, block.copy()) for s, block in dot_blocks(x, y, exact=True)]
+    step = max(rows, 1)
+    assert [s for s, _ in got] == list(range(0, len(a), step))
+    assert [len(block) for _, block in got] == [min(step, len(a) - s) for s, _ in got]
+    assert {block.dtype for _, block in got} == {np.dtype(np.int64 if x.dtype == float
+                                                         else object)}
+    assert np.vstack([block for _, block in got]).tolist() == _dots_loop(a, b)
+
+
+def test_float_dot_blocks_are_the_rows_of_one_product(monkeypatch):
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(23, 8)), rng.normal(size=(11, 8))
+    monkeypatch.setattr(codes, "BLOCK_BYTES", 8 * 11 * 5)
+    got = [(s, block.copy()) for s, block in dot_blocks(x, y, exact=False)]
+    assert [s for s, _ in got] == [0, 5, 10, 15, 20]
+    assert np.array_equal(np.vstack([block for _, block in got]), x @ y.T)
 
 
 def test_every_blas_call_is_single_threaded_size(monkeypatch):

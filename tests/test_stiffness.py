@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stiffkit import design, gegenbauer, stiffness
+from stiffkit import codes, design, gegenbauer, stiffness
 from stiffkit._linalg import integer_nullspace
 from stiffkit.codes import (
     FloatCode,
@@ -51,6 +51,7 @@ from stiffkit.stiffness import (
     dual_search,
     dual_to_code,
 )
+from stiffkit.suite import NODES_2160
 from stiffkit.transforms import glue, rotated_cubes, symmetrize
 
 
@@ -1252,3 +1253,106 @@ class TestBruteForceScan:
         monkeypatch.setenv(ENV_SIZE_CAP, "100")
         with pytest.raises(SizeCapExceeded):
             brute_force_dual(cube(3), 2)  # 2 * C(3,2) * C(8,2) = 168
+
+
+def _peak_bytes(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _two_circles(n: int, height: float) -> FloatCode:
+    """n points on each of the circles x.e_3 = +-height, the lower one
+    turned by half a step: D_2 is +-e_3."""
+    t = 2 * np.pi * np.arange(n) / n
+    r = math.sqrt(1 - height * height)
+    return FloatCode(f"two_circles({n})", 3, np.vstack([
+        np.column_stack([r * np.cos(t), r * np.sin(t), np.full(n, height)]),
+        np.column_stack([r * np.cos(t + np.pi / n), r * np.sin(t + np.pi / n),
+                         np.full(n, -height)])]))
+
+
+class TestStreamedProducts:
+    """The dual x code tables are read block by block from codes.dot_blocks;
+    blocks of 7 rows give the same verdicts as the default 1 MiB blocks,
+    and no whole table is held."""
+
+    @staticmethod
+    def _small_blocks(mp, width: int) -> list:
+        """Blocks of 7 rows against width columns, where the stream and the
+        float residuals size them; returns the row counts of the blocks."""
+        rows = []
+        real = codes.dot_blocks
+
+        def logged(x, y, exact):
+            for start, block in real(x, y, exact):
+                rows.append(len(block))
+                yield start, block
+
+        mp.setattr(codes, "BLOCK_BYTES", 8 * 7 * width)
+        mp.setattr(stiffness, "BLOCK_BYTES", 8 * 7 * width)
+        mp.setattr(stiffness, "dot_blocks", logged)
+        return rows
+
+    @pytest.mark.parametrize("make,m,nodes", [
+        (polytope_2_41, 5, NODES_2160),
+        (e8_roots, 5, NODES_2160),
+        (lambda: demicube(5), 2, None),
+        (lambda: demicube(6), 2, None),
+        (lambda: demicube(7), 2, None),
+        (lambda: cube(3), 2, None),
+        (lambda: ngon(8), 4, None),
+    ], ids=["2_41", "e8", "demicube5", "demicube6", "demicube7", "cube3", "ngon8"])
+    def test_small_blocks_give_the_same_certificate(self, make, m, nodes):
+        code = make()
+        cert = certify_stiff(code, m, nodes)
+        with pytest.MonkeyPatch.context() as mp:
+            rows = self._small_blocks(mp, code.size)
+            small = certify_stiff(code, m, nodes)
+        assert small.to_json_dict() == cert.to_json_dict()
+        assert small.frequency_table == cert.frequency_table  # every row, not the first
+        assert len(rows) > 2 and min(rows) < max(rows)  # ragged last blocks
+
+    def test_survivor_missing_a_node_in_the_last_block_is_dropped(self):
+        # 2 e_i and, last, p = (1, 1, 1, 1), all of norm 4: with nodes
+        # +-1/2 on the rows 2 e_i the walk's 16 survivors are the points
+        # (+-1, ..., +-1)/2, and the 8 with an even number of minus signs
+        # meet p at 0 or +-1, a miss in p's block only
+        axes = tuple(tuple(2 * s * (j == i) for j in range(4))
+                     for i in range(4) for s in (1, -1))
+        rhs = _exact_rhs([Surd(Fraction(-1, 2)), Surd(Fraction(1, 2))], 4)
+        node_idx = np.array(list(itertools.product(range(2), repeat=4)))
+        every = sorted(itertools.product((-1, 1), repeat=4))
+        odd = [v for v in every if sum(v) in (-2, 2)]
+        for with_p, want in ((False, every), (True, odd)):
+            code = LatticeCode("axes", 4, 4, axes + ((1, 1, 1, 1),) * with_p)
+            for small in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    if small:  # 9 code points x 16 survivors: rows 0-6, then 7-8
+                        rows = self._small_blocks(mp, 16)
+                    got = _exact_dual(code, [0, 2, 4, 6], node_idx, rhs)
+                if small:
+                    assert rows == [7, code.size - 7]
+                assert [p.vector for p in got] == want
+
+    def test_certificate_holds_no_dual_x_code_table(self):
+        # 2160 x 240 dots: a whole table is 4 MiB of int64, and the
+        # double-dual check would add a sorted copy and a diff beside it
+        code = polytope_2_41()
+        certify_stiff(code, 5, NODES_2160)  # the Gram multiset and the nodes, cached
+        assert _peak_bytes(lambda: certify_stiff(code, 5, NODES_2160)) < 6 * 2**20
+
+    def test_exact_dual_holds_no_survivor_x_code_table(self):
+        code = e8_roots()
+        dual_search(code, 5, NODES_2160)
+        assert _peak_bytes(lambda: dual_search(code, 5, NODES_2160)) < 6 * 2**20
+
+    def test_scan_holds_no_candidate_x_code_table(self):
+        # 35,970 candidates x 110 points: 30 MiB of dots, and their sort
+        code = _two_circles(55, 0.5)
+        hits = []
+        assert _peak_bytes(lambda: hits.append(brute_force_dual(code, 2))) < 12 * 2**20
+        assert np.array_equal(hits[0], [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
