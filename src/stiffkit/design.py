@@ -106,8 +106,9 @@ def _gram_parts(pts: np.ndarray):
 
 
 @lru_cache(maxsize=64)
-def _gram_multiset(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
-    """Multiset of unit dot products over all ordered pairs, diagonal included.
+def _gram_multiset(code: LatticeCode) -> tuple[tuple[int, int], ...]:
+    """Multiset of integer dot products over all ordered pairs, diagonal
+    included, as ascending (dot, count) pairs; the unit dot is dot/norm_sq.
 
     Each part of the integer Gram table from _gram_parts is collapsed by
     np.unique and its weighted counts merged into one count per integer dot.
@@ -117,22 +118,27 @@ def _gram_multiset(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
         vals, cnt = np.unique(part, return_counts=True)
         for v, c in zip(vals.tolist(), cnt.tolist()):
             counts[int(v)] += weight * c
-    return tuple((Fraction(v, code.norm_sq), counts[v]) for v in sorted(counts))
+    return tuple((v, counts[v]) for v in sorted(counts))
 
 
 def pair_values(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
     """Distinct unit dot values with multiplicities, over ordered pairs."""
-    return _gram_multiset(code)
+    return tuple((Fraction(v, code.norm_sq), c) for v, c in _gram_multiset(code))
 
 
 def _pair_sums(code: Code, degrees: Sequence[int]) -> list[Union[Fraction, float]]:
-    """pair_sum for each degree; an exact code looks its multiset up once,
-    a float code clips each Gram part once for all."""
+    """pair_sum for each degree; an exact code looks its multiset up once
+    and sums in integers, one Fraction per degree, a float code clips each
+    Gram part once for all."""
     d = code.sphere_dim
     polys = [gegenbauer_poly(d, n) for n in degrees]
     if isinstance(code, LatticeCode):
+        # each unit dot is v/q with the integer dot v and q = norm_sq, so
+        # sum c P(v/q) = sum c P.homogeneous(v, q) / (P.den q^n), in integers
+        q = code.norm_sq
         gram = _gram_multiset(code)
-        return [sum((p(t) * c for t, c in gram), Fraction(0)) for p in polys]
+        return [Fraction(sum(c * p.homogeneous(v, q) for v, c in gram), p.den * q**p.degree)
+                for p in polys]
     sums = [0.0] * len(polys)
     for part, weight in _gram_parts(code.unit_array()):
         np.clip(part, -1.0, 1.0, out=part)

@@ -2,10 +2,16 @@
 
 Everything is exact over Q: the polynomials follow a three-term recurrence,
 and the moments of the projection weight w_d(t) = gamma_d * (1 - t^2)^(d/2 - 1)
-on [-1, 1] a two-step one.  The roots of P_m are exact surds through m = 3,
-their quadrature weights exact Fractions.  Beyond that roots and weights are
-floats from one symmetric tridiagonal eigenproblem (Golub & Welsch, Math.
-Comp. 23, 1969), and every root is certified by an exact sign change of P_m.
+on [-1, 1] a two-step one.  A polynomial is held as integer numerators over
+one positive denominator, so the recurrence, evaluation at a rational a/b
+(Horner on sum N_k a^k b^(n-k)) and inner products (against the moments
+over their common denominator) run in Python ints and build one Fraction
+each, where Fraction arithmetic would reduce a gcd after every step.
+
+The roots of P_m are exact surds through m = 3, their quadrature weights
+exact Fractions.  Beyond that roots and weights are floats from one
+symmetric tridiagonal eigenproblem (Golub & Welsch, Math. Comp. 23, 1969),
+and every root is certified by an exact sign change of P_m.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence, Union
 
 import numpy as np
@@ -24,77 +33,115 @@ CoeffLike = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Univariate polynomial with exact rational coefficients, ascending order."""
+    """Univariate polynomial with exact rational coefficients, ascending order.
 
-    coeffs: tuple[Fraction, ...]
+    Held as integer numerators nums over one denominator den > 0, normalized:
+    gcd(den, *nums) = 1 and no trailing zero numerator (zero is (0,) over 1),
+    so equal polynomials have equal fields.  Arithmetic runs on the
+    numerators in Python ints; coeffs gives the Fractions.
+    """
+
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Sequence[CoeffLike]) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        object.__setattr__(self, "coeffs", tuple(cs))
+        fs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fs))
+        self._set([f.numerator * (den // f.denominator) for f in fs], den)
+
+    @classmethod
+    def _of(cls, nums: list[int], den: int) -> "Polynomial":
+        """nums over den, den nonzero, normalized."""
+        p = object.__new__(cls)
+        p._set(nums, den)
+        return p
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while len(nums) > 1 and nums[-1] == 0:
+            nums.pop()
+        nums = nums or [0]
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(n // g for n in nums))
+        object.__setattr__(self, "den", den // g)
 
     @staticmethod
     def monomial(k: int, coeff: CoeffLike = 1) -> "Polynomial":
         return Polynomial([0] * k + [coeff])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    def homogeneous(self, a: int, b: int) -> int:
+        """Sum of nums[k] a^k b^(n-k), n the degree, by Horner in integers:
+        self(a/b) times den b^n."""
+        acc, bk = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * a + c * bk if c else acc * a
+            bk *= b
+        return acc
 
     def __call__(self, x: CoeffLike) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x = Fraction(x)
+        b = x.denominator
+        return Fraction(self.homogeneous(x.numerator, b), self.den * b**self.degree)
 
     def eval_float(self, x, out=None):
         """Horner evaluation on a float or ndarray, in one accumulator.
 
-        `out`, a float array shaped like x and not x itself, receives the
-        values when given; a scalar or 0-d x gives a numpy float.
+        The float coefficients are nums[k] / den, correctly rounded, as
+        float(Fraction(nums[k], den)) is.  `out`, a float array shaped like
+        x and not x itself, receives the values when given; a scalar or 0-d
+        x gives a numpy float.
         """
         x = np.asarray(x, dtype=float)
         acc = np.empty_like(x) if out is None else out
         acc.fill(0.0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             np.multiply(acc, x, out=acc)
-            np.add(acc, float(c), out=acc)
+            np.add(acc, c / self.den, out=acc)
         return acc if acc.ndim else acc[()]
 
     def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0])
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Polynomial._of([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)])
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g  # self.den * fa is the lcm
+        return Polynomial._of([a * fa + b * fb for a, b in
+                               zip_longest(self.nums, other.nums, fillvalue=0)],
+                              self.den * fa)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._of([-c for c in self.nums], self.den)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+            s = Fraction(other)
+            return Polynomial._of([c * s.numerator for c in self.nums],
+                                  self.den * s.denominator)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: CoeffLike) -> "Polynomial":
-        return Polynomial([c / Fraction(scalar) for c in self.coeffs])
+        s = Fraction(scalar)
+        if not s:
+            raise ZeroDivisionError("polynomial divided by zero")
+        return Polynomial._of([c * s.denominator for c in self.nums],
+                              self.den * s.numerator)
 
     def __str__(self) -> str:
         terms = []
@@ -111,33 +158,46 @@ class Polynomial:
 
 
 @lru_cache(maxsize=None)
-def moment(d: int, k: int) -> Fraction:
-    """k-th moment of the normalized weight w_d on [-1, 1].
+def _moment_row(d: int, k_max: int) -> tuple[tuple[int, ...], int]:
+    """mu_0..mu_k_max of the normalized weight w_d on [-1, 1], as integer
+    numerators over one denominator.
 
     mu_0 = 1, odd moments vanish, and integration by parts gives
-    mu_k = mu_{k-2} * (k-1)/(k+d-1).
+    mu_k = mu_{k-2} * (k-1)/(k+d-1).  So with J = k_max // 2, mu_2j is
+    prod_(i<=j) (2i-1) * prod_(j<i<=J) (2i+d-1) over prod_(i<=J) (2i+d-1).
     """
     if d < 1:
         raise ValueError("sphere dimension d must be >= 1")
+    half = k_max // 2
+    tails = [1]  # tails[J - j] = prod_(j<i<=J) (2i+d-1)
+    for i in range(half, 0, -1):
+        tails.append(tails[-1] * (2 * i + d - 1))
+    nums, head = [], 1
+    for j in range(half + 1):
+        head *= max(2 * j - 1, 1)
+        nums += [head * tails[half - j], 0]
+    return tuple(nums[:k_max + 1]), tails[-1]
+
+
+@lru_cache(maxsize=None)
+def moment(d: int, k: int) -> Fraction:
+    """k-th moment of the normalized weight w_d on [-1, 1]."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    if k == 0:
-        return Fraction(1)
-    if k % 2 == 1:
-        return Fraction(0)
-    return moment(d, k - 2) * Fraction(k - 1, k + d - 1)
+    nums, den = _moment_row(d, k)
+    return Fraction(nums[k], den)
 
 
 def inner(p: Polynomial, q: Polynomial, d: int) -> Fraction:
-    """Inner product of two polynomials against the weight w_d."""
-    total = Fraction(0)
-    for i, a in enumerate(p.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(q.coeffs):
-            if b:
-                total += a * b * moment(d, i + j)
-    return total
+    """Inner product of two polynomials against the weight w_d: the sum of
+    p_i q_j mu_(i+j) on the numerators, over the moments' common
+    denominator; odd moments vanish, so only i + j even is summed."""
+    ms, den = _moment_row(d, p.degree + q.degree)
+    total = 0
+    for i, a in enumerate(p.nums):
+        if a:
+            total += a * sum(map(mul, q.nums[i % 2::2], ms[i + i % 2::2]))
+    return Fraction(total, p.den * q.den * den)
 
 
 def a0(q: Polynomial, d: int) -> Fraction:
@@ -157,8 +217,13 @@ def gegenbauer_poly(d: int, n: int) -> Polynomial:
         raise ValueError("sphere dimension d must be >= 1")
     if n == 1:
         return Polynomial([0, 1])
-    step = Polynomial.monomial(1, 2 * n + d - 3) * gegenbauer_poly(d, n - 1)
-    return (step - gegenbauer_poly(d, n - 2) * (n - 1)) / (n + d - 2)
+    p1, p2 = gegenbauer_poly(d, n - 1), gegenbauer_poly(d, n - 2)
+    g = gcd(p1.den, p2.den)
+    f1, f2 = p2.den // g, p1.den // g  # p1.den * f1 is the lcm
+    nums = [0] + [(2 * n + d - 3) * f1 * c for c in p1.nums]
+    for k, c in enumerate(p2.nums):
+        nums[k] -= (n - 1) * f2 * c
+    return Polynomial._of(nums, p1.den * f1 * (n + d - 2))
 
 
 @dataclass(frozen=True)

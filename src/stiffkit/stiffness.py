@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -430,6 +431,11 @@ class StiffnessCertificate:
     frequencies_match_weights: Optional[bool]
     properties: dict
 
+    @property
+    def frequencies_constant(self) -> bool:
+        """Every dual point has the same frequency row."""
+        return _rows_equal(self.frequency_table)
+
     def to_json_dict(self) -> dict:
         out = {
             "code": self.code_name,
@@ -450,7 +456,7 @@ class StiffnessCertificate:
             ]
             out["frequency_table"] = {
                 "per_point": first,
-                "constant_across_dual": len(set(self.frequency_table)) <= 1,
+                "constant_across_dual": self.frequencies_constant,
             }
         return out
 
@@ -526,19 +532,29 @@ def _at_most_m_distinct(dots: np.ndarray, m: int, gap: float) -> bool:
     return bool(np.all((np.diff(dots, axis=1) > gap).sum(axis=1) < m))
 
 
+def _rows_equal(rows) -> bool:
+    """All rows are equal, by tuple equality of neighbours: a set of the
+    rows would hash every Surd in them through a Fraction hash.  Rows from
+    one block of spectra share their Surd objects, so neighbours compare by
+    identity except across blocks."""
+    return all(a == b for a, b in pairwise(rows))
+
+
 def _frequencies_match(code: Code, m: int, dual: DualSearchResult,
                        freq_table) -> bool:
     """Prop-2.3 check: counts equal a_0(Lagrange basis) * N for every point."""
     if dual.nodes_supplied and len(dual.node_values) == m:
         # weights are certified only for the canonical Gegenbauer nodes, so
         # all rows must at least agree with each other
-        return len(set(freq_table)) <= 1
+        return _rows_equal(freq_table)
     ns = gegenbauer_nodes(code.sphere_dim, m)
     n = code.size
     expected = list(zip(ns.nodes, ns.weights))
     if ns.exact and dual.exact:
+        # an exact row lists distinct values in ascending order, so rows
+        # with equal dicts are equal tuples: one dict, of the first row
         want = {Surd(v): Fraction(w) * n for v, w in expected}
-        return all(dict(row) == want for row in freq_table)
+        return _rows_equal(freq_table) and dict(freq_table[0]) == want
     want_f = sorted((float(v), float(w) * n) for v, w in expected)
     for row in freq_table:
         got_f = sorted((float(v), c) for v, c in row)

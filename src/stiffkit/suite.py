@@ -113,8 +113,8 @@ def criterion_3() -> CriterionResult:
     cert = certify_stiff(code, 5, nodes=NODES_2160)
     res = cert.dual
     ok = res.exact and res.count == 240 and res.as_code().same_point_set(_shared("e8"))
-    rows = set(cert.frequency_table)
-    spectra_ok = ok and len(rows) == 1 and all(c > 0 for _, c in cert.frequency_table[0])
+    spectra_ok = (ok and cert.frequencies_constant
+                  and all(c > 0 for _, c in cert.frequency_table[0]))
     elapsed = time.time() - t0
     return _result(
         3, "240-root dual of the 2160-point code", t0,
@@ -138,11 +138,10 @@ def criterion_4() -> CriterionResult:
             continue
         if not cert.frequencies_match_weights:
             problems.append(f"{code.name} frequency mismatch")
-        half = code.size // 2
+        want = ((-node, code.size // 2), (node, code.size // 2))  # rows ascend
         for row in cert.frequency_table:
-            got = {v: c for v, c in row}
-            if got != {node: half, -node: half}:
-                problems.append(f"{code.name} row {sorted(got.values())}")
+            if row != want:
+                problems.append(f"{code.name} row {sorted(c for _, c in row)}")
                 break
     return _result(
         4, "half-count node frequencies for 2-stiff codes", t0, not problems,

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import gcd, isqrt, lcm
 
@@ -17,6 +20,7 @@ from stiffkit.codes import (
     LatticePoint,
     close_pairs,
     common_norm,
+    covered_by,
     cross_polytope,
     cube,
     demicube,
@@ -29,6 +33,7 @@ from stiffkit.codes import (
     save_code,
     unit_surd,
 )
+import stiffkit
 from stiffkit.config import ENV_SIZE_CAP, BadSizeCap, SizeCapExceeded, size_cap
 from stiffkit.exact import Surd
 from fractions import Fraction
@@ -222,11 +227,29 @@ def test_close_pairs_matches_brute_force(kind, seed, scale):
     order = np.lexsort((j, i))
     assert np.array_equal(i[order], want_i) and np.array_equal(j[order], want_j)
     assert np.array_equal(dist[order], want_dist)
+    assert covered_by(a, b, radius) == (set(want_i.tolist()) == set(range(len(a))))
     if kind == "boundary" and scale != 1.0:
         # a_k + step_k sits at distance radius / scale from a_k, up to rounding
         hit = set(zip(i.tolist(), j.tolist()))
         moved = [(k, len(b) - len(a) + k) in hit for k in range(len(a))]
         assert all(moved) if scale > 1 else not any(moved)
+
+
+def test_covered_by_leaves_numpy_ma_unimported():
+    # np.unique's sort path imports numpy.ma, about 20 ms in a fresh process;
+    # numpy 1.x loads numpy.ma with numpy itself, so only an import that
+    # covered_by adds counts
+    script = ("import sys, numpy as np\n"
+              "from stiffkit.codes import covered_by, ngon\n"
+              "a = ngon(12).unit_array()\n"
+              "before = 'numpy.ma' in sys.modules\n"
+              "assert covered_by(a, a[::-1], 1e-9) and not covered_by(a, a[1:], 1e-9)\n"
+              "sys.exit(not before and 'numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(stiffkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_size_cap(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
@@ -66,10 +67,10 @@ def test_pair_values_bookkeeping():
     assert as_dict[Fraction(-1)] == 8
 
 
-def _full_table_multiset(code: LatticeCode) -> tuple[tuple[Fraction, int], ...]:
+def _full_table_multiset(code: LatticeCode) -> tuple[tuple[int, int], ...]:
     """Reference: np.unique over the whole N x N integer Gram table."""
     vals, counts = np.unique(raw_dots(code.points, code.points), return_counts=True)
-    return tuple((Fraction(int(v), code.norm_sq), int(c)) for v, c in zip(vals, counts))
+    return tuple((int(v), int(c)) for v, c in zip(vals, counts))
 
 
 @st.composite
@@ -102,7 +103,8 @@ def test_block_multiset_matches_full_table(code, rows):
     cross_polytope(4), cube(5), demicube(6), e8_roots(), polytope_2_41(),
 ], ids=lambda c: c.name)
 def test_shipped_multisets_match_full_table(code):
-    assert pair_values(code) == _full_table_multiset(code)
+    want = _full_table_multiset(code)
+    assert pair_values(code) == tuple((Fraction(v, code.norm_sq), c) for v, c in want)
 
 
 def test_multiset_holds_no_full_table():
@@ -132,6 +134,36 @@ def test_2_41_index_set():
     assert rep.strength == 7  # a 7-design, not an 8-design
     assert rep.exact
     assert pair_sum(polytope_2_41(), 8) == Fraction(388800, 143)
+
+
+def _gegenbauer_at(d: int, n_max: int, t: Fraction) -> list[Fraction]:
+    """Reference: P_0(t)..P_n_max(t) from the three-term recurrence run at
+    the point t in Fractions, no polynomial built."""
+    vals = [Fraction(1), t]
+    for n in range(2, n_max + 1):
+        vals.append(((2 * n + d - 3) * t * vals[-1] - (n - 1) * vals[-2]) / (n + d - 2))
+    return vals[:n_max + 1]
+
+
+_EXACT_CODES = ([cross_polytope(d) for d in range(2, 11)] + [cube(d) for d in range(2, 11)]
+                + [demicube(d) for d in range(3, 12)] + [e8_roots(), polytope_2_41()])
+
+
+@pytest.mark.parametrize("code", _EXACT_CODES, ids=lambda c: c.name)
+def test_integer_pair_sums_match_fraction_reference(code):
+    # the integer Horner sums against P_n evaluated in Fractions per
+    # distinct dot, and the index set's JSON byte for byte
+    n_max, d = 10, code.sphere_dim
+    want = [Fraction(0)] * n_max
+    for t, c in pair_values(code):
+        for n, v in enumerate(_gegenbauer_at(d, n_max, t)[1:]):
+            want[n] += c * v
+    assert _pair_sums(code, range(1, n_max + 1)) == want
+    zeros = [n for n, s in enumerate(want, 1) if s == 0]
+    strength = next(n for n in range(n_max + 1) if n + 1 not in zeros)
+    assert json.dumps(index_set(code, n_max).to_json_dict()) == json.dumps(
+        {"code": code.name, "checked_up_to": n_max, "index_set": zeros,
+         "strength": strength, "exact": True})
 
 
 @pytest.mark.parametrize("make", [

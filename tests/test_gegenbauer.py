@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import cos, pi
+from itertools import zip_longest
+from math import cos, gcd, pi
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiffkit import gegenbauer
 from stiffkit.exact import Surd
@@ -281,3 +284,118 @@ def test_many_nodes_are_fast():
     ns = nodes(7, 50)
     assert time.perf_counter() - start < 5.0
     assert len(ns.nodes) == 50 and not ns.exact
+
+
+# Plain-Fraction reference for the integer representation: coefficient
+# lists, ascending, with today's Horner and double loop.
+
+def _ref_trim(cs) -> tuple[Fraction, ...]:
+    cs = [Fraction(c) for c in cs]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs) or (Fraction(0),)
+
+
+def _ref_add(a, b):
+    return _ref_trim([x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0))])
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_call(cs, x):
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_inner(a, b, d):
+    return sum((x * y * moment(d, i + j) for i, x in enumerate(a) for j, y in enumerate(b)),
+               Fraction(0))
+
+
+def _ref_gegenbauer(d, n):
+    """(n+d-2) P_n = (2n+d-3) t P_{n-1} - (n-1) P_{n-2} on Fraction lists."""
+    p2, p1 = (Fraction(1),), (Fraction(0), Fraction(1))
+    if n == 0:
+        return p2
+    for k in range(2, n + 1):
+        step = [Fraction(0)] + [(2 * k + d - 3) * c for c in p1]
+        prev = [-(k - 1) * c for c in p2]
+        p2, p1 = p1, tuple(c / (k + d - 2) for c in _ref_add(step, prev))
+    return p1
+
+
+_rationals = st.one_of(st.integers(-(10**20), 10**20),
+                       st.fractions(max_denominator=10**9).filter(lambda f: abs(f) < 10**6))
+_coeffs = st.lists(st.one_of(st.just(0), st.integers(-50, 50),
+                             st.fractions(min_value=-100, max_value=100, max_denominator=1000)),
+                   max_size=8)
+
+
+def _assert_normalized(p: Polynomial):
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert p.nums[-1] != 0 or p.nums == (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeffs, _coeffs, _rationals, _rationals, st.integers(1, 12))
+def test_integer_representation_matches_fraction_reference(a, b, s, x, d):
+    p, q = Polynomial(a), Polynomial(b)
+    ra, rb = _ref_trim(a), _ref_trim(b)
+    assert p.coeffs == ra and q.coeffs == rb
+    results = {
+        "+": (p + q, _ref_add(ra, rb)),
+        "-": (p - q, _ref_add(ra, [-c for c in rb])),
+        "neg": (-p, _ref_trim([-c for c in ra])),
+        "*": (p * q, _ref_mul(ra, rb)),
+        "*s": (p * s, _ref_trim([c * s for c in ra])),
+        "s*": (s * p, _ref_trim([s * c for c in ra])),
+        "d/dt": (p.derivative(), _ref_trim([k * c for k, c in enumerate(ra)][1:] or [0])),
+    }
+    if s:
+        results["/s"] = (p / s, _ref_trim([c / Fraction(s) for c in ra]))
+    for op, (got, want) in results.items():
+        _assert_normalized(got)
+        assert got.coeffs == want, op
+        assert got == Polynomial(want) and hash(got) == hash(Polynomial(want)), op
+    assert p(x) == _ref_call(ra, x) and type(p(x)) is Fraction
+    assert inner(p, q, d) == _ref_inner(ra, rb, d)
+    assert a0(p, d) == _ref_inner(ra, [Fraction(1)], d)
+    assert str(p) == str(Polynomial(list(ra)))
+
+
+def test_division_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        Polynomial([1, 2]) / 0
+    with pytest.raises(ZeroDivisionError):
+        Polynomial([0]) / Fraction(0)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_recurrence_matches_fraction_reference(d):
+    for n in range(15):
+        p = gegenbauer_poly(d, n)
+        _assert_normalized(p)
+        assert p.coeffs == _ref_gegenbauer(d, n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_coeffs.map(Polynomial),
+                 st.lists(st.fractions(-1, 1, max_denominator=2**80), max_size=8).map(Polynomial),
+                 st.tuples(st.integers(1, 30), st.integers(0, 40)).map(
+                     lambda dn: gegenbauer_poly(*dn))),
+       st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=40))
+def test_eval_float_matches_fraction_coefficient_horner(p, xs):
+    # float coefficients nums[k] / den round as float(Fraction) does, also
+    # past 2**53, where float(nums[k]) / float(den) would round twice
+    table = np.array(xs)
+    assert np.array_equal(p.eval_float(table), _horner_allocating(p, table))
+    for x in xs[:3]:
+        assert p.eval_float(x) == _horner_allocating(p, x)

@@ -640,6 +640,34 @@ class TestCertify:
         assert cert.frequencies_match_weights is False
         assert not cert.stiff
 
+    @pytest.mark.parametrize("make,m,nodes,constant", [
+        (lambda: cross_polytope(4), 2, None, True),
+        (lambda: demicube(6), 2, None, True),
+        (lambda: rotated_cubes(3)[0], 2, None, True),
+        (lambda: LatticeCode("five", 3, 1, tuple(sorted(
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)]))),
+         3, (Surd(-1), Surd(0), Surd(1)), False),
+    ], ids=["x4", "d6", "rotated_cubes3", "five_points"])
+    def test_constant_rows_by_tuple_equality(self, make, m, nodes, constant):
+        # rows compared with the first, not hashed into a set; the five
+        # points' dual +-e_3 sees them unlike +-e_1 and +-e_2 do
+        cert = certify_stiff(make(), m, nodes=nodes)
+        assert (len(set(cert.frequency_table)) <= 1) is constant
+        assert cert.frequencies_constant is constant
+        assert cert.to_json_dict()["frequency_table"]["constant_across_dual"] is constant
+        assert cert.frequencies_match_weights is constant
+
+    def test_exact_frequency_count_mismatch(self):
+        # the exact twin of the triangle above: a square at height
+        # sqrt(1/2) meets e_3 at the one supplied node, four times, where
+        # the weights of m = 2 on S^2 split the code between +-sqrt(1/3)
+        sq = LatticeCode("sq", 3, 2, tuple(sorted([(1, 0, 1), (-1, 0, 1),
+                                                   (0, 1, 1), (0, -1, 1)])))
+        cert = certify_stiff(sq, 2, nodes=(Surd.sqrt_of(Fraction(1, 2)),))
+        assert cert.dual.exact and [p.vector for p in cert.dual.points] == [(0, 0, 1)]
+        assert cert.frequencies_constant
+        assert cert.frequencies_match_weights is False
+
     def test_certificate_json_fields(self):
         cert = certify_stiff(cross_polytope(4), 2)
         blob = cert.to_json_dict()
