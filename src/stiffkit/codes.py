@@ -6,7 +6,8 @@ Configurations without such a model (polygons, glued or rotated families)
 are FloatCodes with an explicit tolerance.
 
 Float point sets are compared in one place, `close_pairs`, by a sweep:
-both sets are projected on one fixed, seeded unit direction r.  Since
+both sets are projected on one fixed unit direction r, the first row of
+`random_units(0, 1, dim)`.  Since
 |a.r - b.r| <= |a - b|, only the points of b whose projections lie within
 the radius (plus a rounding bound) of a's can be that close, and only
 those candidates are measured, so repeat, antipode and disjointness
@@ -24,6 +25,7 @@ from itertools import combinations, product
 from math import cos, gcd, isqrt, lcm, pi, sin
 from operator import index
 from pathlib import Path
+from random import Random
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -169,14 +171,26 @@ def unit_surd(raw: int, norm_a: int, norm_b: int) -> Surd:
     return Surd(Fraction(raw, g * rest), rest)
 
 
+def random_units(seed: int, rows: int, dim: int) -> np.ndarray:
+    """rows x dim uniform unit vectors: dim draws of gauss(0, 1) per row from
+    one random.Random(seed), row by row, each row then normalized, so row i
+    is the same for any rows > i.  A negative seed is refused, since Random
+    would take s and -s as one seed."""
+    seed = index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    gauss = Random(seed).gauss
+    rand = np.array([gauss(0.0, 1.0) for _ in range(rows * dim)]).reshape(rows, dim)
+    return rand / np.linalg.norm(rand, axis=1)[:, None]
+
+
 def close_pairs(a: np.ndarray, b: np.ndarray,
                 radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every index pair (i, j) of rows with |a_i - b_j| <= radius (>= 0), and
     the distances np.linalg.norm(a_i - b_j), by the sweep described above.
     The candidate count goes through check_size."""
     dim = a.shape[1]
-    r = np.random.default_rng(0).normal(size=dim)
-    r /= np.linalg.norm(r)
+    r = random_units(0, 1, dim)[0]
     pa, pb = a @ r, b @ r
     order = np.argsort(pb)
     pb = pb[order]

@@ -118,9 +118,6 @@ class Surd:
     def __neg__(self) -> "Surd":
         return Surd(-self.coeff, self.radicand)
 
-    def __abs__(self) -> "Surd":
-        return Surd(abs(self.coeff), self.radicand)
-
     def __add__(self, other: Scalar) -> "Surd":
         o = self._coerce(other)
         if o is NotImplemented:
@@ -139,9 +136,6 @@ class Surd:
 
     def __sub__(self, other: Scalar) -> "Surd":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other: Scalar) -> "Surd":
-        return (-self) + self._coerce(other)
 
     def __mul__(self, other: Scalar) -> "Surd":
         o = self._coerce(other)

@@ -7,7 +7,8 @@ argmin distance to the dual and the verdict.
 
 Kernels are functions of the dot product t with g(x.y) = f(|x-y|^2), so
 |x-y|^2 = 2-2t.  Minimization is multistart descent on the unit sphere:
-seeded random starts, the code antipodes that are not themselves code
+seeded random starts (codes.random_units: gauss draws from one stdlib
+random.Random), the code antipodes that are not themselves code
 points (an antipodal code has none; the report counts them as
 n_antipode_starts) and any supplied dual candidates, descended in one
 numpy batch, then clustered.  Each iteration takes a safeguarded
@@ -41,7 +42,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import Code, LatticePoint, dot_blocks, greedy_cluster, sorted_rows
+from .codes import (Code, LatticePoint, dot_blocks, greedy_cluster, random_units,
+                    sorted_rows)
 from .config import BLOCK_BYTES, check_size
 from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
@@ -443,28 +445,25 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
                        ) -> MinimizationReport:
     """Multistart minimization of the code's potential over the sphere.
 
-    Starts: `restarts` seeded uniform points (one spawned generator stream
-    per restart), the code antipodes that are not themselves code points
+    Starts: `restarts` seeded uniform points (codes.random_units(seed, ...):
+    row i is the same for any restarts > i, and a negative seed raises
+    ValueError), the code antipodes that are not themselves code points
     (Code.antipode_mask: exact for a LatticeCode, within 10x the tolerance
     for a FloatCode; an antipodal code has none), and the supplied dual
-    candidates.  Their count goes through check_size before any generator
-    is spawned.  Each start is evaluated once; starts where a singular
+    candidates.  Their count goes through check_size before any start is
+    drawn.  Each start is evaluated once; starts where a singular
     kernel blows up are dropped and counted, and each accepted descent step
     is evaluated once (see _descend).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     units = code.unit_array()
-    dim = code.ambient_dim
     antipodes = -units[~code.antipode_mask()]
     dual_units = _as_unit_rows(dual)
     n_dual = len(dual_units)
     check_size(restarts + len(antipodes) + n_dual, "descent starts")
 
-    streams = np.random.SeedSequence(seed).spawn(restarts)
-    rand = np.array([np.random.default_rng(s).normal(size=dim) for s in streams])
-    rand /= np.linalg.norm(rand, axis=1)[:, None]
-    starts = [rand, antipodes]
+    starts = [random_units(seed, restarts, code.ambient_dim), antipodes]
     if n_dual:
         starts.append(dual_units)
     x0 = np.vstack(starts)

@@ -10,7 +10,8 @@ Gluing implements the reflection construction that adds cardinalities of
 two m-stiff codes: reflect the first code so a dual point is shared, then
 reflect again across a random hyperplane through that dual point.  The
 copy must come out disjoint from the second code, which one proximity
-sweep checks; the random direction is retried otherwise.
+sweep checks; the next of GLUE_TRIES seeded directions is tried
+otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from ._linalg import integer_nullspace
 from .codes import (Code, FloatCode, LatticeCode, LatticePoint, Vector, close_pairs,
-                    common_norm, cube, gcd_reduce, raw_dots)
+                    common_norm, cube, gcd_reduce, random_units, raw_dots)
 from .exact import Surd
 from .stiffness import StiffnessCertificate, certify_stiff
 
@@ -135,9 +136,11 @@ def glue(code1: Code, code2: Code, m: int,
     """Union of two m-stiff codes after two reflections, again m-stiff.
 
     Reflect code1 so a dual point of code1 lands on a dual point z2 of
-    code2, then across a random hyperplane containing z2, drawn again
-    until the copy is disjoint from code2.  The resulting union of (2m-1)-designs
-    is a (2m-1)-design with z2 in its dual.
+    code2, then across a random hyperplane containing z2: its normal is the
+    next row of codes.random_units(seed, GLUE_TRIES, d) made orthogonal to
+    z2, until the copy is disjoint from code2.  A negative seed raises
+    ValueError.  The resulting union of (2m-1)-designs is a (2m-1)-design
+    with z2 in its dual.
     """
     if code1.ambient_dim != code2.ambient_dim:
         raise ValueError("codes live in different ambient dimensions")
@@ -158,10 +161,8 @@ def glue(code1: Code, code2: Code, m: int,
     u /= np.linalg.norm(u)
     pts1r = pts1 - 2.0 * (pts1 @ u)[:, None] * u[None, :]  # now z2 in its dual
 
-    rng = np.random.default_rng(seed)
     d1 = code1.ambient_dim
-    for _ in range(GLUE_TRIES):
-        a = rng.normal(size=d1)
+    for a in random_units(seed, GLUE_TRIES, d1):
         a -= (a @ z2) * z2  # enforce a ⊥ z2
         n = np.linalg.norm(a)
         if n < 1e-9:

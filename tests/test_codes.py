@@ -29,6 +29,7 @@ from stiffkit.codes import (
     load_code,
     ngon,
     polytope_2_41,
+    random_units,
     raw_dots,
     save_code,
     unit_surd,
@@ -235,21 +236,53 @@ def test_close_pairs_matches_brute_force(kind, seed, scale):
         assert all(moved) if scale > 1 else not any(moved)
 
 
-def test_covered_by_leaves_numpy_ma_unimported():
-    # np.unique's sort path imports numpy.ma, about 20 ms in a fresh process;
-    # numpy 1.x loads numpy.ma with numpy itself, so only an import that
-    # covered_by adds counts
-    script = ("import sys, numpy as np\n"
-              "from stiffkit.codes import covered_by, ngon\n"
-              "a = ngon(12).unit_array()\n"
-              "before = 'numpy.ma' in sys.modules\n"
-              "assert covered_by(a, a[::-1], 1e-9) and not covered_by(a, a[1:], 1e-9)\n"
-              "sys.exit(not before and 'numpy.ma' in sys.modules)\n")
+def _run_fresh(script: str) -> None:
+    """Run script in a fresh interpreter that imports stiffkit from this
+    checkout; it must exit 0."""
     src = os.path.dirname(os.path.dirname(stiffkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_covered_by_leaves_numpy_ma_unimported():
+    # np.unique's sort path imports numpy.ma, about 20 ms in a fresh process;
+    # numpy 1.x loads numpy.ma with numpy itself, so only an import that
+    # covered_by adds counts
+    _run_fresh("import sys, numpy as np\n"
+               "from stiffkit.codes import covered_by, ngon\n"
+               "a = ngon(12).unit_array()\n"
+               "before = 'numpy.ma' in sys.modules\n"
+               "assert covered_by(a, a[::-1], 1e-9) and not covered_by(a, a[1:], 1e-9)\n"
+               "sys.exit(not before and 'numpy.ma' in sys.modules)\n")
+
+
+def test_seeded_draws_leave_numpy_random_unimported():
+    # numpy.random costs about 14 ms and 6 MB in a fresh process; numpy 1.x
+    # loads it with numpy itself, so only an import that the descent, the
+    # close-pairs sweep of a FloatCode or glue adds counts
+    _run_fresh("import sys, numpy as np\n"
+               "before = 'numpy.random' in sys.modules\n"
+               "from stiffkit.codes import FloatCode, cross_polytope, demicube, ngon\n"
+               "from stiffkit.potential import Kernel, minimize_potential\n"
+               "from stiffkit.transforms import glue\n"
+               "minimize_potential(demicube(5), Kernel.parse('gauss:1'), restarts=8)\n"
+               "FloatCode('n12', 2, ngon(12).unit_array(), tolerance=1e-9)\n"
+               "glue(cross_polytope(3), cross_polytope(3), 2)\n"
+               "sys.exit(not before and 'numpy.random' in sys.modules)\n")
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 24])
+def test_random_units_are_seeded_unit_rows(dim):
+    rows = random_units(5, 40, dim)
+    assert rows.shape == (40, dim)
+    assert np.array_equal(rows, random_units(5, 40, dim))
+    assert not np.array_equal(rows, random_units(6, 40, dim))
+    # row i does not depend on how many rows follow it
+    for n in (1, 7, 39):
+        assert np.array_equal(random_units(5, n, dim), rows[:n])
+    assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-15)
 
 
 def test_size_cap(monkeypatch):

@@ -508,6 +508,30 @@ class TestMinimize:
         assert ublob["n_antipode_starts"] == 0
         assert ublob["n_failed"] == 0
 
+    def test_seeded_starts(self, monkeypatch):
+        # the random starts are random_units(seed, restarts, d), which
+        # test_random_units_are_seeded_unit_rows pins; the code's antipodes
+        # follow them
+        import stiffkit.potential as potential
+        seen = []
+
+        def stop(units, unit_pairs, kernel, x0, *rest):
+            seen.append(x0)
+            raise StopIteration
+
+        monkeypatch.setattr(potential, "_descend", stop)
+        code = demicube(5)
+        with pytest.raises(StopIteration):
+            minimize_potential(code, Kernel.parse("gauss:1"), restarts=30, seed=4)
+        (x0,) = seen
+        assert np.array_equal(x0[:30], codes.random_units(4, 30, 5))
+        assert np.array_equal(x0[30:], -code.unit_array())
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            minimize_potential(cross_polytope(3), Kernel.parse("gauss:1"),
+                               restarts=4, seed=-1)
+
     def test_float_drift_past_one_is_singular(self):
         # demicube(6)'s unit dots with its own points round to 1 + ulp in
         # places; clipped, every code point evaluates to +inf, never NaN

@@ -171,6 +171,11 @@ class TestGlue:
         with pytest.raises(ValueError):
             glue(ngon(4), ngon(4), 2)
 
+    def test_negative_seed_rejected(self):
+        # random.Random would take -3 and 3 as one seed
+        with pytest.raises(ValueError, match="seed"):
+            glue(cross_polytope(3), cross_polytope(3), 2, seed=-3)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             glue(cross_polytope(3), cross_polytope(4), 2)
