@@ -98,37 +98,34 @@ def products(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def dot_blocks(x: np.ndarray, y: np.ndarray, exact: bool):
+def dot_blocks(x: np.ndarray, y: np.ndarray):
     """The table x @ y.T as (start, block) pairs, block = x[start:start + k]
     @ y.T with k rows, k * len(y) * 8 <= BLOCK_BYTES and k >= 1.
 
     x and y are converted once by the caller: both from int_arrays
-    (exact), or both float unit rows.  Exact blocks are int64 when
-    int_arrays picked float64, whose products are then integers below
-    2^53, and Python integers otherwise.  Every block is filled by
-    products into one buffer, reused, so a block is valid until the next
-    one is drawn and no len(x) x len(y) table is held."""
+    (exact), or both float unit rows.  Each block is the product buffer
+    itself, of x's dtype: an exact block is float64 when int_arrays picked
+    float64, every entry then an integer below 2^53 in magnitude, and
+    Python integers otherwise.  The one buffer is reused, so a block is
+    valid until the next one is drawn and no len(x) x len(y) table is
+    held."""
     step = max(1, BLOCK_BYTES // (8 * len(y)))
     buf = np.empty((min(step, len(x)), len(y)), dtype=x.dtype)
-    ints = np.empty(buf.shape, dtype=np.int64) if exact and x.dtype == float else None
     for s in range(0, len(x), step):
         rows = x[s:s + step]
-        block = products(rows, y, buf[:len(rows)])
-        if ints is not None:
-            block = ints[:len(rows)]
-            block[...] = buf[:len(rows)]
-        yield s, block
+        yield s, products(rows, y, buf[:len(rows)])
 
 
 def raw_dots(a: Sequence[Vector], b: Sequence[Vector]) -> np.ndarray:
     """Integer dot products a_i . b_j, the whole table, for small tables
     (a probe's row, the walk's Gram and adjugate rows, a basis): int64 when
     int_arrays picks float64, whose entries are then integers below 2^53,
-    and Python integers otherwise.  It collects dot_blocks, which the
-    dual x code tables read block by block instead."""
+    and Python integers otherwise.  It casts the float64 or object blocks
+    of dot_blocks, which the dual x code tables read block by block
+    instead, into that table."""
     x, y = int_arrays(a, b)
     out = np.empty((len(x), len(y)), dtype=np.int64 if x.dtype == float else object)
-    for s, block in dot_blocks(x, y, exact=True):
+    for s, block in dot_blocks(x, y):
         out[s:s + len(block)] = block
     return out
 

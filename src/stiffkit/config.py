@@ -7,13 +7,16 @@ import os
 DEFAULT_SIZE_CAP = 2**22
 
 # bytes of one block of a table computed block by block: 1 MiB, 60 rows of
-# the 2160-point code, fits in a 2 MiB L2 cache.  Its users: the Gram row
-# blocks of the pair sums (design._gram_parts); the descent's rows x code
-# tables (potential._evaluate); and the stream codes.dot_blocks, which
-# raw_dots collects and which the survivor certification, the frequency
-# rows, the double-dual check, verify_universal_minimum's m-check and the
-# scans' widths read block by block; the float dual's residuals take
-# blocks of candidates of the same size (stiffness.dual_search)
+# the 2160-point code, fits in a 2 MiB L2 cache.  Each stream of blocks
+# holds one live block.  Its users: the Gram row blocks of the pair sums
+# (design._gram_parts, whose parts are counted in place); the descent's
+# rows x code tables (potential._evaluate, a dot table and one scratch
+# table); and the stream codes.dot_blocks, whose block is its product
+# buffer, which raw_dots collects and which the survivor certification,
+# the frequency rows, the double-dual check, verify_universal_minimum's
+# m-check and the scans' widths read block by block; the float dual's
+# residuals take blocks of candidates of the same size
+# (stiffness.dual_search)
 BLOCK_BYTES = 1 << 20
 
 ENV_SIZE_CAP = "STIFFKIT_SIZE_CAP"

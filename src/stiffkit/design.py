@@ -2,14 +2,15 @@
 
 A configuration is an n-design exactly when the double sum of P_k over all
 ordered point pairs vanishes for k = 1..n.  Both arithmetics take the Gram
-table the same way, by _gram_parts: in row blocks of its upper triangle
-(one table of BLOCK_BYTES reused, so no N x N table is ever held), each
-block filled by codes.products in single-threaded BLAS tiles.  For integer
-codes the points are converted once by codes.int_arrays (float64 holding
-exact integers under its guard, Python integers past it), the blocks'
-counts are merged into one multiset of integer dot values, and each P_k is
+table the same way, by _gram_parts: in row blocks of its upper triangle,
+each part laid out contiguously in one buffer of BLOCK_BYTES reused (so
+no N x N table is ever held) and filled by codes.products in
+single-threaded BLAS tiles.  For integer codes the points are converted
+once by codes.int_arrays (float64 holding exact integers under its guard,
+Python integers past it); each part is sorted in place, its runs of equal
+values counted into one multiset of integer dot values, and each P_k is
 evaluated once per distinct value in exact rational arithmetic.  For float
-codes each block is clipped to [-1, 1] and every P_k summed over it.
+codes each part is clipped to [-1, 1] and every P_k summed over it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -90,19 +91,21 @@ def _gram_parts(pts: np.ndarray):
     Block [s, s + step) is multiplied only against points s:.  Its square
     part holds each ordered pair inside the block once (weight 1), and each
     entry to the right of it stands for the two ordered pairs (i, j) and
-    (j, i) (weight 2); an empty part is skipped.  The parts are views of
-    one table of at most BLOCK_BYTES, reused by every block, so a part is
-    valid until the next one is drawn.
+    (j, i) (weight 2); an empty part is skipped.  Each part is a contiguous
+    view of one buffer of at most BLOCK_BYTES, the square part first and
+    the part to its right after it, reused by every block, so a part may be
+    sorted in place and is valid until the next one is drawn.
     """
     n = len(pts)
     step = max(1, BLOCK_BYTES // (8 * n))
-    table = np.empty((min(step, n), n), dtype=pts.dtype)
+    buf = np.empty(min(step, n) * n, dtype=pts.dtype)
     for s in range(0, n, step):
         width = min(step, n - s)
-        block = products(pts[s:s + width], pts[s:], table[:width, :n - s])
-        yield block[:, :width], 1
+        rows = pts[s:s + width]
+        yield products(rows, rows, buf[:width * width].reshape(width, width)), 1
         if width < n - s:
-            yield block[:, width:], 2
+            right = buf[width * width:width * (n - s)].reshape(width, n - s - width)
+            yield products(rows, pts[s + width:], right), 2
 
 
 @lru_cache(maxsize=64)
@@ -110,13 +113,19 @@ def _gram_multiset(code: LatticeCode) -> tuple[tuple[int, int], ...]:
     """Multiset of integer dot products over all ordered pairs, diagonal
     included, as ascending (dot, count) pairs; the unit dot is dot/norm_sq.
 
-    Each part of the integer Gram table from _gram_parts is collapsed by
-    np.unique and its weighted counts merged into one count per integer dot.
+    Each part of the integer Gram table from _gram_parts, contiguous, is
+    sorted in place through a flat view and its runs of equal values
+    counted, so no copy of the part is made; the weighted run lengths are
+    merged into one count per integer dot.  A float64 part's entries are
+    integers below 2^53, which int() takes exactly.
     """
     counts: Counter[int] = Counter()
     for part, weight in _gram_parts(int_arrays(code.points, code.points)[0]):
-        vals, cnt = np.unique(part, return_counts=True)
-        for v, c in zip(vals.tolist(), cnt.tolist()):
+        flat = part.reshape(-1)
+        flat.sort()
+        starts = np.append(0, np.flatnonzero(flat[1:] != flat[:-1]) + 1)
+        runs = np.diff(starts, append=len(flat))
+        for v, c in zip(flat[starts].tolist(), runs.tolist()):
             counts[int(v)] += weight * c
     return tuple((v, counts[v]) for v in sorted(counts))
 
@@ -167,25 +176,31 @@ def index_set(code: Code, n_max: int) -> DesignReport:
 
 
 def spectra(dots: np.ndarray, norms: Optional[tuple[int, int]] = None,
-            tol: float = 1e-9) -> list[tuple]:
+            tol: float = 1e-9, surds: Optional[dict] = None) -> list[tuple]:
     """Per row of a dot table: its (value, multiplicity) entries, ascending.
 
-    An integer table of raw dots, with norms the squared norms of its two
-    sides, gives exact Surds: the integer times the unit_surd of 1, whose
-    radicand is square-free, built once per distinct integer of the whole
-    table and shared by the rows that hold it.  A float table of
-    unit dots merges each value into the group whose first value it
-    exceeds by at most tol; the group reports its mean.
+    A table of raw integer dots (int64, float64 holding integers, as
+    codes.dot_blocks gives them, or Python integers), with norms the
+    squared norms of its two sides, gives exact Surds: the integer times
+    the unit_surd of 1, whose radicand is square-free, built once per
+    distinct integer and shared by the rows that hold it.  surds maps each
+    integer to its Surd; pass one dict to the blocks of one table and a
+    value is one object across them.  A float table of unit dots merges
+    each value into the group whose first value it exceeds by at most tol;
+    the group reports its mean.
     """
     if norms is not None:
         unit = unit_surd(1, *norms)
+        surds = {} if surds is None else surds
 
-        @cache
         def surd(v: int) -> Surd:
-            return Surd(unit.coeff * v, unit.radicand)
+            s = surds.get(v)
+            if s is None:
+                s = surds[v] = Surd(unit.coeff * v, unit.radicand)
+            return s
 
         rows = (np.unique(row, return_counts=True) for row in dots)
-        return [tuple((surd(v), c) for v, c in zip(vals.tolist(), cnt.tolist()))
+        return [tuple((surd(int(v)), c) for v, c in zip(vals.tolist(), cnt.tolist()))
                 for vals, cnt in rows]
     if not tol >= 0:
         raise ValueError(f"merge tolerance must be >= 0, got {tol}")

@@ -25,12 +25,14 @@ gradient, Hessian pair sums and sum |g'| from one dot table and one pow or
 exp per entry (Kernel.evaluate), and an accepted trial point keeps them
 for the next iteration.  The table holds -2t, from one product with
 -2 units, and Kernel.evaluate clips it into the gap r = 2-2t in place.  It
-returns each derivative as a (table, constant) pair, g' = c1 d1 and
+takes each derivative as a table and a constant, g' = c1 d1 and
 g'' = c2 d2, so the constants scale the small row sums instead of whole
-tables: riesz makes 7 passes over a table, gauss 5.  _evaluate runs over
-blocks of as many rows as fill one table of BLOCK_BYTES; its three tables
-are allocated once per call and reused block after block, so the descent
-holds at most three tables of BLOCK_BYTES whatever the start count.
+tables: riesz makes 7 passes over a table, gauss 5.  The product
+d1 @ units is taken before d2 overwrites d1, so one scratch table beside
+the dot table is enough.  _evaluate runs over blocks of as many rows as
+fill one table of BLOCK_BYTES; its two tables are allocated once per call
+and reused block after block, so the descent holds at most two tables of
+BLOCK_BYTES whatever the start count.
 """
 
 from __future__ import annotations
@@ -147,51 +149,53 @@ class Kernel:
             np.log(r, out=out)
             return np.subtract(2.0, out, out=out)
 
-    def evaluate(self, table: np.ndarray, sums: np.ndarray, scale: np.ndarray,
-                 a: np.ndarray, b: np.ndarray) -> tuple:
-        """Row sums of g into `sums` and of |d1| into `scale`, then
-        (d1, c1, d2, c2) with g' = c1 d1 and g'' = c2 d2 elementwise.
+    def evaluate(self, table: np.ndarray, scratch: np.ndarray, units: np.ndarray,
+                 sums: np.ndarray, scale: np.ndarray, grad: np.ndarray) -> tuple:
+        """Row sums of g into `sums` and of |d1| into `scale`, d1 @ units
+        into `grad`, then (d2, c1, c2) with g' = c1 d1 and g'' = c2 d2
+        elementwise.
 
-        table holds -2t, unclipped, and is overwritten; a and b are scratch
-        tables of its shape.  The d tables are among these three and the
-        constants c are floats, so the caller scales row sums of d rather
-        than whole tables.  r = clip(2 - 2t, 0, 4) equals the
-        2 - 2 clip(t, -1, 1) of Kernel.g bit for bit, so the sums of g are
-        the values Kernel.g gives on clipped dots.  From one pow or exp:
-        riesz d1 = p/r and d2 = (p/r)/r with p = r^(-s/2), c1 = s,
-        c2 = s(s+2); gauss d1 = d2 = e = exp(-a r), c1 = 2a, c2 = 4a^2;
-        log d1 = 1/r, d2 = 1/r^2, c1 = 2, c2 = 4.  Every family but poly
-        has d1 > 0, so only poly takes |d1| apart.
+        table holds -2t, unclipped, and is overwritten; scratch is a table
+        of its shape.  d1 and d2 are among these two, d2 written over d1
+        once the product with units is taken, and the constants c are
+        floats, so the caller scales row sums of d rather than whole
+        tables.  r = clip(2 - 2t, 0, 4) equals the 2 - 2 clip(t, -1, 1) of
+        Kernel.g bit for bit, so the sums of g are the values Kernel.g
+        gives on clipped dots.  From one pow or exp: riesz d1 = p/r and
+        d2 = d1/r with p = r^(-s/2), c1 = s, c2 = s(s+2); gauss
+        d1 = d2 = e = exp(-a r), c1 = 2a, c2 = 4a^2; log d1 = 1/r,
+        d2 = d1 d1, c1 = 2, c2 = 4.  Every family but poly has d1 > 0, so
+        only poly takes |d1| apart, in place, before p''(t) replaces it.
         """
         if self.family == "poly":
             t = np.multiply(table, -0.5, out=table)
             np.clip(t, -1.0, 1.0, out=t)
-            self.poly.eval_float(t, out=a).sum(axis=1, out=sums)
+            self.poly.eval_float(t, out=scratch).sum(axis=1, out=sums)
             p1 = self.poly.derivative()
-            p1.eval_float(t, out=b)
-            p1.derivative().eval_float(t, out=a)
-            np.abs(b, out=t).sum(axis=1, out=scale)
-            return b, 1.0, a, 1.0
+            np.matmul(p1.eval_float(t, out=scratch), units, out=grad)
+            np.abs(scratch, out=scratch).sum(axis=1, out=scale)
+            return p1.derivative().eval_float(t, out=scratch), 1.0, 1.0
         r = np.add(table, 2.0, out=table)
         np.clip(r, 0.0, 4.0, out=r)
         if self.family == "gauss":
             e = self._of_gap(r, r)
             e.sum(axis=1, out=sums)
             scale[:] = sums
+            np.matmul(e, units, out=grad)
             rate = float(self.param)
-            return e, 2.0 * rate, e, 4.0 * rate * rate
-        self._of_gap(r, a).sum(axis=1, out=sums)
+            return e, 2.0 * rate, 4.0 * rate * rate
+        self._of_gap(r, scratch).sum(axis=1, out=sums)
         if self.family == "riesz":
             s = float(self.param)
-            np.divide(a, r, out=b)
-            b.sum(axis=1, out=scale)
-            np.divide(b, r, out=a)
-            return b, s, a, s * (s + 2.0)
+            d1 = np.divide(scratch, r, out=scratch)
+            d1.sum(axis=1, out=scale)
+            np.matmul(d1, units, out=grad)
+            return np.divide(d1, r, out=d1), s, s * (s + 2.0)
         with np.errstate(divide="ignore"):
-            np.divide(1.0, r, out=b)
-        b.sum(axis=1, out=scale)
-        np.multiply(b, b, out=a)
-        return b, 2.0, a, 4.0
+            d1 = np.divide(1.0, r, out=scratch)
+        d1.sum(axis=1, out=scale)
+        np.matmul(d1, units, out=grad)
+        return np.multiply(d1, d1, out=d1), 2.0, 4.0
 
 
 def potential_eval(x, code: Code, kernel: Kernel) -> float:
@@ -289,31 +293,31 @@ def _evaluate(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
     each row, from one dot table and one Kernel.evaluate per block of rows.
 
     A block holds as many rows as fit in BLOCK_BYTES, and at least one; its
-    three tables are views of one buffer allocated once per call.  One
+    two tables are views of one buffer allocated once per call.  One
     product with -2 units gives the table of -2t exactly (a power of two
     scales without rounding), which Kernel.evaluate clips into the gap
     r = 2 - 2t, so float drift past a code point reads as the singular
     r = 0.  The derivative tables come with constant factors, which scale
     the small row sums once per call: the gradient sum_i g'(x.u_i) u_i and
     the pair sums sum_i g''(x.u_i) u_i,a u_i,b over the pairs a <= b of
-    _unit_pairs are products of the d1 and d2 tables with units and
-    unit_pairs.
+    _unit_pairs are products of the d1 and d2 tables with units (taken by
+    Kernel.evaluate before d2 overwrites d1) and unit_pairs.
     """
     values = np.empty(len(rows))
     grad = np.empty((len(rows), units.shape[1]))
     pair_sums = np.empty((len(rows), unit_pairs.shape[1]))
     scale = np.empty(len(rows))
     size = max(1, min(len(rows), BLOCK_BYTES // (8 * len(units))))
-    tables = np.empty((3, size, len(units)))
+    tables = np.empty((2, size, len(units)))
     gap_units = -2.0 * units
     c1 = c2 = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(rows), size):
             hi = min(lo + size, len(rows))
-            table, a, b = tables[:, :hi - lo]
+            table, scratch = tables[:, :hi - lo]
             np.matmul(rows[lo:hi], gap_units.T, out=table)
-            d1, c1, d2, c2 = kernel.evaluate(table, values[lo:hi], scale[lo:hi], a, b)
-            np.matmul(d1, units, out=grad[lo:hi])
+            d2, c1, c2 = kernel.evaluate(table, scratch, units, values[lo:hi],
+                                         scale[lo:hi], grad[lo:hi])
             np.matmul(d2, unit_pairs, out=pair_sums[lo:hi])
         grad *= c1
         pair_sums *= c2
@@ -371,9 +375,11 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
     a round-off slack of 8 eps |f|.  A row stops when its tangential
     gradient is at most max(gtol, ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)|),
     the round-off floor of the gradient sum; that is the converged mask.
-    `evaluation` is what _evaluate gives at the starts.  Every trial point
-    is evaluated once, by _evaluate: an accepted row keeps its gradient and
-    pair sums for the next iteration's test and Newton step.
+    `evaluation` is what _evaluate gives at the starts; its arrays are
+    updated in place, not copied.  Every trial point is evaluated once, by
+    _evaluate: an accepted row keeps its gradient and pair sums for the
+    next iteration's test and Newton step.  The expanded Hessians and a
+    trial's outputs are dropped before the next trial is evaluated.
 
     Returns (points, values, converged_mask, iterations, newton_steps).
     """
@@ -381,7 +387,7 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
     dim = units.shape[1]
     upper = np.triu_indices(dim)
     x = starts.copy()
-    f, egrads, pairs, scales = (v.copy() for v in evaluation)
+    f, egrads, pairs, scales = evaluation
     alive = np.ones(len(x), dtype=bool)
     step = np.full(len(x), 0.1)
     grad_norm = np.full(len(x), np.inf)
@@ -406,6 +412,7 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
         ehess = np.empty((len(work), dim, dim))
         ehess[:, upper[0], upper[1]] = ehess[:, upper[1], upper[0]] = pairs[work]
         newton_step, newton = _newton_steps(xs, egrad, ehess, tang)
+        del ehess
         direction = -tang / gn[:, None]
         length = step[work]
         newton_len = np.linalg.norm(newton_step[newton], axis=1)
@@ -433,6 +440,7 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
             step[work[grad_acc]] = np.minimum(length[grad_acc] * 1.5, TRUST_RADIUS)
             pending = pending[~ok]
             length[pending] *= 0.5
+            del trial, f_trial, g_trial, p_trial, s_trial
         if len(pending):
             # no decrease even at machine-level steps: numerical plateau
             alive[work[pending]] = False
@@ -565,7 +573,7 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
     if not len(dual_units):
         raise ValueError("dual candidate set is empty")
     m_ok = all(_at_most_m_distinct(block, m, 1e-8)
-               for _, block in dot_blocks(dual_units, code.unit_array(), exact=False))
+               for _, block in dot_blocks(dual_units, code.unit_array()))
     out = []
     for k, kernel in enumerate(kernels):
         rep = minimize_potential(code, kernel, restarts=restarts,

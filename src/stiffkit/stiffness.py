@@ -406,16 +406,31 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
     # of every block meets one of its nodes
     pts, survivors = int_arrays(code.points, dirs)
     alive = np.ones(len(dirs), dtype=bool)
-    for start, block in dot_blocks(pts, survivors, exact=True):
+    for start, block in dot_blocks(pts, survivors):
         if not start:  # the first block is the tallest
             hit_buf, eq_buf = np.empty(block.shape, dtype=bool), np.empty(block.shape, dtype=bool)
-        hit, eq = hit_buf[:len(block)], eq_buf[:len(block)]
-        np.equal(block, targets[0], out=hit)
-        for t in targets[1:]:
-            hit |= np.equal(block, t, out=eq)
-        alive &= hit.all(axis=0)
+        alive &= _meets_a_target(block, targets, hit_buf[:len(block)],
+                                 eq_buf[:len(block)]).all(axis=0)
     return tuple(LatticePoint(v, sum(x * x for x in v))
                  for v in sorted(d for d, a in zip(dirs, alive) if a))
+
+
+def _meets_a_target(block: np.ndarray, targets: np.ndarray, hit: np.ndarray,
+                    eq: np.ndarray) -> np.ndarray:
+    """hit, boolean like block: whether each entry equals one of the
+    targets of its column, targets[k] holding node k's target per column;
+    eq is scratch of the same shape.
+
+    A float64 block from dot_blocks is compared with int64 targets in
+    float64, and exactly: every entry is an integer below 2^53 in
+    magnitude, which a target below 2^53 converts to exactly, and a target
+    of magnitude >= 2^53 becomes a float of magnitude >= 2^53, which
+    equals no entry.  Object targets (past 2^62), or an object block, are
+    compared as Python numbers, exactly."""
+    np.equal(block, targets[0], out=hit)
+    for t in targets[1:]:
+        hit |= np.equal(block, t, out=eq)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -473,7 +488,8 @@ def certify_stiff(code: Code, m: int,
     1-design for D_1 of a flat code) from the same report.  The frequency
     rows come from blocks of dual points x code and the double-dual check
     from blocks of code points x dual, both from codes.dot_blocks on
-    operands converted once, so no whole dual x code table is held.
+    operands converted once, so no whole dual x code table is held and no
+    block outlives its loop.  The exact rows share one Surd per value.
     """
     rep = index_set(code, 2 * m)
     strength = rep.strength
@@ -501,14 +517,14 @@ def certify_stiff(code: Code, m: int,
                 raise ValueError(NO_COMMON_NORM)
             duals, pts = int_arrays(scaled, code.points)
             norms = (sum(x * x for x in scaled[0]), code.norm_sq)
-            for _, block in dot_blocks(duals, pts, exact=True):
-                freq_table += spectra(block, norms)
+            surds: dict = {}
+            freq_table = [row for _, block in dot_blocks(duals, pts)
+                          for row in spectra(block, norms, surds=surds)]
             antipodal = {tuple(-x for x in v) for v in scaled} == set(scaled)
         else:
             duals, pts = dual.unit_points(), code.unit_array()
-            for _, block in dot_blocks(duals, pts, exact=False):
-                freq_table += [tuple((round(val, 9), c) for val, c in row)
-                               for row in spectra(block)]
+            freq_table = [tuple((round(val, 9), c) for val, c in row)
+                          for _, block in dot_blocks(duals, pts) for row in spectra(block)]
             antipodal = covered_by(duals, -duals, 1e-8)
         freq_match = _frequencies_match(code, m, dual, freq_table)
         props["antipodal"] = antipodal
@@ -519,7 +535,7 @@ def certify_stiff(code: Code, m: int,
         gap = 0 if dual.exact else 1e-8
         props["double_dual_contains_code"] = all(
             _at_most_m_distinct(block, m, gap)
-            for _, block in dot_blocks(pts, duals, exact=dual.exact))
+            for _, block in dot_blocks(pts, duals))
     return StiffnessCertificate(code.name, m, strength, stiff, dual,
                                 tuple(freq_table), freq_match, props)
 
@@ -527,16 +543,22 @@ def certify_stiff(code: Code, m: int,
 def _at_most_m_distinct(dots: np.ndarray, m: int, gap: float) -> bool:
     """Every row of the table holds at most m values more than gap apart.
     The rows are sorted in place: the tables are dot_blocks' blocks, which
-    the next block overwrites."""
+    the next block overwrites.  With gap 0 (exact dots) neighbours are
+    compared for inequality, which makes a boolean table and no float
+    table of differences."""
     dots.sort(axis=1)
-    return bool(np.all((np.diff(dots, axis=1) > gap).sum(axis=1) < m))
+    if gap:
+        steps = np.diff(dots, axis=1) > gap
+    else:
+        steps = dots[:, 1:] != dots[:, :-1]
+    return bool(np.all(steps.sum(axis=1) < m))
 
 
 def _rows_equal(rows) -> bool:
     """All rows are equal, by tuple equality of neighbours: a set of the
     rows would hash every Surd in them through a Fraction hash.  Rows from
-    one block of spectra share their Surd objects, so neighbours compare by
-    identity except across blocks."""
+    one table of spectra share their Surd objects, so neighbours compare by
+    identity."""
     return all(a == b for a, b in pairwise(rows))
 
 
@@ -622,7 +644,7 @@ def _qualifying(candidates: np.ndarray, units: np.ndarray, m: int,
     normals that far off; they are the same hit, not a second one."""
     candidates = np.vstack([candidates, -candidates])
     widths = np.empty(len(candidates))
-    for start, block in dot_blocks(candidates, units, exact=False):
+    for start, block in dot_blocks(candidates, units):
         widths[start:start + len(block)] = _max_cluster_widths(block, m)
     order = np.argsort(widths, kind="stable")
     return greedy_cluster(candidates[order[widths[order] <= width_tol]], 10 * width_tol)

@@ -25,6 +25,7 @@ from stiffkit.codes import (
     raw_dots,
 )
 from stiffkit import design
+from stiffkit.config import BLOCK_BYTES
 from stiffkit.design import (
     FLOAT_DESIGN_TOL,
     _gram_multiset,
@@ -117,6 +118,20 @@ def test_multiset_holds_no_full_table():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_multiset_holds_one_block():
+    # the 2160-point code's Gram parts are sorted and counted in place in
+    # their one buffer, with no flattened copy of a part beside it
+    code = polytope_2_41()
+    tracemalloc.start()
+    try:
+        got = _gram_multiset.__wrapped__(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _gram_multiset(code)
+    assert peak < 1.5 * BLOCK_BYTES
 
 
 def test_strengths_of_standard_codes():

@@ -120,12 +120,13 @@ class TestKernel:
 
 def _kernel_tables(kernel: Kernel, t) -> tuple:
     """(g, g', g'') at each t, from Kernel.evaluate on one-column rows of
-    -2t, with g' = c1 d1 and g'' = c2 d2."""
+    -2t, with g' = c1 d1 and g'' = c2 d2.  The one unit is [1.0], so the
+    gradient column d1 @ units is d1 itself, bit for bit."""
     x = -2.0 * np.array(t, dtype=float).reshape(-1, 1)
-    a, b = np.empty_like(x), np.empty_like(x)
+    scratch, grad = np.empty_like(x), np.empty_like(x)
     sums, scale = np.empty(len(x)), np.empty(len(x))
-    d1, c1, d2, c2 = kernel.evaluate(x, sums, scale, a, b)
-    return sums, c1 * d1[:, 0], c2 * d2[:, 0]
+    d2, c1, c2 = kernel.evaluate(x, scratch, np.ones((1, 1)), sums, scale, grad)
+    return sums, c1 * grad[:, 0], c2 * d2[:, 0]
 
 
 def _g_reference(kernel: Kernel, t: np.ndarray) -> np.ndarray:
@@ -258,7 +259,7 @@ class TestRowBlocks:
 
     def test_derivatives_memory_is_a_few_blocks(self):
         # 3400 rows, more than criterion 7's 1240 starts (1000 random, 240
-        # dual points); three tables of BLOCK_BYTES, whatever the count
+        # dual points); two tables of BLOCK_BYTES, whatever the count
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(3400, 8))
         rows /= np.linalg.norm(rows, axis=1)[:, None]
@@ -271,7 +272,7 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
             returned = sum(a.nbytes for a in out)
-            assert peak < 4 * BLOCK_BYTES + returned, k.name
+            assert peak < 3 * BLOCK_BYTES + returned, k.name
 
 
 def _newton_steps_eigh(x, egrad, ehess, tang) -> tuple:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiffkit import codes, design
+from stiffkit import codes, design, stiffness
 from stiffkit.codes import (
     GEMM_MACS,
     LatticeCode,
@@ -25,7 +25,7 @@ from stiffkit.codes import (
 )
 from stiffkit.design import _gram_multiset, index_set, pair_values, spectrum
 from stiffkit.exact import Surd
-from stiffkit.stiffness import DualSearchResult, _at_most_m_distinct
+from stiffkit.stiffness import DualSearchResult, _at_most_m_distinct, certify_stiff
 
 
 def _dots_loop(a, b) -> list[list[int]]:
@@ -109,6 +109,32 @@ def test_scaled_cube_takes_the_python_int_path():
     assert index_set(big, 6).index_set == index_set(small, 6).index_set
 
 
+def test_scaled_cube_certificate_takes_object_blocks():
+    # norm_sq 3 * 2^54: the walk's Gram rows come from object blocks of
+    # dot_blocks, the dual x code blocks from float64 ones, and the
+    # certificate is cube(3)'s
+    small = cube(3)
+    big = LatticeCode("cube(3)*2^27", 3, small.norm_sq * 2**54,
+                      tuple(tuple(x * 2**27 for x in p) for p in small.points))
+    seen = set()
+
+    def logged(x, y):
+        for s, block in dot_blocks(x, y):
+            seen.add(block.dtype)
+            yield s, block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "dot_blocks", logged)
+        mp.setattr(stiffness, "dot_blocks", logged)
+        cert = certify_stiff(big, 2)
+    assert seen == {np.dtype(object), np.dtype(float)}
+    want = certify_stiff(small, 2)
+    assert cert.dual.exact and cert.dual.count == 6 and cert.stiff
+    assert cert.frequencies_match_weights and all(cert.properties.values())
+    assert cert.dual.points == want.dual.points
+    assert cert.frequency_table == want.frequency_table
+
+
 @st.composite
 def _exact_codes(draw):
     """A random subset of the signed permutations of one integer vector,
@@ -139,18 +165,20 @@ def test_pair_values_match_counter_of_object_table(code, rows):
 @given(_exact_codes(), st.integers(0, 9))
 def test_dot_blocks_tile_the_table(code, rows):
     # blocks of 1..9 rows (0: a block smaller than one row still takes a
-    # row), a ragged last block, int64 under the float guard and Python
-    # integers past it; each block is copied, as the next one reuses it
+    # row), a ragged last block, float64 under the float guard and Python
+    # integers past it; each block is copied, as the next one reuses it.
+    # Python compares a float with an int exactly, so the float64 entries
+    # must be the loop's integers themselves
     a, b = code.points, code.points[::-1]
     x, y = int_arrays(a, b)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes, "BLOCK_BYTES", 8 * len(b) * rows)
-        got = [(s, block.copy()) for s, block in dot_blocks(x, y, exact=True)]
+        got = [(s, block.copy()) for s, block in dot_blocks(x, y)]
     step = max(rows, 1)
     assert [s for s, _ in got] == list(range(0, len(a), step))
     assert [len(block) for _, block in got] == [min(step, len(a) - s) for s, _ in got]
-    assert {block.dtype for _, block in got} == {np.dtype(np.int64 if x.dtype == float
-                                                         else object)}
+    guarded = code.norm_sq**2 < 2**106
+    assert {block.dtype for _, block in got} == {np.dtype(float if guarded else object)}
     assert np.vstack([block for _, block in got]).tolist() == _dots_loop(a, b)
 
 
@@ -158,7 +186,7 @@ def test_float_dot_blocks_are_the_rows_of_one_product(monkeypatch):
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(23, 8)), rng.normal(size=(11, 8))
     monkeypatch.setattr(codes, "BLOCK_BYTES", 8 * 11 * 5)
-    got = [(s, block.copy()) for s, block in dot_blocks(x, y, exact=False)]
+    got = [(s, block.copy()) for s, block in dot_blocks(x, y)]
     assert [s for s, _ in got] == [0, 5, 10, 15, 20]
     assert np.array_equal(np.vstack([block for _, block in got]), x @ y.T)
 

@@ -30,7 +30,7 @@ from stiffkit.codes import (
     polytope_2_41,
     raw_dots,
 )
-from stiffkit.config import ENV_SIZE_CAP, SizeCapExceeded
+from stiffkit.config import BLOCK_BYTES, ENV_SIZE_CAP, SizeCapExceeded
 from stiffkit.design import spectra, spectrum
 from stiffkit.exact import Surd, square_free_split
 from stiffkit.stiffness import (
@@ -38,6 +38,7 @@ from stiffkit.stiffness import (
     _exact_rhs,
     _gamma,
     _independent_rows,
+    _meets_a_target,
     _walk,
     BRUTE_WIDTH_TOL,
     CIRCLE_WIDTH_TOL,
@@ -1315,8 +1316,8 @@ class TestStreamedProducts:
         rows = []
         real = codes.dot_blocks
 
-        def logged(x, y, exact):
-            for start, block in real(x, y, exact):
+        def logged(x, y):
+            for start, block in real(x, y):
                 rows.append(len(block))
                 yield start, block
 
@@ -1372,6 +1373,53 @@ class TestStreamedProducts:
         code = polytope_2_41()
         certify_stiff(code, 5, NODES_2160)  # the Gram multiset and the nodes, cached
         assert _peak_bytes(lambda: certify_stiff(code, 5, NODES_2160)) < 6 * 2**20
+
+    def test_certificate_holds_one_block(self):
+        # one live block per stream: the frequency blocks (60 dual points
+        # x 2160) and then the double-dual blocks (546 code points x 240),
+        # with the Gram multiset and the nodes cached
+        code = polytope_2_41()
+        certify_stiff(code, 5, NODES_2160)
+        assert _peak_bytes(lambda: certify_stiff(code, 5, NODES_2160)) < 2.5 * BLOCK_BYTES
+
+    def test_frequency_rows_share_one_surd_per_value(self):
+        # criterion 3's 240 rows come from 4 blocks of 60 rows, or 35
+        # blocks of 7: one Surd per node value serves them all
+        code = polytope_2_41()
+        cert = certify_stiff(code, 5, NODES_2160)
+        with pytest.MonkeyPatch.context() as mp:
+            rows = self._small_blocks(mp, code.size)
+            small = certify_stiff(code, 5, NODES_2160)
+        assert len(rows) > 35
+        for c in (cert, small):
+            assert len(c.frequency_table) == 240
+            assert len({id(v) for row in c.frequency_table for v, _ in row}) == 5
+            assert c.frequencies_constant and c.frequencies_match_weights
+        assert small.to_json_dict() == cert.to_json_dict()
+        assert cert.to_json_dict()["frequency_table"] == {
+            "per_point": [{"node": "-1/2*sqrt(2)", "count": 126},
+                          {"node": "-1/4*sqrt(2)", "count": 576},
+                          {"node": "0", "count": 756},
+                          {"node": "1/4*sqrt(2)", "count": 576},
+                          {"node": "1/2*sqrt(2)", "count": 126}],
+            "constant_across_dual": True}
+
+    def test_float_blocks_meet_no_target_past_2_53(self):
+        # a float64 block's entries are integers below 2^53; a target of
+        # magnitude 2^53 or more matches none, though the int64 2^53 + 1
+        # rounds to the float 2^53
+        block = np.array([[2.0**53 - 1, -(2.0**53 - 1)], [3.0, 0.0]])
+        hit, eq = np.empty(block.shape, dtype=bool), np.empty(block.shape, dtype=bool)
+        for dtype in (np.int64, object):
+            far = np.array([[2**53, -2**53], [2**53 + 1, -2**53 - 1]], dtype=dtype)
+            assert not _meets_a_target(block, far, hit, eq).any()
+            near = np.array([[2**53 - 1, 7], [2**53 + 1, 0]], dtype=dtype)
+            assert _meets_a_target(block, near, hit, eq).tolist() == [[True, False],
+                                                                       [False, True]]
+        # past 2^62 _exact_dual keeps its targets as Python integers
+        huge = np.array([[2**53 - 1, 2**70], [2**64 + 3, 0]], dtype=object)
+        assert _meets_a_target(block, huge, hit, eq).tolist() == [[True, False],
+                                                                   [False, True]]
 
     def test_exact_dual_holds_no_survivor_x_code_table(self):
         code = e8_roots()
