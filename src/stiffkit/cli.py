@@ -75,7 +75,14 @@ def _emit(command: str, report, *, seed: Optional[int] = None,
     if tolerances:
         out["tolerances"] = tolerances
     out["report"] = report
-    print(json.dumps(out, indent=2, default=str))
+    _print_json(out)
+
+
+def _print_json(obj) -> None:
+    """obj as indented JSON and a newline on stdout, written chunk by chunk
+    as json.dump encodes it: the bytes print(json.dumps(...)) gave."""
+    json.dump(obj, sys.stdout, indent=2, default=str)
+    sys.stdout.write("\n")
 
 
 def _scalar(token: str) -> Surd:
@@ -165,7 +172,7 @@ def _write_code(code, out: Optional[str], command: str,
         if extra:
             _emit(command, {"code": code.to_json_dict(), **extra}, seed=seed)
         else:
-            print(json.dumps(code.to_json_dict(), indent=2, default=str))
+            _print_json(code.to_json_dict())
 
 
 # ---------------------------------------------------------------- commands

@@ -26,7 +26,7 @@ from math import cos, gcd, isqrt, lcm, pi, sin
 from operator import index
 from pathlib import Path
 from random import Random
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -168,17 +168,27 @@ def unit_surd(raw: int, norm_a: int, norm_b: int) -> Surd:
     return Surd(Fraction(raw, g * rest), rest)
 
 
-def random_units(seed: int, rows: int, dim: int) -> np.ndarray:
-    """rows x dim uniform unit vectors: dim draws of gauss(0, 1) per row from
-    one random.Random(seed), row by row, each row then normalized, so row i
-    is the same for any rows > i.  A negative seed is refused, since Random
-    would take s and -s as one seed."""
+def random_unit_blocks(seed: int, rows: int, dim: int,
+                       size: int) -> Iterator[np.ndarray]:
+    """rows x dim uniform unit vectors in consecutive blocks of at most size
+    rows: dim draws of gauss(0, 1) per row from one random.Random(seed), row
+    by row, each row then normalized, so row i is the same for any rows > i
+    and any block size.  A negative seed is refused, since Random would
+    take s and -s as one seed."""
     seed = index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     gauss = Random(seed).gauss
-    rand = np.array([gauss(0.0, 1.0) for _ in range(rows * dim)]).reshape(rows, dim)
-    return rand / np.linalg.norm(rand, axis=1)[:, None]
+    for lo in range(0, rows, size):
+        n = min(size, rows - lo)
+        rand = np.array([gauss(0.0, 1.0) for _ in range(n * dim)]).reshape(n, dim)
+        yield rand / np.linalg.norm(rand, axis=1)[:, None]
+
+
+def random_units(seed: int, rows: int, dim: int) -> np.ndarray:
+    """The rows of random_unit_blocks(seed, rows, dim, ...) as one array."""
+    return next(random_unit_blocks(seed, rows, dim, max(rows, 1)),
+                np.empty((0, dim)))
 
 
 def close_pairs(a: np.ndarray, b: np.ndarray,
@@ -499,7 +509,11 @@ def ngon(n: int) -> FloatCode:
 
 
 def save_code(code: Code, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(code.to_json_dict(), indent=2) + "\n")
+    """Write the code's JSON, indented by 2 and ended by a newline, chunk by
+    chunk as json.dump encodes it, so the whole text is never one string."""
+    with open(path, "w") as f:
+        json.dump(code.to_json_dict(), f, indent=2)
+        f.write("\n")
 
 
 def load_code(path: str | Path) -> Code:

@@ -11,12 +11,14 @@ DEFAULT_SIZE_CAP = 2**22
 # holds one live block.  Its users: the Gram row blocks of the pair sums
 # (design._gram_parts, whose parts are counted in place); the descent's
 # rows x code tables (potential._evaluate, a dot table and one scratch
-# table); and the stream codes.dot_blocks, whose block is its product
-# buffer, which raw_dots collects and which the survivor certification,
-# the frequency rows, the double-dual check, verify_universal_minimum's
-# m-check and the scans' widths read block by block; the float dual's
-# residuals take blocks of candidates of the same size
-# (stiffness.dual_search)
+# table) and its Newton stack (potential._newton_steps: rows x d^2 floats
+# for a block of starts of minimize_potential, which holds as many as fit
+# in 4 BLOCK_BYTES, 1083 at d = 22); and the stream codes.dot_blocks,
+# whose block is its product buffer, which raw_dots collects and which the
+# survivor certification, the frequency rows, the double-dual check,
+# verify_universal_minimum's m-check and the scans' widths read block by
+# block; the float dual's residuals take blocks of candidates of the same
+# size (stiffness.dual_search)
 BLOCK_BYTES = 1 << 20
 
 ENV_SIZE_CAP = "STIFFKIT_SIZE_CAP"

@@ -7,15 +7,18 @@ argmin distance to the dual and the verdict.
 
 Kernels are functions of the dot product t with g(x.y) = f(|x-y|^2), so
 |x-y|^2 = 2-2t.  Minimization is multistart descent on the unit sphere:
-seeded random starts (codes.random_units: gauss draws from one stdlib
-random.Random), the code antipodes that are not themselves code
+seeded random starts (codes.random_unit_blocks: gauss draws from one
+stdlib random.Random), the code antipodes that are not themselves code
 points (an antipodal code has none; the report counts them as
-n_antipode_starts) and any supplied dual candidates, descended in one
-numpy batch, then clustered.  Each iteration takes a safeguarded
-Riemannian Newton step where the tangent Hessian is positive definite and
-falls back to an adaptive gradient step where it is not; a start stops
-when its tangential gradient reaches the round-off floor of the gradient
-sum (see _descend).  The Newton step solves with a Cholesky factorization
+n_antipode_starts) and any supplied dual candidates, drawn, evaluated and
+descended in consecutive numpy batches of as many starts as keep one
+Newton stack within 4 BLOCK_BYTES, then clustered together.  Each
+iteration takes a safeguarded Riemannian Newton step where the tangent
+Hessian is positive definite and falls back to an adaptive gradient step
+where it is not; a start stops when its tangential gradient reaches the
+round-off floor of the gradient sum (see _descend).  The Newton step forms
+the tangent Hessians as a rank-two update of the pair sums in one
+entry-major (d, d, rows) stack and factors them in place by Cholesky,
 batched over rows; its pivots are all positive exactly where the tangent
 Hessian is positive definite, and a row with a pivot <= 0 takes the
 gradient step.
@@ -32,7 +35,8 @@ d1 @ units is taken before d2 overwrites d1, so one scratch table beside
 the dot table is enough.  _evaluate runs over blocks of as many rows as
 fill one table of BLOCK_BYTES; its two tables are allocated once per call
 and reused block after block, so the descent holds at most two tables of
-BLOCK_BYTES whatever the start count.
+BLOCK_BYTES and one Newton stack of 4 BLOCK_BYTES whatever the start
+count.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import (Code, LatticePoint, dot_blocks, greedy_cluster, random_units,
-                    sorted_rows)
+from .codes import (Code, LatticePoint, close_pairs, dot_blocks, greedy_cluster,
+                    random_unit_blocks, sorted_rows)
 from .config import BLOCK_BYTES, check_size
 from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
@@ -282,9 +286,15 @@ def _as_unit_rows(points: Optional[np.ndarray]) -> np.ndarray:
 
 def _unit_pairs(units: np.ndarray) -> np.ndarray:
     """The products u_a*u_b of each code point over the upper-triangle
-    pairs a <= b, in np.triu_indices order."""
-    upper = np.triu_indices(units.shape[1])
-    return units[:, upper[0]] * units[:, upper[1]]
+    pairs a <= b, in np.triu_indices order: the pairs (a, b), b >= a, of
+    one a are consecutive columns, written in place."""
+    dim = units.shape[1]
+    out = np.empty((len(units), dim * (dim + 1) // 2))
+    k = 0
+    for a in range(dim):
+        np.multiply(units[:, a, None], units[:, a:], out=out[:, k:k + dim - a])
+        k += dim - a
+    return out
 
 
 def _evaluate(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
@@ -325,42 +335,81 @@ def _evaluate(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
     return values, grad, pair_sums, scale
 
 
-def _newton_steps(x: np.ndarray, egrad: np.ndarray, ehess: np.ndarray,
+def _tangent_hessians(x: np.ndarray, egrad: np.ndarray,
+                      pairs: np.ndarray) -> np.ndarray:
+    """The tangent Hessians P H P - (x.grad) P, P = I - x x^T, of the rows,
+    in the lower triangle of one entry-major (d, d, rows) stack: entry
+    (i, j), i >= j, of every row's matrix is one contiguous vector.
+
+    H is read from the pair sums (the upper triangle of each row's
+    Euclidean Hessian, in np.triu_indices order).  With gamma = x.grad,
+    h = H x, q = x.h and w = h - (q + gamma)/2 x, P H P - gamma P equals
+    the rank-two update H - w x^T - x w^T - gamma I, which is formed in
+    place row by row of the lower triangle; the upper triangle keeps H,
+    which h is read from.
+    """
+    dim = x.shape[1]
+    upper = np.triu_indices(dim)
+    stack = np.empty((dim, dim, len(x)))
+    stack[upper[0], upper[1]] = stack[upper[1], upper[0]] = pairs.T
+    xt = np.ascontiguousarray(x.T)
+    h = np.einsum("ikr,kr->ir", stack, xt)
+    gamma = np.einsum("ij,ij->i", egrad, x)
+    w = h - 0.5 * (np.einsum("kr,kr->r", h, xt) + gamma) * xt
+    for i in range(dim):
+        row = stack[i, :i + 1]
+        row -= w[i] * xt[:i + 1]
+        row -= xt[i] * w[:i + 1]
+        row[i] -= gamma
+    return stack
+
+
+def _newton_steps(x: np.ndarray, egrad: np.ndarray, pairs: np.ndarray,
                   tang: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Riemannian Newton steps on the sphere and where they are defined.
 
-    The tangent Hessian is P H P - (x.grad) P with P = I - x x^T (Absil,
-    Mahony & Sepulchre 2008, ch. 5-6); adding a positive multiple of x x^T
-    moves its zero eigenvalue along x off zero without touching the tangent
-    ones, so the step is defined exactly where every eigenvalue is positive,
-    that is where every pivot of its Cholesky factorization is.  The
-    factorization runs column by column over all rows at once, then one
-    forward and one back substitution solve for the step; a row with a
+    The tangent Hessian T = P H P - (x.grad) P with P = I - x x^T (Absil,
+    Mahony & Sepulchre 2008, ch. 5-6) is formed from the pair sums in one
+    entry-major stack (_tangent_hessians); adding shift x x^T, shift =
+    1 + max(max T, -min T), moves its zero eigenvalue along x off zero
+    without touching the tangent ones, so the step is defined exactly where
+    every eigenvalue is positive, that is where every pivot of its Cholesky
+    factorization is.  The factorization runs in place on the lower
+    triangle of the stack, column by column over all rows at once (each
+    column less the products of the columns before it, then divided by the
+    square root of its pivot), then one forward and one back substitution
+    solve for the step; every update is a run of contiguous vectors over
+    the rows, and no (rows, d, d) array but the stack exists.  A row with a
     pivot <= 0 is not ok and gets a zero step.
     """
     dim = x.shape[1]
-    proj = np.eye(dim) - x[:, :, None] * x[:, None, :]
-    radial = np.einsum("ij,ij->i", egrad, x)
-    hess = proj @ ehess @ proj - radial[:, None, None] * proj
-    shift = 1.0 + np.abs(hess).max(axis=(1, 2))
-    hess += shift[:, None, None] * x[:, :, None] * x[:, None, :]
-    # hess becomes L below and on its diagonal, H = L L^T, where ok
+    stack = _tangent_hessians(x, egrad, pairs)
+    xt = np.ascontiguousarray(x.T)
+    top = np.zeros(len(x))
+    for i in range(dim):
+        row = stack[i, :i + 1]
+        np.maximum(top, row.max(axis=0), out=top)
+        np.maximum(top, -row.min(axis=0), out=top)
+    shift = 1.0 + top
+    for i in range(dim):
+        stack[i, :i + 1] += (shift * xt[i]) * xt[:i + 1]
+    # the stack becomes L below and on its diagonal, H = L L^T, where ok
     ok = np.ones(len(x), dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(dim):
-            ok &= hess[:, j, j] > 0
-            hess[:, j:, j] /= np.sqrt(np.where(ok, hess[:, j, j], 1.0))[:, None]
-            col = hess[:, j + 1:, j]
-            hess[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
-        step = -tang
+            col = stack[j:, j]
+            col -= np.einsum("ikr,kr->ir", stack[j:, :j], stack[j, :j])
+            ok &= col[0] > 0
+            col /= np.sqrt(np.where(ok, col[0], 1.0))
+        step = -np.ascontiguousarray(tang.T)
         for j in range(dim):
-            step[:, j] /= hess[:, j, j]
-            step[:, j + 1:] -= hess[:, j + 1:, j] * step[:, j, None]
+            step[j] /= stack[j, j]
+            step[j + 1:] -= stack[j + 1:, j] * step[j]
         for j in reversed(range(dim)):
-            step[:, j] /= hess[:, j, j]
-            step[:, :j] -= hess[:, j, :j] * step[:, j, None]
-    step[~ok] = 0.0
-    return step, ok
+            step[j] /= stack[j, j]
+            step[:j] -= stack[j, :j] * step[j]
+    step[:, ~ok] = 0.0
+    return step.T, ok
 
 
 def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
@@ -378,14 +427,13 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
     `evaluation` is what _evaluate gives at the starts; its arrays are
     updated in place, not copied.  Every trial point is evaluated once, by
     _evaluate: an accepted row keeps its gradient and pair sums for the
-    next iteration's test and Newton step.  The expanded Hessians and a
-    trial's outputs are dropped before the next trial is evaluated.
+    next iteration's test and Newton step, which _newton_steps reads as
+    they are, with no expanded Hessian.  A trial's outputs are dropped
+    before the next trial is evaluated.
 
     Returns (points, values, converged_mask, iterations, newton_steps).
     """
     eps = np.finfo(float).eps
-    dim = units.shape[1]
-    upper = np.triu_indices(dim)
     x = starts.copy()
     f, egrads, pairs, scales = evaluation
     alive = np.ones(len(x), dtype=bool)
@@ -409,10 +457,7 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
         if not len(work):
             continue
         xs, egrad, tang, gn = xs[~done], egrad[~done], tang[~done], gn[~done]
-        ehess = np.empty((len(work), dim, dim))
-        ehess[:, upper[0], upper[1]] = ehess[:, upper[1], upper[0]] = pairs[work]
-        newton_step, newton = _newton_steps(xs, egrad, ehess, tang)
-        del ehess
+        newton_step, newton = _newton_steps(xs, egrad, pairs[work], tang)
         direction = -tang / gn[:, None]
         length = step[work]
         newton_len = np.linalg.norm(newton_step[newton], axis=1)
@@ -453,42 +498,60 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
                        ) -> MinimizationReport:
     """Multistart minimization of the code's potential over the sphere.
 
-    Starts: `restarts` seeded uniform points (codes.random_units(seed, ...):
-    row i is the same for any restarts > i, and a negative seed raises
-    ValueError), the code antipodes that are not themselves code points
-    (Code.antipode_mask: exact for a LatticeCode, within 10x the tolerance
-    for a FloatCode; an antipodal code has none), and the supplied dual
-    candidates.  Their count goes through check_size before any start is
-    drawn.  Each start is evaluated once; starts where a singular
-    kernel blows up are dropped and counted, and each accepted descent step
-    is evaluated once (see _descend).
+    Starts, in this order: `restarts` seeded uniform points
+    (codes.random_unit_blocks(seed, ...): row i is the same for any
+    restarts > i, and a negative seed raises ValueError), the code
+    antipodes that are not themselves code points (Code.antipode_mask:
+    exact for a LatticeCode, within 10x the tolerance for a FloatCode; an
+    antipodal code has none), and the supplied dual candidates.  Their
+    count goes through check_size before any start is drawn.
+
+    The starts are drawn, evaluated and descended in consecutive blocks of
+    as many as keep one Newton stack (rows x d^2 floats, _newton_steps)
+    within 4 BLOCK_BYTES, so the descent's memory does not grow with the
+    start count; only each block's points, values and converged mask are
+    kept, in start order.  Each start is evaluated once; starts where a
+    singular kernel blows up are dropped and counted, and each accepted
+    descent step is evaluated once (see _descend).  `iterations` is the
+    most any block took and `n_newton_steps` the sum over blocks; the dual
+    value, the gap and the clustering read all blocks at once.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     units = code.unit_array()
+    dim = code.ambient_dim
     antipodes = -units[~code.antipode_mask()]
     dual_units = _as_unit_rows(dual)
     n_dual = len(dual_units)
-    check_size(restarts + len(antipodes) + n_dual, "descent starts")
+    n_starts = restarts + len(antipodes) + n_dual
+    check_size(n_starts, "descent starts")
 
-    starts = [random_units(seed, restarts, code.ambient_dim), antipodes]
-    if n_dual:
-        starts.append(dual_units)
-    x0 = np.vstack(starts)
-    is_dual_start = np.zeros(len(x0), dtype=bool)
-    if n_dual:
-        is_dual_start[-n_dual:] = True
-
-    # drop starts that evaluate to +inf under singular kernels
+    fixed = np.vstack([antipodes, dual_units]) if n_dual else antipodes
+    size = max(1, 4 * BLOCK_BYTES // (8 * dim * dim))
+    draws = random_unit_blocks(seed, restarts, dim, size)
     unit_pairs = _unit_pairs(units)
-    evaluation = _evaluate(x0, units, unit_pairs, kernel)
-    finite = np.isfinite(evaluation[0])
-    n_singular = int(np.sum(~finite))
-    x0, is_dual_start = x0[finite], is_dual_start[finite]
-    evaluation = tuple(v[finite] for v in evaluation)
-
-    pts, vals, conv, iterations, n_newton = _descend(
-        units, unit_pairs, kernel, x0, evaluation, GRAD_TOL, MAX_ITER)
+    blocks = []
+    n_singular = iterations = n_newton = 0
+    for lo in range(0, n_starts, size):
+        hi = min(lo + size, n_starts)
+        x0 = fixed[max(lo - restarts, 0):max(hi - restarts, 0)]
+        if lo < restarts:
+            x0 = np.vstack([next(draws), x0])
+        is_dual = np.arange(lo, hi) >= n_starts - n_dual
+        # drop starts that evaluate to +inf under singular kernels
+        evaluation = _evaluate(x0, units, unit_pairs, kernel)
+        finite = np.isfinite(evaluation[0])
+        n_singular += int(np.sum(~finite))
+        x0, evaluation = x0[finite], tuple(v[finite] for v in evaluation)
+        *out, its, newton = _descend(units, unit_pairs, kernel, x0, evaluation,
+                                     GRAD_TOL, MAX_ITER)
+        blocks.append((*out, is_dual[finite]))
+        iterations = max(iterations, its)
+        n_newton += newton
+        # the next block's arrays are not allocated beside this one's
+        del x0, evaluation
+    pts, vals, conv, is_dual_start = (np.concatenate(a) for a in zip(*blocks))
+    del blocks
     n_conv = int(np.sum(conv))
     n_failed = int(np.sum(~conv))
 
@@ -550,6 +613,25 @@ class UniversalMinimumReport(MinimizationReport):
         }
 
 
+def _argmin_max_dist(argmins: np.ndarray, dual_units: np.ndarray,
+                     tol: float) -> float:
+    """The largest distance from an argmin to its nearest dual row, inf
+    when there is no argmin.
+
+    One codes.close_pairs sweep gives each argmin's nearest dual row within
+    tol; only an argmin with no dual row that close is measured against
+    every row.  Both take np.linalg.norm of the same differences, so the
+    result is the full row-by-row minimum bit for bit, past tol too."""
+    if not len(argmins):
+        return float("inf")
+    nearest = np.full(len(argmins), np.inf)
+    i, _, dist = close_pairs(argmins, dual_units, tol)
+    np.minimum.at(nearest, i, dist)
+    for k in np.nonzero(nearest == np.inf)[0]:
+        nearest[k] = np.linalg.norm(dual_units - argmins[k], axis=1).min()
+    return float(nearest.max())
+
+
 def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
                              kernels: Sequence[Kernel],
                              restarts: int = 200, seed: int = 0,
@@ -567,7 +649,8 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
 
     Each report is minimize_potential's, with the dual rows normalized
     once here, extended by the equality, the argmin distance (both against
-    those rows) and the verdict.
+    those rows; the distance from one close_pairs sweep, _argmin_max_dist)
+    and the verdict.
     """
     dual_units = _as_unit_rows(dual)
     if not len(dual_units):
@@ -578,12 +661,7 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
     for k, kernel in enumerate(kernels):
         rep = minimize_potential(code, kernel, restarts=restarts,
                                  seed=seed + k, dual=dual_units)
-        if len(rep.argmin_cluster):
-            dists = [float(np.linalg.norm(dual_units - p, axis=1).min())
-                     for p in rep.argmin_cluster]
-            worst = max(dists)
-        else:
-            worst = float("inf")
+        worst = _argmin_max_dist(rep.argmin_cluster, dual_units, argmin_tol)
         const_ok = rep.dual_spread_rel <= DUAL_SPREAD_REL
         no_beat = bool(rep.dual_match)
         argmin_ok = (not kernel.strictly_convex_family) or worst <= argmin_tol

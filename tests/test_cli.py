@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stiffkit.cli import main
+from stiffkit import __version__
+from stiffkit.cli import _emit, main
 from stiffkit.codes import (
     LatticeCode,
     cross_polytope,
@@ -52,6 +53,17 @@ def test_construct_stdout_schema_is_loadable(tmp_path, capsys):
     path = tmp_path / "pipe.json"
     path.write_text(stdout)
     assert load_code(path).same_point_set(cube(3))
+
+
+def test_envelope_and_raw_code_are_the_printed_dumps(capsys):
+    # json.dump to stdout writes the bytes print(json.dumps(...)) wrote
+    report = {"value": Fraction(1, 3), "rows": [[0.5, -1.0]], "none": None}
+    _emit("probe", report, seed=3, tolerances={"tol": 1e-9})
+    want = {"tool": "stiffkit", "version": __version__, "command": "probe",
+            "seed": 3, "tolerances": {"tol": 1e-9}, "report": report}
+    assert capsys.readouterr().out == json.dumps(want, indent=2, default=str) + "\n"
+    _, stdout, _ = run(capsys, "construct", "cube", "3")
+    assert stdout == json.dumps(cube(3).to_json_dict(), indent=2, default=str) + "\n"
 
 
 def test_construct_unknown_name_is_usage_error(capsys):

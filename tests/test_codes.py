@@ -29,6 +29,7 @@ from stiffkit.codes import (
     load_code,
     ngon,
     polytope_2_41,
+    random_unit_blocks,
     random_units,
     raw_dots,
     save_code,
@@ -285,6 +286,15 @@ def test_random_units_are_seeded_unit_rows(dim):
     assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-15)
 
 
+@pytest.mark.parametrize("size", [1, 7, 40, 100])
+def test_random_unit_blocks_are_the_rows_of_random_units(size):
+    blocks = list(random_unit_blocks(5, 40, 8, size))
+    assert [len(b) for b in blocks] == [min(size, 40 - lo) for lo in range(0, 40, size)]
+    assert np.array_equal(np.vstack(blocks), random_units(5, 40, 8))
+    with pytest.raises(ValueError, match="seed"):
+        next(random_unit_blocks(-1, 40, 8, size))
+
+
 def test_size_cap(monkeypatch):
     monkeypatch.setenv(ENV_SIZE_CAP, "100")
     with pytest.raises(SizeCapExceeded):
@@ -335,6 +345,14 @@ def test_json_roundtrip_float(tmp_path):
     assert isinstance(back, FloatCode)
     assert np.allclose(back.points, c.points)
     assert back.tolerance == c.tolerance
+
+
+def test_save_code_writes_the_dumps_text(tmp_path):
+    # json.dump streams the chunks of the text json.dumps joins
+    for c in (demicube(5), ngon(5)):
+        path = tmp_path / f"{c.name}.json"
+        save_code(c, path)
+        assert path.read_bytes() == (json.dumps(c.to_json_dict(), indent=2) + "\n").encode()
 
 
 def test_load_rejects_unknown_schema(tmp_path):

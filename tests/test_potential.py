@@ -35,10 +35,12 @@ from stiffkit.potential import (
     MinimizationReport,
     SingularEvaluation,
     UniversalMinimumReport,
+    _argmin_max_dist,
     _descend,
     _evaluate,
     _newton_steps,
     _probe_values,
+    _tangent_hessians,
     _unit_pairs,
     minimize_potential,
     potential_eval,
@@ -275,10 +277,20 @@ class TestRowBlocks:
             assert peak < 3 * BLOCK_BYTES + returned, k.name
 
 
-def _newton_steps_eigh(x, egrad, ehess, tang) -> tuple:
+def _expand_pairs(pairs, dim) -> np.ndarray:
+    """The (rows, d, d) symmetric matrices of upper-triangle pair sums."""
+    upper = np.triu_indices(dim)
+    ehess = np.empty((len(pairs), dim, dim))
+    ehess[:, upper[0], upper[1]] = ehess[:, upper[1], upper[0]] = pairs
+    return ehess
+
+
+def _newton_steps_eigh(x, egrad, pairs, tang) -> tuple:
     """Reference: the eigendecomposition step that the Cholesky one
-    replaced, and the eigenvalues of the shifted tangent Hessian."""
+    replaced, on the projected tangent Hessian P H P - (x.grad) P, and the
+    eigenvalues of the shifted tangent Hessian."""
     dim = x.shape[1]
+    ehess = _expand_pairs(pairs, dim)
     proj = np.eye(dim) - x[:, :, None] * x[:, None, :]
     radial = np.einsum("ij,ij->i", egrad, x)
     hess = proj @ ehess @ proj - radial[:, None, None] * proj
@@ -293,8 +305,8 @@ def _newton_steps_eigh(x, egrad, ehess, tang) -> tuple:
 
 
 @st.composite
-def _tangent_hessians(draw):
-    """Rows (x, egrad, ehess, tang) in dimension 3, 8 or 24 whose tangent
+def _tangent_hessian_cases(draw):
+    """Rows (x, egrad, pairs, tang) in dimension 3, 8 or 24 whose tangent
     Hessians are, row by row, positive definite, indefinite, or have
     lambda_min = +-1e-10 |H| for the norm |H| of the shifted matrix that
     _newton_steps factors (shift 1 + the largest entry, along x)."""
@@ -320,14 +332,14 @@ def _tangent_hessians(draw):
             tangent += lam0 * np.outer(basis[:, 0], basis[:, 0])
         radial = rng.normal() * lam.max()
         tang = basis @ rng.normal(size=dim - 1)
-        rows.append((x, tang + radial * x,
-                     tangent + radial * (np.eye(dim) - np.outer(x, x)), tang))
+        ehess = tangent + radial * (np.eye(dim) - np.outer(x, x))
+        rows.append((x, tang + radial * x, ehess[np.triu_indices(dim)], tang))
     return tuple(np.array(a) for a in zip(*rows))
 
 
 class TestNewtonSteps:
     @settings(max_examples=150, deadline=None)
-    @given(_tangent_hessians())
+    @given(_tangent_hessian_cases())
     def test_cholesky_matches_eigh(self, case):
         step, ok = _newton_steps(*case)
         want, want_ok, lam = _newton_steps_eigh(*case)
@@ -341,6 +353,28 @@ class TestNewtonSteps:
         cond = norm[both] / lam[both, 0]
         bound = (1e-10 + 64 * np.finfo(float).eps * cond) * np.linalg.norm(want[both], axis=1)
         assert np.all(np.linalg.norm(step[both] - want[both], axis=1) <= bound)
+
+    @pytest.mark.parametrize("dim", [3, 8, 24])
+    def test_rank_two_update_matches_projection(self, dim):
+        # H - w x^T - x w^T - gamma I against P H P - gamma P, P = I - x x^T,
+        # on the lower triangle that _tangent_hessians forms
+        rng = np.random.default_rng(dim)
+        rows = 50
+        x = rng.normal(size=(rows, dim))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        egrad = rng.normal(size=(rows, dim)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        m = rng.normal(size=(rows, dim, dim)) * 10.0 ** rng.uniform(-3, 3, (rows, 1, 1))
+        ehess = m + m.transpose(0, 2, 1)
+        upper, lower = np.triu_indices(dim), np.tril_indices(dim)
+        pairs = ehess[:, upper[0], upper[1]]
+        proj = np.eye(dim) - x[:, :, None] * x[:, None, :]
+        gamma = np.einsum("ij,ij->i", egrad, x)
+        want = proj @ ehess @ proj - gamma[:, None, None] * proj
+        got = _tangent_hessians(x, egrad, pairs).transpose(2, 0, 1)
+        err = np.abs(got[:, lower[0], lower[1]]
+                     - want[:, lower[0], lower[1]]).max(axis=1)
+        norm = np.maximum(np.abs(ehess).max(axis=(1, 2)), np.abs(gamma))
+        assert np.all(err <= 1e-13 * norm)
 
 
 class TestPotentialEval:
@@ -606,6 +640,76 @@ class TestMinimize:
         assert np.array_equal(a.argmin_cluster, b.argmin_cluster)
 
 
+class TestStartBlocks:
+    """minimize_potential descends consecutive blocks of starts, each as
+    large as keeps one Newton stack within 4 BLOCK_BYTES."""
+
+    @staticmethod
+    def _recorded(mp, run):
+        """run() and the outputs of each _descend call it made."""
+        import stiffkit.potential as potential
+        calls, descend = [], potential._descend
+
+        def spy(*args):
+            calls.append(descend(*args))
+            return calls[-1]
+
+        mp.setattr(potential, "_descend", spy)
+        rep = run()
+        mp.setattr(potential, "_descend", descend)
+        return rep, calls
+
+    def test_blocks_give_one_batch_bit_for_bit(self, monkeypatch):
+        # cross_polytope(12) with every code antipode started: 50 random
+        # starts, 24 antipodes (singular for riesz) and 11 cube vertices as
+        # dual points, in one block and in 5 blocks of 20 that mix all three
+        # kinds.  Each block's rows are evaluated in one table of the
+        # patched BLOCK_BYTES (30 rows of the 24-point code).  The equality
+        # rests on the BLAS giving each row of these small products the
+        # same bits whatever rows share it; a one-row product, which NumPy
+        # hands to gemv, rounds differently, and with blocks of 7 one start
+        # of this case moves by 8.9e-16
+        import stiffkit.potential as potential
+        monkeypatch.setattr(LatticeCode, "antipode_mask",
+                            lambda self: np.zeros(self.size, dtype=bool))
+        code, dual = cross_polytope(12), cube(12).unit_array()[::400]
+        for spec in ("riesz:1", "gauss:1"):
+            run = lambda: minimize_potential(code, Kernel.parse(spec),
+                                             restarts=50, seed=2, dual=dual)
+            one, (whole,) = self._recorded(monkeypatch, run)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(potential, "BLOCK_BYTES", 20 * 8 * 12 * 12 // 4)
+                many, calls = self._recorded(mp, run)
+            assert len(calls) == 5, spec
+            for k in range(3):
+                assert np.array_equal(np.concatenate([c[k] for c in calls]),
+                                      whole[k]), (spec, k)
+            assert many.iterations == max(c[3] for c in calls) == one.iterations
+            assert many.n_newton_steps == sum(c[4] for c in calls) == one.n_newton_steps
+            assert many.n_singular_starts == (24 if spec == "riesz:1" else 0)
+            assert many.to_json_dict() == one.to_json_dict(), spec
+
+    def test_descent_memory_does_not_grow_with_the_starts(self, monkeypatch):
+        # cross_polytope(12) in blocks of 227 starts: the traced peak of 4
+        # blocks stays within half a Newton stack of one block's, since only
+        # the kept points, values and flags grow with the start count
+        import stiffkit.potential as potential
+        monkeypatch.setattr(potential, "BLOCK_BYTES", 1 << 16)
+        size = 4 * potential.BLOCK_BYTES // (8 * 12 * 12)
+        code, k = cross_polytope(12), Kernel.parse("riesz:1")
+        minimize_potential(code, k, restarts=2, seed=0)
+        peaks = []
+        for blocks in (1, 4):
+            tracemalloc.start()
+            try:
+                rep = minimize_potential(code, k, restarts=blocks * size, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rep.n_converged == blocks * size
+        assert peaks[1] < peaks[0] + size * 12 * 12 * 8 // 2, peaks
+
+
 class TestAntipodeStarts:
     """A code antipode that is itself a code point is not a start."""
 
@@ -637,6 +741,38 @@ class TestAntipodeStarts:
         rep = minimize_potential(code, Kernel.parse("riesz:1"), restarts=4, seed=0)
         assert rep.n_antipode_starts == 3
         assert rep.n_singular_starts == 0
+
+
+def _argmin_dist_loop(argmins, dual_units) -> float:
+    """Reference: one full row of distances per argmin."""
+    if not len(argmins):
+        return float("inf")
+    return max(float(np.linalg.norm(dual_units - p, axis=1).min()) for p in argmins)
+
+
+class TestArgminDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(_planted_points(), st.integers(0, 2**32 - 1), st.sampled_from((1e-5, 1e-4)))
+    def test_sweep_matches_the_row_loop(self, pts, seed, tol):
+        # planted near-duplicates of the dual as argmins, some farther than
+        # tol from every dual point, some random rows, some exact copies
+        rng = np.random.default_rng(seed)
+        dual = pts[: max(1, len(pts) // 2)]
+        picks = dual[rng.integers(len(dual), size=rng.integers(0, 6))]
+        offsets = rng.normal(size=picks.shape)
+        offsets *= (rng.choice([0.0, 0.5, 2.0, 1e3], size=len(picks)) * tol
+                    / np.linalg.norm(offsets, axis=1))[:, None]
+        far = rng.normal(size=(rng.integers(0, 3), dual.shape[1]))
+        argmins = np.vstack([picks + offsets, far, pts[len(dual):]])
+        assert _argmin_max_dist(argmins, dual, tol) == _argmin_dist_loop(argmins, dual)
+
+    def test_far_argmin_and_empty(self):
+        dual = np.eye(4)
+        argmins = np.array([[1.0, 1e-7, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]])
+        got = _argmin_max_dist(argmins, dual, 1e-5)
+        assert got == _argmin_dist_loop(argmins, dual) == np.linalg.norm(argmins[1] - dual[2])
+        assert _argmin_max_dist(argmins[:1], dual, 1e-5) == 1e-7
+        assert _argmin_max_dist(np.zeros((0, 4)), dual, 1e-5) == float("inf")
 
 
 class TestUniversalMinimum:
