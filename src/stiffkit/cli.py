@@ -238,8 +238,8 @@ def cmd_dual(args) -> int:
                   f"{2 * args.m - 1}-design and no --nodes were supplied")
         rows.append(("dual", reason))
     _summary(rows)
-    report: dict = {"dual": None if dual is None else dual.to_json_dict(),
-                    "certificate": cert.to_json_dict()}
+    certificate = cert.to_json_dict()
+    report: dict = {"dual": certificate.get("dual"), "certificate": certificate}
     if reason:
         report["reason"] = reason
     _emit("dual", report,

@@ -26,11 +26,11 @@ from math import cos, gcd, isqrt, lcm, pi, sin
 from operator import index
 from pathlib import Path
 from random import Random
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import BLOCK_BYTES, check_size
+from .config import block_rows, check_size
 from .exact import Surd
 
 Vector = tuple[int, ...]
@@ -100,7 +100,7 @@ def products(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def dot_blocks(x: np.ndarray, y: np.ndarray):
     """The table x @ y.T as (start, block) pairs, block = x[start:start + k]
-    @ y.T with k rows, k * len(y) * 8 <= BLOCK_BYTES and k >= 1.
+    @ y.T with k = config.block_rows(len(y)) rows (the last block fewer).
 
     x and y are converted once by the caller: both from int_arrays
     (exact), or both float unit rows.  Each block is the product buffer
@@ -109,7 +109,7 @@ def dot_blocks(x: np.ndarray, y: np.ndarray):
     Python integers otherwise.  The one buffer is reused, so a block is
     valid until the next one is drawn and no len(x) x len(y) table is
     held."""
-    step = max(1, BLOCK_BYTES // (8 * len(y)))
+    step = block_rows(len(y))
     buf = np.empty((min(step, len(x)), len(y)), dtype=x.dtype)
     for s in range(0, len(x), step):
         rows = x[s:s + step]
@@ -333,13 +333,9 @@ class LatticeCode:
     def direction_set(self) -> frozenset[Vector]:
         return frozenset(gcd_reduce(p) for p in self.points)
 
-    def same_point_set(self, other: Union["LatticeCode", Iterable[LatticePoint]]) -> bool:
+    def same_point_set(self, other: "LatticeCode") -> bool:
         """Set equality as sphere points, ignoring the integer scaling."""
-        if isinstance(other, LatticeCode):
-            theirs = other.direction_set()
-        else:
-            theirs = frozenset(p.direction() for p in other)
-        return self.direction_set() == theirs
+        return self.direction_set() == other.direction_set()
 
     def antipode_mask(self) -> np.ndarray:
         """Per point, whether its antipode is a code point, exactly."""

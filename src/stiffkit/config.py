@@ -8,20 +8,18 @@ DEFAULT_SIZE_CAP = 2**22
 
 # bytes of one block of a table computed block by block: 1 MiB, 60 rows of
 # the 2160-point code, fits in a 2 MiB L2 cache.  Each stream of blocks
-# holds one live block.  Its users: the Gram row blocks of the pair sums
-# (design._gram_parts, whose parts are counted in place); the descent's
-# rows x code tables (potential._evaluate, a dot table and one scratch
-# table) and its Newton stack (potential._newton_steps: rows x d^2 floats
-# for a block of starts of minimize_potential, which holds as many as fit
-# in 4 BLOCK_BYTES, 1083 at d = 22); and the stream codes.dot_blocks,
-# whose block is its product buffer, which raw_dots collects and which the
-# survivor certification, the frequency rows, the double-dual check,
-# verify_universal_minimum's m-check and the scans' widths read block by
-# block; the float dual's residuals take blocks of candidates of the same
-# size (stiffness.dual_search)
+# holds one live block of as many float64 rows as fit, at least one; every
+# block size in the package comes from block_rows, which reads this value
+# when called, so a test that patches it here sizes every block
 BLOCK_BYTES = 1 << 20
 
 ENV_SIZE_CAP = "STIFFKIT_SIZE_CAP"
+
+
+def block_rows(width: int, blocks: int = 1) -> int:
+    """How many rows of `width` float64 entries fit in blocks * BLOCK_BYTES,
+    at least 1."""
+    return max(1, blocks * BLOCK_BYTES // (8 * width))
 
 
 class SizeCapExceeded(ValueError):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .codes import (Code, FloatCode, LatticeCode, LatticePoint, int_arrays, products,
                     raw_dots, unit_surd)
-from .config import BLOCK_BYTES
+from .config import block_rows
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import gegenbauer_poly
 
@@ -97,7 +97,7 @@ def _gram_parts(pts: np.ndarray):
     sorted in place and is valid until the next one is drawn.
     """
     n = len(pts)
-    step = max(1, BLOCK_BYTES // (8 * n))
+    step = block_rows(n)
     buf = np.empty(min(step, n) * n, dtype=pts.dtype)
     for s in range(0, n, step):
         width = min(step, n - s)

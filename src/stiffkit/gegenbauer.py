@@ -64,10 +64,6 @@ class Polynomial:
         object.__setattr__(self, "nums", tuple(n // g for n in nums))
         object.__setattr__(self, "den", den // g)
 
-    @staticmethod
-    def monomial(k: int, coeff: CoeffLike = 1) -> "Polynomial":
-        return Polynomial([0] * k + [coeff])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
@@ -241,9 +237,6 @@ class NodeSet:
     exact: bool
     nodes: tuple
     weights: tuple
-
-    def nodes_float(self) -> tuple[float, ...]:
-        return tuple(float(t) for t in self.nodes)
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,9 @@
 verify_universal_minimum runs minimize_potential once per kernel with the
 dual candidates among the starts; its UniversalMinimumReport is that
 MinimizationReport plus the equality with the dual value, the worst
-argmin distance to the dual and the verdict.
+argmin distance to the dual and the verdict, and its JSON, the verdict's
+keys, is the one JSON form of a multistart.  minimize_potential also runs
+alone, without dual candidates, and returns the bare MinimizationReport.
 
 Kernels are functions of the dot product t with g(x.y) = f(|x-y|^2), so
 |x-y|^2 = 2-2t.  Minimization is multistart descent on the unit sphere:
@@ -15,13 +17,13 @@ descended in consecutive numpy batches of as many starts as keep one
 Newton stack within 4 BLOCK_BYTES, then clustered together.  Each
 iteration takes a safeguarded Riemannian Newton step where the tangent
 Hessian is positive definite and falls back to an adaptive gradient step
-where it is not; a start stops when its tangential gradient reaches the
-round-off floor of the gradient sum (see _descend).  The Newton step forms
-the tangent Hessians as a rank-two update of the pair sums in one
-entry-major (d, d, rows) stack and factors them in place by Cholesky,
-batched over rows; its pivots are all positive exactly where the tangent
-Hessian is positive definite, and a row with a pivot <= 0 takes the
-gradient step.
+where it is not; a start stops when its tangential gradient reaches
+GRAD_TOL or the round-off floor of the gradient sum (see _descend), or
+after MAX_ITER iterations.  The Newton step forms the tangent Hessians as
+a rank-two update of the pair sums in one entry-major (d, d, rows) stack
+and factors them in place by Cholesky, batched over rows; its pivots are
+all positive exactly where the tangent Hessian is positive definite, and
+a row with a pivot <= 0 takes the gradient step.
 
 A point is evaluated once per step: _evaluate gives its potential,
 gradient, Hessian pair sums and sum |g'| from one dot table and one pow or
@@ -50,7 +52,7 @@ import numpy as np
 
 from .codes import (Code, LatticePoint, close_pairs, dot_blocks, greedy_cluster,
                     random_unit_blocks, sorted_rows)
-from .config import BLOCK_BYTES, check_size
+from .config import block_rows, check_size
 from .design import index_set, spectrum
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import Polynomial
@@ -61,7 +63,7 @@ CLUSTER_TOL = 1e-6
 MAX_ITER = 600
 # longest step, in radians, that one descent iteration may take
 TRUST_RADIUS = 0.25
-# converged when |grad| <= ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)| (or gtol)
+# converged when |grad| <= max(GRAD_TOL, ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)|)
 ROUNDOFF_FACTOR = 64
 # verify_universal_minimum: the largest relative spread of the potential over
 # the dual, and the least gap a descended start may leave below the dual value
@@ -241,8 +243,6 @@ class MinimizationReport:
     n_failed: int
     n_singular_starts: int
     n_antipode_starts: int  # code antipodes that are not code points
-    gradient_tol: float
-    cluster_tol: float
     iterations: int      # descent loop passes
     n_newton_steps: int  # accepted Newton steps, over all starts
     dual_value: Optional[float] = None
@@ -252,29 +252,6 @@ class MinimizationReport:
     # no such value exists
     gap: Optional[float] = None
     dual_match: Optional[bool] = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "code": self.code_name,
-            "kernel": self.kernel,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "global_min_value": self.global_min_value,
-            "argmin_cluster": [[float(x) for x in p] for p in self.argmin_cluster],
-            "n_converged": self.n_converged,
-            "n_failed": self.n_failed,
-            "n_singular_starts": self.n_singular_starts,
-            "n_antipode_starts": self.n_antipode_starts,
-            "gradient_tol": self.gradient_tol,
-            "cluster_tol": self.cluster_tol,
-            "iterations": self.iterations,
-            "n_newton_steps": self.n_newton_steps,
-        }
-        if self.dual_value is not None:
-            out.update(dual_value=self.dual_value,
-                       dual_spread_rel=self.dual_spread_rel, gap=self.gap,
-                       dual_match=self.dual_match)
-        return out
 
 
 def _as_unit_rows(points: Optional[np.ndarray]) -> np.ndarray:
@@ -317,7 +294,7 @@ def _evaluate(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
     grad = np.empty((len(rows), units.shape[1]))
     pair_sums = np.empty((len(rows), unit_pairs.shape[1]))
     scale = np.empty(len(rows))
-    size = max(1, min(len(rows), BLOCK_BYTES // (8 * len(units))))
+    size = max(1, min(len(rows), block_rows(len(units))))
     tables = np.empty((2, size, len(units)))
     gap_units = -2.0 * units
     c1 = c2 = 1.0
@@ -413,16 +390,16 @@ def _newton_steps(x: np.ndarray, egrad: np.ndarray, pairs: np.ndarray,
 
 
 def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
-             starts: np.ndarray, evaluation: tuple[np.ndarray, ...],
-             gtol: float, max_iter: int
+             starts: np.ndarray, evaluation: tuple[np.ndarray, ...]
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Batched safeguarded Riemannian Newton descent on the unit sphere.
+    """Batched safeguarded Riemannian Newton descent on the unit sphere,
+    for at most MAX_ITER iterations.
 
     Each iteration takes the Newton step on rows whose tangent Hessian is
     positive definite and an adaptive gradient step on the others, both
     capped at TRUST_RADIUS and backtracked until an Armijo test holds up to
     a round-off slack of 8 eps |f|.  A row stops when its tangential
-    gradient is at most max(gtol, ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)|),
+    gradient is at most max(GRAD_TOL, ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)|),
     the round-off floor of the gradient sum; that is the converged mask.
     `evaluation` is what _evaluate gives at the starts; its arrays are
     updated in place, not copied.  Every trial point is evaluated once, by
@@ -439,9 +416,9 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
     alive = np.ones(len(x), dtype=bool)
     step = np.full(len(x), 0.1)
     grad_norm = np.full(len(x), np.inf)
-    tol = np.full(len(x), gtol)
+    tol = np.full(len(x), GRAD_TOL)
     iterations = newton_steps = 0
-    while iterations < max_iter:
+    while iterations < MAX_ITER:
         idx = np.nonzero(alive)[0]
         if not len(idx):
             break
@@ -450,7 +427,7 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
         tang = egrad - np.einsum("ij,ij->i", egrad, xs)[:, None] * xs
         gn = np.linalg.norm(tang, axis=1)
         grad_norm[idx] = gn
-        tol[idx] = np.maximum(gtol, ROUNDOFF_FACTOR * eps * scales[idx])
+        tol[idx] = np.maximum(GRAD_TOL, ROUNDOFF_FACTOR * eps * scales[idx])
         done = gn <= tol[idx]
         alive[idx[done]] = False
         work = idx[~done]
@@ -527,7 +504,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     check_size(n_starts, "descent starts")
 
     fixed = np.vstack([antipodes, dual_units]) if n_dual else antipodes
-    size = max(1, 4 * BLOCK_BYTES // (8 * dim * dim))
+    size = block_rows(dim * dim, 4)
     draws = random_unit_blocks(seed, restarts, dim, size)
     unit_pairs = _unit_pairs(units)
     blocks = []
@@ -543,8 +520,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
         finite = np.isfinite(evaluation[0])
         n_singular += int(np.sum(~finite))
         x0, evaluation = x0[finite], tuple(v[finite] for v in evaluation)
-        *out, its, newton = _descend(units, unit_pairs, kernel, x0, evaluation,
-                                     GRAD_TOL, MAX_ITER)
+        *out, its, newton = _descend(units, unit_pairs, kernel, x0, evaluation)
         blocks.append((*out, is_dual[finite]))
         iterations = max(iterations, its)
         n_newton += newton
@@ -578,9 +554,8 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     cluster = sorted_rows(greedy_cluster(pts[good & (vals <= level)], CLUSTER_TOL))
     return MinimizationReport(code.name, kernel.name, restarts, seed,
                               global_min, cluster, n_conv, n_failed,
-                              n_singular, len(antipodes), GRAD_TOL,
-                              CLUSTER_TOL, iterations, n_newton, dual_value,
-                              spread, gap, dual_match)
+                              n_singular, len(antipodes), iterations, n_newton,
+                              dual_value, spread, gap, dual_match)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import adjugate_and_det, first_independent, integer_nullspace
-from .codes import (Code, LatticeCode, LatticePoint, Vector, common_norm, covered_by,
-                    dot_blocks, greedy_cluster, int_arrays, raw_dots, sorted_rows)
-from .config import BLOCK_BYTES, check_size
+from .codes import (Code, LatticeCode, LatticePoint, Vector, covered_by, dot_blocks,
+                    greedy_cluster, int_arrays, raw_dots, sorted_rows)
+from .config import block_rows, check_size
 from .design import DesignReport, index_set, pair_values, spectra
 from .exact import Scalar, Surd, scalar_str
 from .gegenbauer import nodes as gegenbauer_nodes
@@ -37,7 +37,6 @@ FLOAT_RESIDUAL = 1e-9
 # cluster widths accepted as one dot value by the two candidate scans
 BRUTE_WIDTH_TOL = 1e-6
 CIRCLE_WIDTH_TOL = 1e-8
-NO_COMMON_NORM = "dual norms have distinct square-free parts, no common scaling exists"
 
 
 class NotInGeneralPosition(ValueError):
@@ -56,12 +55,14 @@ class NodesRequired(ValueError):
 class DualSearchResult:
     """Outcome of a dual enumeration.
 
-    exact results carry LatticePoint entries; float results carry unit rows
-    in points_float.  dual_complete is True only when the node set itself is
-    certified (Gegenbauer roots of a verified (2m-1)-design), so the
-    enumeration provably saw every dual point.  For caller-supplied nodes
-    the search is exhaustive relative to those nodes but completeness of
-    the node list is the caller's responsibility.
+    exact results carry LatticePoint entries, primitive directions, and
+    common_rows, the same points in the same order at the least common
+    squared norm their certification proved (see _exact_dual); float
+    results carry unit rows in points_float.  dual_complete is True only
+    when the node set itself is certified (Gegenbauer roots of a verified
+    (2m-1)-design), so the enumeration provably saw every dual point.  For
+    caller-supplied nodes the search is exhaustive relative to those nodes
+    but completeness of the node list is the caller's responsibility.
     """
 
     code_name: str
@@ -74,6 +75,7 @@ class DualSearchResult:
     node_values: tuple
     subspace_basis: Optional[tuple[Vector, ...]] = None
     max_residual: float = 0.0
+    common_rows: tuple[Vector, ...] = ()
 
     @property
     def exact(self) -> bool:
@@ -92,7 +94,12 @@ class DualSearchResult:
         return self.count == 0 and self.subspace_basis is None
 
     def as_code(self, name: Optional[str] = None) -> LatticeCode:
-        return dual_to_code(self.points, name or f"dual_{self.m}({self.code_name})")
+        """The exact dual as a code: common_rows, sorted."""
+        if not self.common_rows:
+            raise ValueError("no exact dual points to convert")
+        rows = tuple(sorted(self.common_rows))
+        return LatticeCode(name or f"dual_{self.m}({self.code_name})", len(rows[0]),
+                           sum(x * x for x in rows[0]), rows)
 
     def unit_points(self) -> np.ndarray:
         if self.points_float is not None:
@@ -107,8 +114,7 @@ class DualSearchResult:
             "count": self.count,
             "dual_complete": self.dual_complete,
             "nodes_supplied": self.nodes_supplied,
-            "nodes": [scalar_str(v) if isinstance(v, (Surd, Fraction, int)) else float(v)
-                      for v in self.node_values],
+            "nodes": [_node_json(v) for v in self.node_values],
         }
         if self.points:
             out["points"] = [
@@ -122,20 +128,9 @@ class DualSearchResult:
         return out
 
 
-def dual_to_code(points: Sequence[LatticePoint], name: str) -> LatticeCode:
-    """Rescale exact dual points to one common squared norm.
-
-    With norm_sq = f^2 * s (s square-free), a common norm exists iff every
-    point has the same s; the target is then lcm(f)^2 * s (codes.common_norm,
-    which finds it without factoring).
-    """
-    if not points:
-        raise ValueError("no points to convert")
-    scaled = common_norm([p.direction() for p in points])
-    if scaled is None:
-        raise ValueError(NO_COMMON_NORM)
-    target = sum(x * x for x in scaled[0])
-    return LatticeCode(name, points[0].ambient_dim, target, tuple(sorted(scaled)))
+def _node_json(v):
+    """A node value for JSON: exact values as strings, float ones as floats."""
+    return scalar_str(v) if isinstance(v, (Surd, Fraction, int)) else float(v)
 
 
 def _independent_rows(code: Code, units: np.ndarray) -> list[int]:
@@ -247,8 +242,9 @@ def dual_search(
     node_idx, y = _walk(r, values, FLOAT_RESIDUAL if rhs is None else _gamma(8),
                         f"dual search for {code.name}")
     if rhs is not None:
-        return DualSearchResult(code.name, m, "exact", _exact_dual(code, idx, node_idx, rhs),
-                                None, dual_complete, nodes_supplied, tuple(node_values))
+        pts, rows = _exact_dual(code, idx, node_idx, rhs)
+        return DualSearchResult(code.name, m, "exact", pts, None, dual_complete,
+                                nodes_supplied, tuple(node_values), common_rows=rows)
     # spectrum certificate: the point Q y, normalized, is kept when every
     # dot it forms with the code is within FLOAT_RESIDUAL of some node
     cand = y @ q.T
@@ -257,7 +253,7 @@ def dual_search(
     # (a stacked matmul), which rounds unlike a GEMM block: the residuals,
     # and max_residual, stay those of units @ v
     res = np.empty(len(cand))
-    step = max(1, BLOCK_BYTES // (8 * len(units)))
+    step = block_rows(len(units))
     for s in range(0, len(cand), step):
         dots = np.matmul(units, cand[s:s + step, :, None])[..., 0]
         dist = np.abs(dots - values[0])
@@ -299,7 +295,8 @@ def _subspace_dual(code: Code, idx: list[int], nodes_supplied: bool,
             p = LatticePoint(b, sum(x * x for x in b))
             pts = tuple(sorted([p, -p], key=lambda q: q.vector))
             return DualSearchResult(code.name, 1, "exact", pts, None, True,
-                                    nodes_supplied, (Surd(0),))
+                                    nodes_supplied, (Surd(0),),
+                                    common_rows=tuple(q.vector for q in pts))
         return DualSearchResult(code.name, 1, "subspace", (), None, True,
                                 nodes_supplied, (Surd(0),),
                                 subspace_basis=tuple(basis))
@@ -370,7 +367,7 @@ def _walk(r: np.ndarray, values: np.ndarray, tau: float,
 
 
 def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
-                rhs) -> tuple[LatticePoint, ...]:
+                rhs) -> tuple[tuple[LatticePoint, ...], tuple[Vector, ...]]:
     """Certify walk survivors in integers.  A dual point x has
     c . x = n sqrt(g) / Q on each chosen row c, so with A the chosen rows
     and G = A A^T it is w sqrt(g) / (Q det G) for w = n^T adj(G) A: a unit
@@ -379,15 +376,21 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
     whose dots stay small.  The dots run through codes.dot_blocks, in
     blocks of code points x survivors of at most BLOCK_BYTES, so no code x
     survivor table is held.  Each node is walked once and A has full rank,
-    so no two survivors are the same point."""
+    so no two survivors are the same point.
+
+    Returns the certified points, as primitive directions v in sorted
+    order, and the same points at their least common squared norm: every
+    certified w has |w|^2 = (Q det G)^2 / g, so w = h v are integer rows of
+    one norm, and dividing by the gcd H of their h leaves (h / H) v, the
+    least integer multiples of the v that share one norm."""
     n_ints, q_lcm, g = rhs
     if not len(node_idx):
-        return ()
+        return (), ()
     rows = [code.points[i] for i in idx]
     adj, det = adjugate_and_det(raw_dots(rows, rows).tolist())
     adj_rows = raw_dots(adj, list(zip(*rows)))  # adj(G) A
     w = raw_dots(np.array(n_ints, dtype=object)[node_idx], adj_rows.T)
-    dirs, targets = [], []
+    dirs, gcds, targets = [], [], []
     for v in w.tolist():
         if g * sum(x * x for x in v) != (q_lcm * det) ** 2:
             continue
@@ -396,9 +399,10 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
         t = [n * det // h for n in n_ints if n * det % h == 0]
         if t:  # padded with a repeat, so every row has one target per node
             dirs.append(v)
+            gcds.append(h)
             targets.append(t + t[:1] * (len(n_ints) - len(t)))
     if not dirs:
-        return ()
+        return (), ()
     big = any(abs(t) >= 2**62 for row in targets for t in row)
     targets = np.array(targets, dtype=object if big else np.int64).T
     # blocks of code points x survivors: each node's target is OR-ed into
@@ -411,8 +415,10 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
             hit_buf, eq_buf = np.empty(block.shape, dtype=bool), np.empty(block.shape, dtype=bool)
         alive &= _meets_a_target(block, targets, hit_buf[:len(block)],
                                  eq_buf[:len(block)]).all(axis=0)
-    return tuple(LatticePoint(v, sum(x * x for x in v))
-                 for v in sorted(d for d, a in zip(dirs, alive) if a))
+    kept = sorted((v, h) for v, h, a in zip(dirs, gcds, alive) if a)
+    big_h = gcd(*(h for _, h in kept))
+    return (tuple(LatticePoint(v, sum(x * x for x in v)) for v, _ in kept),
+            tuple(tuple(x * (h // big_h) for x in v) for v, h in kept))
 
 
 def _meets_a_target(block: np.ndarray, targets: np.ndarray, hit: np.ndarray,
@@ -464,11 +470,8 @@ class StiffnessCertificate:
         if self.frequencies_match_weights is not None:
             out["frequencies_match_weights"] = self.frequencies_match_weights
         if self.frequency_table:
-            first = [
-                {"node": scalar_str(v) if isinstance(v, (Surd, Fraction, int)) else float(v),
-                 "count": c}
-                for v, c in self.frequency_table[0]
-            ]
+            first = [{"node": _node_json(v), "count": c}
+                     for v, c in self.frequency_table[0]]
             out["frequency_table"] = {
                 "per_point": first,
                 "constant_across_dual": self.frequencies_constant,
@@ -507,20 +510,16 @@ def certify_stiff(code: Code, m: int,
     freq_match: Optional[bool] = None
     props: dict = {}
     if dual is not None and dual.count:
-        # every exact dual point w has g |w|^2 a square for the walk's g, so
-        # |w|^2 is the square-free part of g times a square: common_norm
-        # scales them to one norm and equal integer dots are equal unit dots
+        # the exact rows share one norm, so equal integer dots are equal
+        # unit dots; frequency row k is dual point k's
         if dual.exact:
-            # rows in dual.points order: frequency row k is dual point k's
-            scaled = common_norm([p.direction() for p in dual.points])
-            if scaled is None:
-                raise ValueError(NO_COMMON_NORM)
-            duals, pts = int_arrays(scaled, code.points)
-            norms = (sum(x * x for x in scaled[0]), code.norm_sq)
+            rows = dual.common_rows
+            duals, pts = int_arrays(rows, code.points)
+            norms = (sum(x * x for x in rows[0]), code.norm_sq)
             surds: dict = {}
             freq_table = [row for _, block in dot_blocks(duals, pts)
                           for row in spectra(block, norms, surds=surds)]
-            antipodal = {tuple(-x for x in v) for v in scaled} == set(scaled)
+            antipodal = {tuple(-x for x in v) for v in rows} == set(rows)
         else:
             duals, pts = dual.unit_points(), code.unit_array()
             freq_table = [tuple((round(val, 9), c) for val, c in row)

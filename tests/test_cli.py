@@ -16,6 +16,7 @@ from stiffkit.codes import (
     cube,
     demicube,
     load_code,
+    ngon,
     save_code,
 )
 from stiffkit.exact import Surd, parse_scalar
@@ -132,6 +133,21 @@ def test_dual_reports_certificate(tmp_path, capsys):
     assert rep["dual"]["count"] == 10
     assert rep["dual"]["mode"] == "exact"
     assert rep["certificate"]["stiff"] is True
+
+
+@pytest.mark.parametrize("code,m", [
+    (demicube(5), 2),
+    (ngon(8), 4),
+    (LatticeCode("e1", 4, 1, ((-1, 0, 0, 0), (1, 0, 0, 0))), 1),
+], ids=["exact", "float", "subspace"])
+def test_dual_json_is_the_certificates_dual(tmp_path, capsys, code, m):
+    f = tmp_path / "code.json"
+    save_code(code, f)
+    rc, stdout, _ = run(capsys, "dual", str(f), "-m", str(m))
+    assert rc == 0
+    rep = json.loads(stdout)["report"]
+    assert rep["dual"] == rep["certificate"]["dual"]
+    assert rep["dual"] == dual_search(load_code(f), m).to_json_dict()
 
 
 def test_dual_without_needed_nodes_fails(tmp_path, capsys):

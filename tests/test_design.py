@@ -24,7 +24,7 @@ from stiffkit.codes import (
     polytope_2_41,
     raw_dots,
 )
-from stiffkit import design
+from stiffkit import config, design
 from stiffkit.config import BLOCK_BYTES
 from stiffkit.design import (
     FLOAT_DESIGN_TOL,
@@ -96,7 +96,7 @@ def test_block_multiset_matches_full_table(code, rows):
     # blocks of 1..9 rows: most sizes are no multiple of the block, and the
     # object path (norm_sq >= 2^53) runs through the same loop
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(design, "BLOCK_BYTES", 8 * code.size * rows)
+        mp.setattr(config, "BLOCK_BYTES", 8 * code.size * rows)
         assert _gram_multiset.__wrapped__(code) == _full_table_multiset(code)
 
 
@@ -253,7 +253,7 @@ def test_float_pair_sums_in_blocks_match_full_table(size, dim, antipodal, blocks
     code = FloatCode("random", dim, pts)
     rows = -(-code.size // blocks)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(design, "BLOCK_BYTES", 8 * code.size * rows)
+        mp.setattr(config, "BLOCK_BYTES", 8 * code.size * rows)
         parts = [(part.size, w) for part, w in design._gram_parts(pts)]
         assert len(parts) == 2 * (-(-code.size // rows)) - 1
         assert all(n > 0 for n, _ in parts)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiffkit import codes, design, stiffness
+from stiffkit import codes, config, stiffness
 from stiffkit.codes import (
     GEMM_MACS,
     LatticeCode,
@@ -25,7 +25,9 @@ from stiffkit.codes import (
 )
 from stiffkit.design import _gram_multiset, index_set, pair_values, spectrum
 from stiffkit.exact import Surd
-from stiffkit.stiffness import DualSearchResult, _at_most_m_distinct, certify_stiff
+from stiffkit.stiffness import (DualSearchResult, _at_most_m_distinct, certify_stiff,
+                                dual_search)
+from stiffkit.suite import NODES_2160
 
 
 def _dots_loop(a, b) -> list[list[int]]:
@@ -156,7 +158,7 @@ def test_pair_values_match_counter_of_object_table(code, rows):
     pts = np.array(code.points, dtype=object)
     want = Counter((pts @ pts.T).ravel().tolist())
     with pytest.MonkeyPatch.context() as mp:  # blocks of 1..9 rows
-        mp.setattr(design, "BLOCK_BYTES", 8 * code.size * rows)
+        mp.setattr(config, "BLOCK_BYTES", 8 * code.size * rows)
         got = _gram_multiset.__wrapped__(code)
     assert got == tuple((v, want[v]) for v in sorted(want))
 
@@ -172,7 +174,7 @@ def test_dot_blocks_tile_the_table(code, rows):
     a, b = code.points, code.points[::-1]
     x, y = int_arrays(a, b)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "BLOCK_BYTES", 8 * len(b) * rows)
+        mp.setattr(config, "BLOCK_BYTES", 8 * len(b) * rows)
         got = [(s, block.copy()) for s, block in dot_blocks(x, y)]
     step = max(rows, 1)
     assert [s for s, _ in got] == list(range(0, len(a), step))
@@ -185,7 +187,7 @@ def test_dot_blocks_tile_the_table(code, rows):
 def test_float_dot_blocks_are_the_rows_of_one_product(monkeypatch):
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(23, 8)), rng.normal(size=(11, 8))
-    monkeypatch.setattr(codes, "BLOCK_BYTES", 8 * 11 * 5)
+    monkeypatch.setattr(config, "BLOCK_BYTES", 8 * 11 * 5)
     got = [(s, block.copy()) for s, block in dot_blocks(x, y)]
     assert [s for s, _ in got] == [0, 5, 10, 15, 20]
     assert np.array_equal(np.vstack([block for _, block in got]), x @ y.T)
@@ -235,9 +237,11 @@ def test_spectrum_of_mixed_norm_dual_matches_surd_route():
 
 
 def test_double_dual_of_mixed_norm_dual_matches_surd_route():
-    # norms 2 and 8 share the square-free part 2, so as_code finds one norm
+    # the search's dual has norms 2 and 8, and as_code gives it one norm
     code = polytope_2_41()
-    dual_code = _e8_dual_of_2160().as_code()
+    dual = dual_search(code, 5, NODES_2160)
+    assert {p.norm_sq for p in dual.points} == {2, 8}
+    dual_code = dual.as_code()
     table = raw_dots(code.points, dual_code.points)
     for v, row in list(zip(code.points, table))[::40]:
         want = {_unit_dot_surd(v, p) for p in dual_code.points}

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stiffkit import codes, design, gegenbauer, stiffness
+from stiffkit import codes, config, design, gegenbauer, stiffness, suite
 from stiffkit._linalg import integer_nullspace
 from stiffkit.codes import (
     FloatCode,
     LatticeCode,
-    LatticePoint,
     close_pairs,
+    common_norm,
     cross_polytope,
     cube,
     demicube,
@@ -50,7 +50,6 @@ from stiffkit.stiffness import (
     circle_dual_scan,
     classify_sharp,
     dual_search,
-    dual_to_code,
 )
 from stiffkit.suite import NODES_2160
 from stiffkit.transforms import glue, rotated_cubes, symmetrize
@@ -256,7 +255,10 @@ class TestWalkAgainstFullEnumeration:
         assert {p.vector for p in exact.points} == want
         # one square-free norm part, so the points scale to one common norm
         assert len({square_free_split(p.norm_sq)[1] for p in exact.points}) == 1
-        assert exact.as_code().same_point_set(exact.points)
+        scaled = common_norm([p.direction() for p in exact.points])
+        want_code = LatticeCode("want", code.ambient_dim, sum(x * x for x in scaled[0]),
+                                tuple(scaled))
+        assert exact.as_code().same_point_set(want_code)
 
         approx = dual_search(code, len(nodes), nodes=[float(v) for v in nodes])
         assert approx.mode == "float"
@@ -274,8 +276,9 @@ class TestWalkAgainstFullEnumeration:
         ns = code.norm_sq * probe_sq
         rhs = _exact_rhs([Surd(Fraction(r, ns), ns) for r in raws], code.norm_sq)
         every = np.array(list(itertools.product(range(len(raws)), repeat=code.ambient_dim)))
-        pts = _exact_dual(code, _independent_rows(code, code.unit_array()), every, rhs)
+        pts, rows = _exact_dual(code, _independent_rows(code, code.unit_array()), every, rhs)
         assert {p.vector for p in pts} == _reference_dual(code, probe_sq, raws)
+        assert list(rows) == common_norm([p.vector for p in pts])
 
     def test_node_target_off_the_integers_meets_nothing(self):
         # the walk keeps the unit point (1, 0), whose dot 3/5 with (3, -4)
@@ -479,6 +482,27 @@ class TestRankGate:
         assert res.subspace_basis == tuple(integer_nullspace(list(code.points)))
 
 
+def _defect_2_41() -> LatticeCode:
+    """polytope_2_41() with its point 0, (-4, 0, ..., 0), swapped for
+    (-3, -2, -1, -1, -1, 0, 0, 0): the first norm-16 vector of [-4, 4]^8 in
+    itertools.product order that is not a code point."""
+    full = polytope_2_41()
+    swap = (-3, -2, -1, -1, -1, 0, 0, 0)
+    assert full.points[0] == (-4,) + (0,) * 7 and swap not in full.points
+    return LatticeCode("defect_2_41", 8, full.norm_sq, (swap,) + full.points[1:])
+
+
+def _cube3_scaled() -> LatticeCode:
+    s = 2**27
+    return LatticeCode("cube3x", 3, 3 * s * s,
+                       tuple(tuple(s * x for x in p) for p in cube(3).points))
+
+
+_SQUARE_IN_R3 = LatticeCode("square", 3, 1, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))
+_NODES_D12 = (Surd(0), Surd.sqrt_of(Fraction(1, 12)), -Surd.sqrt_of(Fraction(1, 12)))
+_NODES_TETRA = (Fraction(-1, 3), 1)
+
+
 def _flat_ngon_6000():
     return FloatCode("flat_ngon(6000)", 3, np.hstack([ngon(6000).points, np.zeros((6000, 1))]))
 
@@ -526,7 +550,11 @@ class TestOneDesignCheck:
                            -Surd.sqrt_of(Fraction(1, 12)))),
         # with nodes -1/3 and 1 the tetrahedron is its own dual, not antipodal
         (demicube(3), 2, (Fraction(-1, 3), 1)),
-    ], ids=["demicube5", "cross4", "cube3", "demicube12", "tetrahedron"])
+        (polytope_2_41(), 5, NODES_2160),
+        (_cube3_scaled(), 2, None),
+        (_SQUARE_IN_R3, 1, None),
+    ], ids=["demicube5", "cross4", "cube3", "demicube12", "tetrahedron", "2_41",
+            "cube3x2^27", "square_in_R3"])
     def test_exact_dual_is_scaled_without_a_code(self, monkeypatch, code, m, nodes):
         want = certify_stiff(code, m, nodes=nodes)
         # reference: the dual as a sorted code, its points matched back to
@@ -536,19 +564,19 @@ class TestOneDesignCheck:
         dots = raw_dots(code.points, [scaled[p.direction()] for p in want.dual.points])
         assert want.frequency_table == tuple(spectra(dots.T, (dual_code.norm_sq, code.norm_sq)))
         assert want.properties["antipodal"] == dual_code.is_antipodal()
-        built = _counted(monkeypatch, LatticeCode, "__post_init__")
-        monkeypatch.setattr(stiffness, "dual_to_code", None)  # a call would fail
-        assert certify_stiff(code, m, nodes=nodes) == want
-        assert built == []
 
-    def test_exact_dual_without_a_common_norm_is_refused(self, monkeypatch):
-        # no walk survivor can have this, so the certificate is given one
-        bad = stiffness.DualSearchResult(
-            "x", 1, "exact", (LatticePoint((1, 0), 1), LatticePoint((1, 1), 2)), None,
-            True, True, (Surd(0),))
-        monkeypatch.setattr(stiffness, "dual_search", lambda *args, **kwargs: bad)
-        with pytest.raises(ValueError, match=stiffness.NO_COMMON_NORM):
-            certify_stiff(cross_polytope(2), 1, nodes=(Surd(0),))
+        def refuse(vectors):
+            raise AssertionError("common_norm called")
+
+        # the certificate and the dual's code read the certified rows: no
+        # common norm is searched for and the certificate builds no code
+        assert not hasattr(stiffness, "common_norm")
+        monkeypatch.setattr(codes, "common_norm", refuse)
+        built = _counted(monkeypatch, LatticeCode, "__post_init__")
+        got = certify_stiff(code, m, nodes=nodes)
+        assert got == want
+        assert built == []
+        assert got.dual.as_code() == dual_code
 
 
 class TestCertify:
@@ -847,19 +875,6 @@ class TestSharpness:
         rep = classify_sharp(e8_roots())
         assert rep.inner_dot_count == 4
         assert rep.sharp
-
-
-class TestDualToCode:
-    def test_mixed_norm_rescale(self):
-        pts = (LatticePoint((1, 0, 0), 1), LatticePoint((2, 0, 0), 4),
-               LatticePoint((0, 1, 1), 2))
-        with pytest.raises(ValueError):
-            dual_to_code(pts, "clash")  # sqrt(1) and sqrt(2) scales cannot merge
-
-    def test_same_direction_points_collide(self):
-        pts = (LatticePoint((1, 1, 0), 2), LatticePoint((2, 2, 0), 8))
-        with pytest.raises(ValueError):
-            dual_to_code(pts, "dup")  # both are the same sphere point
 
 
 class TestSamplingOracles:
@@ -1321,8 +1336,7 @@ class TestStreamedProducts:
                 rows.append(len(block))
                 yield start, block
 
-        mp.setattr(codes, "BLOCK_BYTES", 8 * 7 * width)
-        mp.setattr(stiffness, "BLOCK_BYTES", 8 * 7 * width)
+        mp.setattr(config, "BLOCK_BYTES", 8 * 7 * width)
         mp.setattr(stiffness, "dot_blocks", logged)
         return rows
 
@@ -1362,7 +1376,7 @@ class TestStreamedProducts:
                 with pytest.MonkeyPatch.context() as mp:
                     if small:  # 9 code points x 16 survivors: rows 0-6, then 7-8
                         rows = self._small_blocks(mp, 16)
-                    got = _exact_dual(code, [0, 2, 4, 6], node_idx, rhs)
+                    got, _ = _exact_dual(code, [0, 2, 4, 6], node_idx, rhs)
                 if small:
                     assert rows == [7, code.size - 7]
                 assert [p.vector for p in got] == want
@@ -1432,3 +1446,49 @@ class TestStreamedProducts:
         hits = []
         assert _peak_bytes(lambda: hits.append(brute_force_dual(code, 2))) < 12 * 2**20
         assert np.array_equal(hits[0], [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+
+
+class TestCommonRows:
+    """An exact dual carries its rows at the least common norm its
+    certification proved: the rows codes.common_norm gives its points."""
+
+    @pytest.mark.parametrize("make,m,nodes", [
+        (polytope_2_41, 5, NODES_2160),
+        (e8_roots, 5, NODES_2160),
+        (lambda: demicube(12), 3, _NODES_D12),
+        (lambda: demicube(3), 2, _NODES_TETRA),
+        *((lambda d=d: cube(d), 2, None) for d in range(3, 9)),
+        *((lambda d=d: cross_polytope(d), 2, None) for d in range(3, 9)),
+        *((lambda d=d: demicube(d), 2, None) for d in range(5, 12)),
+        (_cube3_scaled, 2, None),
+        (_defect_2_41, 5, NODES_2160),
+        (lambda: _SQUARE_IN_R3, 1, None),
+    ], ids=["2_41", "e8", "demicube12", "tetrahedron",
+            *(f"cube{d}" for d in range(3, 9)),
+            *(f"cross{d}" for d in range(3, 9)),
+            *(f"demicube{d}" for d in range(5, 12)),
+            "cube3x2^27", "defect_2_41", "square_in_R3"])
+    def test_rows_match_common_norm(self, make, m, nodes):
+        res = dual_search(make(), m, nodes)
+        assert res.exact and res.count
+        assert list(res.common_rows) == common_norm([p.direction() for p in res.points])
+
+
+class TestNegativeControl:
+    """The 2160-point code with one point moved off it: the verdicts that
+    hold for the code must fail."""
+
+    def test_certificate_of_the_defect(self):
+        cert = certify_stiff(_defect_2_41(), 5, NODES_2160)
+        assert cert.dual.exact and cert.dual.count == 112
+        assert cert.design_strength == 0 and not cert.stiff
+        assert cert.frequencies_match_weights is False
+        assert not cert.frequencies_constant
+
+    def test_criterion_3_fails_on_the_defect(self, monkeypatch):
+        real = suite._shared
+        monkeypatch.setattr(suite, "_shared",
+                            lambda name: _defect_2_41() if name == "2_41" else real(name))
+        res = suite.criterion_3()
+        assert not res.passed
+        assert "found 112 exact dual points" in res.details
