@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
 from math import cos, gcd, isqrt, lcm, pi, sin
@@ -30,7 +31,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import block_rows, check_size
+from .config import block_rows, check_size, size_cap
 from .exact import Surd
 
 Vector = tuple[int, ...]
@@ -231,17 +232,35 @@ def greedy_cluster(points: np.ndarray, tol: float) -> np.ndarray:
     """Representatives, in input order: a point is kept when it is farther
     than tol from every representative kept before it.
 
-    One pass per representative: the first undecided point is the next
-    representative (every earlier one has been compared with it), and the
-    undecided points within tol of it are dropped.  Work and memory are
-    O(N * representatives), however many points share one minimum."""
-    keep = []
-    rest = np.arange(len(points))
-    while len(rest):
-        r, rest = rest[0], rest[1:]
-        keep.append(r)
-        rest = rest[np.linalg.norm(points[rest] - points[r], axis=1) > tol]
-    return points[np.array(keep, dtype=np.intp)]
+    The points are taken in chunks of c in input order, c the largest
+    whose c x c candidate pairs fit in one block of coordinate differences
+    (config.block_rows) and under the size cap.  One close_pairs sweep
+    against the representatives kept so far drops the points of a chunk
+    within tol of one of them; a close_pairs sweep of the rest against
+    itself gives each survivor its earlier neighbours (j < i), and one pass
+    in input order keeps a survivor when none of those was kept.  The
+    pairs of one chunk are at most c^2 plus c times the representatives
+    whose projections fall in a point's window, so a minimum shared by
+    thousands of points costs no more than one with a few."""
+    dim = points.shape[1]
+    chunk = max(1, min(isqrt(block_rows(max(dim, 1))), isqrt(size_cap())))
+    reps = np.empty_like(points)
+    n_reps = 0
+    for lo in range(0, len(points), chunk):
+        part = points[lo:lo + chunk]
+        fresh = np.ones(len(part), dtype=bool)
+        fresh[close_pairs(part, reps[:n_reps], tol)[0]] = False
+        part = part[fresh]
+        i, j, _ = close_pairs(part, part, tol)
+        kept = [True] * len(part)
+        earlier = j < i
+        for a, b in zip(i[earlier].tolist(), j[earlier].tolist()):
+            if kept[b]:
+                kept[a] = False
+        part = part[kept]
+        reps[n_reps:n_reps + len(part)] = part
+        n_reps += len(part)
+    return reps[:n_reps].copy()
 
 
 def sorted_rows(pts: np.ndarray) -> np.ndarray:
@@ -280,6 +299,16 @@ class LatticePoint:
 
     def __neg__(self) -> "LatticePoint":
         return LatticePoint(tuple(-x for x in self.vector), self.norm_sq)
+
+
+def _partner_map(points: Sequence[Sequence]) -> np.ndarray:
+    """Per point tuple, the index of the tuple that equals its negation,
+    -1 when there is none; read-only."""
+    index = {tuple(p): i for i, p in enumerate(points)}
+    out = np.array([index.get(tuple(-x for x in p), -1) for p in points],
+                   dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -337,11 +366,19 @@ class LatticeCode:
         """Set equality as sphere points, ignoring the integer scaling."""
         return self.direction_set() == other.direction_set()
 
+    def antipode_partners(self) -> np.ndarray:
+        """Per point, the index of its antipode among the points, -1 when
+        the antipode is not a code point; exact, built once per code from
+        one dict of the point tuples and read-only."""
+        return self._partners
+
+    @cached_property
+    def _partners(self) -> np.ndarray:
+        return _partner_map(self.points)
+
     def antipode_mask(self) -> np.ndarray:
         """Per point, whether its antipode is a code point, exactly."""
-        pset = set(self.points)
-        return np.array([tuple(-x for x in p) in pset for p in self.points],
-                        dtype=bool)
+        return self.antipode_partners() >= 0
 
     def is_antipodal(self) -> bool:
         return bool(self.antipode_mask().all())
@@ -391,6 +428,12 @@ class FloatCode:
 
     def unit_array(self) -> np.ndarray:
         return self.points
+
+    def antipode_partners(self) -> np.ndarray:
+        """Per point, the index of the point that is its negation exactly
+        (float equality, so a near-antipode has none), -1 when there is
+        none; the descent folds only these pairs."""
+        return _partner_map(self.points.tolist())
 
     def antipode_mask(self) -> np.ndarray:
         """Per point, whether its antipode is within 10x the tolerance of a

@@ -28,17 +28,22 @@ a row with a pivot <= 0 takes the gradient step.
 A point is evaluated once per step: _evaluate gives its potential,
 gradient, Hessian pair sums and sum |g'| from one dot table and one pow or
 exp per entry (Kernel.evaluate), and an accepted trial point keeps them
-for the next iteration.  The table holds -2t, from one product with
--2 units, and Kernel.evaluate clips it into the gap r = 2-2t in place.  It
-takes each derivative as a table and a constant, g' = c1 d1 and
-g'' = c2 d2, so the constants scale the small row sums instead of whole
-tables: riesz makes 7 passes over a table, gauss 5.  The product
-d1 @ units is taken before d2 overwrites d1, so one scratch table beside
-the dot table is enough.  _evaluate runs over blocks of as many rows as
-fill one table of BLOCK_BYTES; its two tables are allocated once per call
-and reused block after block, so the descent holds at most two tables of
+for the next iteration.  The table reads each exact antipodal pair of the
+code once (_paired_units): one product with -2 times one point of each
+pair and the unpaired points, then that product's paired columns negated
+for the antipodes, and the derivative tables are folded onto the paired
+points before their products with the code (_fold).  Each derivative is a
+table and a constant, g' = c1 d1 and g'' = c2 d2, so the constants scale
+the small row sums instead of whole tables: riesz makes 7 passes over a
+table, gauss 5.  _evaluate runs over blocks of as many rows as fill one
+table of BLOCK_BYTES; its two tables are allocated once per call and
+reused block after block, so the descent holds at most two tables of
 BLOCK_BYTES and one Newton stack of 4 BLOCK_BYTES whatever the start
 count.
+
+The dual values are math.fsum's correctly rounded sums of the kernel
+values (_probe_values, _fsum_rows), and the argmins are clustered by
+codes.greedy_cluster.
 """
 
 from __future__ import annotations
@@ -130,15 +135,16 @@ class Kernel:
         """Families with all derivatives positive: argmins must sit on the dual."""
         return self.family in ("riesz", "gauss")
 
-    def g(self, t):
+    def g(self, t, out=None):
         """Kernel values; callers clip t to [-1, 1], and t = 1 gives +inf
         for the singular families, which callers treat as singular.  A
-        scalar or 0-d t gives a numpy float.
+        scalar or 0-d t gives a numpy float.  `out`, a float array shaped
+        like t and not t itself, receives the values when given.
         """
         t = np.asarray(t, dtype=float)
         if self.family == "poly":
-            return self.poly.eval_float(t)
-        w = np.empty_like(t)
+            return self.poly.eval_float(t, out=out)
+        w = np.empty_like(t) if out is None else out
         np.multiply(t, 2.0, out=w)
         self._of_gap(np.subtract(2.0, w, out=w), w)
         return w if w.ndim else w[()]
@@ -156,76 +162,196 @@ class Kernel:
             return np.subtract(2.0, out, out=out)
 
     def evaluate(self, table: np.ndarray, scratch: np.ndarray, units: np.ndarray,
-                 sums: np.ndarray, scale: np.ndarray, grad: np.ndarray) -> tuple:
-        """Row sums of g into `sums` and of |d1| into `scale`, d1 @ units
-        into `grad`, then (d2, c1, c2) with g' = c1 d1 and g'' = c2 d2
-        elementwise.
+                 sums: np.ndarray, scale: np.ndarray, grad: np.ndarray,
+                 paired: int = 0) -> tuple:
+        """Row sums of g into `sums` and of |d1| into `scale`, the folded
+        d1 @ units into `grad`, then (folded d2, c1, c2) with g' = c1 d1
+        and g'' = c2 d2 elementwise.
 
-        table holds -2t, unclipped, and is overwritten; scratch is a table
-        of its shape.  d1 and d2 are among these two, d2 written over d1
-        once the product with units is taken, and the constants c are
-        floats, so the caller scales row sums of d rather than whole
-        tables.  r = clip(2 - 2t, 0, 4) equals the 2 - 2 clip(t, -1, 1) of
-        Kernel.g bit for bit, so the sums of g are the values Kernel.g
-        gives on clipped dots.  From one pow or exp: riesz d1 = p/r and
-        d2 = d1/r with p = r^(-s/2), c1 = s, c2 = s(s+2); gauss
-        d1 = d2 = e = exp(-a r), c1 = 2a, c2 = 4a^2; log d1 = 1/r,
-        d2 = d1 d1, c1 = 2, c2 = 4.  Every family but poly has d1 > 0, so
-        only poly takes |d1| apart, in place, before p''(t) replaces it.
+        table holds -2t, unclipped, and is overwritten; scratch is a buffer
+        of its size.  Both hold the dots of len(sums) rows in two parts
+        (_parts): the columns of the n = len(units) units, then `paired`
+        columns that negate the first `paired`, the antipodes of those
+        units.  Every elementwise pass runs once over the whole buffer; the
+        products take the n folded columns (_fold).  d1 and d2 are these
+        two buffers, d2 written over r once d1 is formed, and the
+        constants c are floats, so the caller scales row sums of d rather
+        than whole tables.  r = clip(2 - 2t, 0, 4) equals the
+        2 - 2 clip(t, -1, 1) of Kernel.g bit for bit, so the sums of g are
+        the values Kernel.g gives on clipped dots.  From one pow or exp:
+        riesz d1 = p/r and d2 = d1/r with p = r^(-s/2), c1 = s,
+        c2 = s(s+2); gauss d1 = d2 = e = exp(-a r), c1 = 2a, c2 = 4a^2,
+        its d1 folded into scratch; log d1 = 1/r, d2 = d1 d1, c1 = 2,
+        c2 = 4.  Every family but poly has d1 > 0.  poly keeps t in table
+        for p''(t), so its folded d1 goes into the antipode part of table
+        (restored after by one negation) and |d1| is taken in place once
+        the products are taken.
         """
+        rows, n = len(sums), len(units)
+        tab, scr = _parts(table, rows, n, paired), _parts(scratch, rows, n, paired)
         if self.family == "poly":
             t = np.multiply(table, -0.5, out=table)
             np.clip(t, -1.0, 1.0, out=t)
-            self.poly.eval_float(t, out=scratch).sum(axis=1, out=sums)
+            self.poly.eval_float(t, out=scratch)
+            _row_sums(scr, sums)
             p1 = self.poly.derivative()
-            np.matmul(p1.eval_float(t, out=scratch), units, out=grad)
-            np.abs(scratch, out=scratch).sum(axis=1, out=scale)
-            return p1.derivative().eval_float(t, out=scratch), 1.0, 1.0
+            p1.eval_float(t, out=scratch)
+            np.matmul(scr[0][:, paired:], units[paired:], out=grad)
+            if paired:
+                heads = np.subtract(scr[0][:, :paired], scr[1], out=tab[1])
+                grad += heads @ units[:paired]
+                np.negative(tab[0][:, :paired], out=tab[1])
+            np.abs(scratch, out=scratch)
+            _row_sums(scr, scale)
+            p1.derivative().eval_float(t, out=scratch)
+            return _fold(scr, np.add), 1.0, 1.0
         r = np.add(table, 2.0, out=table)
         np.clip(r, 0.0, 4.0, out=r)
         if self.family == "gauss":
-            e = self._of_gap(r, r)
-            e.sum(axis=1, out=sums)
+            self._of_gap(r, r)
+            _row_sums(tab, sums)
             scale[:] = sums
-            np.matmul(e, units, out=grad)
+            np.matmul(_fold(tab, np.subtract, scr), units, out=grad)
             rate = float(self.param)
-            return e, 2.0 * rate, 4.0 * rate * rate
-        self._of_gap(r, scratch).sum(axis=1, out=sums)
+            return _fold(tab, np.add), 2.0 * rate, 4.0 * rate * rate
+        self._of_gap(r, scratch)
+        _row_sums(scr, sums)
         if self.family == "riesz":
             s = float(self.param)
-            d1 = np.divide(scratch, r, out=scratch)
-            d1.sum(axis=1, out=scale)
-            np.matmul(d1, units, out=grad)
-            return np.divide(d1, r, out=d1), s, s * (s + 2.0)
-        with np.errstate(divide="ignore"):
-            d1 = np.divide(1.0, r, out=scratch)
-        d1.sum(axis=1, out=scale)
-        np.matmul(d1, units, out=grad)
-        return np.multiply(d1, d1, out=d1), 2.0, 4.0
+            np.divide(scratch, r, out=scratch)
+            _row_sums(scr, scale)
+            np.divide(scratch, r, out=r)
+            c1, c2 = s, s * (s + 2.0)
+        else:
+            with np.errstate(divide="ignore"):
+                np.divide(1.0, r, out=scratch)
+            _row_sums(scr, scale)
+            np.multiply(scratch, scratch, out=r)
+            c1, c2 = 2.0, 4.0
+        # d1 in scratch, d2 in table
+        np.matmul(_fold(scr, np.subtract), units, out=grad)
+        return _fold(tab, np.add), c1, c2
+
+
+def _parts(buf: np.ndarray, rows: int, n: int, paired: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """A block buffer of dots as views of its two contiguous tables: the
+    rows x n columns of the units, then the rows x paired columns of the
+    antipodes of the first `paired` units.  With no pairs the first is the
+    whole buffer in the (rows, n) layout of one row-major table."""
+    flat = buf.reshape(-1)
+    cut = rows * n
+    return flat[:cut].reshape(rows, n), flat[cut:].reshape(rows, paired)
+
+
+def _row_sums(parts: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> None:
+    """Each row's sum over both tables of a block buffer (_parts), into
+    out; with no pairs, one pairwise sum per row of a plain table."""
+    parts[0].sum(axis=1, out=out)
+    if parts[1].size:
+        out += parts[1].sum(axis=1)
+
+
+def _fold(parts: tuple[np.ndarray, np.ndarray], op,
+          out: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+    """The units' table of a derivative buffer (_parts), each of its first
+    `paired` columns combined by op with its antipode's column: over a
+    pair u, -u, sum_i g'(x.u_i) u_i takes (g'(x.u) - g'(-x.u)) u and
+    sum_i g''(x.u_i) u_i u_i^T takes (g''(x.u) + g''(-x.u)) u u^T.
+    Written into the units' table of out (default the buffer itself)."""
+    units_part, antipodes = parts
+    paired = antipodes.shape[1]
+    if not paired:
+        return units_part
+    dest = units_part if out is None else out[0]
+    if out is not None and paired < units_part.shape[1]:
+        dest[:, paired:] = units_part[:, paired:]
+    op(units_part[:, :paired], antipodes, out=dest[:, :paired])
+    return dest
 
 
 def potential_eval(x, code: Code, kernel: Kernel) -> float:
-    """Potential of the code at one sphere point, compensated summation."""
+    """Potential of the code at one sphere point: math.fsum's correctly
+    rounded value of the kernel values (_probe_values)."""
     vec = x.unit() if isinstance(x, LatticePoint) else np.asarray(x, dtype=float)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         raise ValueError("probe point is not on the unit sphere")
     return _probe_values(vec[None, :], code.unit_array(), kernel)[0]
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its norm, bit for bit row / np.linalg.norm(row):
+    the squared norms are one stacked vector-vector np.matmul, which numpy
+    takes through the same dot as the ndarray.dot that np.linalg.norm of
+    one row calls."""
+    sq = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0]
+    return rows / np.sqrt(sq, out=sq)
+
+
 def _probe_values(probes: np.ndarray, units: np.ndarray,
                   kernel: Kernel) -> list[float]:
-    """Potential at each probe row, rescaled to norm 1, by compensated
-    summation over the unit code table; one probe at a time so each value
-    is the one potential_eval gives."""
-    out = []
-    for p in probes:
-        dots = np.clip(units @ (p / np.linalg.norm(p)), -1.0, 1.0)
+    """Potential at each probe row, rescaled to norm 1: math.fsum's
+    correctly rounded value of the kernel values over the unit code
+    table, the value potential_eval gives.
+
+    The probes run in blocks of config.block_rows(len(units)) rows, on two
+    tables allocated once per call.  A block's dot table is one stacked
+    np.matmul of units with the probe columns, which numpy takes one
+    matrix-vector product per probe, so each row is the units @ probe of
+    one probe alone; then one clip, one singular test and the kernel
+    values into the second table, whose rows _fsum_rows sums with the
+    first as scratch."""
+    n = len(units)
+    size = max(1, min(len(probes), block_rows(n)))
+    tables = np.empty((2, size, n))
+    out: list[float] = []
+    for lo in range(0, len(probes), size):
+        block = _unit_rows(probes[lo:lo + size])
+        dots, values = tables[:, :len(block)]
+        np.matmul(units, block[:, :, None], out=dots[:, :, None])
+        np.clip(dots, -1.0, 1.0, out=dots)
         if kernel.singular_at_one and np.any(dots >= 1.0 - 1e-12):
             raise SingularEvaluation(
                 f"{kernel.name} is singular: probe coincides with a code point"
             )
-        out.append(fsum(kernel.g(dots).tolist()))
+        out += _fsum_rows(kernel.g(dots, out=values), dots)
     return out
+
+
+def _fsum_rows(values: np.ndarray, scratch: np.ndarray) -> list[float]:
+    """math.fsum of each row, bit for bit, by error-free extraction (Rump,
+    Ogita & Oishi, "Accurate floating-point summation, part I", 2008).
+
+    With n columns and 2^k >= n + 2, sigma = 2^(e + k) for the exponent e
+    of the largest |value| of a row (|value| < 2^e) splits every value p
+    into q = (sigma + p) - sigma, a multiple of 2^(e+k-53), and p - q, both
+    exact; the n values q sum to at most sigma in magnitude, so numpy sums
+    them exactly in any order.  Repeated on the remainders, each pass takes
+    at least 52 - k more bits, until every remainder is 0; the row's exact
+    sum is then the sum of the few pass sums, which math.fsum rounds as it
+    rounds the whole row.  A row with a value that is not finite or whose
+    sigma would overflow takes math.fsum itself.  values and scratch are
+    overwritten."""
+    shift = (values.shape[1] + 1).bit_length()
+    top = np.maximum(values.max(axis=1, initial=0.0), -values.min(axis=1, initial=0.0))
+    exps = np.frexp(top)[1] + shift
+    direct = {i: fsum(values[i].tolist())
+              for i in np.flatnonzero(~np.isfinite(top) | (exps > 1023)).tolist()}
+    if direct:
+        values[list(direct)] = 0.0
+        top[list(direct)] = 0.0
+    parts = []
+    while top.any():
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + shift)[:, None]
+        q = np.add(values, sigma, out=scratch)
+        q -= sigma
+        values -= q
+        parts.append(q.sum(axis=1))
+        top = np.maximum(values.max(axis=1), -values.min(axis=1))
+    sums = [fsum(row) for row in zip(*parts)] if parts else [0.0] * len(values)
+    for i, v in direct.items():
+        sums[i] = v
+    return sums
 
 
 @dataclass(frozen=True)
@@ -255,10 +381,11 @@ class MinimizationReport:
 
 
 def _as_unit_rows(points: Optional[np.ndarray]) -> np.ndarray:
-    """Candidate dual rows rescaled to norm 1; None gives no rows."""
+    """Candidate dual rows rescaled to norm 1, each bit for bit
+    p / np.linalg.norm(p) (_unit_rows); None gives no rows."""
     if points is None:
         return np.zeros((0, 0))
-    return np.asarray([p / np.linalg.norm(p) for p in np.asarray(points, dtype=float)])
+    return _unit_rows(np.asarray(points, dtype=float))
 
 
 def _unit_pairs(units: np.ndarray) -> np.ndarray:
@@ -274,37 +401,59 @@ def _unit_pairs(units: np.ndarray) -> np.ndarray:
     return out
 
 
+def _paired_units(units: np.ndarray, partners: np.ndarray) -> tuple[np.ndarray, int]:
+    """A code's unit rows as [heads | singles] and the head count p, from
+    its units and Code.antipode_partners: a head is the first point of
+    each exact antipodal pair, a single a point whose antipode is not a
+    code point, each in code order.  The evaluation table's columns are
+    these rows followed by the antipodes of the heads (_evaluate); a code
+    with no exact pair gives its units in code order and p = 0."""
+    heads = np.flatnonzero(partners > np.arange(len(partners)))
+    order = np.concatenate([heads, np.flatnonzero(partners < 0)])
+    return units[order], len(heads)
+
+
 def _evaluate(rows: np.ndarray, units: np.ndarray, unit_pairs: np.ndarray,
-              kernel: Kernel) -> tuple[np.ndarray, ...]:
+              kernel: Kernel, paired: int = 0) -> tuple[np.ndarray, ...]:
     """Potential, Euclidean gradient, Hessian pair sums and sum |g'| at
     each row, from one dot table and one Kernel.evaluate per block of rows.
 
-    A block holds as many rows as fit in BLOCK_BYTES, and at least one; its
-    two tables are views of one buffer allocated once per call.  One
-    product with -2 units gives the table of -2t exactly (a power of two
-    scales without rounding), which Kernel.evaluate clips into the gap
-    r = 2 - 2t, so float drift past a code point reads as the singular
-    r = 0.  The derivative tables come with constant factors, which scale
-    the small row sums once per call: the gradient sum_i g'(x.u_i) u_i and
-    the pair sums sum_i g''(x.u_i) u_i,a u_i,b over the pairs a <= b of
-    _unit_pairs are products of the d1 and d2 tables with units (taken by
-    Kernel.evaluate before d2 overwrites d1) and unit_pairs.
+    The code is units (n rows, heads first) and the antipodes of its
+    first `paired` rows (_paired_units).  A block holds as many rows as fit
+    in BLOCK_BYTES of n + paired columns, and at least one; its two buffers
+    are views of one allocation per call, each a rows x n table followed by
+    a rows x paired table (_parts).  One product with -2 units gives the
+    first table, -2t exactly (a power of two scales without rounding), and
+    the second is its first `paired` columns negated, also exact.
+    Kernel.evaluate clips both into the gap r = 2 - 2t, so float drift past
+    a code point reads as the singular r = 0.  The derivative tables come
+    with constant factors, which scale the small row sums once per call:
+    the gradient sum_i g'(x.u_i) u_i and the pair sums
+    sum_i g''(x.u_i) u_i,a u_i,b over the pairs a <= b of _unit_pairs are
+    products of the folded d1 and d2 tables (_fold) with units and
+    unit_pairs.  With paired = 0 the buffers are plain tables and the
+    arithmetic is the unfolded one, bit for bit.
     """
+    n = len(units)
+    width = n + paired
     values = np.empty(len(rows))
     grad = np.empty((len(rows), units.shape[1]))
     pair_sums = np.empty((len(rows), unit_pairs.shape[1]))
     scale = np.empty(len(rows))
-    size = max(1, min(len(rows), block_rows(len(units))))
-    tables = np.empty((2, size, len(units)))
+    size = max(1, min(len(rows), block_rows(width)))
+    tables = np.empty((2, size * width))
     gap_units = -2.0 * units
     c1 = c2 = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(rows), size):
             hi = min(lo + size, len(rows))
-            table, scratch = tables[:, :hi - lo]
-            np.matmul(rows[lo:hi], gap_units.T, out=table)
+            table, scratch = tables[:, :(hi - lo) * width]
+            dots, antipodes = _parts(table, hi - lo, n, paired)
+            np.matmul(rows[lo:hi], gap_units.T, out=dots)
+            if paired:
+                np.negative(dots[:, :paired], out=antipodes)
             d2, c1, c2 = kernel.evaluate(table, scratch, units, values[lo:hi],
-                                         scale[lo:hi], grad[lo:hi])
+                                         scale[lo:hi], grad[lo:hi], paired)
             np.matmul(d2, unit_pairs, out=pair_sums[lo:hi])
         grad *= c1
         pair_sums *= c2
@@ -390,8 +539,8 @@ def _newton_steps(x: np.ndarray, egrad: np.ndarray, pairs: np.ndarray,
 
 
 def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
-             starts: np.ndarray, evaluation: tuple[np.ndarray, ...]
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+             starts: np.ndarray, evaluation: tuple[np.ndarray, ...],
+             paired: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Batched safeguarded Riemannian Newton descent on the unit sphere,
     for at most MAX_ITER iterations.
 
@@ -401,7 +550,8 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
     a round-off slack of 8 eps |f|.  A row stops when its tangential
     gradient is at most max(GRAD_TOL, ROUNDOFF_FACTOR * eps * sum |g'(x.u_i)|),
     the round-off floor of the gradient sum; that is the converged mask.
-    `evaluation` is what _evaluate gives at the starts; its arrays are
+    units, unit_pairs and paired are _evaluate's; `evaluation` is what
+    _evaluate gives at the starts, and its arrays are
     updated in place, not copied.  Every trial point is evaluated once, by
     _evaluate: an accepted row keeps its gradient and pair sums for the
     next iteration's test and Newton step, which _newton_steps reads as
@@ -449,8 +599,8 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
             rows = work[pending]
             trial = x[rows] + length[pending][:, None] * direction[pending]
             trial /= np.linalg.norm(trial, axis=1)[:, None]
-            f_trial, g_trial, p_trial, s_trial = _evaluate(trial, units,
-                                                           unit_pairs, kernel)
+            f_trial, g_trial, p_trial, s_trial = _evaluate(trial, units, unit_pairs,
+                                                           kernel, paired)
             slack = 8.0 * eps * np.abs(f[rows])
             ok = f_trial <= f[rows] - 1e-4 * length[pending] * slope[pending] + slack
             acc = rows[ok]
@@ -491,7 +641,9 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     singular kernel blows up are dropped and counted, and each accepted
     descent step is evaluated once (see _descend).  `iterations` is the
     most any block took and `n_newton_steps` the sum over blocks; the dual
-    value, the gap and the clustering read all blocks at once.
+    value, the gap and the clustering read all blocks at once.  Every
+    evaluation reads each exact antipodal pair of the code once
+    (Code.antipode_partners, _paired_units).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -506,7 +658,8 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     fixed = np.vstack([antipodes, dual_units]) if n_dual else antipodes
     size = block_rows(dim * dim, 4)
     draws = random_unit_blocks(seed, restarts, dim, size)
-    unit_pairs = _unit_pairs(units)
+    columns, paired = _paired_units(units, code.antipode_partners())
+    unit_pairs = _unit_pairs(columns)
     blocks = []
     n_singular = iterations = n_newton = 0
     for lo in range(0, n_starts, size):
@@ -516,11 +669,12 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
             x0 = np.vstack([next(draws), x0])
         is_dual = np.arange(lo, hi) >= n_starts - n_dual
         # drop starts that evaluate to +inf under singular kernels
-        evaluation = _evaluate(x0, units, unit_pairs, kernel)
+        evaluation = _evaluate(x0, columns, unit_pairs, kernel, paired)
         finite = np.isfinite(evaluation[0])
         n_singular += int(np.sum(~finite))
         x0, evaluation = x0[finite], tuple(v[finite] for v in evaluation)
-        *out, its, newton = _descend(units, unit_pairs, kernel, x0, evaluation)
+        *out, its, newton = _descend(columns, unit_pairs, kernel, x0, evaluation,
+                                     paired)
         blocks.append((*out, is_dual[finite]))
         iterations = max(iterations, its)
         n_newton += newton

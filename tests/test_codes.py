@@ -76,6 +76,39 @@ def test_antipode_mask_is_exact_on_integer_points():
     assert not c.is_antipodal()
 
 
+def test_antipode_partners_are_built_once_and_read_only():
+    c = LatticeCode("mixed", 3, 5, ((2, 1, 0), (-2, -1, 0), (0, 1, 2), (0, -2, -1)))
+    partners = c.antipode_partners()
+    assert partners.tolist() == [1, 0, -1, -1]
+    assert c.antipode_partners() is partners
+    with pytest.raises(ValueError):
+        partners[2] = 3
+    big = polytope_2_41()
+    partners = big.antipode_partners()
+    pts = np.asarray(big.points)
+    assert np.array_equal(pts[partners], -pts)
+    assert (demicube(5).antipode_partners() == -1).all()
+    # a cached map leaves equality, hashing and the repr to the fields
+    assert big == polytope_2_41() and hash(big) == hash(polytope_2_41())
+    assert "_partners" not in repr(cube(2))
+
+
+def test_float_antipode_partners_take_exact_negations_only():
+    # ngon(6)'s antipodes round differently from its negated points, so
+    # antipode_mask (within the tolerance) pairs them and the map does not;
+    # rows stacked with their exact negations pair up, -0.0 with 0.0
+    hexagon = ngon(6)
+    assert hexagon.is_antipodal()
+    assert (hexagon.antipode_partners() == -1).all()
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(4, 3))
+    pts[0, 1] = 0.0
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    code = FloatCode("pm", 3, np.vstack([pts, -pts[:2], -pts[2] + 1e-14]))
+    assert code.antipode_partners().tolist() == [4, 5, -1, -1, 0, 1, -1]
+    assert code.antipode_mask().tolist() == [True] * 3 + [False] + [True] * 3
+
+
 def test_demicube_4_is_a_cross_polytope_copy():
     # 8 points with pairwise dots in {4, 0, -4}/4: an orthoplex up to rotation
     c = demicube(4)

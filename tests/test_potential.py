@@ -36,9 +36,12 @@ from stiffkit.potential import (
     SingularEvaluation,
     UniversalMinimumReport,
     _argmin_max_dist,
+    _as_unit_rows,
     _descend,
     _evaluate,
+    _fsum_rows,
     _newton_steps,
+    _paired_units,
     _probe_values,
     _tangent_hessians,
     _unit_pairs,
@@ -277,6 +280,93 @@ class TestRowBlocks:
             assert peak < 3 * BLOCK_BYTES + returned, k.name
 
 
+def _evaluate_reference(rows, units, unit_pairs, kernel) -> tuple:
+    """Reference: _evaluate before antipodal pairs were folded, one table
+    column per code point in code order."""
+    values = np.empty(len(rows))
+    grad = np.empty((len(rows), units.shape[1]))
+    pair_sums = np.empty((len(rows), unit_pairs.shape[1]))
+    scale = np.empty(len(rows))
+    size = max(1, min(len(rows), block_rows(len(units))))
+    tables = np.empty((2, size, len(units)))
+    gap_units = -2.0 * units
+    c1 = c2 = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(rows), size):
+            hi = min(lo + size, len(rows))
+            table, scratch = tables[:, :hi - lo]
+            np.matmul(rows[lo:hi], gap_units.T, out=table)
+            d2, c1, c2 = kernel.evaluate(table, scratch, units, values[lo:hi],
+                                         scale[lo:hi], grad[lo:hi])
+            np.matmul(d2, unit_pairs, out=pair_sums[lo:hi])
+        grad *= c1
+        pair_sums *= c2
+        scale *= c1
+    return values, grad, pair_sums, scale
+
+
+PAIRED_KERNELS = [Kernel.parse(spec) for spec in ("riesz:1", "riesz:2", "riesz:4",
+                                                  "gauss:1", "log")] + BLOCK_KERNELS[-1:]
+
+
+class TestPairedEvaluation:
+    """The table with each exact antipodal pair read once (_paired_units)
+    against the table of every code point in code order."""
+
+    @staticmethod
+    def _both(code, k, n_rows=150):
+        rng = np.random.default_rng(code.size)
+        rows = rng.normal(size=(n_rows, code.ambient_dim))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        full = code.unit_array()
+        units, paired = _paired_units(full, code.antipode_partners())
+        got = _evaluate(rows, units, _unit_pairs(units), k, paired)
+        want = _evaluate_reference(rows, full, _unit_pairs(full), k)
+        return rows, paired, got, want
+
+    @pytest.mark.parametrize("code", [cube(3), cross_polytope(4), demicube(6),
+                                      polytope_2_41()], ids=lambda c: c.name)
+    @pytest.mark.parametrize("k", PAIRED_KERNELS, ids=lambda k: k.name)
+    def test_agrees_with_one_column_per_point(self, code, k, monkeypatch):
+        # 1e-12 relative: values against their magnitude, the gradient
+        # against sum |g'| and the pair sums against sum |g''|; blocks of
+        # 7 rows so the last one is ragged
+        monkeypatch.setattr(config, "BLOCK_BYTES", 8 * 7 * code.size)
+        rows, paired, got, want = self._both(code, k)
+        assert paired == code.size // 2
+        values, grad, pair_sums, scale = got
+        assert np.all(np.abs(values - want[0]) <= 1e-12 * np.abs(want[0]))
+        assert np.all(np.abs(scale - want[3]) <= 1e-12 * want[3])
+        assert np.all(np.abs(grad - want[1]) <= 1e-12 * want[3][:, None])
+        table = np.clip(rows @ code.unit_array().T, -1.0, 1.0)
+        weight = np.abs(_derivatives_reference(k, table)[1]).sum(axis=1)[:, None]
+        assert np.all(np.abs(pair_sums - want[2]) <= 1e-12 * weight)
+
+    @pytest.mark.parametrize("k", PAIRED_KERNELS, ids=lambda k: k.name)
+    def test_bit_for_bit_without_exact_pairs(self, k):
+        # demicube(5) has no antipodal pair; this FloatCode's antipodes
+        # are near, within its tolerance, but not exact negations
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(9, 4))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        near = FloatCode("near", 4, np.vstack([pts, -pts + 1e-14 * pts[::-1]]),
+                         tolerance=1e-12)
+        assert near.is_antipodal()
+        for code in (demicube(5), near):
+            _, paired, got, want = self._both(code, k)
+            assert paired == 0
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=True), (code.name, k.name)
+
+    def test_heads_then_singles(self):
+        # (2,1,0) pairs with (-2,-1,0); (0,1,2) and (0,-2,-1) are singles
+        code = LatticeCode("mixed", 3, 5, ((0, 1, 2), (2, 1, 0), (0, -2, -1),
+                                           (-2, -1, 0)))
+        units, paired = _paired_units(code.unit_array(), code.antipode_partners())
+        assert paired == 1
+        assert np.array_equal(units, code.unit_array()[[1, 0, 2]])
+
+
 def _expand_pairs(pairs, dim) -> np.ndarray:
     """The (rows, d, d) symmetric matrices of upper-triangle pair sums."""
     upper = np.triu_indices(dim)
@@ -448,6 +538,108 @@ class TestProbeValues:
                           Kernel.parse("riesz:1"))
 
 
+def _probe_values_reference(probes, units, kernel) -> list[float]:
+    """Reference: one matrix-vector product and one math.fsum per probe."""
+    out = []
+    for p in probes:
+        dots = np.clip(units @ (p / np.linalg.norm(p)), -1.0, 1.0)
+        if kernel.singular_at_one and np.any(dots >= 1.0 - 1e-12):
+            raise SingularEvaluation(kernel.name)
+        out.append(math.fsum(kernel.g(dots).tolist()))
+    return out
+
+
+class TestProbeBlocks:
+    @pytest.mark.parametrize("k", BLOCK_KERNELS, ids=lambda k: k.name)
+    def test_bit_for_bit_with_one_fsum_per_probe(self, k, monkeypatch):
+        # unnormalized probes in blocks of 7, the last one ragged
+        rng = np.random.default_rng(9)
+        for code in (cross_polytope(4), demicube(5), polytope_2_41()):
+            units = code.unit_array()
+            probes = rng.normal(size=(23, code.ambient_dim)) * 3.0
+            with monkeypatch.context() as mp:
+                mp.setattr(config, "BLOCK_BYTES", 8 * 7 * code.size)
+                got = _probe_values(probes, units, k)
+            assert got == _probe_values_reference(probes, units, k), (code.name, k.name)
+
+    def test_memory_is_two_tables(self):
+        # 4096 probes of the 2160-point code: two tables of BLOCK_BYTES, the
+        # returned list and a block's row vectors, not a 4096 x 2160 table
+        # (70.8 MB)
+        units = polytope_2_41().unit_array()
+        probes = np.random.default_rng(1).normal(size=(4096, 8))
+        for k in (Kernel.parse("riesz:2"), BLOCK_KERNELS[-1]):
+            tracemalloc.start()
+            try:
+                out = _probe_values(probes, units, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(out) == 4096
+            assert peak < 2 * BLOCK_BYTES + BLOCK_BYTES // 2, (k.name, peak)
+
+
+@st.composite
+def _fsum_tables(draw):
+    """Tables of 0-4 rows and 0-40 columns: finite floats of any exponent
+    (subnormals and values near the overflow threshold included), values
+    scaled to one exponent range, and values that cancel exactly."""
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 40))
+    floats = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-300, 1e-300),
+        st.floats(1.0, 2.0).map(lambda x: x * 2.0 ** 1020),
+        st.integers(-2**53, 2**53).map(float))
+    table = np.array(draw(st.lists(floats, min_size=rows * cols,
+                                   max_size=rows * cols)), dtype=float)
+    table = table.reshape(rows, cols)
+    if rows and cols > 1 and draw(st.booleans()):
+        table[:, cols // 2:2 * (cols // 2)] = -table[:, :cols // 2]
+        table = table[:, np.random.default_rng(cols).permutation(cols)]
+    return table
+
+
+class TestFsumRows:
+    @settings(max_examples=200, deadline=None)
+    @given(_fsum_tables())
+    def test_bit_for_bit_with_fsum(self, table):
+        want = []
+        for row in table.tolist():
+            try:
+                want.append(math.fsum(row).hex())
+            except OverflowError:
+                want.append("overflow")
+        rows_ok = [w != "overflow" for w in want]
+        got = _fsum_rows(table[rows_ok].copy(), np.empty_like(table[rows_ok]))
+        assert [v.hex() for v in got] == [w for w in want if w != "overflow"]
+        if not all(rows_ok):
+            with pytest.raises(OverflowError):
+                _fsum_rows(table.copy(), np.empty_like(table))
+
+    def test_lengths_zero_and_one_and_non_finite_rows(self):
+        assert _fsum_rows(np.empty((3, 0)), np.empty((3, 0))) == [0.0] * 3
+        one = np.array([[5e-324], [-0.0], [1.7e308], [-3.5]])
+        assert _fsum_rows(one.copy(), np.empty_like(one)) == [5e-324, 0.0, 1.7e308, -3.5]
+        inf = float("inf")
+        rows = np.array([[inf, 1.0], [1.0, 2.0 ** -60]])
+        assert _fsum_rows(rows, np.empty_like(rows)) == [inf, 1.0]
+        with pytest.raises(ValueError):
+            both = np.array([[inf, -inf]])
+            _fsum_rows(both, np.empty_like(both))
+
+
+class TestUnitRows:
+    @pytest.mark.parametrize("dim", [1, 3, 8, 24, 200])
+    def test_bit_for_bit_with_the_row_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = rng.normal(size=(300, dim)) * 10.0 ** rng.uniform(-150, 150, size=(300, 1))
+        want = np.asarray([p / np.linalg.norm(p) for p in rows])
+        assert np.array_equal(_as_unit_rows(rows), want)
+        assert np.array_equal(_as_unit_rows(rows.tolist()), want)
+        assert _as_unit_rows(None).shape == (0, 0)
+
+
 def _cluster_loop(points: np.ndarray, tol: float) -> np.ndarray:
     """Reference: the greedy loop, one norm per (point, representative)."""
     reps = []
@@ -497,6 +689,45 @@ class TestGreedyCluster:
         got = greedy_cluster(pts, CLUSTER_TOL)
         assert np.array_equal(got, _cluster_loop(pts, CLUSTER_TOL))
         assert len(got) == 2
+
+
+def _cluster_passes(points: np.ndarray, tol: float) -> np.ndarray:
+    """Reference: the greedy rule as one distance pass per representative
+    (greedy_cluster before its sweeps), fast enough for thousands of
+    representatives where _cluster_loop takes minutes."""
+    keep = []
+    rest = np.arange(len(points))
+    while len(rest):
+        r, rest = rest[0], rest[1:]
+        keep.append(r)
+        rest = rest[np.linalg.norm(points[rest] - points[r], axis=1) > tol]
+    return points[np.array(keep, dtype=np.intp)]
+
+
+class TestClusterSweeps:
+    def test_thousands_of_representatives(self, monkeypatch):
+        # 8192 points, pairwise farther than the tolerance, in 64 chunks of
+        # 128 (d = 8): every point is its own representative
+        monkeypatch.delenv("STIFFKIT_SIZE_CAP", raising=False)
+        pts = codes.random_units(5, 8192, 8)
+        got = greedy_cluster(pts, CLUSTER_TOL)
+        assert np.array_equal(got, pts)
+        assert np.array_equal(got, _cluster_passes(pts, CLUSTER_TOL))
+        head = pts[:300]
+        assert np.array_equal(greedy_cluster(head, CLUSTER_TOL),
+                              _cluster_loop(head, CLUSTER_TOL))
+
+    def test_chunks_fit_a_small_size_cap(self, monkeypatch):
+        # under a cap of 100 candidates the chunks hold 10 points, so 600
+        # points on three minima cluster without raising SizeCapExceeded
+        monkeypatch.setenv("STIFFKIT_SIZE_CAP", "100")
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=(600, 4))
+        u *= 0.3 * CLUSTER_TOL / np.linalg.norm(u, axis=1)[:, None]
+        pts = np.eye(4)[:3][rng.integers(0, 3, size=600)] + u
+        got = greedy_cluster(pts, CLUSTER_TOL)
+        assert np.array_equal(got, _cluster_loop(pts, CLUSTER_TOL))
+        assert len(got) == 3
 
 
 class TestMinimize:
