@@ -251,9 +251,8 @@ def cmd_dual(args) -> int:
 def cmd_verify_min(args) -> int:
     code, dual_code = _load(args.file), _load(args.dual)
     _same_dimension(code, dual_code)
-    dual = dual_code.unit_array()
     kernels = _parse_kernels(args.kernels)
-    reps = verify_universal_minimum(code, args.m, dual, kernels,
+    reps = verify_universal_minimum(code, args.m, dual_code, kernels,
                                     restarts=args.restarts, seed=args.seed,
                                     argmin_tol=args.argmin_tol)
     for r in reps:
@@ -279,7 +278,7 @@ def cmd_spectrum(args) -> int:
         if not 0 <= idx < code.size:
             raise UsageError(f"probe index {idx} out of range 0..{code.size - 1}")
         if isinstance(code, LatticeCode):
-            probe = code.lattice_points()[idx]
+            probe = LatticePoint(code.points[idx], code.norm_sq)
         else:
             probe = code.points[idx]
     else:

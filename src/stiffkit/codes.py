@@ -356,9 +356,6 @@ class LatticeCode:
         # floats straight from the Python ints, so coordinates past int64 work
         return np.asarray(self.points, dtype=float) / float(self.norm_sq) ** 0.5
 
-    def lattice_points(self) -> list[LatticePoint]:
-        return [LatticePoint(p, self.norm_sq) for p in self.points]
-
     def direction_set(self) -> frozenset[Vector]:
         return frozenset(gcd_reduce(p) for p in self.points)
 

@@ -1,11 +1,14 @@
 """Pairwise potentials on the sphere: evaluation, minimization, verification.
 
-verify_universal_minimum runs minimize_potential once per kernel with the
-dual candidates among the starts; its UniversalMinimumReport is that
-MinimizationReport plus the equality with the dual value, the worst
-argmin distance to the dual and the verdict, and its JSON, the verdict's
-keys, is the one JSON form of a multistart.  minimize_potential also runs
-alone, without dual candidates, and returns the bare MinimizationReport.
+verify_universal_minimum takes its dual candidates as a code and runs
+minimize_potential once per kernel with the dual's points among the
+starts; the m-check, the dual starts, the dual values and the argmin
+distances all read one set of rows, _unit_rows(dual.unit_array()).  Its
+UniversalMinimumReport is that MinimizationReport plus the equality with
+the dual value, the worst argmin distance to the dual and the verdict,
+and its JSON, the verdict's keys, is the one JSON form of a multistart.
+minimize_potential also runs alone, without a dual, and returns the bare
+MinimizationReport.
 
 Kernels are functions of the dot product t with g(x.y) = f(|x-y|^2), so
 |x-y|^2 = 2-2t.  Minimization is multistart descent on the unit sphere:
@@ -133,7 +136,7 @@ class Kernel:
     @property
     def strictly_convex_family(self) -> bool:
         """Families with all derivatives positive: argmins must sit on the dual."""
-        return self.family in ("riesz", "gauss")
+        return self.family in ("riesz", "gauss", "log")
 
     def g(self, t, out=None):
         """Kernel values; callers clip t to [-1, 1], and t = 1 gives +inf
@@ -271,12 +274,14 @@ def _fold(parts: tuple[np.ndarray, np.ndarray], op,
 
 
 def potential_eval(x, code: Code, kernel: Kernel) -> float:
-    """Potential of the code at one sphere point: math.fsum's correctly
-    rounded value of the kernel values (_probe_values)."""
+    """Potential of the code at one sphere point, rescaled to norm 1 once
+    its norm is within 1e-9 of 1: math.fsum's correctly rounded value of
+    the kernel values (_probe_values)."""
     vec = x.unit() if isinstance(x, LatticePoint) else np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+    norm = np.linalg.norm(vec)
+    if abs(norm - 1.0) > 1e-9:
         raise ValueError("probe point is not on the unit sphere")
-    return _probe_values(vec[None, :], code.unit_array(), kernel)[0]
+    return _probe_values((vec / norm)[None, :], code.unit_array(), kernel)[0]
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -290,7 +295,7 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 def _probe_values(probes: np.ndarray, units: np.ndarray,
                   kernel: Kernel) -> list[float]:
-    """Potential at each probe row, rescaled to norm 1: math.fsum's
+    """Potential at each probe, a unit row taken as given: math.fsum's
     correctly rounded value of the kernel values over the unit code
     table, the value potential_eval gives.
 
@@ -306,7 +311,7 @@ def _probe_values(probes: np.ndarray, units: np.ndarray,
     tables = np.empty((2, size, n))
     out: list[float] = []
     for lo in range(0, len(probes), size):
-        block = _unit_rows(probes[lo:lo + size])
+        block = probes[lo:lo + size]
         dots, values = tables[:, :len(block)]
         np.matmul(units, block[:, :, None], out=dots[:, :, None])
         np.clip(dots, -1.0, 1.0, out=dots)
@@ -377,15 +382,6 @@ class MinimizationReport:
     # best finite descended non-dual value minus the dual value; None when
     # no such value exists
     gap: Optional[float] = None
-    dual_match: Optional[bool] = None
-
-
-def _as_unit_rows(points: Optional[np.ndarray]) -> np.ndarray:
-    """Candidate dual rows rescaled to norm 1, each bit for bit
-    p / np.linalg.norm(p) (_unit_rows); None gives no rows."""
-    if points is None:
-        return np.zeros((0, 0))
-    return _unit_rows(np.asarray(points, dtype=float))
 
 
 def _unit_pairs(units: np.ndarray) -> np.ndarray:
@@ -621,7 +617,7 @@ def _descend(units: np.ndarray, unit_pairs: np.ndarray, kernel: Kernel,
 
 
 def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
-                       seed: int = 0, dual: Optional[np.ndarray] = None
+                       seed: int = 0, dual: Optional[Code] = None
                        ) -> MinimizationReport:
     """Multistart minimization of the code's potential over the sphere.
 
@@ -630,8 +626,9 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     restarts > i, and a negative seed raises ValueError), the code
     antipodes that are not themselves code points (Code.antipode_mask:
     exact for a LatticeCode, within 10x the tolerance for a FloatCode; an
-    antipodal code has none), and the supplied dual candidates.  Their
-    count goes through check_size before any start is drawn.
+    antipodal code has none), and the points of the dual code, if any, as
+    the unit rows _unit_rows(dual.unit_array()).  Their count goes through
+    check_size before any start is drawn.
 
     The starts are drawn, evaluated and descended in consecutive blocks of
     as many as keep one Newton stack (rows x d^2 floats, _newton_steps)
@@ -650,12 +647,14 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     units = code.unit_array()
     dim = code.ambient_dim
     antipodes = -units[~code.antipode_mask()]
-    dual_units = _as_unit_rows(dual)
-    n_dual = len(dual_units)
+    n_dual = 0 if dual is None else dual.size
     n_starts = restarts + len(antipodes) + n_dual
     check_size(n_starts, "descent starts")
 
-    fixed = np.vstack([antipodes, dual_units]) if n_dual else antipodes
+    fixed = antipodes
+    if dual is not None:
+        dual_units = _unit_rows(dual.unit_array())
+        fixed = np.vstack([antipodes, dual_units])
     size = block_rows(dim * dim, 4)
     draws = random_unit_blocks(seed, restarts, dim, size)
     columns, paired = _paired_units(units, code.antipode_partners())
@@ -688,8 +687,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     dual_value: Optional[float] = None
     spread: Optional[float] = None
     gap: Optional[float] = None
-    dual_match: Optional[bool] = None
-    if n_dual:
+    if dual is not None:
         dvals = _probe_values(dual_units, units, kernel)
         dual_value = min(dvals)
         # relative to the magnitude, absolute when the mean is 0
@@ -698,7 +696,6 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
         nd = np.isfinite(vals) & ~is_dual_start
         if nd.any():
             gap = float(vals[nd].min() - dual_value)
-            dual_match = gap >= GAP_FLOOR
 
     good = conv & np.isfinite(vals)
     global_min = float(vals[good].min()) if good.any() else float("inf")
@@ -709,7 +706,7 @@ def minimize_potential(code: Code, kernel: Kernel, restarts: int = 200,
     return MinimizationReport(code.name, kernel.name, restarts, seed,
                               global_min, cluster, n_conv, n_failed,
                               n_singular, len(antipodes), iterations, n_newton,
-                              dual_value, spread, gap, dual_match)
+                              dual_value, spread, gap)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -761,7 +758,7 @@ def _argmin_max_dist(argmins: np.ndarray, dual_units: np.ndarray,
     return float(nearest.max())
 
 
-def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
+def verify_universal_minimum(code: Code, m: int, dual: Code,
                              kernels: Sequence[Kernel],
                              restarts: int = 200, seed: int = 0,
                              argmin_tol: float = 1e-5) -> list[UniversalMinimumReport]:
@@ -770,29 +767,33 @@ def verify_universal_minimum(code: Code, m: int, dual: np.ndarray,
     Per kernel: (a) the potential is constant over the dual within
     DUAL_SPREAD_REL relative; (b) some non-dual start descended to a finite
     value and none beats the dual value by more than -GAP_FLOOR, converged
-    or not; (c) for strictly convex families every argmin lies within
-    argmin_tol of a dual point; (d) every dual candidate forms at most m
+    or not; (c) for the strictly convex families (riesz, gauss and log)
+    every argmin lies within argmin_tol of a dual point; (d) every dual candidate forms at most m
     distinct dots with the code (stiffness._at_most_m_distinct on blocks
     of dual rows x code from codes.dot_blocks, gaps up to 1e-8 taken as
     one value).
 
-    Each report is minimize_potential's, with the dual rows normalized
-    once here, extended by the equality, the argmin distance (both against
-    those rows; the distance from one close_pairs sweep, _argmin_max_dist)
-    and the verdict.
+    The dual candidates are the points of the code `dual`, which must
+    share the code's ambient dimension (ValueError otherwise), read as one
+    set of unit rows, _unit_rows(dual.unit_array()): the m-check, the dual
+    starts and values of minimize_potential and the argmin distance
+    (_argmin_max_dist, one close_pairs sweep) all see the same bits.  Each
+    report is minimize_potential's, extended by the equality, that
+    distance and the verdict.
     """
-    dual_units = _as_unit_rows(dual)
-    if not len(dual_units):
-        raise ValueError("dual candidate set is empty")
+    if dual.ambient_dim != code.ambient_dim:
+        raise ValueError(f"{dual.name} lives in dimension {dual.ambient_dim}, "
+                         f"{code.name} in dimension {code.ambient_dim}")
+    dual_units = _unit_rows(dual.unit_array())
     m_ok = all(_at_most_m_distinct(block, m, 1e-8)
                for _, block in dot_blocks(dual_units, code.unit_array()))
     out = []
     for k, kernel in enumerate(kernels):
         rep = minimize_potential(code, kernel, restarts=restarts,
-                                 seed=seed + k, dual=dual_units)
+                                 seed=seed + k, dual=dual)
         worst = _argmin_max_dist(rep.argmin_cluster, dual_units, argmin_tol)
         const_ok = rep.dual_spread_rel <= DUAL_SPREAD_REL
-        no_beat = bool(rep.dual_match)
+        no_beat = rep.gap is not None and rep.gap >= GAP_FLOOR
         argmin_ok = (not kernel.strictly_convex_family) or worst <= argmin_tol
         equality = (abs(rep.global_min_value - rep.dual_value)
                     / (abs(rep.dual_value) or 1.0))

@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .codes import (LatticeCode, covered_by, cross_polytope, cube, demicube, e8_roots, ngon,
-                    polytope_2_41)
+from .codes import (LatticeCode, LatticePoint, covered_by, cross_polytope, cube, demicube,
+                    e8_roots, ngon, polytope_2_41)
 from .design import index_set, pair_sum
 from .exact import Surd
 from .gegenbauer import gegenbauer_poly, inner, nodes
@@ -184,7 +184,7 @@ def criterion_6() -> CriterionResult:
     ok = True
     for code in cases:
         tc = time.time()
-        dual = dual_search(code, 2).unit_points()
+        dual = dual_search(code, 2).as_code()
         reps = verify_universal_minimum(code, 2, dual, kernels,
                                         restarts=200, seed=0, argmin_tol=1e-5)
         per_code = time.time() - tc
@@ -203,10 +203,9 @@ def criterion_7() -> CriterionResult:
     """Global potential minimum of the 2160-point code sits on the 240 roots."""
     t0 = time.time()
     code = _shared("2_41")
-    dual = _shared("e8").unit_array()
     reps = verify_universal_minimum(
-        code, 5, dual, [Kernel.parse("riesz:2"), Kernel.parse("gauss:1")],
-        restarts=1000, seed=0, argmin_tol=1e-4)
+        code, 5, _shared("e8"), [Kernel.parse("riesz:2"), Kernel.parse("gauss:1")],
+        restarts=1000, seed=0, argmin_tol=1e-5)
     ok = all(r.passed and r.equality_rel <= 1e-8 for r in reps)
     elapsed = time.time() - t0
     lines = [f"{r.kernel}: min={r.global_min_value:.9g} "
@@ -220,7 +219,8 @@ def criterion_8() -> CriterionResult:
     """Skip-one-add-two hypotheses hold exactly for the five-node set."""
     t0 = time.time()
     code = _shared("2_41")
-    witness = _shared("e8").lattice_points()[0]
+    e8 = _shared("e8")
+    witness = LatticePoint(e8.points[0], e8.norm_sq)
     rep = skip_one_add_two_check(code, 5, NODES_2160, candidates=[witness])
     ok = rep.all_ok and rep.sum_value == "0" and rep.sumsq_value == "5/4" \
         and rep.bound_value == "15/8"

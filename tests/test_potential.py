@@ -31,12 +31,12 @@ from stiffkit.gegenbauer import Polynomial
 from stiffkit.potential import (
     CLUSTER_TOL,
     DUAL_SPREAD_REL,
+    GAP_FLOOR,
     Kernel,
     MinimizationReport,
     SingularEvaluation,
     UniversalMinimumReport,
     _argmin_max_dist,
-    _as_unit_rows,
     _descend,
     _evaluate,
     _fsum_rows,
@@ -45,6 +45,7 @@ from stiffkit.potential import (
     _probe_values,
     _tangent_hessians,
     _unit_pairs,
+    _unit_rows,
     minimize_potential,
     potential_eval,
     skip_one_add_two_check,
@@ -121,6 +122,16 @@ class TestKernel:
         for spec in ("riesz:1", "riesz:2", "gauss:1", "log"):
             k = Kernel.parse(spec)
             assert np.all(_kernel_tables(k, np.linspace(-0.99, 0.99, 50))[1] > 0), spec
+
+    def test_strictly_convex_families(self):
+        # g, g' and g'' > 0 on (-1, 1) for riesz, gauss and log (the log
+        # kernel's k-th derivative is (k-1)!/(1-t)^k), so their argmins
+        # must sit on the dual; a polynomial's need not
+        for spec in ("riesz:1", "riesz:2", "gauss:1", "log"):
+            k = Kernel.parse(spec)
+            assert k.strictly_convex_family, spec
+            assert all(np.all(v > 0) for v in _kernel_tables(k, np.linspace(-0.99, 0.99, 50)))
+        assert not Kernel("poly", poly=Polynomial([0, 1])).strictly_convex_family
 
 
 def _kernel_tables(kernel: Kernel, t) -> tuple:
@@ -528,7 +539,8 @@ class TestProbeValues:
             probes = np.vstack([probes, -units[:3] + 1e-3])
             probes /= np.linalg.norm(probes, axis=1)[:, None]
             for k in kernels:
-                vals = _probe_values(probes, units, k)
+                # potential_eval rescales each probe as _unit_rows does
+                vals = _probe_values(_unit_rows(probes), units, k)
                 assert vals == [potential_eval(p, code, k) for p in probes], k.name
 
     def test_singular_on_code_point(self):
@@ -539,10 +551,11 @@ class TestProbeValues:
 
 
 def _probe_values_reference(probes, units, kernel) -> list[float]:
-    """Reference: one matrix-vector product and one math.fsum per probe."""
+    """Reference: one matrix-vector product and one math.fsum per unit
+    probe."""
     out = []
     for p in probes:
-        dots = np.clip(units @ (p / np.linalg.norm(p)), -1.0, 1.0)
+        dots = np.clip(units @ p, -1.0, 1.0)
         if kernel.singular_at_one and np.any(dots >= 1.0 - 1e-12):
             raise SingularEvaluation(kernel.name)
         out.append(math.fsum(kernel.g(dots).tolist()))
@@ -552,11 +565,11 @@ def _probe_values_reference(probes, units, kernel) -> list[float]:
 class TestProbeBlocks:
     @pytest.mark.parametrize("k", BLOCK_KERNELS, ids=lambda k: k.name)
     def test_bit_for_bit_with_one_fsum_per_probe(self, k, monkeypatch):
-        # unnormalized probes in blocks of 7, the last one ragged
+        # unit probes in blocks of 7, the last one ragged
         rng = np.random.default_rng(9)
         for code in (cross_polytope(4), demicube(5), polytope_2_41()):
             units = code.unit_array()
-            probes = rng.normal(size=(23, code.ambient_dim)) * 3.0
+            probes = _unit_rows(rng.normal(size=(23, code.ambient_dim)) * 3.0)
             with monkeypatch.context() as mp:
                 mp.setattr(config, "BLOCK_BYTES", 8 * 7 * code.size)
                 got = _probe_values(probes, units, k)
@@ -567,7 +580,7 @@ class TestProbeBlocks:
         # returned list and a block's row vectors, not a 4096 x 2160 table
         # (70.8 MB)
         units = polytope_2_41().unit_array()
-        probes = np.random.default_rng(1).normal(size=(4096, 8))
+        probes = _unit_rows(np.random.default_rng(1).normal(size=(4096, 8)))
         for k in (Kernel.parse("riesz:2"), BLOCK_KERNELS[-1]):
             tracemalloc.start()
             try:
@@ -635,9 +648,7 @@ class TestUnitRows:
         rng = np.random.default_rng(dim)
         rows = rng.normal(size=(300, dim)) * 10.0 ** rng.uniform(-150, 150, size=(300, 1))
         want = np.asarray([p / np.linalg.norm(p) for p in rows])
-        assert np.array_equal(_as_unit_rows(rows), want)
-        assert np.array_equal(_as_unit_rows(rows.tolist()), want)
-        assert _as_unit_rows(None).shape == (0, 0)
+        assert np.array_equal(_unit_rows(rows), want)
 
 
 def _cluster_loop(points: np.ndarray, tol: float) -> np.ndarray:
@@ -734,10 +745,9 @@ class TestMinimize:
     def test_demicube5_riesz2(self):
         rep = minimize_potential(demicube(5), Kernel.parse("riesz:2"),
                                  restarts=120, seed=3,
-                                 dual=dual_search(demicube(5), 2).unit_points())
+                                 dual=dual_search(demicube(5), 2).as_code())
         assert math.isclose(rep.global_min_value, 10.0, rel_tol=1e-12)
-        assert rep.dual_match
-        assert rep.gap >= -1e-8
+        assert rep.gap >= GAP_FLOOR
         # ten argmin clusters: the signed basis vectors
         assert len(rep.argmin_cluster) == 10
         for p in rep.argmin_cluster:
@@ -748,10 +758,10 @@ class TestMinimize:
     def test_argmins_in_sorted_rows_order(self, code):
         # coordinates that are zero up to noise must not decide the order,
         # as they do under a raw lexsort of these clusters
-        dual = dual_search(code, 2).unit_points()
+        dual = dual_search(code, 2).as_code()
         for spec in ("riesz:1", "riesz:2", "gauss:1"):
             rep = minimize_potential(code, Kernel.parse(spec), restarts=200, seed=0, dual=dual)
-            assert len(rep.argmin_cluster) == len(dual), spec
+            assert len(rep.argmin_cluster) == dual.size, spec
             assert np.array_equal(rep.argmin_cluster, sorted_rows(rep.argmin_cluster)), spec
 
     def test_report_json(self):
@@ -764,7 +774,7 @@ class TestMinimize:
         assert 1 <= rep.iterations <= 600
         assert 0 < rep.n_newton_steps
         assert rep.dual_value is None and rep.gap is None
-        dual = dual_search(cross_polytope(3), 2).unit_points()
+        dual = dual_search(cross_polytope(3), 2).as_code()
         (urep,) = verify_universal_minimum(cross_polytope(3), 2, dual,
                                            [Kernel.parse("riesz:1")],
                                            restarts=20, seed=0)
@@ -817,10 +827,9 @@ class TestMinimize:
         # keeps the dual starts behind them marked as dual
         monkeypatch.setattr(LatticeCode, "antipode_mask",
                             lambda self: np.zeros(self.size, dtype=bool))
-        dual = cross_polytope(6).unit_array()
         for spec in ("riesz:1", "riesz:2", "riesz:4"):
             rep = minimize_potential(demicube(6), Kernel.parse(spec),
-                                     restarts=50, seed=0, dual=dual)
+                                     restarts=50, seed=0, dual=cross_polytope(6))
             assert rep.n_antipode_starts == rep.n_singular_starts == 32, spec
             assert rep.n_failed == 0 and rep.n_converged == 50 + 12, spec
             for key in ("global_min_value", "dual_value", "gap", "dual_spread_rel"):
@@ -832,12 +841,11 @@ class TestMinimize:
         # wrong dual's value
         import stiffkit.potential as potential
         monkeypatch.setattr(potential, "MAX_ITER", 1)
-        wrong = np.array([[1.0, 1.0, 0.0, 0.0]]) / 2 ** 0.5
+        wrong = LatticeCode("wrong", 4, 2, [(1, 1, 0, 0)])
         rep = minimize_potential(cross_polytope(4), Kernel.parse("gauss:1"),
                                  restarts=200, seed=0, dual=wrong)
         assert rep.iterations == 1
-        assert rep.gap < -1e-8
-        assert rep.dual_match is False
+        assert rep.gap < GAP_FLOOR
 
     def test_newton_converges_near_dual(self, monkeypatch):
         import stiffkit.potential as potential
@@ -904,7 +912,8 @@ class TestStartBlocks:
         import stiffkit.potential as potential
         monkeypatch.setattr(LatticeCode, "antipode_mask",
                             lambda self: np.zeros(self.size, dtype=bool))
-        code, dual = cross_polytope(12), cube(12).unit_array()[::400]
+        code = cross_polytope(12)
+        dual = FloatCode("cube(12)[::400]", 12, cube(12).unit_array()[::400])
         for spec in ("riesz:1", "gauss:1"):
             run = lambda: minimize_potential(code, Kernel.parse(spec),
                                              restarts=50, seed=2, dual=dual)
@@ -962,7 +971,7 @@ class TestAntipodeStarts:
         assert rep.n_antipode_starts == 16
         assert rep.n_singular_starts == 0
         assert rep.n_converged + rep.n_failed == 21
-        dual = dual_search(demicube(5), 2).unit_points()
+        dual = dual_search(demicube(5), 2).as_code()
         (urep,) = verify_universal_minimum(demicube(5), 2, dual, [Kernel.parse("riesz:2")],
                                            restarts=5, seed=0)
         assert urep.to_json_dict()["n_antipode_starts"] == 16
@@ -1016,7 +1025,7 @@ class TestArgminDistance:
 
 class TestUniversalMinimum:
     def test_cross4_with_true_dual(self):
-        dual = dual_search(cross_polytope(4), 2).unit_points()
+        dual = dual_search(cross_polytope(4), 2).as_code()
         reps = verify_universal_minimum(
             cross_polytope(4), 2, dual,
             [Kernel.parse("riesz:1"), Kernel.parse("gauss:1")],
@@ -1038,7 +1047,7 @@ class TestUniversalMinimum:
             return real(probes, units, kernel)
 
         monkeypatch.setattr(potential, "_probe_values", counted)
-        dual = dual_search(cross_polytope(4), 2).unit_points()
+        dual = dual_search(cross_polytope(4), 2).as_code()
         reps = verify_universal_minimum(
             cross_polytope(4), 2, dual,
             [Kernel.parse("riesz:1"), Kernel.parse("gauss:1")],
@@ -1047,7 +1056,7 @@ class TestUniversalMinimum:
         assert all(rep.passed for rep in reps)
 
     def test_minimization_report_carries_the_dual_spread(self):
-        dual = dual_search(cross_polytope(4), 2).unit_points()
+        dual = dual_search(cross_polytope(4), 2).as_code()
         (rep,) = verify_universal_minimum(cross_polytope(4), 2, dual,
                                           [Kernel.parse("gauss:1")], restarts=20, seed=0)
         out = rep.to_json_dict()
@@ -1056,7 +1065,7 @@ class TestUniversalMinimum:
 
     def test_zero_dual_value(self):
         # q(t) = t sums to 0 over an antipodal code, so every value is 0
-        dual = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]) / 3 ** 0.5
+        dual = LatticeCode("pair", 3, 3, [(1, 1, 1), (-1, -1, -1)])
         (rep,) = verify_universal_minimum(
             cross_polytope(3), 2, dual,
             [Kernel("poly", poly=Polynomial([0, 1]))], restarts=20, seed=0)
@@ -1067,7 +1076,7 @@ class TestUniversalMinimum:
 
     def test_spread_with_zero_mean_fails(self):
         # t^3 on the tetrahedron is +-8/9 at the two probes: mean 0, not constant
-        dual = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]) / 3 ** 0.5
+        dual = LatticeCode("pair", 3, 3, [(1, 1, 1), (-1, -1, -1)])
         (rep,) = verify_universal_minimum(
             demicube(3), 2, dual,
             [Kernel("poly", poly=Polynomial([0, 0, 0, 1]))], restarts=20, seed=0)
@@ -1075,10 +1084,9 @@ class TestUniversalMinimum:
         assert not rep.passed
 
     def test_verdict_extends_the_multistart_report(self):
-        # demicube(5)'s dual is the signed basis, whose rows stay bit for bit
-        # the same when normalized again, so a direct call sees the same starts
+        # a direct call reads the same dual rows, so it sees the same starts
         code = demicube(5)
-        dual = dual_search(code, 2).unit_points()
+        dual = dual_search(code, 2).as_code()
         kernels = [Kernel.parse("riesz:1"), Kernel.parse("gauss:1")]
         reps = verify_universal_minimum(code, 2, dual, kernels, restarts=40, seed=3)
         own = [f.name for f in fields(UniversalMinimumReport)]
@@ -1096,8 +1104,58 @@ class TestUniversalMinimum:
                 "gap", "equality_rel", "argmin_max_dist", "n_converged", "n_failed",
                 "n_singular_starts", "n_antipode_starts", "restarts", "seed", "passed"]
 
+    def test_one_set_of_dual_rows(self, monkeypatch):
+        # the m-check's rows, the dual values' probes and the argmin
+        # distance's rows are one _unit_rows(dual.unit_array()); a second
+        # normalization would move every one of cube(7)'s 128 rows
+        import stiffkit.potential as potential
+        want = _unit_rows(cube(7).unit_array())
+        again = _unit_rows(want)
+        assert all(not np.array_equal(a, b) for a, b in zip(again, want))
+        seen = []
+        probe_values, argmin_max_dist = potential._probe_values, potential._argmin_max_dist
+
+        def probes(rows, units, kernel):
+            seen.append(("probes", rows))
+            return probe_values(rows, units, kernel)
+
+        def argmins(found, rows, tol):
+            seen.append(("argmins", rows))
+            return argmin_max_dist(found, rows, tol)
+
+        monkeypatch.setattr(potential, "_probe_values", probes)
+        monkeypatch.setattr(potential, "_argmin_max_dist", argmins)
+        reps = verify_universal_minimum(
+            cross_polytope(7), 2, cube(7),
+            [Kernel.parse("riesz:1"), Kernel.parse("gauss:1")], restarts=20, seed=0)
+        assert all(rep.passed for rep in reps)
+        assert [name for name, _ in seen] == ["probes", "argmins"] * 2
+        for name, rows in seen:
+            assert np.array_equal(rows, want), name
+
+    def test_dual_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            verify_universal_minimum(cross_polytope(4), 2, cube(3),
+                                     [Kernel.parse("gauss:1")], restarts=4)
+
+    @pytest.mark.parametrize("spec", ["riesz:1", "gauss:1", "log"])
+    def test_half_dual_fails_on_the_argmins_alone(self, spec):
+        # demicube(4) is half of cross_polytope(4)'s 16-point dual cube(4):
+        # the potential is constant on it, nothing beats it and its dots
+        # with the code are +-1/2, but the argmins also sit on the other
+        # half, a distance 1 away, and every strictly convex family must
+        # see that
+        code, half = cross_polytope(4), demicube(4)
+        (rep,) = verify_universal_minimum(code, 2, half, [Kernel.parse(spec)],
+                                          restarts=200, seed=0)
+        assert set((half.unit_array() @ code.unit_array().T).ravel()) == {-0.5, 0.5}
+        assert rep.dual_spread_rel <= DUAL_SPREAD_REL
+        assert rep.gap >= GAP_FLOOR
+        assert rep.argmin_max_dist > 1e-5
+        assert not rep.passed
+
     def test_wrong_dual_fails(self):
-        wrong = np.array([[1.0, 1.0, 0.0, 0.0]]) / 2 ** 0.5
+        wrong = LatticeCode("wrong", 4, 2, [(1, 1, 0, 0)])
         reps = verify_universal_minimum(
             cross_polytope(4), 2, wrong, [Kernel.parse("riesz:1")],
             restarts=40, seed=0)
@@ -1160,8 +1218,7 @@ class TestE8AsDualOf241:
     def test_potential_constant_on_roots(self):
         code = polytope_2_41()
         k = Kernel.parse("gauss:1")
-        vals = [potential_eval(p.unit(), code, k)
-                for p in e8_roots().lattice_points()[:12]]
+        vals = [potential_eval(p, code, k) for p in e8_roots().unit_array()[:12]]
         assert max(vals) - min(vals) < 1e-9 * abs(vals[0])
 
 
@@ -1173,9 +1230,10 @@ def test_m_check_reads_the_last_ragged_block(rows):
     # relative, so only the m-check can fail; in blocks of 7 dual rows the
     # turned row is the last of the ragged last block of 4
     code = demicube(5)
-    dual = dual_search(code, 2).unit_points()
+    dual = dual_search(code, 2).as_code()
     eps = 1e-6
-    planted = np.vstack([dual, [math.cos(eps), math.sin(eps), 0, 0, 0]])
+    planted = FloatCode("planted", 5, np.vstack([dual.unit_array(),
+                                                 [math.cos(eps), math.sin(eps), 0, 0, 0]]))
     kernels = [Kernel.parse("riesz:1")]
     with pytest.MonkeyPatch.context() as mp:
         if rows:
@@ -1184,5 +1242,5 @@ def test_m_check_reads_the_last_ragged_block(rows):
         bad = verify_universal_minimum(code, 2, planted, kernels, restarts=20)
     assert good[0].passed
     assert not bad[0].passed
-    assert bad[0].dual_spread_rel <= DUAL_SPREAD_REL and bad[0].dual_match
+    assert bad[0].dual_spread_rel <= DUAL_SPREAD_REL and bad[0].gap >= GAP_FLOOR
     assert bad[0].argmin_max_dist <= 1e-5
