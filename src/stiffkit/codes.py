@@ -290,15 +290,8 @@ class LatticePoint:
     def ambient_dim(self) -> int:
         return len(self.vector)
 
-    def direction(self) -> Vector:
-        """Canonical key: two points are the same sphere point iff keys match."""
-        return gcd_reduce(self.vector)
-
     def unit(self) -> np.ndarray:
         return np.asarray(self.vector, dtype=float) / float(self.norm_sq) ** 0.5
-
-    def __neg__(self) -> "LatticePoint":
-        return LatticePoint(tuple(-x for x in self.vector), self.norm_sq)
 
 
 def _partner_map(points: Sequence[Sequence]) -> np.ndarray:

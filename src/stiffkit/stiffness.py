@@ -11,7 +11,8 @@ runs in floats on the R factor of the chosen rows and drops a prefix only
 beyond a stated rounding bound, so it never loses a dual point.  The
 arithmetic of the input decides how a survivor is certified: an integer
 code maps it to an integer direction and keeps it when its norm and
-every integer dot it forms with the code are exactly right; a float code
+every integer dot it forms with the code are exactly right, and the kept
+points are one LatticeCode at their least common norm; a float code
 keeps it when every dot lies within FLOAT_RESIDUAL of a candidate value.
 """
 
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import adjugate_and_det, first_independent, integer_nullspace
-from .codes import (Code, LatticeCode, LatticePoint, Vector, covered_by, dot_blocks,
+from .codes import (Code, LatticeCode, Vector, covered_by, dot_blocks, gcd_reduce,
                     greedy_cluster, int_arrays, raw_dots, sorted_rows)
 from .config import block_rows, check_size
 from .design import DesignReport, index_set, pair_values, spectra
@@ -55,27 +56,27 @@ class NodesRequired(ValueError):
 class DualSearchResult:
     """Outcome of a dual enumeration.
 
-    exact results carry LatticePoint entries, primitive directions, and
-    common_rows, the same points in the same order at the least common
-    squared norm their certification proved (see _exact_dual); float
-    results carry unit rows in points_float.  dual_complete is True only
-    when the node set itself is certified (Gegenbauer roots of a verified
-    (2m-1)-design), so the enumeration provably saw every dual point.  For
-    caller-supplied nodes the search is exhaustive relative to those nodes
-    but completeness of the node list is the caller's responsibility.
+    An exact result carries code, the certified points as the LatticeCode
+    dual_{m}(code_name): the rows _exact_dual proves to share their least
+    common squared norm, in the sorted order of their primitive
+    directions (None when the dual is empty).  A float result carries
+    unit rows in points_float.  dual_complete is True only when the node
+    set itself is certified (Gegenbauer roots of a verified (2m-1)-design),
+    so the enumeration provably saw every dual point.  For caller-supplied
+    nodes the search is exhaustive relative to those nodes but
+    completeness of the node list is the caller's responsibility.
     """
 
     code_name: str
     m: int
     mode: str  # "exact" | "float" | "subspace"
-    points: tuple[LatticePoint, ...]
+    code: Optional[LatticeCode]
     points_float: Optional[np.ndarray]
     dual_complete: bool
     nodes_supplied: bool
     node_values: tuple
     subspace_basis: Optional[tuple[Vector, ...]] = None
     max_residual: float = 0.0
-    common_rows: tuple[Vector, ...] = ()
 
     @property
     def exact(self) -> bool:
@@ -83,8 +84,8 @@ class DualSearchResult:
 
     @property
     def count(self) -> int:
-        if self.points:
-            return len(self.points)
+        if self.code is not None:
+            return self.code.size
         if self.points_float is not None:
             return len(self.points_float)
         return 0
@@ -93,18 +94,12 @@ class DualSearchResult:
     def is_empty(self) -> bool:
         return self.count == 0 and self.subspace_basis is None
 
-    def as_code(self, name: Optional[str] = None) -> LatticeCode:
-        """The exact dual as a code: common_rows, sorted."""
-        if not self.common_rows:
-            raise ValueError("no exact dual points to convert")
-        rows = tuple(sorted(self.common_rows))
-        return LatticeCode(name or f"dual_{self.m}({self.code_name})", len(rows[0]),
-                           sum(x * x for x in rows[0]), rows)
-
     def unit_points(self) -> np.ndarray:
+        if self.code is not None:
+            return self.code.unit_array()
         if self.points_float is not None:
             return self.points_float
-        return np.array([p.unit() for p in self.points])
+        return np.array([])
 
     def to_json_dict(self) -> dict:
         out = {
@@ -116,10 +111,9 @@ class DualSearchResult:
             "nodes_supplied": self.nodes_supplied,
             "nodes": [_node_json(v) for v in self.node_values],
         }
-        if self.points:
-            out["points"] = [
-                {"vector": list(p.vector), "norm_sq": p.norm_sq} for p in self.points
-            ]
+        if self.code is not None:
+            out["points"] = [{"vector": list(v), "norm_sq": sum(x * x for x in v)}
+                             for v in map(gcd_reduce, self.code.points)]
         elif self.points_float is not None:
             out["points_decimal"] = [[float(x) for x in p] for p in self.points_float]
             out["max_residual"] = self.max_residual
@@ -242,9 +236,9 @@ def dual_search(
     node_idx, y = _walk(r, values, FLOAT_RESIDUAL if rhs is None else _gamma(8),
                         f"dual search for {code.name}")
     if rhs is not None:
-        pts, rows = _exact_dual(code, idx, node_idx, rhs)
-        return DualSearchResult(code.name, m, "exact", pts, None, dual_complete,
-                                nodes_supplied, tuple(node_values), common_rows=rows)
+        return DualSearchResult(code.name, m, "exact",
+                                _dual_code(code, m, _exact_dual(code, idx, node_idx, rhs)),
+                                None, dual_complete, nodes_supplied, tuple(node_values))
     # spectrum certificate: the point Q y, normalized, is kept when every
     # dot it forms with the code is within FLOAT_RESIDUAL of some node
     cand = y @ q.T
@@ -261,7 +255,7 @@ def dual_search(
             np.minimum(dist, np.abs(dots - v), out=dist)
         res[s:s + step] = dist.max(axis=1)
     good = res < FLOAT_RESIDUAL
-    return DualSearchResult(code.name, m, "float", (), sorted_rows(cand[good]), dual_complete,
+    return DualSearchResult(code.name, m, "float", None, sorted_rows(cand[good]), dual_complete,
                             nodes_supplied, tuple(node_values),
                             max_residual=float(res[good].max(initial=0.0)))
 
@@ -292,24 +286,31 @@ def _subspace_dual(code: Code, idx: list[int], nodes_supplied: bool,
         basis = integer_nullspace([code.points[i] for i in idx])
         if len(basis) == 1:
             b = basis[0]
-            p = LatticePoint(b, sum(x * x for x in b))
-            pts = tuple(sorted([p, -p], key=lambda q: q.vector))
-            return DualSearchResult(code.name, 1, "exact", pts, None, True,
-                                    nodes_supplied, (Surd(0),),
-                                    common_rows=tuple(q.vector for q in pts))
-        return DualSearchResult(code.name, 1, "subspace", (), None, True,
+            pair = _dual_code(code, 1, sorted([b, tuple(-x for x in b)]))
+            return DualSearchResult(code.name, 1, "exact", pair, None, True,
+                                    nodes_supplied, (Surd(0),))
+        return DualSearchResult(code.name, 1, "subspace", None, None, True,
                                 nodes_supplied, (Surd(0),),
                                 subspace_basis=tuple(basis))
     units = code.unit_array()
     null = np.linalg.svd(np.linalg.qr(units, mode="r"))[2][len(idx):]
     if len(null) == 1:
         z = null[0] / np.linalg.norm(null[0])
-        return DualSearchResult(code.name, 1, "float", (), sorted_rows(np.vstack([z, -z])),
+        return DualSearchResult(code.name, 1, "float", None, sorted_rows(np.vstack([z, -z])),
                                 True, nodes_supplied, (0.0,),
                                 max_residual=float(np.abs(units @ z).max()))
-    return DualSearchResult(code.name, 1, "subspace", (), None, True,
+    return DualSearchResult(code.name, 1, "subspace", None, None, True,
                             nodes_supplied, (0.0,),
                             subspace_basis=tuple(tuple(float(x) for x in b) for b in null))
+
+
+def _dual_code(code: LatticeCode, m: int,
+               rows: Sequence[Vector]) -> Optional[LatticeCode]:
+    """Certified rows of one norm as the code dual_{m}(name); None for none."""
+    if not rows:
+        return None
+    return LatticeCode(f"dual_{m}({code.name})", code.ambient_dim,
+                       sum(x * x for x in rows[0]), rows)
 
 
 def _gamma(n):
@@ -367,7 +368,7 @@ def _walk(r: np.ndarray, values: np.ndarray, tau: float,
 
 
 def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
-                rhs) -> tuple[tuple[LatticePoint, ...], tuple[Vector, ...]]:
+                rhs) -> tuple[Vector, ...]:
     """Certify walk survivors in integers.  A dual point x has
     c . x = n sqrt(g) / Q on each chosen row c, so with A the chosen rows
     and G = A A^T it is w sqrt(g) / (Q det G) for w = n^T adj(G) A: a unit
@@ -378,14 +379,14 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
     survivor table is held.  Each node is walked once and A has full rank,
     so no two survivors are the same point.
 
-    Returns the certified points, as primitive directions v in sorted
-    order, and the same points at their least common squared norm: every
-    certified w has |w|^2 = (Q det G)^2 / g, so w = h v are integer rows of
-    one norm, and dividing by the gcd H of their h leaves (h / H) v, the
-    least integer multiples of the v that share one norm."""
+    Returns the certified points at their least common squared norm, in
+    the sorted order of their primitive directions v: every certified w
+    has |w|^2 = (Q det G)^2 / g, so w = h v are integer rows of one norm,
+    and dividing by the gcd H of their h leaves (h / H) v, the least
+    integer multiples of the v that share one norm."""
     n_ints, q_lcm, g = rhs
     if not len(node_idx):
-        return (), ()
+        return ()
     rows = [code.points[i] for i in idx]
     adj, det = adjugate_and_det(raw_dots(rows, rows).tolist())
     adj_rows = raw_dots(adj, list(zip(*rows)))  # adj(G) A
@@ -402,7 +403,7 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
             gcds.append(h)
             targets.append(t + t[:1] * (len(n_ints) - len(t)))
     if not dirs:
-        return (), ()
+        return ()
     big = any(abs(t) >= 2**62 for row in targets for t in row)
     targets = np.array(targets, dtype=object if big else np.int64).T
     # blocks of code points x survivors: each node's target is OR-ed into
@@ -417,8 +418,7 @@ def _exact_dual(code: LatticeCode, idx: list[int], node_idx: np.ndarray,
                                  eq_buf[:len(block)]).all(axis=0)
     kept = sorted((v, h) for v, h, a in zip(dirs, gcds, alive) if a)
     big_h = gcd(*(h for _, h in kept))
-    return (tuple(LatticePoint(v, sum(x * x for x in v)) for v, _ in kept),
-            tuple(tuple(x * (h // big_h) for x in v) for v, h in kept))
+    return tuple(tuple(x * (h // big_h) for x in v) for v, h in kept)
 
 
 def _meets_a_target(block: np.ndarray, targets: np.ndarray, hit: np.ndarray,
@@ -513,13 +513,12 @@ def certify_stiff(code: Code, m: int,
         # the exact rows share one norm, so equal integer dots are equal
         # unit dots; frequency row k is dual point k's
         if dual.exact:
-            rows = dual.common_rows
-            duals, pts = int_arrays(rows, code.points)
-            norms = (sum(x * x for x in rows[0]), code.norm_sq)
+            duals, pts = int_arrays(dual.code.points, code.points)
+            norms = (dual.code.norm_sq, code.norm_sq)
             surds: dict = {}
             freq_table = [row for _, block in dot_blocks(duals, pts)
                           for row in spectra(block, norms, surds=surds)]
-            antipodal = {tuple(-x for x in v) for v in rows} == set(rows)
+            antipodal = dual.code.is_antipodal()
         else:
             duals, pts = dual.unit_points(), code.unit_array()
             freq_table = [tuple((round(val, 9), c) for val, c in row)

@@ -94,8 +94,8 @@ def criterion_2() -> CriterionResult:
             problems.append(f"demicube({d}) not a 3-design")
     for d in (5, 6, 7):
         res = dual_search(demicube(d), 2)
-        if not (res.exact and res.dual_complete and
-                {p.vector for p in res.points} == set(cross_polytope(d).points)):
+        if not (res.code is not None and res.dual_complete and
+                set(res.code.points) == set(cross_polytope(d).points)):
             problems.append(f"demicube({d}) dual mismatch")
     elapsed_ok = (time.time() - t0) < 60.0
     return _result(
@@ -112,7 +112,7 @@ def criterion_3() -> CriterionResult:
     code = _shared("2_41")
     cert = certify_stiff(code, 5, nodes=NODES_2160)
     res = cert.dual
-    ok = res.exact and res.count == 240 and res.as_code().same_point_set(_shared("e8"))
+    ok = res.exact and res.count == 240 and res.code.same_point_set(_shared("e8"))
     spectra_ok = (ok and cert.frequencies_constant
                   and all(c > 0 for _, c in cert.frequency_table[0]))
     elapsed = time.time() - t0
@@ -184,7 +184,7 @@ def criterion_6() -> CriterionResult:
     ok = True
     for code in cases:
         tc = time.time()
-        dual = dual_search(code, 2).as_code()
+        dual = dual_search(code, 2).code
         reps = verify_universal_minimum(code, 2, dual, kernels,
                                         restarts=200, seed=0, argmin_tol=1e-5)
         per_code = time.time() - tc
@@ -238,8 +238,8 @@ def criterion_9() -> CriterionResult:
     sym = symmetrize(demicube(5))
     if not sym.same_point_set(cube(5)):
         problems.append("symmetrize(demicube(5)) != cube(5)")
-    a = dual_search(demicube(5), 2).as_code()
-    b = dual_search(sym, 2).as_code()
+    a = dual_search(demicube(5), 2).code
+    b = dual_search(sym, 2).code
     if not a.same_point_set(b):
         problems.append("symmetrization changed the dual")
     glued, cert = glue(cross_polytope(3), cross_polytope(3), 2, seed=0)
@@ -299,9 +299,9 @@ def criterion_11() -> CriterionResult:
             problems.append(f"{code.name} dual too large")
         if not cert.properties.get("double_dual_contains_code"):
             problems.append(f"{code.name} double-dual inclusion failed")
-        d1 = cert.dual.as_code()
-        d2 = dual_search(d1, 2).as_code()
-        d3 = dual_search(d2, 2).as_code()
+        d1 = cert.dual.code
+        d2 = dual_search(d1, 2).code
+        d3 = dual_search(d2, 2).code
         if not d3.same_point_set(d1):
             problems.append(f"{code.name} triple dual differs")
     return _result(

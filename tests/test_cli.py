@@ -305,7 +305,7 @@ def test_verify_min_pass_and_fail(tmp_path, capsys):
     f = tmp_path / "x3.json"
     save_code(cross_polytope(3), f)
     good = tmp_path / "dual.json"
-    save_code(dual_search(cross_polytope(3), 2).as_code("dual"), good)
+    save_code(dual_search(cross_polytope(3), 2).code, good)
     code, stdout, _ = run(capsys, "verify-min", str(f), "-m", "2",
                           "--dual", str(good), "--kernels", "riesz:2,gauss:1",
                           "--restarts", "40")
@@ -375,7 +375,7 @@ def test_verify_min_requires_m_dual_dots(tmp_path, capsys):
     f = tmp_path / "x4.json"
     save_code(cross_polytope(4), f)
     dual = tmp_path / "dual.json"
-    save_code(dual_search(cross_polytope(4), 2).as_code("dual"), dual)
+    save_code(dual_search(cross_polytope(4), 2).code, dual)
     for m, want in ((2, 0), (1, 1)):
         code, stdout, _ = run(capsys, "verify-min", str(f), "-m", str(m),
                               "--dual", str(dual), "--kernels", "gauss:1",

@@ -346,8 +346,6 @@ def test_lattice_point_dots_and_directions():
     raw = raw_dots([p.vector], [q.vector])
     assert raw.tolist() == [[2]]
     assert unit_surd(2, p.norm_sq, q.norm_sq) == Surd.sqrt_of(Fraction(1, 2))
-    assert q.direction() == (1, 1, 0)
-    assert (-q).direction() == (-1, -1, 0)
     assert gcd_reduce((0, 0, 0)) == (0, 0, 0)
     assert gcd_reduce((-6, 9, 0)) == (-2, 3, 0)
 

@@ -745,7 +745,7 @@ class TestMinimize:
     def test_demicube5_riesz2(self):
         rep = minimize_potential(demicube(5), Kernel.parse("riesz:2"),
                                  restarts=120, seed=3,
-                                 dual=dual_search(demicube(5), 2).as_code())
+                                 dual=dual_search(demicube(5), 2).code)
         assert math.isclose(rep.global_min_value, 10.0, rel_tol=1e-12)
         assert rep.gap >= GAP_FLOOR
         # ten argmin clusters: the signed basis vectors
@@ -758,7 +758,7 @@ class TestMinimize:
     def test_argmins_in_sorted_rows_order(self, code):
         # coordinates that are zero up to noise must not decide the order,
         # as they do under a raw lexsort of these clusters
-        dual = dual_search(code, 2).as_code()
+        dual = dual_search(code, 2).code
         for spec in ("riesz:1", "riesz:2", "gauss:1"):
             rep = minimize_potential(code, Kernel.parse(spec), restarts=200, seed=0, dual=dual)
             assert len(rep.argmin_cluster) == dual.size, spec
@@ -774,7 +774,7 @@ class TestMinimize:
         assert 1 <= rep.iterations <= 600
         assert 0 < rep.n_newton_steps
         assert rep.dual_value is None and rep.gap is None
-        dual = dual_search(cross_polytope(3), 2).as_code()
+        dual = dual_search(cross_polytope(3), 2).code
         (urep,) = verify_universal_minimum(cross_polytope(3), 2, dual,
                                            [Kernel.parse("riesz:1")],
                                            restarts=20, seed=0)
@@ -971,7 +971,7 @@ class TestAntipodeStarts:
         assert rep.n_antipode_starts == 16
         assert rep.n_singular_starts == 0
         assert rep.n_converged + rep.n_failed == 21
-        dual = dual_search(demicube(5), 2).as_code()
+        dual = dual_search(demicube(5), 2).code
         (urep,) = verify_universal_minimum(demicube(5), 2, dual, [Kernel.parse("riesz:2")],
                                            restarts=5, seed=0)
         assert urep.to_json_dict()["n_antipode_starts"] == 16
@@ -1025,7 +1025,7 @@ class TestArgminDistance:
 
 class TestUniversalMinimum:
     def test_cross4_with_true_dual(self):
-        dual = dual_search(cross_polytope(4), 2).as_code()
+        dual = dual_search(cross_polytope(4), 2).code
         reps = verify_universal_minimum(
             cross_polytope(4), 2, dual,
             [Kernel.parse("riesz:1"), Kernel.parse("gauss:1")],
@@ -1047,7 +1047,7 @@ class TestUniversalMinimum:
             return real(probes, units, kernel)
 
         monkeypatch.setattr(potential, "_probe_values", counted)
-        dual = dual_search(cross_polytope(4), 2).as_code()
+        dual = dual_search(cross_polytope(4), 2).code
         reps = verify_universal_minimum(
             cross_polytope(4), 2, dual,
             [Kernel.parse("riesz:1"), Kernel.parse("gauss:1")],
@@ -1056,7 +1056,7 @@ class TestUniversalMinimum:
         assert all(rep.passed for rep in reps)
 
     def test_minimization_report_carries_the_dual_spread(self):
-        dual = dual_search(cross_polytope(4), 2).as_code()
+        dual = dual_search(cross_polytope(4), 2).code
         (rep,) = verify_universal_minimum(cross_polytope(4), 2, dual,
                                           [Kernel.parse("gauss:1")], restarts=20, seed=0)
         out = rep.to_json_dict()
@@ -1086,7 +1086,7 @@ class TestUniversalMinimum:
     def test_verdict_extends_the_multistart_report(self):
         # a direct call reads the same dual rows, so it sees the same starts
         code = demicube(5)
-        dual = dual_search(code, 2).as_code()
+        dual = dual_search(code, 2).code
         kernels = [Kernel.parse("riesz:1"), Kernel.parse("gauss:1")]
         reps = verify_universal_minimum(code, 2, dual, kernels, restarts=40, seed=3)
         own = [f.name for f in fields(UniversalMinimumReport)]
@@ -1230,7 +1230,7 @@ def test_m_check_reads_the_last_ragged_block(rows):
     # relative, so only the m-check can fail; in blocks of 7 dual rows the
     # turned row is the last of the ragged last block of 4
     code = demicube(5)
-    dual = dual_search(code, 2).as_code()
+    dual = dual_search(code, 2).code
     eps = 1e-6
     planted = FloatCode("planted", 5, np.vstack([dual.unit_array(),
                                                  [math.cos(eps), math.sin(eps), 0, 0, 0]]))

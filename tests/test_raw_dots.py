@@ -19,14 +19,14 @@ from stiffkit.codes import (
     cube,
     dot_blocks,
     e8_roots,
+    gcd_reduce,
     int_arrays,
     polytope_2_41,
     raw_dots,
 )
 from stiffkit.design import _gram_multiset, index_set, pair_values, spectrum
 from stiffkit.exact import Surd
-from stiffkit.stiffness import (DualSearchResult, _at_most_m_distinct, certify_stiff,
-                                dual_search)
+from stiffkit.stiffness import _at_most_m_distinct, certify_stiff, dual_search
 from stiffkit.suite import NODES_2160
 
 
@@ -133,7 +133,7 @@ def test_scaled_cube_certificate_takes_object_blocks():
     want = certify_stiff(small, 2)
     assert cert.dual.exact and cert.dual.count == 6 and cert.stiff
     assert cert.frequencies_match_weights and all(cert.properties.values())
-    assert cert.dual.points == want.dual.points
+    assert cert.dual.code.points == want.dual.code.points
     assert cert.frequency_table == want.frequency_table
 
 
@@ -215,33 +215,31 @@ def test_every_blas_call_is_single_threaded_size(monkeypatch):
     assert max(sizes) <= GEMM_MACS == 2**18
 
 
-def _e8_dual_of_2160() -> DualSearchResult:
-    """The 240-point dual in the gcd-reduced form the search returns:
+def _e8_dual_of_2160() -> list[LatticePoint]:
+    """The 240-point dual as the primitive directions the search lists:
     norms 2 (from the +-2 pairs) and 8 (the sign vectors)."""
     pts = []
     for v in e8_roots().points:
-        g = 2 if all(x % 2 == 0 for x in v) else 1
-        w = tuple(x // g for x in v)
+        w = gcd_reduce(v)
         pts.append(LatticePoint(w, sum(x * x for x in w)))
-    return DualSearchResult("polytope_2_41", 5, "exact", tuple(pts), None,
-                            False, True, ())
+    return pts
 
 
 def test_spectrum_of_mixed_norm_dual_matches_surd_route():
     code = polytope_2_41()
     dual = _e8_dual_of_2160()
-    assert {p.norm_sq for p in dual.points} == {2, 8}
-    for p in dual.points[::24]:
+    assert {p.norm_sq for p in dual} == {2, 8}
+    for p in dual[::24]:
         want = Counter(_unit_dot_surd(p.vector, q) for q in code.points)
         assert spectrum(p, code).entries == tuple(sorted(want.items()))
 
 
 def test_double_dual_of_mixed_norm_dual_matches_surd_route():
-    # the search's dual has norms 2 and 8, and as_code gives it one norm
+    # the search's dual has primitive norms 2 and 8, and its code one norm
     code = polytope_2_41()
-    dual = dual_search(code, 5, NODES_2160)
-    assert {p.norm_sq for p in dual.points} == {2, 8}
-    dual_code = dual.as_code()
+    dual_code = dual_search(code, 5, NODES_2160).code
+    assert {sum(x * x for x in gcd_reduce(v)) for v in dual_code.points} == {2, 8}
+    assert dual_code.norm_sq == 8
     table = raw_dots(code.points, dual_code.points)
     for v, row in list(zip(code.points, table))[::40]:
         want = {_unit_dot_surd(v, p) for p in dual_code.points}

@@ -18,6 +18,7 @@ from stiffkit._linalg import integer_nullspace
 from stiffkit.codes import (
     FloatCode,
     LatticeCode,
+    LatticePoint,
     close_pairs,
     common_norm,
     cross_polytope,
@@ -105,18 +106,18 @@ class TestDualSearchExact:
             assert res.exact
             assert res.dual_complete
             assert res.count == 2 * d
-            assert {p.vector for p in res.points} == signed_basis(d)
+            assert res.code.direction_set() == signed_basis(d)
 
     def test_cross_polytope_dual_is_cube(self):
         res = dual_search(cross_polytope(3), 2)
         assert res.exact and res.dual_complete
-        assert {p.vector for p in res.points} == {
+        assert res.code.direction_set() == {
             (a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)
         }
 
     def test_cube3_dual_is_cross_polytope(self):
         res = dual_search(cube(3), 2)
-        assert res.as_code().same_point_set(cross_polytope(3))
+        assert res.code.same_point_set(cross_polytope(3))
 
     def test_241_m4_dual_empty(self):
         res = dual_search(polytope_2_41(), 4)
@@ -133,13 +134,13 @@ class TestDualSearchExact:
         assert not res.dual_complete  # complete only relative to supplied nodes
         assert res.nodes_supplied
         assert res.count == 240
-        assert res.as_code().same_point_set(e8_roots())
+        assert res.code.same_point_set(e8_roots())
 
     def test_demicube14_m3_with_nodes_is_the_signed_basis(self):
         # thousands of survivors are certified against the code in blocks
         s = Surd.sqrt_of(Fraction(1, 14))
         res = dual_search(demicube(14), 3, nodes=(-s, Surd(0), s))
-        assert res.exact and {p.vector for p in res.points} == signed_basis(14)
+        assert res.exact and res.code.direction_set() == signed_basis(14)
 
     def test_supplied_node_count_capped_by_m(self):
         with pytest.raises(ValueError):
@@ -151,7 +152,7 @@ class TestDualSearchExact:
         s = Surd.sqrt_of(Fraction(1, 5))
         once = dual_search(demicube(5), 3, nodes=(-s, s))
         twice = dual_search(demicube(5), 3, nodes=(-s, s, s))
-        assert twice.exact and twice.points == once.points and once.count == 10
+        assert twice.exact and twice.code.points == once.code.points and once.count == 10
         f = float(s)
         once = dual_search(demicube(5), 3, nodes=(-f, f))
         twice = dual_search(demicube(5), 3, nodes=(-f, f, f))
@@ -252,13 +253,14 @@ class TestWalkAgainstFullEnumeration:
         nodes = [Surd(Fraction(r, ns), ns) for r in raws]
         exact = dual_search(code, len(nodes), nodes=nodes)
         assert exact.mode == "exact"
-        assert {p.vector for p in exact.points} == want
+        dirs = [gcd_reduce(v) for v in exact.code.points]
+        assert set(dirs) == want
         # one square-free norm part, so the points scale to one common norm
-        assert len({square_free_split(p.norm_sq)[1] for p in exact.points}) == 1
-        scaled = common_norm([p.direction() for p in exact.points])
+        assert len({square_free_split(sum(x * x for x in v))[1] for v in dirs}) == 1
+        scaled = common_norm(dirs)
         want_code = LatticeCode("want", code.ambient_dim, sum(x * x for x in scaled[0]),
                                 tuple(scaled))
-        assert exact.as_code().same_point_set(want_code)
+        assert exact.code.same_point_set(want_code)
 
         approx = dual_search(code, len(nodes), nodes=[float(v) for v in nodes])
         assert approx.mode == "float"
@@ -276,9 +278,10 @@ class TestWalkAgainstFullEnumeration:
         ns = code.norm_sq * probe_sq
         rhs = _exact_rhs([Surd(Fraction(r, ns), ns) for r in raws], code.norm_sq)
         every = np.array(list(itertools.product(range(len(raws)), repeat=code.ambient_dim)))
-        pts, rows = _exact_dual(code, _independent_rows(code, code.unit_array()), every, rhs)
-        assert {p.vector for p in pts} == _reference_dual(code, probe_sq, raws)
-        assert list(rows) == common_norm([p.vector for p in pts])
+        rows = _exact_dual(code, _independent_rows(code, code.unit_array()), every, rhs)
+        dirs = [gcd_reduce(v) for v in rows]
+        assert set(dirs) == _reference_dual(code, probe_sq, raws)
+        assert dirs == sorted(dirs) and list(rows) == common_norm(dirs)
 
     def test_node_target_off_the_integers_meets_nothing(self):
         # the walk keeps the unit point (1, 0), whose dot 3/5 with (3, -4)
@@ -306,7 +309,7 @@ class TestWalkAgainstFullEnumeration:
         assert min(level(v) for v in want) < d
         nodes = [Surd(Fraction(r, code.norm_sq), code.norm_sq) for r in (-1, 1)]
         exact = dual_search(code, 2, nodes=nodes)
-        assert exact.mode == "exact" and {p.vector for p in exact.points} == want
+        assert exact.mode == "exact" and exact.code.direction_set() == want
         approx = dual_search(code, 2, nodes=[float(v) for v in nodes])
         assert approx.mode == "float" and approx.count == len(want)
         units = np.array(sorted(want), dtype=float)
@@ -359,7 +362,7 @@ class TestFrontierCap:
         monkeypatch.setenv(ENV_SIZE_CAP, "2000")
         res = dual_search(code, 3, nodes=self.NODES_7)
         assert res.exact
-        assert {p.vector for p in res.points} == signed_basis(7)
+        assert res.code.direction_set() == signed_basis(7)
 
     def test_frontier_over_the_cap_raises(self, monkeypatch):
         code = demicube(7)
@@ -380,7 +383,7 @@ class TestRankGate:
                          ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)))
         res = dual_search(sq, 1)
         assert res.count == 2
-        assert {p.vector for p in res.points} == {(0, 0, 1), (0, 0, -1)}
+        assert res.code.points == ((0, 0, -1), (0, 0, 1))
 
     def test_float_rank_is_decided_once(self):
         # the third singular value, about 3.5e-9, is below the rank gate's
@@ -509,7 +512,8 @@ def _flat_ngon_6000():
 
 class TestOneDesignCheck:
     """A certificate checks its code's design strength once, solves each
-    node set once and scales an exact dual without building a code."""
+    node set once and builds an exact dual's code once, without a common
+    norm search."""
 
     @pytest.mark.parametrize("make,m", [
         (_flat_ngon_6000, 1),
@@ -557,26 +561,28 @@ class TestOneDesignCheck:
             "cube3x2^27", "square_in_R3"])
     def test_exact_dual_is_scaled_without_a_code(self, monkeypatch, code, m, nodes):
         want = certify_stiff(code, m, nodes=nodes)
-        # reference: the dual as a sorted code, its points matched back to
-        # dual.points by direction
-        dual_code = want.dual.as_code()
-        scaled = {gcd_reduce(v): v for v in dual_code.points}
-        dots = raw_dots(code.points, [scaled[p.direction()] for p in want.dual.points])
-        assert want.frequency_table == tuple(spectra(dots.T, (dual_code.norm_sq, code.norm_sq)))
-        assert want.properties["antipodal"] == dual_code.is_antipodal()
+        # reference: the JSON's primitive directions, in their order, at
+        # the common norm codes.common_norm finds
+        rows = common_norm([tuple(p["vector"]) for p in want.dual.to_json_dict()["points"]])
+        norm_sq = sum(x * x for x in rows[0])
+        dots = raw_dots(code.points, rows)
+        assert want.frequency_table == tuple(spectra(dots.T, (norm_sq, code.norm_sq)))
+        assert want.properties["antipodal"] == ({tuple(-x for x in v) for v in rows}
+                                                == set(rows))
 
         def refuse(vectors):
             raise AssertionError("common_norm called")
 
-        # the certificate and the dual's code read the certified rows: no
-        # common norm is searched for and the certificate builds no code
+        # the certificate reads the certified rows: no common norm is
+        # searched for, and the one code built is the dual itself
         assert not hasattr(stiffness, "common_norm")
         monkeypatch.setattr(codes, "common_norm", refuse)
         built = _counted(monkeypatch, LatticeCode, "__post_init__")
         got = certify_stiff(code, m, nodes=nodes)
         assert got == want
-        assert built == []
-        assert got.dual.as_code() == dual_code
+        assert len(built) == 1 and built[0][0] is got.dual.code
+        assert got.dual.code.points == tuple(rows)
+        assert got.dual.code.norm_sq == norm_sq
 
 
 class TestCertify:
@@ -617,15 +623,16 @@ class TestCertify:
 
     @pytest.mark.parametrize("step", [1, 3])
     def test_exact_frequency_rows_are_per_point_spectra(self, step):
-        # on every third point the rows differ, and as_code lists the dual
-        # (norms 2 and 8) in another order: row k must stay dual point k's
+        # on every third point the rows differ, and the dual's primitive
+        # directions have norms 2 and 8: row k must stay dual point k's
         full = polytope_2_41()
         code = LatticeCode(f"every_{step}", 8, full.norm_sq, full.points[::step])
         cert = certify_stiff(code, 5, nodes=NODES_241)
-        assert {p.norm_sq for p in cert.dual.points} == {2, 8}
+        dual = cert.dual.code
+        assert {sum(x * x for x in gcd_reduce(v)) for v in dual.points} == {2, 8}
         assert len(set(cert.frequency_table)) == (1 if step == 1 else 236)
-        assert cert.frequency_table == tuple(spectrum(p, code).entries
-                                             for p in cert.dual.points)
+        assert cert.frequency_table == tuple(
+            spectrum(LatticePoint(v, dual.norm_sq), code).entries for v in dual.points)
 
     @pytest.mark.parametrize("make", [
         lambda: rotated_cubes(3)[0],
@@ -642,7 +649,7 @@ class TestCertify:
 
     def test_square_with_a_large_square_free_norm_part(self, monkeypatch):
         # the square (1, 10^17) rotated by quarter turns: its dual points
-        # have norm 2 (1 + 10^34), which as_code and the frequency table
+        # have norm 2 (1 + 10^34), which the dual's code and the frequency table
         # must handle without factoring 1 + 10^34
         monkeypatch.setenv(ENV_SIZE_CAP, "10000")
         b = 10**17
@@ -650,7 +657,7 @@ class TestCertify:
                              tuple(sorted(((1, b), (-b, 1), (-1, -b), (b, -1)))))
         cert = certify_stiff(square, 2)
         assert cert.stiff and cert.dual.exact and cert.dual.count == 4
-        assert cert.dual.as_code().norm_sq == 2 * (1 + b * b)
+        assert cert.dual.code.norm_sq == 2 * (1 + b * b)
         assert cert.frequencies_match_weights
         half = Surd.sqrt_of(Fraction(1, 2))
         assert set(cert.frequency_table) == {((-half, 2), (half, 2))}
@@ -693,7 +700,7 @@ class TestCertify:
         sq = LatticeCode("sq", 3, 2, tuple(sorted([(1, 0, 1), (-1, 0, 1),
                                                    (0, 1, 1), (0, -1, 1)])))
         cert = certify_stiff(sq, 2, nodes=(Surd.sqrt_of(Fraction(1, 2)),))
-        assert cert.dual.exact and [p.vector for p in cert.dual.points] == [(0, 0, 1)]
+        assert cert.dual.exact and cert.dual.code.points == ((0, 0, 1),)
         assert cert.frequencies_constant
         assert cert.frequencies_match_weights is False
 
@@ -722,14 +729,14 @@ class TestStructuralProperties:
     def test_triple_dual_identity(self):
         for code in [demicube(5), cross_polytope(3), cross_polytope(4),
                      cross_polytope(5), cross_polytope(6)]:
-            d1 = dual_search(code, 2).as_code()
-            d2 = dual_search(d1, 2).as_code()
-            d3 = dual_search(d2, 2).as_code()
+            d1 = dual_search(code, 2).code
+            d2 = dual_search(d1, 2).code
+            d3 = dual_search(d2, 2).code
             assert d3.same_point_set(d1), code.name
 
     def test_double_dual_strictly_contains_cross4(self):
         # dual of cross_polytope(4) is the 16-cell cube; its dual is cross again
-        dd = dual_search(dual_search(cross_polytope(4), 2).as_code(), 2).as_code()
+        dd = dual_search(dual_search(cross_polytope(4), 2).code, 2).code
         assert dd.same_point_set(cross_polytope(4))
 
 
@@ -749,9 +756,9 @@ class TestOneStiff:
         cert = certify_stiff(sq, 1)
         assert cert.stiff
         dual = cert.dual
-        assert {tuple(abs(x) for x in p.vector) for p in dual.points} == {(0, 0, 1)}
+        assert {tuple(abs(x) for x in v) for v in dual.code.points} == {(0, 0, 1)}
         assert dual.subspace_basis is None
-        assert {p.vector for p in dual.points} == {(0, 0, 1), (0, 0, -1)}
+        assert dual.code.direction_set() == {(0, 0, 1), (0, 0, -1)}
 
     @pytest.mark.parametrize("make", [
         lambda: LatticeCode("eq_square", 3, 1,
@@ -1376,10 +1383,10 @@ class TestStreamedProducts:
                 with pytest.MonkeyPatch.context() as mp:
                     if small:  # 9 code points x 16 survivors: rows 0-6, then 7-8
                         rows = self._small_blocks(mp, 16)
-                    got, _ = _exact_dual(code, [0, 2, 4, 6], node_idx, rhs)
+                    got = _exact_dual(code, [0, 2, 4, 6], node_idx, rhs)
                 if small:
                     assert rows == [7, code.size - 7]
-                assert [p.vector for p in got] == want
+                assert list(got) == want
 
     def test_certificate_holds_no_dual_x_code_table(self):
         # 2160 x 240 dots: a whole table is 4 MiB of int64, and the
@@ -1449,8 +1456,9 @@ class TestStreamedProducts:
 
 
 class TestCommonRows:
-    """An exact dual carries its rows at the least common norm its
-    certification proved: the rows codes.common_norm gives its points."""
+    """An exact dual's code holds its rows at the least common norm its
+    certification proved: the rows codes.common_norm gives the primitive
+    directions of its JSON, in that order."""
 
     @pytest.mark.parametrize("make,m,nodes", [
         (polytope_2_41, 5, NODES_2160),
@@ -1471,12 +1479,21 @@ class TestCommonRows:
     def test_rows_match_common_norm(self, make, m, nodes):
         res = dual_search(make(), m, nodes)
         assert res.exact and res.count
-        assert list(res.common_rows) == common_norm([p.direction() for p in res.points])
+        dirs = [tuple(p["vector"]) for p in res.to_json_dict()["points"]]
+        assert list(res.code.points) == common_norm(dirs)
+        assert np.array_equal(res.unit_points(), res.code.unit_array())
 
 
 class TestNegativeControl:
     """The 2160-point code with one point moved off it: the verdicts that
     hold for the code must fail."""
+
+    @pytest.fixture
+    def defect(self, monkeypatch):
+        """The suite's shared 2160-point code replaced by the defect."""
+        real = suite._shared
+        monkeypatch.setattr(suite, "_shared",
+                            lambda name: _defect_2_41() if name == "2_41" else real(name))
 
     def test_certificate_of_the_defect(self):
         cert = certify_stiff(_defect_2_41(), 5, NODES_2160)
@@ -1485,10 +1502,31 @@ class TestNegativeControl:
         assert cert.frequencies_match_weights is False
         assert not cert.frequencies_constant
 
-    def test_criterion_3_fails_on_the_defect(self, monkeypatch):
-        real = suite._shared
-        monkeypatch.setattr(suite, "_shared",
-                            lambda name: _defect_2_41() if name == "2_41" else real(name))
+    def test_defect_rows_follow_the_dual_order(self):
+        # the rows differ from point to point, and the dual's primitive
+        # directions have norms 2 and 8: the row printed is that of the
+        # first direction in sorted order, not of the first row of a
+        # sorted code at the common norm
+        cert = certify_stiff(_defect_2_41(), 5, NODES_2160)
+        assert cert.to_json_dict()["frequency_table"]["per_point"] == [
+            {"node": "-1/2*sqrt(2)", "count": 126},
+            {"node": "-1/4*sqrt(2)", "count": 576},
+            {"node": "0", "count": 756},
+            {"node": "1/4*sqrt(2)", "count": 575},
+            {"node": "1/2*sqrt(2)", "count": 127}]
+
+    def test_criterion_1_fails_on_the_defect(self, defect):
+        res = suite.criterion_1()
+        assert not res.passed
+        assert "zero at n=[]" in res.details
+
+    def test_criterion_3_fails_on_the_defect(self, defect):
         res = suite.criterion_3()
         assert not res.passed
         assert "found 112 exact dual points" in res.details
+
+    def test_criterion_8_fails_on_the_defect(self, defect):
+        res = suite.criterion_8()
+        assert not res.passed
+        assert "ok=False" in res.details
+        assert "witness realizes only the five dot values: False" in res.details

@@ -61,8 +61,8 @@ class TestSymmetrize:
                 symmetrize(code)
 
     def test_same_dual_as_input(self):
-        a = dual_search(demicube(5), 2).as_code()
-        b = dual_search(symmetrize(demicube(5)), 2).as_code()
+        a = dual_search(demicube(5), 2).code
+        b = dual_search(symmetrize(demicube(5)), 2).code
         assert a.same_point_set(b)
 
 
